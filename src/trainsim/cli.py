@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import config, datasets, dma, engine, layout, perf, sched
-from .errors import ConfigError, Infeasible, PlanMismatch
+from .errors import ConfigError, Infeasible, InvalidLayer, InvalidPlan, PlanMismatch
 from .plan import Process
 
 EXIT_OK = 0
@@ -150,6 +150,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     net = config.load_network(args.net, args.batch)
     engine_params = engine.init_params(net, seed=args.seed)
     if args.data == "synthetic":
@@ -252,7 +254,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, InvalidLayer, InvalidPlan) as e:
+        # malformed user input: a plan that does not fit its layer, or a
+        # network the subcommand cannot run
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Infeasible as e:

@@ -15,6 +15,8 @@ from .model import DeviceSpec, Kind, LayerSpec, NetworkSpec, validate_and_infer
 from .plan import PlanEntry, TilePlan
 
 _LAYER_KEYS = {"kind", "m", "n", "r", "c", "k", "s", "pad", "r_in", "c_in"}
+# optional per-pass plan fields; None keeps the layer's FP value
+_OVERRIDE_KEYS = ("bp_tr", "bp_tc", "bp_m_on", "wu_tr", "wu_tc", "wu_m_on")
 
 
 def _read_json(path_or_name: str | Path, preset_kind: str | None = None) -> dict:
@@ -76,11 +78,9 @@ def load_plan(path_or_name: str | Path) -> TilePlan:
     try:
         entries = {}
         for e in doc["layers"]:
+            overrides = {k: None if e.get(k) is None else int(e[k]) for k in _OVERRIDE_KEYS}
             entries[int(e["layer"])] = PlanEntry(
-                tr=int(e["tr"]), tc=int(e["tc"]), m_on=int(e["m_on"]),
-                bp_tr=e.get("bp_tr"), bp_tc=e.get("bp_tc"), bp_m_on=e.get("bp_m_on"),
-                wu_tr=e.get("wu_tr"), wu_tc=e.get("wu_tc"), wu_m_on=e.get("wu_m_on"),
-            )
+                tr=int(e["tr"]), tc=int(e["tc"]), m_on=int(e["m_on"]), **overrides)
         return TilePlan(tm=int(doc["tm"]), tn=int(doc["tn"]), entries=entries)
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad plan config {path_or_name}: {e}") from None
@@ -91,7 +91,7 @@ def plan_to_dict(plan: TilePlan, extra: dict | None = None) -> dict:
     for idx in sorted(plan.entries):
         e = plan.entries[idx]
         row: dict = {"layer": idx, "tr": e.tr, "tc": e.tc, "m_on": e.m_on}
-        for k in ("bp_tr", "bp_tc", "bp_m_on", "wu_tr", "wu_tc", "wu_m_on"):
+        for k in _OVERRIDE_KEYS:
             v = getattr(e, k)
             if v is not None:
                 row[k] = v

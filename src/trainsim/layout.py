@@ -17,7 +17,15 @@ regions; addresses are 32-bit word indices, never bytes.
 
 Traces are run-length encoded: a transfer is an ordered list of (start,
 length) runs, and loop walkers emit transfers grouped into the production
-pipeline the cycle model assumes.
+pipeline the cycle model assumes.  FP and BP share one walker on the
+pass's role-swapped operands, in which one branch per layout sets the loop
+order and operand reuse; WU has its own.
+
+Descriptor policy lives where transfers are made: `_feature` gives every
+feature load its own descriptor (`fresh_start`), `_feature` and `_weights`
+give every BCHW transfer one descriptor per run (`per_run_start`), and
+`_walk_conv` builds the reshaped BP weight block.  dma.py only applies the
+flags.
 """
 
 from __future__ import annotations
@@ -204,28 +212,13 @@ class WeightGeom:
     tm: int
     tn: int
     m_on: int
-    _chunk_base: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind != LayoutKind.BCHW:
-            if self.m_on % self.tm:
-                raise ValueError("m_on must be a multiple of tm")
-            base = 0
-            for mt in range(self.m_tiles()):
-                wm = self.m_width(mt)
-                for nt in range(self.n_tiles()):
-                    wn = self.n_width(nt)
-                    self._chunk_base[(mt, nt)] = base
-                    base += wm * wn * self.k * self.k
+        if self.kind != LayoutKind.BCHW and self.m_on % self.tm:
+            raise ValueError("m_on must be a multiple of tm")
 
     def words(self) -> int:
         return self.m * self.n * self.k * self.k
-
-    def m_tiles(self) -> int:
-        return ceil_div(self.m, self.tm)
-
-    def n_tiles(self) -> int:
-        return ceil_div(self.n, self.tn)
 
     def m_width(self, mt: int) -> int:
         return min(self.tm, self.m - mt * self.tm)
@@ -242,21 +235,27 @@ class WeightGeom:
         mt, nt = m // self.tm, n // self.tn
         wm, wn = self.m_width(mt), self.n_width(nt)
         dm, dn = m - mt * self.tm, n - nt * self.tn
-        return self._chunk_base[(mt, nt)] + ((kr * self.k + kc) * wn + dn) * wm + dm
+        return self._tile_base(mt, nt) + ((kr * self.k + kc) * wn + dn) * wm + dm
 
     def addr_grid(self) -> np.ndarray:
-        idx = np.arange(self.words())
-        k2 = self.k * self.k
-        kc = idx % self.k
-        kr = (idx // self.k) % self.k
-        n = (idx // k2) % self.n
-        m = idx // (k2 * self.n)
+        """words()-sized array: flat (m,n,kr,kc) coordinate -> word index."""
         if self.kind == LayoutKind.BCHW:
-            return idx.copy()
-        a = np.empty_like(idx)
-        for i in range(self.words()):
-            a[i] = self.addr(int(m[i]), int(n[i]), int(kr[i]), int(kc[i]))
-        return a
+            return np.arange(self.words())
+        m = np.arange(self.m)[:, None, None, None]
+        n = np.arange(self.n)[None, :, None, None]
+        kr = np.arange(self.k)[None, None, :, None]
+        kc = np.arange(self.k)[None, None, None, :]
+        mt, nt = m // self.tm, n // self.tn
+        wm = np.minimum(self.tm, self.m - mt * self.tm)
+        wn = np.minimum(self.tn, self.n - nt * self.tn)
+        base = (mt * self.tm * self.n + wm * nt * self.tn) * self.k * self.k
+        a = base + ((kr * self.k + kc) * wn + (n - nt * self.tn)) * wm + (m - mt * self.tm)
+        return a.reshape(-1)
+
+    def _tile_base(self, mt: int, nt: int) -> int:
+        """First word of tile (mt, nt) in tile-major storage: all earlier
+        m-tiles are full Tm rows, earlier n-tiles of this row full Tn."""
+        return (mt * self.tm * self.n + self.m_width(mt) * nt * self.tn) * self.k * self.k
 
     def chunk_words(self, mt: int, nt: int) -> int:
         return self.m_width(mt) * self.n_width(nt) * self.k * self.k
@@ -268,7 +267,7 @@ class WeightGeom:
             wn = self.n_width(nt)
             return [(self.addr(m, nt * self.tn, 0, 0), wn * self.k * self.k)
                     for m in range(mt * self.tm, mt * self.tm + self.m_width(mt))]
-        return [(self._chunk_base[(mt, nt)], self.chunk_words(mt, nt))]
+        return [(self._tile_base(mt, nt), self.chunk_words(mt, nt))]
 
     def bp_block_runs(self, mt: int, nt0: int, nt1: int) -> list[Run]:
         """Weights for one loss-channel chunk across BP-output tiles
@@ -279,7 +278,7 @@ class WeightGeom:
                 runs.extend(self.chunk_runs(mt, nt))
             return merge_runs(runs)
         length = sum(self.chunk_words(mt, nt) for nt in range(nt0, nt1))
-        return [(self._chunk_base[(mt, nt0)], length)]
+        return [(self._tile_base(mt, nt0), length)]
 
     def slot_words(self, mt: int, nt: int) -> int | None:
         if self.kind == LayoutKind.BCHW:
@@ -339,9 +338,6 @@ class Transfer:
     overlapped: bool = False  # emitted on the bus but hidden by the pipeline
     per_run_start: bool = False  # one descriptor (and restart) per run
     fresh_start: bool = False  # own descriptor: restarts even if contiguous
-
-    def words(self) -> int:
-        return sum(l for _, l in self.runs)
 
 
 @dataclass
@@ -403,205 +399,132 @@ def _ranges(total: int, step: int) -> list[tuple[int, int]]:
     return [(i, min(total, i + step)) for i in range(0, total, step)]
 
 
-def _ch_tiles(total: int, width: int) -> list[tuple[int, int]]:
-    return _ranges(total, width)
+def _tile_blocks(channels: int, m_on: int, tm: int) -> list[tuple[int, int, int]]:
+    """(first Tm-tile, end tile, channels) of each weight block of M_on."""
+    out, t0 = [], 0
+    for width in blocks(channels, m_on):
+        out.append((t0, t0 + ceil_div(width, tm), width))
+        t0 = out[-1][1]
+    return out
+
+
+def _spatial_tiles(ws: WalkSpec, rows: int, cols: int, window,
+                   src_rows: int, src_cols: int) -> list[tuple[int, ...]]:
+    """Output tiles in row-major order with the source window each reads
+    and its compute: (r0, r1, i0, i1, c0, c1, j0, j1, comp)."""
+    l, t = ws.layer, ws.tile
+    k2 = l.k * l.k
+    row_w = [(r0, r1, *window(r0, r1, l.k, l.s, l.pad, src_rows))
+             for r0, r1 in _ranges(rows, t.tr)]
+    col_w = [(c0, c1, *window(c0, c1, l.k, l.s, l.pad, src_cols))
+             for c0, c1 in _ranges(cols, t.tc)]
+    return [(r0, r1, i0, i1, c0, c1, j0, j1, (r1 - r0) * (c1 - c0) * k2)
+            for r0, r1, i0, i1 in row_w for c0, c1, j0, j1 in col_w]
+
+
+def _feature(channel: Channel, geom: FeatureGeom, b: int, ch0: int, ch1: int,
+             r0: int, r1: int, c0: int, c1: int) -> Transfer:
+    """One feature tile.  A load is its own descriptor (the double buffer
+    swaps under it), so it restarts even where the previous one ended."""
+    return Transfer(channel, geom.tile_runs(b, ch0, ch1, r0, r1, c0, c1),
+                    geom.slot_words(ch0, ch1), False,
+                    geom.kind == LayoutKind.BCHW, channel is not Channel.OUT)
+
+
+def _weights(channel: Channel, wei: WeightGeom, mt: int, nt: int) -> Transfer:
+    """One (Tm x Tn) weight tile, loaded or stored."""
+    return Transfer(channel, wei.chunk_runs(mt, nt), wei.slot_words(mt, nt),
+                    False, wei.kind == LayoutKind.BCHW)
+
+
+def _walk_conv(ws: WalkSpec, process: Process) -> list[Sequence]:
+    """FP and BP as one loop nest over the pass's role-swapped operands (as
+    `perf._dims_for` sees them): BP writes the input-side loss map from the
+    M loss channels through the transposed weights.
+
+    A sequence is one weight block of one image; each production stores one
+    output tile, accumulating over the chunks of the accumulation channels.
+    The layout branch below sets the loop order, when weight tiles reload
+    and whether the source map is preloaded whole."""
+    l, t, kind, tm = ws.layer, ws.tile, ws.kind, ws.tm
+    fp = process is Process.FP
+    out_ch, acc_ch, rows, cols, src_rows, src_cols, window = (
+        (l.m, l.n, l.r, l.c, l.r_in, l.c_in, fwd_window) if fp
+        else (l.n, l.m, l.r_in, l.c_in, l.r, l.c, bp_window))
+    src = ws.feature_geom(acc_ch, src_rows, src_cols, ws.fp_m_on)
+    dst = ws.feature_geom(out_ch, rows, cols, t.m_on)
+    wei = ws.weight_geom()
+    acc_tiles = list(enumerate(_ranges(acc_ch, ws.tn)))
+    spatial = _spatial_tiles(ws, rows, cols, window, src_rows, src_cols)
+    m_on = ceil_div(out_ch, tm) * tm  # one block: every output channel
+
+    if kind == LayoutKind.RESHAPED:
+        # the M_on weight block stays resident over the batch, so channel
+        # tiles are outermost; FP loads a tile's weights with its first
+        # spatial tile, BP the whole block in its first production
+        m_on = t.m_on
+
+        def order(g0, g1):
+            return (((o, o + 1), sp) for o in range(g0, g1) for sp in spatial)
+
+        def reload(b, p, sp):
+            return b == 0 and (sp == spatial[0] if fp else p == 0)
+    elif kind == LayoutKind.BCHW:
+        # baseline: channel tiles innermost, weights refetched every chunk
+        def order(g0, g1):
+            return (((o, o + 1), sp) for sp in spatial for o in range(g0, g1))
+
+        def reload(b, p, sp):
+            return True
+    else:
+        # BHWC reuse: the source map is preloaded whole per image, each
+        # production covers every output channel, weights stream once per
+        # image in storage order
+        def order(g0, g1):
+            return (((g0, g1), sp) for sp in spatial)
+
+        def reload(b, p, sp):
+            return p == 0
+    preload = kind == LayoutKind.BHWC_REUSE
+    bp_block = kind == LayoutKind.RESHAPED and not fp
+
+    seqs = []
+    for g0, g1, width in _tile_blocks(out_ch, m_on, tm):
+        for b in range(ws.batch):
+            prods = []
+            if preload:
+                prods.append(Production([ChunkStep([_feature(
+                    Channel.IFM, src, b, 0, acc_ch, 0, src_rows, 0, src_cols)], 0)]))
+            for p, ((o0, o1), sp) in enumerate(order(g0, g1)):
+                r0, r1, i0, i1, c0, c1, j0, j1, comp = sp
+                load_wei = reload(b, p, sp)
+                chunks = []
+                for o in range(o0, o1):
+                    for a, (a0, a1) in acc_tiles:
+                        loads = [] if preload else [_feature(
+                            Channel.IFM, src, b, a0, a1, i0, i1, j0, j1)]
+                        if load_wei and bp_block:
+                            # one descriptor per block; its first chunk
+                            # does not wait for it
+                            loads.append(Transfer(
+                                Channel.WEI, wei.bp_block_runs(a, g0, g1),
+                                width * min(ws.tn, acc_ch), a == 0, False, True))
+                        elif load_wei:
+                            loads.append(_weights(Channel.WEI, wei,
+                                                  *((o, a) if fp else (a, o))))
+                        chunks.append(ChunkStep(loads, comp))
+                prods.append(Production(chunks, store=_feature(
+                    Channel.OUT, dst, b, o0 * tm, min(out_ch, o1 * tm), r0, r1, c0, c1)))
+            seqs.append(Sequence(prods, tail_start=True))
+    return seqs
 
 
 def walk_fp(ws: WalkSpec) -> list[Sequence]:
-    l, t = ws.layer, ws.tile
-    ifm = ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on)
-    out = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
-    wei = ws.weight_geom()
-    k2 = l.k * l.k
-    n_tiles = _ch_tiles(l.n, ws.tn)
-    row_tiles = _ranges(l.r, t.tr)
-    col_tiles = _ranges(l.c, t.tc)
-
-    if ws.kind == LayoutKind.RESHAPED:
-        seqs = []
-        mt_global = 0
-        for mon_eff in blocks(l.m, t.m_on):
-            m_tiles = ceil_div(mon_eff, ws.tm)
-            for b in range(ws.batch):
-                prods = []
-                for mt in range(mt_global, mt_global + m_tiles):
-                    ch0 = mt * ws.tm
-                    ch1 = min(l.m, ch0 + ws.tm)
-                    for (r0, r1) in row_tiles:
-                        for (c0, c1) in col_tiles:
-                            i0, i1 = fwd_window(r0, r1, l.k, l.s, l.pad, l.r_in)
-                            j0, j1 = fwd_window(c0, c1, l.k, l.s, l.pad, l.c_in)
-                            chunks = []
-                            for nt, (n0, n1) in enumerate(n_tiles):
-                                loads = [Transfer(Channel.IFM,
-                                                  ifm.tile_runs(b, n0, n1, i0, i1, j0, j1),
-                                                  ifm.slot_words(n0, n1))]
-                                if b == 0 and r0 == 0 and c0 == 0:
-                                    loads.append(Transfer(Channel.WEI,
-                                                          wei.chunk_runs(mt, nt),
-                                                          wei.slot_words(mt, nt)))
-                                chunks.append(ChunkStep(loads, (r1 - r0) * (c1 - c0) * k2))
-                            store = Transfer(Channel.OUT,
-                                             out.tile_runs(b, ch0, ch1, r0, r1, c0, c1),
-                                             out.slot_words(ch0, ch1))
-                            prods.append(Production(chunks, store=store))
-                seqs.append(Sequence(prods, tail_start=True))
-            mt_global += m_tiles
-        return seqs
-
-    if ws.kind == LayoutKind.BCHW:
-        seqs = []
-        for b in range(ws.batch):
-            prods = []
-            for (r0, r1) in row_tiles:
-                for (c0, c1) in col_tiles:
-                    for mt, (m0, m1) in enumerate(_ch_tiles(l.m, ws.tm)):
-                        i0, i1 = fwd_window(r0, r1, l.k, l.s, l.pad, l.r_in)
-                        j0, j1 = fwd_window(c0, c1, l.k, l.s, l.pad, l.c_in)
-                        chunks = []
-                        for nt, (n0, n1) in enumerate(n_tiles):
-                            loads = [Transfer(Channel.IFM,
-                                              ifm.tile_runs(b, n0, n1, i0, i1, j0, j1),
-                                              ifm.slot_words(n0, n1)),
-                                     Transfer(Channel.WEI, wei.chunk_runs(mt, nt),
-                                              wei.slot_words(mt, nt))]
-                            chunks.append(ChunkStep(loads, (r1 - r0) * (c1 - c0) * k2))
-                        store = Transfer(Channel.OUT,
-                                         out.tile_runs(b, m0, m1, r0, r1, c0, c1),
-                                         out.slot_words(m0, m1))
-                        prods.append(Production(chunks, store=store))
-            seqs.append(Sequence(prods, tail_start=True))
-        return seqs
-
-    # BHWC with feature reuse: the whole input map streams in once per
-    # image (all channels together, one contiguous scan), weights stream
-    # once per image in storage order, stores cover all channels
-    seqs = []
-    m_tiles = _ch_tiles(l.m, ws.tm)
-    for b in range(ws.batch):
-        preload = [ChunkStep([Transfer(Channel.IFM,
-                                       ifm.tile_runs(b, 0, l.n, 0, l.r_in, 0, l.c_in),
-                                       ifm.slot_words(0, l.n))], 0)]
-        prods = [Production(preload, store=None)]
-        first = True
-        for (r0, r1) in row_tiles:
-            for (c0, c1) in col_tiles:
-                chunks = []
-                for mt in range(len(m_tiles)):
-                    for nt in range(len(n_tiles)):
-                        loads = []
-                        if first:
-                            loads.append(Transfer(Channel.WEI, wei.chunk_runs(mt, nt),
-                                                  wei.slot_words(mt, nt)))
-                        chunks.append(ChunkStep(loads, (r1 - r0) * (c1 - c0) * k2))
-                first = False
-                store = Transfer(Channel.OUT,
-                                 out.tile_runs(b, 0, l.m, r0, r1, c0, c1),
-                                 out.slot_words(0, l.m))
-                prods.append(Production(chunks, store=store))
-        seqs.append(Sequence(prods, tail_start=True))
-    return seqs
+    return _walk_conv(ws, Process.FP)
 
 
 def walk_bp(ws: WalkSpec) -> list[Sequence]:
-    """Backward pass: produces the input-side loss map; accumulates over the
-    loss channels of the next layer through the transposed weights."""
-    l, t = ws.layer, ws.tile
-    loss_in = ws.feature_geom(l.n, l.r_in, l.c_in, t.m_on)
-    loss_out = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
-    wei = ws.weight_geom()
-    k2 = l.k * l.k
-    m_chunks = _ch_tiles(l.m, ws.tn)
-    row_tiles = _ranges(l.r_in, t.tr)
-    col_tiles = _ranges(l.c_in, t.tc)
-
-    if ws.kind == LayoutKind.RESHAPED:
-        seqs = []
-        nt_global = 0
-        for mon_eff in blocks(l.n, t.m_on):
-            n_tiles_blk = ceil_div(mon_eff, ws.tm)
-            nt0, nt1 = nt_global, nt_global + n_tiles_blk
-            for b in range(ws.batch):
-                prods = []
-                first_prod = b == 0
-                for nt in range(nt0, nt1):
-                    ch0, ch1 = nt * ws.tm, min(l.n, nt * ws.tm + ws.tm)
-                    for (y0, y1) in row_tiles:
-                        for (x0, x1) in col_tiles:
-                            i0, i1 = bp_window(y0, y1, l.k, l.s, l.pad, l.r)
-                            j0, j1 = bp_window(x0, x1, l.k, l.s, l.pad, l.c)
-                            chunks = []
-                            for mc, (m0, m1) in enumerate(m_chunks):
-                                loads = [Transfer(Channel.IFM,
-                                                  loss_out.tile_runs(b, m0, m1, i0, i1, j0, j1),
-                                                  loss_out.slot_words(m0, m1))]
-                                if first_prod:
-                                    mt = m0 // ws.tm
-                                    loads.append(Transfer(
-                                        Channel.WEI, wei.bp_block_runs(mt, nt0, nt1),
-                                        slot_words=mon_eff * min(ws.tn, l.m),
-                                        overlapped=(mc == 0), fresh_start=True))
-                                chunks.append(ChunkStep(loads, (y1 - y0) * (x1 - x0) * k2))
-                            first_prod = False
-                            store = Transfer(Channel.OUT,
-                                             loss_in.tile_runs(b, ch0, ch1, y0, y1, x0, x1),
-                                             loss_in.slot_words(ch0, ch1))
-                            prods.append(Production(chunks, store=store))
-                seqs.append(Sequence(prods, tail_start=True))
-            nt_global = nt1
-        return seqs
-
-    n_tiles = _ch_tiles(l.n, ws.tm)
-    if ws.kind == LayoutKind.BCHW:
-        seqs = []
-        for b in range(ws.batch):
-            prods = []
-            for (y0, y1) in row_tiles:
-                for (x0, x1) in col_tiles:
-                    for nt, (ch0, ch1) in enumerate(n_tiles):
-                        i0, i1 = bp_window(y0, y1, l.k, l.s, l.pad, l.r)
-                        j0, j1 = bp_window(x0, x1, l.k, l.s, l.pad, l.c)
-                        chunks = []
-                        for mt, (m0, m1) in enumerate(m_chunks):
-                            loads = [Transfer(Channel.IFM,
-                                              loss_out.tile_runs(b, m0, m1, i0, i1, j0, j1),
-                                              loss_out.slot_words(m0, m1)),
-                                     Transfer(Channel.WEI, wei.chunk_runs(m0 // ws.tm, nt),
-                                              wei.slot_words(m0 // ws.tm, nt))]
-                            chunks.append(ChunkStep(loads, (y1 - y0) * (x1 - x0) * k2))
-                        store = Transfer(Channel.OUT,
-                                         loss_in.tile_runs(b, ch0, ch1, y0, y1, x0, x1),
-                                         loss_in.slot_words(ch0, ch1))
-                        prods.append(Production(chunks, store=store))
-            seqs.append(Sequence(prods, tail_start=True))
-        return seqs
-
-    # BHWC: loss map resident per image, transposed weight tiles re-fetched
-    seqs = []
-    for b in range(ws.batch):
-        preload = [ChunkStep([Transfer(Channel.IFM,
-                                       loss_out.tile_runs(b, 0, l.m, 0, l.r, 0, l.c),
-                                       loss_out.slot_words(0, l.m))], 0)]
-        prods = [Production(preload, store=None)]
-        first = True
-        for (y0, y1) in row_tiles:
-            for (x0, x1) in col_tiles:
-                chunks = []
-                for nt in range(len(n_tiles)):
-                    for mc, (m0, m1) in enumerate(m_chunks):
-                        loads = []
-                        if first:
-                            loads.append(Transfer(Channel.WEI,
-                                                  wei.chunk_runs(m0 // ws.tm, nt),
-                                                  wei.slot_words(m0 // ws.tm, nt)))
-                        chunks.append(ChunkStep(loads, (y1 - y0) * (x1 - x0) * k2))
-                first = False
-                store = Transfer(Channel.OUT,
-                                 loss_in.tile_runs(b, 0, l.n, y0, y1, x0, x1),
-                                 loss_in.slot_words(0, l.n))
-                prods.append(Production(chunks, store=store))
-        seqs.append(Sequence(prods, tail_start=True))
-    return seqs
+    return _walk_conv(ws, Process.BP)
 
 
 def walk_wu(ws: WalkSpec) -> list[Sequence]:
@@ -611,40 +534,31 @@ def walk_wu(ws: WalkSpec) -> list[Sequence]:
     act = ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on)
     loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
     wei = ws.weight_geom()
-    k2 = l.k * l.k
-    n_tiles = _ch_tiles(l.n, ws.tn)
-    row_tiles = _ranges(l.r, t.tr)
-    col_tiles = _ranges(l.c, t.tc)
+    map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
+    n_tiles = list(enumerate(_ranges(l.n, ws.tn)))
     use_m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, ws.tm) * ws.tm
     resident = l.r <= t.tr and ws.kind != LayoutKind.BCHW
 
     seqs = []
-    mt_global = 0
-    for mon_eff in blocks(l.m, use_m_on):
-        m_tiles = range(mt_global, mt_global + ceil_div(mon_eff, ws.tm))
+    for g0, g1, _ in _tile_blocks(l.m, use_m_on, ws.tm):
+        m_tiles = range(g0, g1)
         wei_load = Transfer(Channel.WEI,
-                            merge_runs([r for mt in m_tiles for nt in range(len(n_tiles))
+                            merge_runs([r for mt in m_tiles for nt, _ in n_tiles
                                         for r in wei.chunk_runs(mt, nt)]),
-                            overlapped=True)
+                            None, True, ws.kind == LayoutKind.BCHW)
         if resident and ws.kind == LayoutKind.BHWC_REUSE:
             # channel-last reuse: both maps stream in whole, once per image
             prods = []
             for b in range(ws.batch):
                 last = b == ws.batch - 1
-                prods.append(Production([
-                    ChunkStep([Transfer(Channel.IFM,
-                                        act.tile_runs(b, 0, l.n, 0, l.r_in, 0, l.c_in),
-                                        act.slot_words(0, l.n)),
-                               Transfer(Channel.OFM,
-                                        loss.tile_runs(b, 0, l.m, 0, l.r, 0, l.c),
-                                        loss.slot_words(0, l.m))], 0)]))
+                prods.append(Production([ChunkStep([
+                    _feature(Channel.IFM, act, b, 0, l.n, 0, l.r_in, 0, l.c_in),
+                    _feature(Channel.OFM, loss, b, 0, l.m, 0, l.r, 0, l.c)], 0)]))
                 for mt in m_tiles:
-                    chunks = [ChunkStep([wei_load] if last and mt == m_tiles[0]
-                                        and nt == 0 else [], l.r * l.c * k2)
-                              for nt in range(len(n_tiles))]
-                    stores = [Transfer(Channel.OUT, wei.chunk_runs(mt, nt),
-                                       wei.slot_words(mt, nt))
-                              for nt in range(len(n_tiles))] if last else None
+                    chunks = [ChunkStep([wei_load] if last and mt == g0 and nt == 0
+                                        else [], map_comp) for nt, _ in n_tiles]
+                    stores = [_weights(Channel.OUT, wei, mt, nt)
+                              for nt, _ in n_tiles] if last else None
                     prods.append(Production(chunks, chunk_stores=stores))
             seqs.append(Sequence(prods, tail_start=False))
         elif resident:
@@ -654,51 +568,36 @@ def walk_wu(ws: WalkSpec) -> list[Sequence]:
                 for b in range(ws.batch):
                     last = b == ws.batch - 1
                     chunks = []
-                    stores = [] if last else None
-                    for nt, (n0, n1) in enumerate(n_tiles):
-                        loads = [Transfer(Channel.IFM,
-                                          act.tile_runs(b, n0, n1, 0, l.r_in, 0, l.c_in),
-                                          act.slot_words(n0, n1))]
+                    for nt, (n0, n1) in n_tiles:
+                        loads = [_feature(Channel.IFM, act, b, n0, n1, 0, l.r_in, 0, l.c_in)]
                         if nt == 0:
-                            loads.append(Transfer(Channel.OFM,
-                                                  loss.tile_runs(b, ch0, ch1, 0, l.r, 0, l.c),
-                                                  loss.slot_words(ch0, ch1)))
-                        if last and nt == 0 and mt == m_tiles[0]:
+                            loads.append(_feature(Channel.OFM, loss, b, ch0, ch1,
+                                                  0, l.r, 0, l.c))
+                        if last and nt == 0 and mt == g0:
                             loads.append(wei_load)
-                        chunks.append(ChunkStep(loads, l.r * l.c * k2))
-                        if last:
-                            stores.append(Transfer(Channel.OUT, wei.chunk_runs(mt, nt),
-                                                   wei.slot_words(mt, nt)))
+                        chunks.append(ChunkStep(loads, map_comp))
+                    stores = [_weights(Channel.OUT, wei, mt, nt)
+                              for nt, _ in n_tiles] if last else None
                     prods.append(Production(chunks, chunk_stores=stores))
                 seqs.append(Sequence(prods, tail_start=False))
         else:
+            spatial = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in)
             prods = []
             for b in range(ws.batch):
                 last = b == ws.batch - 1
-                for pi, (mt, (nt, (n0, n1))) in enumerate(
-                        (m, x) for m in m_tiles for x in enumerate(n_tiles)):
+                for mt in m_tiles:
                     ch0, ch1 = mt * ws.tm, min(l.m, mt * ws.tm + ws.tm)
-                    chunks = []
-                    for (r0, r1) in row_tiles:
-                        for (c0, c1) in col_tiles:
-                            i0, i1 = fwd_window(r0, r1, l.k, l.s, l.pad, l.r_in)
-                            j0, j1 = fwd_window(c0, c1, l.k, l.s, l.pad, l.c_in)
-                            loads = [Transfer(Channel.IFM,
-                                              act.tile_runs(b, n0, n1, i0, i1, j0, j1),
-                                              act.slot_words(n0, n1)),
-                                     Transfer(Channel.OFM,
-                                              loss.tile_runs(b, ch0, ch1, r0, r1, c0, c1),
-                                              loss.slot_words(ch0, ch1))]
-                            if last and pi == 0 and r0 == 0 and c0 == 0:
+                    for nt, (n0, n1) in n_tiles:
+                        chunks = []
+                        for r0, r1, i0, i1, c0, c1, j0, j1, comp in spatial:
+                            loads = [_feature(Channel.IFM, act, b, n0, n1, i0, i1, j0, j1),
+                                     _feature(Channel.OFM, loss, b, ch0, ch1, r0, r1, c0, c1)]
+                            if last and mt == g0 and nt == 0 and r0 == 0 and c0 == 0:
                                 loads.append(wei_load)
-                            chunks.append(ChunkStep(loads, (r1 - r0) * (c1 - c0) * k2))
-                    store = None
-                    if last:
-                        store = Transfer(Channel.OUT, wei.chunk_runs(mt, nt),
-                                         wei.slot_words(mt, nt))
-                    prods.append(Production(chunks, store=store))
+                            chunks.append(ChunkStep(loads, comp))
+                        store = _weights(Channel.OUT, wei, mt, nt) if last else None
+                        prods.append(Production(chunks, store=store))
             seqs.append(Sequence(prods, tail_start=False))
-        mt_global += ceil_div(mon_eff, ws.tm)
     return seqs
 
 
@@ -711,15 +610,7 @@ def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
         if len(plan.entries) != 1:
             raise ValueError("idx required for multi-layer plans")
         idx = next(iter(plan.entries))
-    ws = resolve_walk(layer, plan, idx, process, kind, batch)
-    seqs = WALKERS[process](ws)
-    for tr in iter_transfers(seqs):
-        if kind == LayoutKind.BCHW:
-            tr.per_run_start = True
-        if tr.channel in (Channel.IFM, Channel.OFM):
-            # feature tiles travel one descriptor at a time (double buffer)
-            tr.fresh_start = True
-    return seqs
+    return WALKERS[process](resolve_walk(layer, plan, idx, process, kind, batch))
 
 
 def iter_transfers(seqs: list[Sequence]):
@@ -745,12 +636,6 @@ def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
 
 def trace_words(trace: list[Run]) -> int:
     return sum(l for _, l in trace)
-
-
-def expand_trace(trace: list[Run]) -> np.ndarray:
-    if not trace:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([np.arange(s, s + l, dtype=np.int64) for s, l in trace])
 
 
 # ------------------------------------------------------- network-level map
@@ -844,12 +729,9 @@ def _axis_cover(extent: int, out: int, k: int, s: int, pad: int) -> np.ndarray:
 def required_mask(ws: WalkSpec, process: Process, channel: Channel) -> np.ndarray:
     """Elements the pass must read, independent of any layout or trace."""
     l = ws.layer
-    if channel is Channel.WEI or process is Process.BP:
-        # weights are always read whole; the backward pass consumes every
-        # loss element (each output window overlaps the stored map)
-        shape = _operand_geoms(ws, process)[channel][1]
-        return np.ones(shape, dtype=bool)
-    if channel is Channel.OFM:
+    if channel is not Channel.IFM or process is Process.BP:
+        # weights and loss maps are read whole; the backward pass consumes
+        # every loss element (each output window overlaps the stored map)
         return np.ones(_operand_geoms(ws, process)[channel][1], dtype=bool)
     rows = _axis_cover(l.r_in, l.r, l.k, l.s, l.pad)
     cols = _axis_cover(l.c_in, l.c, l.k, l.s, l.pad)
@@ -861,25 +743,12 @@ def required_mask(ws: WalkSpec, process: Process, channel: Channel) -> np.ndarra
 def _operand_geoms(ws: WalkSpec, process: Process):
     """Load-channel operands: (channel, geom, tensor shape)."""
     l = ws.layer
-    if process is Process.FP:
-        return {
-            Channel.IFM: (ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on),
-                          (ws.batch, l.n, l.r_in, l.c_in)),
-            Channel.WEI: (ws.weight_geom(), (l.m, l.n, l.k, l.k)),
-        }
-    if process is Process.BP:
-        return {
-            Channel.IFM: (ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on),
-                          (ws.batch, l.m, l.r, l.c)),
-            Channel.WEI: (ws.weight_geom(), (l.m, l.n, l.k, l.k)),
-        }
-    return {
-        Channel.IFM: (ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on),
-                      (ws.batch, l.n, l.r_in, l.c_in)),
-        Channel.OFM: (ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on),
-                      (ws.batch, l.m, l.r, l.c)),
-        Channel.WEI: (ws.weight_geom(), (l.m, l.n, l.k, l.k)),
-    }
+    act = (ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on), (ws.batch, l.n, l.r_in, l.c_in))
+    loss = (ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on), (ws.batch, l.m, l.r, l.c))
+    wei = (ws.weight_geom(), (l.m, l.n, l.k, l.k))
+    if process is Process.WU:
+        return {Channel.IFM: act, Channel.OFM: loss, Channel.WEI: wei}
+    return {Channel.IFM: loss if process is Process.BP else act, Channel.WEI: wei}
 
 
 def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
@@ -959,6 +828,6 @@ __all__ = [
     "Transfer", "ChunkStep", "Production", "Sequence", "WalkSpec",
     "resolve_walk", "walk_fp", "walk_bp", "walk_wu", "WALKERS",
     "layer_sequences", "iter_transfers", "trace_layer", "trace_words",
-    "expand_trace", "region_table", "dma_start_table", "StartEntry",
+    "region_table", "dma_start_table", "StartEntry",
     "required_mask", "reconstruct_operands", "equivalence_check",
 ]

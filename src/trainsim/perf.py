@@ -92,8 +92,8 @@ def tile_costs(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
                      t_load, t_prod1, t_prod2, t_store)
 
 
-def _fp_like_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
-                     dev: DeviceSpec, batch: int, process: Process) -> int:
+def fp_bp_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
+                  dev: DeviceSpec, batch: int, process: Process) -> int:
     """Forward/backward whole-layer cycles (they share one skeleton)."""
     mo, no, rows, _ = _dims_for(layer, process)
     n_it = ceil_div(no, plan.tn) - 1
@@ -118,16 +118,6 @@ def _fp_like_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
                 + latb1 + c.t_out + dev.t_start
         total += (batch - 1) * lat3 + latb3
     return total
-
-
-def fp_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
-               dev: DeviceSpec, batch: int) -> int:
-    return _fp_like_latency(layer, tile, plan, dev, batch, Process.FP)
-
-
-def bp_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
-               dev: DeviceSpec, batch: int) -> int:
-    return _fp_like_latency(layer, tile, plan, dev, batch, Process.BP)
 
 
 def wu_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
@@ -155,9 +145,6 @@ def wu_latency(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
     return total
 
 
-PROCESS_FN = {Process.FP: fp_latency, Process.BP: bp_latency, Process.WU: wu_latency}
-
-
 def layer_process_latency(net: NetworkSpec, idx: int, plan: TilePlan,
                           dev: DeviceSpec, batch: int,
                           process: Process) -> int | None:
@@ -169,7 +156,9 @@ def layer_process_latency(net: NetworkSpec, idx: int, plan: TilePlan,
     if process is Process.BP and idx == 0:
         return None
     tile = plan.tile_for(idx, layer, process)
-    return PROCESS_FN[process](layer, tile, plan, dev, batch)
+    if process is Process.WU:
+        return wu_latency(layer, tile, plan, dev, batch)
+    return fp_bp_latency(layer, tile, plan, dev, batch, process)
 
 
 @dataclass
@@ -241,7 +230,7 @@ def audit_values(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
 
 
 __all__ = [
-    "TileCosts", "tile_costs", "fp_latency", "bp_latency", "wu_latency",
+    "TileCosts", "tile_costs", "fp_bp_latency", "wu_latency",
     "layer_process_latency", "network_report", "LatencyReport", "ReportRow",
     "audit_values",
 ]

@@ -6,7 +6,7 @@ import pytest
 
 from trainsim.cli import main
 from trainsim.datasets import load_raw, save_raw, synthetic_batches
-from trainsim.config import load_network
+from trainsim.config import load_network, load_plan, plan_to_dict
 
 
 def run(args):
@@ -209,4 +209,54 @@ def test_empty_network_config_error(tmp_path):
     p.write_text(json.dumps({"batch": 1, "layers": []}))
     rc = run(["schedule", "--net", str(p), "--device", "zcu102",
               "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def _alexnet_plan(tmp_path, pos=0, **fields):
+    """The reference plan with fields of its pos-th entry replaced."""
+    doc = plan_to_dict(load_plan("alexnet_conv_zcu102"))
+    doc["layers"][pos].update(fields)
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_plan_tile_outside_layer_is_config_error(tmp_path, capsys):
+    plan = _alexnet_plan(tmp_path, tr=999)
+    for argv in (["estimate", "--device", "zcu102"], ["layout-dump"]):
+        rc = run([*argv, "--net", "alexnet_conv", "--plan", plan,
+                  "--batch", "1", "--out", str(tmp_path)])
+        assert rc == 2, argv
+        assert "config error" in capsys.readouterr().err
+
+
+def test_train_without_loss_layer_is_config_error(tmp_path, capsys):
+    rc = run(["train", "--net", "alexnet_conv", "--steps", "1",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "softmax_xent" in capsys.readouterr().err
+
+
+def test_train_zero_steps_is_config_error(tmp_path, capsys):
+    rc = run(["train", "--net", "cifar6", "--batch", "2", "--steps", "0",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not (tmp_path / "loss.csv").exists()
+
+
+def test_plan_override_given_as_string(tmp_path):
+    # the reference plan's layer-2 bp_m_on of 48, written as a JSON string
+    plan = _alexnet_plan(tmp_path, pos=1, bp_m_on="48")
+    rc = run(["estimate", "--net", "alexnet_conv", "--device", "zcu102",
+              "--plan", plan, "--batch", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "estimate.json").read_text())[
+        "total_analytic"] == 69_295_691
+
+
+def test_plan_override_not_a_number_is_config_error(tmp_path):
+    plan = _alexnet_plan(tmp_path, bp_m_on="x")
+    rc = run(["estimate", "--net", "alexnet_conv", "--device", "zcu102",
+              "--plan", plan, "--out", str(tmp_path)])
     assert rc == 2

@@ -3,7 +3,7 @@ import pytest
 from trainsim.errors import InvalidPlan
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
-from trainsim.perf import (bp_latency, fp_latency, network_report, tile_costs,
+from trainsim.perf import (fp_bp_latency, network_report, tile_costs,
                            wu_latency, layer_process_latency)
 from trainsim.plan import LayerTile, PlanEntry, Process, TilePlan
 
@@ -51,7 +51,7 @@ def test_degenerate_hand_chain():
     layer = conv_layer(2, 2, 2, 2, 1, 1)
     plan = TilePlan(tm=2, tn=2, entries={0: PlanEntry(tr=2, tc=2, m_on=2)})
     dev = DeviceSpec(stream_width_words=2)
-    assert fp_latency(layer, LayerTile(2, 2, 2), plan, dev, 1) == 812
+    assert fp_bp_latency(layer, LayerTile(2, 2, 2), plan, dev, 1, Process.FP) == 812
 
 
 def test_reference_table_exact(alexnet, alexnet_plan, zcu102):
@@ -121,7 +121,7 @@ def test_bp_uses_input_side_blocks():
     plan = TilePlan(tm=2, tn=2, entries={0: PlanEntry(tr=6, tc=6, m_on=8)})
     tile = plan.tile_for(0, layer, Process.BP)
     assert tile.m_on == 4  # capped to the n side
-    assert bp_latency(layer, tile, plan, DeviceSpec(), 2) > 0
+    assert fp_bp_latency(layer, tile, plan, DeviceSpec(), 2, Process.BP) > 0
 
 
 def test_report_serialization_fields(alexnet, alexnet_plan, zcu102):

@@ -1,0 +1,138 @@
+"""Golden digests of the loop-nest walks.
+
+Each case hashes the full `layer_sequences` output of one (layer, pass,
+layout): sequence, production and chunk boundaries, `tail_start`, every
+`comp`, and per transfer its channel, runs, slot width and the three
+pricing flags.  The digests in golden/walks.json were captured from the
+walkers as they stood before FP and BP shared one loop nest; regenerate
+them only for a change that is meant to move a walk:
+
+    PYTHONPATH=src python tests/test_walk_golden.py > tests/golden/walks.json
+"""
+
+import hashlib
+import json
+import sys
+from array import array
+from itertools import chain
+from pathlib import Path
+
+import pytest
+
+from trainsim.config import load_device, load_network, load_plan
+from trainsim.layout import LayoutKind, layer_sequences
+from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer
+from trainsim.plan import Channel, PlanEntry, Process, TilePlan
+from trainsim.sched import schedule
+
+GOLDEN = Path(__file__).parent / "golden" / "walks.json"
+
+
+CHANNEL_CODE = {c: i for i, c in enumerate(Channel)}
+
+
+def _put_transfer(out: array, tr) -> None:
+    out.extend((-6, CHANNEL_CODE[tr.channel], len(tr.runs)))
+    out.extend(chain.from_iterable(tr.runs))
+    out.extend((-1 if tr.slot_words is None else tr.slot_words,
+                tr.overlapped, tr.per_run_start, tr.fresh_start))
+
+
+def walk_digest(seqs) -> str:
+    """sha256 over the walk flattened to int64s; negative codes mark where
+    sequences (-1), productions (-2), chunks (-3), per-chunk stores (-4),
+    the production store (-5) and each transfer (-6) begin."""
+    out = array("q")
+    for seq in seqs:
+        out.extend((-1, seq.tail_start))
+        for prod in seq.productions:
+            out.append(-2)
+            for chunk in prod.chunks:
+                out.extend((-3, chunk.comp))
+                for tr in chunk.loads:
+                    _put_transfer(out, tr)
+            if prod.chunk_stores is not None:
+                out.append(-4)
+                for tr in prod.chunk_stores:
+                    _put_transfer(out, tr)
+            if prod.store is not None:
+                out.append(-5)
+                _put_transfer(out, prod.store)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return hashlib.sha256(out.tobytes()).hexdigest()
+
+
+def _one_conv(m, n, r, c, k, s, pad):
+    net = NetworkSpec(layers=(LayerSpec(Kind.CONV, m=m, n=n, r=r, c=c, k=k,
+                                        s=s, pad=pad),))
+    return validate_and_infer(net)
+
+
+def _plan(tm, **entry):
+    return TilePlan(tm=tm, tn=tm, entries={0: PlanEntry(**entry)})
+
+
+def cases():
+    """(case id, network, plan, batch) for every golden walk family."""
+    dev = load_device("zcu102")
+    out = []
+    for name in ("lenet10", "cifar6"):
+        net = load_network(name, 2)
+        out.append((f"{name}-b2", net, schedule(net, dev, 2)[0], 2))
+    out.append(("alexnet_conv-b1", load_network("alexnet_conv", 1),
+                load_plan("alexnet_conv_zcu102"), 1))
+    # partial row tile: Tr=22 of R=24, and non-resident WU
+    out.append(("conv32-tr22", _one_conv(32, 32, 24, 24, 5, 1, 2),
+                _plan(16, tr=22, tc=24, m_on=32), 2))
+    # 1x1 stride-2 projection: windows skip stored columns; resident WU
+    out.append(("conv64-1x1s2", _one_conv(64, 64, 8, 8, 1, 2, 0),
+                _plan(16, tr=8, tc=8, m_on=64), 2))
+    # partial M_on block on both sides, per-pass overrides
+    out.append(("conv48-partial-mon", _one_conv(48, 40, 6, 6, 3, 1, 1),
+                _plan(16, tr=3, tc=6, m_on=32, bp_m_on=16, wu_tr=6), 2))
+    # channel counts that are not multiples of Tm, resident WU
+    out.append(("conv5x3-odd-ch", _one_conv(5, 3, 4, 4, 3, 1, 1),
+                _plan(2, tr=4, tc=2, m_on=4), 3))
+    # same, non-resident WU with an override and a ragged column tile
+    out.append(("conv7x5-odd-ch", _one_conv(7, 5, 5, 5, 3, 2, 1),
+                _plan(4, tr=2, tc=3, m_on=4, bp_tr=3, wu_tr=2, wu_m_on=8), 2))
+    return out
+
+
+def walk_digests() -> dict[str, str]:
+    digests = {}
+    for case, net, plan, batch in cases():
+        for idx in sorted(plan.entries):
+            layer = net.layers[idx]
+            for proc in Process:
+                for kind in LayoutKind.ALL:
+                    seqs = layer_sequences(proc, layer, plan, kind, batch, idx=idx)
+                    digests[f"{case}/{idx}/{proc.value}/{kind}"] = walk_digest(seqs)
+    return digests
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_walks_match_golden(golden):
+    got = walk_digests()
+    assert sorted(got) == sorted(golden)
+    moved = sorted(k for k in got if got[k] != golden[k])
+    assert not moved, f"{len(moved)} walks changed, e.g. {moved[:5]}"
+
+
+def test_digest_sees_pricing_flags():
+    net = _one_conv(4, 4, 4, 4, 3, 1, 1)
+    plan = _plan(2, tr=4, tc=4, m_on=4)
+    seqs = layer_sequences(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
+    before = walk_digest(seqs)
+    seqs[0].productions[0].chunks[0].loads[-1].fresh_start ^= True
+    assert walk_digest(seqs) != before
+
+
+if __name__ == "__main__":
+    json.dump(walk_digests(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
