@@ -73,15 +73,26 @@ def load_device(path_or_name: str | Path) -> DeviceSpec:
         raise ConfigError(f"bad device config {path_or_name}: {e}") from None
 
 
+def _integral(doc: dict, key: str) -> int:
+    """doc[key] as an int: an integral number or a string of digits.  A
+    fractional number or a boolean is an error, not truncated or cast."""
+    value = doc[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key}={value} is not an integer")
+    return int(value)
+
+
 def load_plan(path_or_name: str | Path) -> TilePlan:
     doc = _read_json(path_or_name, "plan")
     try:
         entries = {}
         for e in doc["layers"]:
-            overrides = {k: None if e.get(k) is None else int(e[k]) for k in _OVERRIDE_KEYS}
-            entries[int(e["layer"])] = PlanEntry(
-                tr=int(e["tr"]), tc=int(e["tc"]), m_on=int(e["m_on"]), **overrides)
-        return TilePlan(tm=int(doc["tm"]), tn=int(doc["tn"]), entries=entries)
+            overrides = {k: None if e.get(k) is None else _integral(e, k)
+                         for k in _OVERRIDE_KEYS}
+            entries[_integral(e, "layer")] = PlanEntry(
+                tr=_integral(e, "tr"), tc=_integral(e, "tc"), m_on=_integral(e, "m_on"),
+                **overrides)
+        return TilePlan(tm=_integral(doc, "tm"), tn=_integral(doc, "tn"), entries=entries)
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad plan config {path_or_name}: {e}") from None
 

@@ -2,22 +2,36 @@
 
 A burst is a maximal run of consecutive word addresses; the DMA restarts
 (t_start cycles) at every discontinuity and otherwise streams p words per
-cycle.  The layer simulator walks the exact production pipeline the
-analytic model assumes, but prices every transfer from the bursts its
-trace actually produces.  Per-channel continuity is tracked so streams
-that genuinely continue across loop steps (the forward weight scan,
-block-sized output slabs) pay no second restart, while tile-granular
-feature transfers restart per descriptor.
+cycle.  The layer simulator prices a columnar `layout.Walk`: the exact
+production pipeline the analytic model assumes, with every transfer priced
+from the bursts its runs actually produce.  It works in numpy, one channel
+at a time, in two steps:
+
+- `_price_channel` prices each transfer of one channel in bus order.  Runs
+  merge where contiguous inside a transfer that is not `per_run_start`.  A
+  run restarts if its transfer is `per_run_start`, if it is the first run
+  of a `fresh_start` transfer, or if it does not continue the channel's
+  previous run, so streams that genuinely continue across loop steps (the
+  forward weight scan, block-sized output slabs) pay no second restart.
+  Beats follow the slot rule of `_beats`; bursts are the runs between
+  restarts.
+- `simulate_sequences` folds transfer cycles into the pipeline: a chunk's
+  load is the max over its non-overlapped loads, a production costs
+  load_0 + sum(max(load_k, comp_(k-1))) plus its last compute (the tail),
+  and its stores add as `_store_terms` says.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyTrace
 from .model import DeviceSpec, LayerSpec, ceil_div
-from .plan import Channel, Process, TilePlan
-from .layout import Run, Sequence, Transfer, layer_sequences, merge_runs
+from .plan import Process, TilePlan
+from .layout import (CHANNELS, LOAD, STORE, Run, Walk, layer_sequences,
+                     merge_runs)
 
 
 @dataclass(frozen=True)
@@ -28,7 +42,7 @@ class Burst:
 
 def split_bursts(trace: list[Run]) -> list[Burst]:
     """Maximal contiguous runs of a trace; concatenation reproduces it."""
-    if not trace:
+    if len(trace) == 0:
         raise EmptyTrace("cannot split an empty trace")
     return [Burst(s, l) for s, l in merge_runs(list(trace))]
 
@@ -38,19 +52,12 @@ def transfer_cycles(bursts: list[Burst], dev: DeviceSpec) -> int:
     return sum(dev.t_start + ceil_div(b.length, dev.p) for b in bursts)
 
 
-def _beats(length: int, slot_words: int | None, p: int) -> int:
+def _beats(length: np.ndarray, slot_words: np.ndarray, p: int) -> np.ndarray:
     # channel-interleaved streams hand the consumer one slot (e.g. the Tn
-    # words of a pixel) per whole number of bus beats
-    if slot_words and length % slot_words == 0:
-        return (length // slot_words) * ceil_div(slot_words, p)
-    return ceil_div(length, p)
-
-
-@dataclass
-class ChannelState:
-    next_addr: int | None = None
-    bursts: int = 0
-    words: int = 0
+    # words of a pixel) per whole number of bus beats; slot 0 means none
+    slot = np.maximum(slot_words, 1)
+    whole = (slot_words > 0) & (length % slot == 0)
+    return np.where(whole, length // slot * -(-slot // p), -(-length // p))
 
 
 @dataclass
@@ -65,119 +72,93 @@ class SimResult:
         return sum(self.bursts.values())
 
 
-class _Pricer:
-    """Prices transfers in bus order, carrying continuity per channel.
-
-    A transfer whose first address continues the channel's previous one
-    extends the open burst instead of restarting.
-    """
-
-    def __init__(self, dev: DeviceSpec):
-        self.dev = dev
-        self.state: dict[Channel, ChannelState] = {c: ChannelState() for c in Channel}
-        self.hist: dict[Channel, dict[int, int]] = {c: {} for c in Channel}
-        self._open: dict[Channel, int] = {c: 0 for c in Channel}
-
-    def price(self, tr: Transfer, charge_starts: bool = True) -> int:
-        st = self.state[tr.channel]
-        cycles = 0
-        runs = tr.runs if tr.per_run_start else merge_runs(tr.runs)
-        for j, (start, length) in enumerate(runs):
-            # a tile-granular transfer is its own descriptor: the double
-            # buffer swap forces a restart even at a contiguous address
-            if tr.per_run_start or (j == 0 and tr.fresh_start) \
-                    or start != st.next_addr:
-                self._close(tr.channel)
-                st.bursts += 1
-                if charge_starts:
-                    cycles += self.dev.t_start
-            self._open[tr.channel] += length
-            cycles += _beats(length, tr.slot_words, self.dev.p)
-            st.next_addr = start + length
-            st.words += length
-        return cycles
-
-    def _close(self, channel: Channel) -> None:
-        n = self._open[channel]
-        if n:
-            self.hist[channel][n] = self.hist[channel].get(n, 0) + 1
-            self._open[channel] = 0
-
-    def result(self, cycles: int) -> SimResult:
-        for c in Channel:
-            self._close(c)
-        return SimResult(
-            cycles=cycles,
-            bursts={c.value: s.bursts for c, s in self.state.items() if s.words},
-            words={c.value: s.words for c, s in self.state.items() if s.words},
-            burst_lengths={c.value: dict(self.hist[c])
-                           for c in Channel if self.state[c].words},
-        )
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of `values`, `counts` long each."""
+    ends = np.cumsum(counts)
+    sums = np.concatenate(([0], np.cumsum(values)))
+    return sums[ends] - sums[ends - counts]
 
 
-def _production_cycles(pricer: _Pricer, prod, comp_store_fold: bool) -> int:
-    """Pipeline cost of one production: first chunk's load exposed, later
-    loads overlap the previous compute, last compute exposed or folded with
-    the store."""
-    loads = []
-    comps = []
-    stores_per_chunk = prod.chunk_stores
-    for chunk in prod.chunks:
-        cost = 0
-        for tr in chunk.loads:
-            c = pricer.price(tr)
-            if not tr.overlapped:
-                cost = max(cost, c)
-            # overlapped transfers advance continuity but hide their cycles
-        loads.append(cost)
-        comps.append(chunk.comp)
-    total = loads[0]
-    for k in range(1, len(loads)):
-        total += max(loads[k], comps[k - 1])
-        if stores_per_chunk is not None:
-            total += pricer.price(stores_per_chunk[k - 1], charge_starts=True)
-    tail = comps[-1]
-    if stores_per_chunk is not None:
-        total += tail + pricer.price(stores_per_chunk[-1], charge_starts=True)
-        return total
-    if prod.store is not None and comp_store_fold:
-        total += max(tail, pricer.price(prod.store, charge_starts=True))
-        return total
-    total += tail
-    return total
+def _price_channel(walk: Walk, trs: np.ndarray,
+                   dev: DeviceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycles and restarts of each of one channel's transfers `trs` (in bus
+    order), and the length of every burst they make."""
+    idx = walk.run_index(trs)
+    start, length = walk.start[idx], walk.length[idx]
+    n = walk.run_off[trs + 1] - walk.run_off[trs]
+    tr = np.repeat(np.arange(trs.size), n)  # position in trs, per run
+    del idx
+    head = np.zeros(tr.size, dtype=bool)
+    head[(np.cumsum(n) - n)[n > 0]] = True
+    cont = np.zeros(tr.size, dtype=bool)
+    cont[1:] = start[1:] == start[:-1] + length[:-1]
+    prs = walk.per_run_start[trs][tr]
+    # merge runs that continue their predecessor inside a transfer
+    keep = np.flatnonzero(~cont | head | prs)
+    length = np.add.reduceat(length, keep)
+    tr = tr[keep]
+    restart = ~cont[keep] | prs[keep] | (head[keep] & walk.fresh_start[trs][tr])
+    del start, head, cont, prs, keep
+    cycles = _beats(length, walk.slot_words[trs][tr], dev.p) + restart * dev.t_start
+    per_tr = np.bincount(tr, minlength=trs.size)
+    bursts = np.add.reduceat(length, np.flatnonzero(restart))
+    return (_segment_sums(cycles, per_tr), _segment_sums(restart, per_tr), bursts)
 
 
-def simulate_sequences(seqs: list[Sequence], dev: DeviceSpec) -> SimResult:
-    pricer = _Pricer(dev)
-    cycles = 0
-    for seq in seqs:
-        prods = seq.productions
-        for p_i, prod in enumerate(prods):
-            final = p_i == len(prods) - 1
-            if final and prod.store is not None:
-                cycles += _production_cycles(pricer, prod, comp_store_fold=False)
-                # exposed final store: its first restart is the sequence's
-                # tail penalty, further fragmentation is its own
-                st = pricer.state[prod.store.channel]
-                pre = st.bursts
-                cost = pricer.price(prod.store, charge_starts=True)
-                extra = st.bursts - pre
-                if extra and seq.tail_start:
-                    cost -= dev.t_start  # first restart charged by the tail below
-                cycles += cost
-            else:
-                cycles += _production_cycles(pricer, prod, comp_store_fold=True)
-        if seq.tail_start:
-            cycles += dev.t_start
-    return pricer.result(cycles)
+def _store_terms(walk: Walk, tail: np.ndarray, store_cost: np.ndarray,
+                 store_restarts: np.ndarray, t_start: int) -> np.ndarray:
+    """What each production adds after its pipeline: the tail, and its
+    stores.  A production's store folds into the tail (max) unless it is
+    its sequence's last: that one is exposed, and its first restart is the
+    sequence's tail penalty, charged once per `tail_start` sequence instead.
+    Per-chunk stores always add."""
+    final = np.append(np.diff(walk.prod_seq) != 0, True)
+    store = walk.prod_store == STORE
+    terms = np.where(store & ~final, np.maximum(tail, store_cost), tail + store_cost)
+    shared = store & final & walk.tail_start[walk.prod_seq] & (store_restarts > 0)
+    return terms - shared * t_start
+
+
+def simulate_sequences(walk: Walk, dev: DeviceSpec) -> SimResult:
+    """Cycles of one layer pass, with its bursts, words and burst-length
+    histogram per channel."""
+    res = SimResult(cycles=0)
+    cost = np.zeros(walk.chan.size, dtype=np.int64)
+    restarts = np.zeros(walk.chan.size, dtype=np.int64)
+    for chan in CHANNELS:
+        trs = walk.on(chan)
+        cost[trs], restarts[trs], bursts = _price_channel(walk, trs, dev)
+        if bursts.size:
+            lengths, counts = np.unique(bursts, return_counts=True)
+            res.bursts[chan.value] = int(bursts.size)
+            res.words[chan.value] = int(bursts.sum())
+            res.burst_lengths[chan.value] = dict(zip(lengths.tolist(), counts.tolist()))
+
+    loads = (walk.role == LOAD) & ~walk.overlapped
+    load = np.zeros(walk.comp.size, dtype=np.int64)
+    np.maximum.at(load, walk.owner[loads], cost[loads])
+    # a chunk after the first of its production overlaps the previous compute
+    same = np.diff(walk.chunk_prod) == 0
+    later = np.flatnonzero(same) + 1
+    load[later] = np.maximum(load[later], walk.comp[later - 1])
+    tail = walk.comp[np.append(~same, True)]  # each production's last compute
+
+    stores = walk.role != LOAD
+    n_prod = walk.prod_seq.size
+    store_cost = np.bincount(walk.owner[stores], cost[stores], n_prod).astype(np.int64)
+    store_restarts = np.bincount(walk.owner[stores], restarts[stores], n_prod)
+    terms = _store_terms(walk, tail, store_cost, store_restarts, dev.t_start)
+    res.cycles = int(load.sum() + terms.sum()
+                     + dev.t_start * np.count_nonzero(walk.tail_start))
+    return res
 
 
 def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
                    kind: str, dev: DeviceSpec, batch: int,
                    idx: int | None = None) -> SimResult:
     """Trace-driven cycles for one layer pass under one layout."""
-    seqs = layer_sequences(process, layer, plan, kind, batch, idx)
-    return simulate_sequences(seqs, dev)
+    walk = layer_sequences(process, layer, plan, kind, batch, idx)
+    return simulate_sequences(walk, dev)
 
 
 def stream_estimate(layer: LayerSpec, process: Process, dev: DeviceSpec,

@@ -15,21 +15,27 @@ Weight storage for the tile-major layouts is (block, m-tile, n-tile) with
 one contiguous scan.  All maps are fully packed bijections onto their
 regions; addresses are 32-bit word indices, never bytes.
 
-Traces are run-length encoded: a transfer is an ordered list of (start,
-length) runs, and loop walkers emit transfers grouped into the production
-pipeline the cycle model assumes.  FP and BP share one walker on the
-pass's role-swapped operands, in which one branch per layout sets the loop
-order and operand reuse; WU has its own.
+Traces are run-length encoded: geometries give a tile's (start, length)
+runs as an (n, 2) int64 array, in closed form.  A layer pass is one
+columnar trace, a `Walk`: flat arrays of sequences, productions, chunks
+and transfers, each row pointing at its parent, plus the runs of every
+transfer in one start and one length column, all in bus order.  Loop
+walkers append the rows through a `_WalkWriter`, grouped into the
+production pipeline the cycle model assumes.  FP and BP share one walker
+on the pass's role-swapped operands, in which one branch per layout sets
+the loop order and operand reuse; WU has its own.
 
 Descriptor policy lives where transfers are made: `_feature` gives every
 feature load its own descriptor (`fresh_start`), `_feature` and `_weights`
 give every BCHW transfer one descriptor per run (`per_run_start`), and
-`_walk_conv` builds the reshaped BP weight block.  dma.py only applies the
-flags.
+`_walk_conv` builds the reshaped BP weight block.  dma.py prices the flags
+and the pipeline; `trace_layer` and `reconstruct_operands` read the run
+columns with one gather per channel.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +76,25 @@ def merge_runs(runs: list[Run]) -> list[Run]:
         else:
             out.append((start, length))
     return out
+
+
+def _run(start: int, length: int) -> np.ndarray:
+    """One run as a (1, 2) int64 array."""
+    return np.array(((start, length),), dtype=np.int64)
+
+
+def _runs(starts: np.ndarray, length: int) -> np.ndarray:
+    """Runs as an (n, 2) int64 array of (start, length) rows: one row per
+    entry of `starts`, each `length` words."""
+    out = np.empty((starts.size, 2), dtype=np.int64)
+    out[:, 0] = starts
+    out[:, 1] = length
+    return out
+
+
+def _merged(runs: np.ndarray) -> np.ndarray:
+    """`merge_runs` of an (n, 2) run array."""
+    return np.array(merge_runs(runs.tolist()), dtype=np.int64).reshape(-1, 2)
 
 
 def fwd_window(t0: int, t1: int, k: int, s: int, pad: int, extent: int) -> tuple[int, int]:
@@ -124,17 +149,7 @@ class FeatureGeom:
         if not (0 <= b < self.batch and 0 <= ch < self.ch
                 and 0 <= r < self.rows and 0 <= c < self.cols):
             raise OutOfRange(f"({b},{ch},{r},{c}) outside feature tensor")
-        if self.kind == LayoutKind.BCHW:
-            return ((b * self.ch + ch) * self.rows + r) * self.cols + c
-        if self.kind == LayoutKind.BHWC_REUSE:
-            return ((b * self.rows + r) * self.cols + c) * self.ch + ch
-        g, cb, base = self._block(ch)
-        local = ch - g * self.m_on
-        gl = local // self.tm
-        wg = self.group_width(ch)
-        return (base + b * cb * self.rows * self.cols
-                + gl * self.tm * self.rows * self.cols
-                + (r * self.cols + c) * wg + (local - gl * self.tm))
+        return self._addr(b, ch, r, c)
 
     def addr_grid(self) -> np.ndarray:
         """words()-sized array: flat (b,ch,r,c) coordinate -> word index."""
@@ -158,38 +173,46 @@ class FeatureGeom:
                  + (r * self.cols + c) * wg + (local - gl * self.tm))
         return a.reshape(-1)
 
+    def _addr(self, b: int, ch: int, r: int, c: int) -> int:
+        """`addr` without the range check, for callers that stay inside."""
+        if self.kind == LayoutKind.BCHW:
+            return ((b * self.ch + ch) * self.rows + r) * self.cols + c
+        if self.kind == LayoutKind.BHWC_REUSE:
+            return ((b * self.rows + r) * self.cols + c) * self.ch + ch
+        g, cb, base = self._block(ch)
+        local = ch - g * self.m_on
+        gl = local // self.tm
+        wg = self.group_width(ch)
+        return (base + b * cb * self.rows * self.cols
+                + gl * self.tm * self.rows * self.cols
+                + (r * self.cols + c) * wg + (local - gl * self.tm))
+
     def tile_runs(self, b: int, ch0: int, ch1: int, r0: int, r1: int,
-                  c0: int, c1: int) -> list[Run]:
+                  c0: int, c1: int) -> np.ndarray:
         """Runs covering channels [ch0,ch1) x rows [r0,r1) x cols [c0,c1)
-        in this layout's scan order."""
+        in this layout's scan order; runs that touch are merged, except
+        under BCHW."""
         if r0 >= r1 or c0 >= c1 or ch0 >= ch1:
-            return []
-        runs: list[Run] = []
+            return np.empty((0, 2), dtype=np.int64)
+        base = self._addr(b, ch0, r0, c0)
         if self.kind == LayoutKind.BCHW:
             # the baseline engine programs one descriptor per tile row
             # segment, so runs stay per (channel, row) and are not merged
-            for ch in range(ch0, ch1):
-                for r in range(r0, r1):
-                    runs.append((self.addr(b, ch, r, c0), c1 - c0))
-            return runs
-        elif self.kind == LayoutKind.BHWC_REUSE:
-            if ch0 == 0 and ch1 == self.ch:
-                for r in range(r0, r1):
-                    runs.append((self.addr(b, 0, r, c0), (c1 - c0) * self.ch))
-            else:
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        runs.append((self.addr(b, ch0, r, c), ch1 - ch0))
+            rows = np.arange(r1 - r0) * self.cols + base
+            chans = np.arange(ch1 - ch0) * (self.rows * self.cols)
+            return _runs((chans[:, None] + rows).ravel(), c1 - c0)
+        if self.kind == LayoutKind.BHWC_REUSE:
+            if ch0 > 0 or ch1 < self.ch:  # one run per pixel
+                pixels = np.arange(r1 - r0)[:, None] * self.cols + np.arange(c1 - c0)
+                return _runs(base + pixels.ravel() * self.ch, ch1 - ch0)
+            wg = self.ch
         else:
             wg = self.group_width(ch0)
             if ch0 % self.tm or (ch1 - ch0) != wg:
                 raise ShapeMismatch("reshaped tiles must cover whole channel groups")
-            if c0 == 0 and c1 == self.cols:
-                runs.append((self.addr(b, ch0, r0, 0), (r1 - r0) * self.cols * wg))
-            else:
-                for r in range(r0, r1):
-                    runs.append((self.addr(b, ch0, r, c0), (c1 - c0) * wg))
-        return merge_runs(runs)
+        if c0 == 0 and c1 == self.cols:  # whole rows: one run
+            return _run(base, (r1 - r0) * self.cols * wg)
+        return _runs(base + np.arange(r1 - r0) * (self.cols * wg), (c1 - c0) * wg)
 
     def slot_words(self, ch0: int, ch1: int) -> int | None:
         # channel-interleaved layouts consume whole channel slices per pixel
@@ -260,25 +283,23 @@ class WeightGeom:
     def chunk_words(self, mt: int, nt: int) -> int:
         return self.m_width(mt) * self.n_width(nt) * self.k * self.k
 
-    def chunk_runs(self, mt: int, nt: int) -> list[Run]:
+    def chunk_runs(self, mt: int, nt: int) -> np.ndarray:
         """One (Tm x Tn) weight tile; contiguous in tile-major storage, one
         row-major slice per output channel in the baseline order."""
         if self.kind == LayoutKind.BCHW:
-            wn = self.n_width(nt)
-            return [(self.addr(m, nt * self.tn, 0, 0), wn * self.k * self.k)
-                    for m in range(mt * self.tm, mt * self.tm + self.m_width(mt))]
-        return [(self._tile_base(mt, nt), self.chunk_words(mt, nt))]
+            m = np.arange(mt * self.tm, mt * self.tm + self.m_width(mt))
+            kk = self.k * self.k
+            return _runs((m * self.n + nt * self.tn) * kk, self.n_width(nt) * kk)
+        return _run(self._tile_base(mt, nt), self.chunk_words(mt, nt))
 
-    def bp_block_runs(self, mt: int, nt0: int, nt1: int) -> list[Run]:
+    def bp_block_runs(self, mt: int, nt0: int, nt1: int) -> np.ndarray:
         """Weights for one loss-channel chunk across BP-output tiles
         [nt0,nt1): a single run in tile-major storage."""
         if self.kind == LayoutKind.BCHW:
-            runs = []
-            for nt in range(nt0, nt1):
-                runs.extend(self.chunk_runs(mt, nt))
-            return merge_runs(runs)
-        length = sum(self.chunk_words(mt, nt) for nt in range(nt0, nt1))
-        return [(self._tile_base(mt, nt0), length)]
+            return _merged(np.concatenate([self.chunk_runs(mt, nt)
+                                           for nt in range(nt0, nt1)]))
+        n_words = min(self.n, nt1 * self.tn) - nt0 * self.tn
+        return _run(self._tile_base(mt, nt0), self.m_width(mt) * n_words * self.k * self.k)
 
     def slot_words(self, mt: int, nt: int) -> int | None:
         if self.kind == LayoutKind.BCHW:
@@ -291,19 +312,32 @@ class WeightGeom:
 
 @dataclass
 class DramImage:
-    """Flat word-addressed memory with a named, non-overlapping region table."""
+    """Flat word-addressed memory with a named, non-overlapping region table.
+
+    Regions are appended into a buffer that grows by doubling, so adding
+    one does not copy the whole image; `words` is the used part."""
 
     capacity: int | None = None
-    words: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
     regions: dict[str, tuple[int, int]] = field(default_factory=dict)
+    _buf: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32),
+                             repr=False)
+    _used: int = 0
+
+    @property
+    def words(self) -> np.ndarray:
+        return self._buf[:self._used]
 
     def add_region(self, name: str, length: int) -> tuple[int, int]:
         if name in self.regions:
             raise RegionMismatch(f"region {name!r} already exists")
-        offset = int(self.words.shape[0])
+        offset = self._used
         if self.capacity is not None and offset + length > self.capacity:
             raise RegionOverflow(f"region {name!r} exceeds {self.capacity} words")
-        self.words = np.concatenate([self.words, np.zeros(length, dtype=np.float32)])
+        if offset + length > self._buf.size:
+            buf = np.zeros(max(offset + length, 2 * self._buf.size), dtype=np.float32)
+            buf[:offset] = self._buf[:offset]
+            self._buf = buf
+        self._used = offset + length
         self.regions[name] = (offset, length)
         return self.regions[name]
 
@@ -330,36 +364,119 @@ def unpack(geom, image: DramImage, region: str, shape: tuple[int, ...]) -> np.nd
 # ------------------------------------------------------------ loop walker
 
 
-@dataclass
-class Transfer:
-    channel: Channel
-    runs: list[Run]
-    slot_words: int | None = None
-    overlapped: bool = False  # emitted on the bus but hidden by the pipeline
-    per_run_start: bool = False  # one descriptor (and restart) per run
-    fresh_start: bool = False  # own descriptor: restarts even if contiguous
+# a transfer's role; a production's store kind is NO_STORE or a store role
+LOAD = NO_STORE = 0
+CHUNK_STORE, STORE = 1, 2
+# channel codes, as walkers emit them: CHANNELS[code] is the Channel
+CHANNELS = (Channel.IFM, Channel.OFM, Channel.WEI, Channel.OUT)
+IFM, OFM, WEI, OUT = range(len(CHANNELS))
 
 
-@dataclass
-class ChunkStep:
-    loads: list[Transfer]
-    comp: int
+def _gather(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(lo[i], lo[i] + n[i]) over i, in one pass."""
+    ends = np.cumsum(n)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(lo - ends + n, n)
 
 
-@dataclass
-class Production:
-    chunks: list[ChunkStep]
-    store: Transfer | None = None
-    chunk_stores: list[Transfer] | None = None  # gradient tiles streamed per chunk
+@dataclass(frozen=True, eq=False)
+class Walk:
+    """One layer pass as columns, every row in bus order.
+
+    A sequence is a run of productions sharing one double-buffer pipeline;
+    a production is a run of chunks (each one compute step and the loads it
+    waits for) plus what it stores.  Rows point at their parent: a chunk at
+    its production, a production at its sequence, a load at its chunk and
+    a store at its production.  A transfer's runs are
+    start/length[run_off[t]:run_off[t + 1]]; every run is at least one word.
+    """
+
+    tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
+    prod_seq: np.ndarray       # per production: sequence
+    prod_store: np.ndarray     # per production: NO_STORE, CHUNK_STORE or STORE
+    chunk_prod: np.ndarray     # per chunk: production
+    comp: np.ndarray           # per chunk: compute cycles
+    chan: np.ndarray           # per transfer: code into CHANNELS
+    role: np.ndarray           # per transfer: LOAD, CHUNK_STORE or STORE
+    owner: np.ndarray          # per transfer: its chunk (loads) or production
+    slot_words: np.ndarray     # per transfer: consumer slot width, 0 for none
+    overlapped: np.ndarray     # per transfer: on the bus, hidden by the pipeline
+    per_run_start: np.ndarray  # per transfer: one descriptor (restart) per run
+    fresh_start: np.ndarray    # per transfer: own descriptor, restarts anyway
+    run_off: np.ndarray        # per transfer, plus one: first run
+    start: np.ndarray          # per run: first word
+    length: np.ndarray         # per run: words
+
+    def on(self, channel: Channel) -> np.ndarray:
+        """Indices of the channel's transfers, in bus order."""
+        return np.flatnonzero(self.chan == CHANNELS.index(channel))
+
+    def run_index(self, transfers: np.ndarray) -> np.ndarray:
+        """Indices of the runs of `transfers`, in their order."""
+        lo = self.run_off[transfers]
+        return _gather(lo, self.run_off[transfers + 1] - lo)
+
+    def runs(self, transfers: np.ndarray) -> list[Run]:
+        """The runs of `transfers` as (start, length) tuples, in order."""
+        idx = self.run_index(transfers)
+        return list(zip(self.start[idx].tolist(), self.length[idx].tolist()))
 
 
-@dataclass
-class Sequence:
-    """Productions sharing one double-buffer pipeline; all stores except the
-    final production's fold into the compute max, end restarts per flag."""
+class _WalkWriter:
+    """Appends a walk's rows in bus order; `finish` hands out the columns.
 
-    productions: list[Production]
-    tail_start: bool = False
+    A chunk belongs to the last production begun, a production to the last
+    sequence, a load to the last chunk and a store to the last production.
+    """
+
+    def __init__(self):
+        self.tail_start, self.prod_store = array("b"), array("b")
+        self.prod_seq, self.chunk_prod, self.comp = array("q"), array("q"), array("q")
+        self.chan, self.role = array("b"), array("b")
+        self.owner, self.slot_words = array("q"), array("q")
+        self.overlapped, self.per_run_start, self.fresh_start = (
+            array("b"), array("b"), array("b"))
+        self.run_off, self.runs = array("q", [0]), array("q")
+
+    def sequence(self, tail_start: bool) -> None:
+        self.tail_start.append(tail_start)
+
+    def production(self) -> None:
+        self.prod_seq.append(len(self.tail_start) - 1)
+        self.prod_store.append(NO_STORE)
+
+    def chunk(self, comp: int) -> None:
+        self.chunk_prod.append(len(self.prod_seq) - 1)
+        self.comp.append(comp)
+
+    def transfer(self, channel: int, role: int, runs: np.ndarray,
+                 slot_words: int | None, overlapped: bool = False,
+                 per_run_start: bool = False, fresh_start: bool = False) -> None:
+        if role == LOAD:
+            self.owner.append(len(self.comp) - 1)
+        else:
+            self.owner.append(len(self.prod_seq) - 1)
+            self.prod_store[-1] = role
+        self.chan.append(channel)
+        self.role.append(role)
+        self.slot_words.append(slot_words or 0)
+        self.overlapped.append(overlapped)
+        self.per_run_start.append(per_run_start)
+        self.fresh_start.append(fresh_start)
+        self.runs.frombytes(runs.tobytes())
+        self.run_off.append(len(self.runs) // 2)
+
+    def finish(self) -> Walk:
+        def col(a: array, dtype) -> np.ndarray:
+            return np.frombuffer(a, dtype=dtype)
+
+        runs = col(self.runs, np.int64).reshape(-1, 2)
+        flags = {f: col(getattr(self, f), np.bool_)
+                 for f in ("tail_start", "overlapped", "per_run_start", "fresh_start")}
+        ints = {f: col(getattr(self, f), np.int64)
+                for f in ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "run_off")}
+        codes = {f: col(getattr(self, f), np.int8) for f in ("prod_store", "chan", "role")}
+        return Walk(**flags, **ints, **codes, start=runs[:, 0], length=runs[:, 1])
 
 
 @dataclass(frozen=True)
@@ -422,22 +539,25 @@ def _spatial_tiles(ws: WalkSpec, rows: int, cols: int, window,
             for r0, r1, i0, i1 in row_w for c0, c1, j0, j1 in col_w]
 
 
-def _feature(channel: Channel, geom: FeatureGeom, b: int, ch0: int, ch1: int,
-             r0: int, r1: int, c0: int, c1: int) -> Transfer:
-    """One feature tile.  A load is its own descriptor (the double buffer
-    swaps under it), so it restarts even where the previous one ended."""
-    return Transfer(channel, geom.tile_runs(b, ch0, ch1, r0, r1, c0, c1),
-                    geom.slot_words(ch0, ch1), False,
-                    geom.kind == LayoutKind.BCHW, channel is not Channel.OUT)
+def _feature(w: _WalkWriter, channel: int, geom: FeatureGeom, b: int,
+             ch0: int, ch1: int, r0: int, r1: int, c0: int, c1: int) -> None:
+    """One feature tile, stored on OUT and loaded on any other channel.  A
+    load is its own descriptor (the double buffer swaps under it), so it
+    restarts even where the previous one ended."""
+    load = channel != OUT
+    w.transfer(channel, LOAD if load else STORE,
+               geom.tile_runs(b, ch0, ch1, r0, r1, c0, c1), geom.slot_words(ch0, ch1),
+               False, geom.kind == LayoutKind.BCHW, load)
 
 
-def _weights(channel: Channel, wei: WeightGeom, mt: int, nt: int) -> Transfer:
+def _weights(w: _WalkWriter, channel: int, role: int, wei: WeightGeom,
+             mt: int, nt: int) -> None:
     """One (Tm x Tn) weight tile, loaded or stored."""
-    return Transfer(channel, wei.chunk_runs(mt, nt), wei.slot_words(mt, nt),
-                    False, wei.kind == LayoutKind.BCHW)
+    w.transfer(channel, role, wei.chunk_runs(mt, nt), wei.slot_words(mt, nt),
+               False, wei.kind == LayoutKind.BCHW)
 
 
-def _walk_conv(ws: WalkSpec, process: Process) -> list[Sequence]:
+def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
     """FP and BP as one loop nest over the pass's role-swapped operands (as
     `perf._dims_for` sees them): BP writes the input-side loss map from the
     M loss channels through the transposed weights.
@@ -488,46 +608,44 @@ def _walk_conv(ws: WalkSpec, process: Process) -> list[Sequence]:
     preload = kind == LayoutKind.BHWC_REUSE
     bp_block = kind == LayoutKind.RESHAPED and not fp
 
-    seqs = []
+    w = _WalkWriter()
     for g0, g1, width in _tile_blocks(out_ch, m_on, tm):
         for b in range(ws.batch):
-            prods = []
+            w.sequence(True)
             if preload:
-                prods.append(Production([ChunkStep([_feature(
-                    Channel.IFM, src, b, 0, acc_ch, 0, src_rows, 0, src_cols)], 0)]))
+                w.production()
+                w.chunk(0)
+                _feature(w, IFM, src, b, 0, acc_ch, 0, src_rows, 0, src_cols)
             for p, ((o0, o1), sp) in enumerate(order(g0, g1)):
                 r0, r1, i0, i1, c0, c1, j0, j1, comp = sp
                 load_wei = reload(b, p, sp)
-                chunks = []
+                w.production()
                 for o in range(o0, o1):
                     for a, (a0, a1) in acc_tiles:
-                        loads = [] if preload else [_feature(
-                            Channel.IFM, src, b, a0, a1, i0, i1, j0, j1)]
+                        w.chunk(comp)
+                        if not preload:
+                            _feature(w, IFM, src, b, a0, a1, i0, i1, j0, j1)
                         if load_wei and bp_block:
                             # one descriptor per block; its first chunk
                             # does not wait for it
-                            loads.append(Transfer(
-                                Channel.WEI, wei.bp_block_runs(a, g0, g1),
-                                width * min(ws.tn, acc_ch), a == 0, False, True))
+                            w.transfer(WEI, LOAD, wei.bp_block_runs(a, g0, g1),
+                                       width * min(ws.tn, acc_ch), a == 0, False, True)
                         elif load_wei:
-                            loads.append(_weights(Channel.WEI, wei,
-                                                  *((o, a) if fp else (a, o))))
-                        chunks.append(ChunkStep(loads, comp))
-                prods.append(Production(chunks, store=_feature(
-                    Channel.OUT, dst, b, o0 * tm, min(out_ch, o1 * tm), r0, r1, c0, c1)))
-            seqs.append(Sequence(prods, tail_start=True))
-    return seqs
+                            _weights(w, WEI, LOAD, wei, *((o, a) if fp else (a, o)))
+                _feature(w, OUT, dst, b, o0 * tm, min(out_ch, o1 * tm),
+                         r0, r1, c0, c1)
+    return w.finish()
 
 
-def walk_fp(ws: WalkSpec) -> list[Sequence]:
+def walk_fp(ws: WalkSpec) -> Walk:
     return _walk_conv(ws, Process.FP)
 
 
-def walk_bp(ws: WalkSpec) -> list[Sequence]:
+def walk_bp(ws: WalkSpec) -> Walk:
     return _walk_conv(ws, Process.BP)
 
 
-def walk_wu(ws: WalkSpec) -> list[Sequence]:
+def walk_wu(ws: WalkSpec) -> Walk:
     """Weight update: gradients accumulate over the batch per weight tile;
     updated weights stream out once per block after the last image."""
     l, t = ws.layer, ws.tile
@@ -537,75 +655,74 @@ def walk_wu(ws: WalkSpec) -> list[Sequence]:
     map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
     n_tiles = list(enumerate(_ranges(l.n, ws.tn)))
     use_m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, ws.tm) * ws.tm
-    resident = l.r <= t.tr and ws.kind != LayoutKind.BCHW
+    bchw = ws.kind == LayoutKind.BCHW
+    resident = l.r <= t.tr and not bchw
 
-    seqs = []
+    w = _WalkWriter()
     for g0, g1, _ in _tile_blocks(l.m, use_m_on, ws.tm):
         m_tiles = range(g0, g1)
-        wei_load = Transfer(Channel.WEI,
-                            merge_runs([r for mt in m_tiles for nt, _ in n_tiles
-                                        for r in wei.chunk_runs(mt, nt)]),
-                            None, True, ws.kind == LayoutKind.BCHW)
+        wei_runs = _merged(np.concatenate([wei.chunk_runs(mt, nt) for mt in m_tiles
+                                           for nt, _ in n_tiles]))
         if resident and ws.kind == LayoutKind.BHWC_REUSE:
             # channel-last reuse: both maps stream in whole, once per image
-            prods = []
+            w.sequence(False)
             for b in range(ws.batch):
                 last = b == ws.batch - 1
-                prods.append(Production([ChunkStep([
-                    _feature(Channel.IFM, act, b, 0, l.n, 0, l.r_in, 0, l.c_in),
-                    _feature(Channel.OFM, loss, b, 0, l.m, 0, l.r, 0, l.c)], 0)]))
+                w.production()
+                w.chunk(0)
+                _feature(w, IFM, act, b, 0, l.n, 0, l.r_in, 0, l.c_in)
+                _feature(w, OFM, loss, b, 0, l.m, 0, l.r, 0, l.c)
                 for mt in m_tiles:
-                    chunks = [ChunkStep([wei_load] if last and mt == g0 and nt == 0
-                                        else [], map_comp) for nt, _ in n_tiles]
-                    stores = [_weights(Channel.OUT, wei, mt, nt)
-                              for nt, _ in n_tiles] if last else None
-                    prods.append(Production(chunks, chunk_stores=stores))
-            seqs.append(Sequence(prods, tail_start=False))
+                    w.production()
+                    for nt, _ in n_tiles:
+                        w.chunk(map_comp)
+                        if last and mt == g0 and nt == 0:
+                            w.transfer(WEI, LOAD, wei_runs, None, True, bchw)
+                    if last:
+                        for nt, _ in n_tiles:
+                            _weights(w, OUT, CHUNK_STORE, wei, mt, nt)
         elif resident:
             for mt in m_tiles:
                 ch0, ch1 = mt * ws.tm, min(l.m, mt * ws.tm + ws.tm)
-                prods = []
+                w.sequence(False)
                 for b in range(ws.batch):
                     last = b == ws.batch - 1
-                    chunks = []
+                    w.production()
                     for nt, (n0, n1) in n_tiles:
-                        loads = [_feature(Channel.IFM, act, b, n0, n1, 0, l.r_in, 0, l.c_in)]
+                        w.chunk(map_comp)
+                        _feature(w, IFM, act, b, n0, n1, 0, l.r_in, 0, l.c_in)
                         if nt == 0:
-                            loads.append(_feature(Channel.OFM, loss, b, ch0, ch1,
-                                                  0, l.r, 0, l.c))
+                            _feature(w, OFM, loss, b, ch0, ch1, 0, l.r, 0, l.c)
                         if last and nt == 0 and mt == g0:
-                            loads.append(wei_load)
-                        chunks.append(ChunkStep(loads, map_comp))
-                    stores = [_weights(Channel.OUT, wei, mt, nt)
-                              for nt, _ in n_tiles] if last else None
-                    prods.append(Production(chunks, chunk_stores=stores))
-                seqs.append(Sequence(prods, tail_start=False))
+                            w.transfer(WEI, LOAD, wei_runs, None, True, bchw)
+                    if last:
+                        for nt, _ in n_tiles:
+                            _weights(w, OUT, CHUNK_STORE, wei, mt, nt)
         else:
             spatial = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in)
-            prods = []
+            w.sequence(False)
             for b in range(ws.batch):
                 last = b == ws.batch - 1
                 for mt in m_tiles:
                     ch0, ch1 = mt * ws.tm, min(l.m, mt * ws.tm + ws.tm)
                     for nt, (n0, n1) in n_tiles:
-                        chunks = []
+                        w.production()
                         for r0, r1, i0, i1, c0, c1, j0, j1, comp in spatial:
-                            loads = [_feature(Channel.IFM, act, b, n0, n1, i0, i1, j0, j1),
-                                     _feature(Channel.OFM, loss, b, ch0, ch1, r0, r1, c0, c1)]
+                            w.chunk(comp)
+                            _feature(w, IFM, act, b, n0, n1, i0, i1, j0, j1)
+                            _feature(w, OFM, loss, b, ch0, ch1, r0, r1, c0, c1)
                             if last and mt == g0 and nt == 0 and r0 == 0 and c0 == 0:
-                                loads.append(wei_load)
-                            chunks.append(ChunkStep(loads, comp))
-                        store = _weights(Channel.OUT, wei, mt, nt) if last else None
-                        prods.append(Production(chunks, store=store))
-            seqs.append(Sequence(prods, tail_start=False))
-    return seqs
+                                w.transfer(WEI, LOAD, wei_runs, None, True, bchw)
+                        if last:
+                            _weights(w, OUT, STORE, wei, mt, nt)
+    return w.finish()
 
 
 WALKERS = {Process.FP: walk_fp, Process.BP: walk_bp, Process.WU: walk_wu}
 
 
 def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
-                    kind: str, batch: int, idx: int | None = None) -> list[Sequence]:
+                    kind: str, batch: int, idx: int | None = None) -> Walk:
     if idx is None:
         if len(plan.entries) != 1:
             raise ValueError("idx required for multi-layer plans")
@@ -613,25 +730,11 @@ def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
     return WALKERS[process](resolve_walk(layer, plan, idx, process, kind, batch))
 
 
-def iter_transfers(seqs: list[Sequence]):
-    """All transfers of a walk in bus order."""
-    for seq in seqs:
-        for prod in seq.productions:
-            for chunk in prod.chunks:
-                yield from chunk.loads
-            if prod.chunk_stores:
-                yield from prod.chunk_stores
-            if prod.store is not None:
-                yield prod.store
-
-
 def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
                 batch: int, idx: int | None = None) -> dict[Channel, list[Run]]:
     """Ordered word-address runs per DMA channel for one layer's pass."""
-    traces: dict[Channel, list[Run]] = {c: [] for c in Channel}
-    for tr in iter_transfers(layer_sequences(process, layer, plan, kind, batch, idx)):
-        traces[tr.channel].extend(tr.runs)
-    return traces
+    walk = layer_sequences(process, layer, plan, kind, batch, idx)
+    return {c: walk.runs(walk.on(c)) for c in Channel}
 
 
 def trace_words(trace: list[Run]) -> int:
@@ -777,13 +880,12 @@ def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
         image.words[off + w] += 1.0
     rebuilt = {chan: np.full(geoms[chan][0].words(), np.nan, dtype=np.float32)
                for chan in geoms}
-    for tr in iter_transfers(WALKERS[process](ws)):
-        if tr.channel not in geoms:
-            continue
-        off = image.region(tr.channel.value)[0]
-        for start, length in tr.runs:
-            a = np.arange(start, start + length)
-            rebuilt[tr.channel][inverses[tr.channel][a]] = image.words[off + a]
+    walk = WALKERS[process](ws)
+    for chan in geoms:
+        runs = walk.run_index(walk.on(chan))
+        a = _gather(walk.start[runs], walk.length[runs])  # every word read
+        off = image.region(chan.value)[0]
+        rebuilt[chan][inverses[chan][a]] = image.words[off + a]
     out = {}
     for chan, (geom, shape) in geoms.items():
         out[chan] = rebuilt[chan].reshape(shape)
@@ -825,9 +927,9 @@ def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str
 __all__ = [
     "LayoutKind", "Run", "merge_runs", "fwd_window", "bp_window",
     "FeatureGeom", "WeightGeom", "DramImage", "pack", "unpack",
-    "Transfer", "ChunkStep", "Production", "Sequence", "WalkSpec",
+    "LOAD", "CHUNK_STORE", "STORE", "NO_STORE", "CHANNELS", "Walk", "WalkSpec",
     "resolve_walk", "walk_fp", "walk_bp", "walk_wu", "WALKERS",
-    "layer_sequences", "iter_transfers", "trace_layer", "trace_words",
+    "layer_sequences", "trace_layer", "trace_words",
     "region_table", "dma_start_table", "StartEntry",
     "required_mask", "reconstruct_operands", "equivalence_check",
 ]

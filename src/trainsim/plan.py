@@ -81,12 +81,12 @@ class TilePlan:
         e = self.entry(idx)
         tr, tc, m_on = e.tr, e.tc, e.m_on
         if process is Process.BP:
-            tr = e.bp_tr if e.bp_tr is not None else tr
-            tc = e.bp_tc if e.bp_tc is not None else tc
+            # the FP tile is cut to the input map; an explicit override
+            # must already fit it
+            tr = e.bp_tr if e.bp_tr is not None else min(tr, layer.r_in)
+            tc = e.bp_tc if e.bp_tc is not None else min(tc, layer.c_in)
             m_on = e.bp_m_on if e.bp_m_on is not None else m_on
             side = layer.n
-            tr = min(tr, layer.r_in)
-            tc = min(tc, layer.c_in)
         else:
             if process is Process.WU:
                 tr = e.wu_tr if e.wu_tr is not None else tr

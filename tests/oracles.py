@@ -129,3 +129,96 @@ def count_ops_per_layer(layers):
         per_layer.append(macs)
         total += macs
     return per_layer, total
+
+
+def price_walk_loops(walk, t_start, p):
+    """Scalar reference for `dma.simulate_sequences`: the per-run pricer,
+    pricing one run at a time in pipeline order (each production's chunk
+    loads, then its stores) and carrying continuity per channel.  Reads a
+    `layout.Walk` row by row.  Returns (cycles, bursts, words, burst-length
+    histogram), the last three keyed by channel name."""
+    from trainsim.layout import CHANNELS, CHUNK_STORE, LOAD, STORE
+
+    col = {f: getattr(walk, f).tolist() for f in (
+        "tail_start", "prod_seq", "prod_store", "chunk_prod", "comp", "chan",
+        "role", "owner", "slot_words", "overlapped", "per_run_start",
+        "fresh_start", "run_off", "start", "length")}
+    loads, stores, chunks, prods = {}, {}, {}, {}
+    for t, (role, owner) in enumerate(zip(col["role"], col["owner"])):
+        (loads if role == LOAD else stores).setdefault(owner, []).append(t)
+    for c, prod in enumerate(col["chunk_prod"]):
+        chunks.setdefault(prod, []).append(c)
+    for prod, seq in enumerate(col["prod_seq"]):
+        prods.setdefault(seq, []).append(prod)
+
+    next_addr, bursts, words, hist, open_len = {}, {}, {}, {}, {}
+
+    def close(ch):
+        if open_len.get(ch):
+            h = hist.setdefault(ch, {})
+            h[open_len[ch]] = h.get(open_len[ch], 0) + 1
+        open_len[ch] = 0
+
+    def price(t):
+        ch, slot = col["chan"][t], col["slot_words"][t]
+        runs = []
+        for i in range(col["run_off"][t], col["run_off"][t + 1]):
+            s, n = col["start"][i], col["length"][i]
+            if runs and not col["per_run_start"][t] and sum(runs[-1]) == s:
+                runs[-1] = (runs[-1][0], runs[-1][1] + n)
+            else:
+                runs.append((s, n))
+        cycles = 0
+        for j, (s, n) in enumerate(runs):
+            if col["per_run_start"][t] or (j == 0 and col["fresh_start"][t]) \
+                    or s != next_addr.get(ch):
+                close(ch)
+                bursts[ch] = bursts.get(ch, 0) + 1
+                cycles += t_start
+            open_len[ch] = open_len.get(ch, 0) + n
+            if slot and n % slot == 0:
+                cycles += (n // slot) * -(-slot // p)
+            else:
+                cycles += -(-n // p)
+            next_addr[ch] = s + n
+            words[ch] = words.get(ch, 0) + n
+        return cycles
+
+    total = 0
+    for seq, tail_start in enumerate(col["tail_start"]):
+        seq_prods = prods.get(seq, [])
+        for prod in seq_prods:
+            load = []
+            for c in chunks[prod]:
+                cost = 0
+                for t in loads.get(c, []):
+                    cycles = price(t)
+                    if not col["overlapped"][t]:
+                        cost = max(cost, cycles)
+                load.append(cost)
+            comp = [col["comp"][c] for c in chunks[prod]]
+            total += load[0]
+            for k in range(1, len(load)):
+                total += max(load[k], comp[k - 1])
+            kind = col["prod_store"][prod]
+            if kind == CHUNK_STORE:
+                total += comp[-1] + sum(price(t) for t in stores[prod])
+            elif kind == STORE and prod != seq_prods[-1]:
+                total += max(comp[-1], price(stores[prod][0]))
+            elif kind == STORE:
+                ch = col["chan"][stores[prod][0]]
+                before = bursts.get(ch, 0)
+                cost = price(stores[prod][0])
+                if tail_start and bursts[ch] > before:
+                    cost -= t_start  # the tail below charges the first restart
+                total += comp[-1] + cost
+            else:
+                total += comp[-1]
+        if tail_start:
+            total += t_start
+    for ch in list(open_len):
+        close(ch)
+    name = {code: c.value for code, c in enumerate(CHANNELS)}
+    return (total, {name[ch]: v for ch, v in bursts.items() if words.get(ch)},
+            {name[ch]: v for ch, v in words.items() if v},
+            {name[ch]: v for ch, v in hist.items()})

@@ -9,7 +9,7 @@ import pytest
 from trainsim import engine
 from trainsim.dma import simulate_layer
 from trainsim.datasets import synthetic_batches
-from trainsim.layout import (FeatureGeom, LayoutKind, WeightGeom,
+from trainsim.layout import (STORE, FeatureGeom, LayoutKind, WeightGeom,
                              equivalence_check, layer_sequences, merge_runs,
                              trace_layer)
 from trainsim.model import (Kind, LayerSpec, NetworkSpec, ceil_div,
@@ -277,10 +277,12 @@ def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
     # is one contiguous run of m_on * r * c words
     b_ok = True
     blocks_seen = 0
-    for seq in layer_sequences(Process.FP, layer, alexnet_plan,
-                               LayoutKind.RESHAPED, 4, idx=5):
-        stores = [run for prod in seq.productions if prod.store
-                  for run in prod.store.runs]
+    walk = layer_sequences(Process.FP, layer, alexnet_plan,
+                           LayoutKind.RESHAPED, 4, idx=5)
+    store_trs = np.flatnonzero(walk.role == STORE)
+    store_seq = walk.prod_seq[walk.owner[store_trs]]
+    for seq in range(walk.tail_start.size):
+        stores = walk.runs(store_trs[store_seq == seq])
         merged = merge_runs(stores)
         expect = {112 * 13 * 13, 48 * 13 * 13}
         b_ok &= len(merged) == 1 and merged[0][1] in expect

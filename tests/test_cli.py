@@ -230,6 +230,28 @@ def test_plan_tile_outside_layer_is_config_error(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_plan_fractional_tile_is_config_error(tmp_path, capsys):
+    # layer 2's Tr of 27 as 2.7 must not load as Tr=2, nor true as 1;
+    # 27.0 is still 27
+    for tr, code in ((2.7, 2), (True, 2), (27.0, 0)):
+        plan = _alexnet_plan(tmp_path, pos=1, tr=tr)
+        rc = run(["estimate", "--net", "alexnet_conv", "--device", "zcu102",
+                  "--plan", plan, "--batch", "4", "--out", str(tmp_path)])
+        assert rc == code, tr
+    assert "config error" in capsys.readouterr().err
+    assert json.loads((tmp_path / "estimate.json").read_text())[
+        "total_analytic"] == 69_295_691
+
+
+def test_plan_bp_override_outside_input_map_is_config_error(tmp_path, capsys):
+    # an explicit bp_tr is not cut to layer 2's 27-row input map
+    plan = _alexnet_plan(tmp_path, pos=1, bp_tr=999)
+    rc = run(["estimate", "--net", "alexnet_conv", "--device", "zcu102",
+              "--plan", plan, "--batch", "4", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_train_without_loss_layer_is_config_error(tmp_path, capsys):
     rc = run(["train", "--net", "alexnet_conv", "--steps", "1",
               "--out", str(tmp_path)])

@@ -1,13 +1,15 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trainsim.dma import (Burst, simulate_layer, split_bursts, stream_estimate,
                           transfer_cycles)
 from trainsim.errors import EmptyTrace
-from trainsim.layout import FeatureGeom, LayoutKind, trace_layer
+from trainsim.layout import FeatureGeom, LayoutKind, layer_sequences, trace_layer
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
+
+import oracles
 
 
 def conv_layer(m, n, r, c, k, s, pad=0):
@@ -142,3 +144,30 @@ def test_unpadded_tile_cost_equals_closed_form():
     tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
     bursts = split_bursts(tr[Channel.IFM])
     assert transfer_cycles(bursts, DeviceSpec()) == 400 + 4 * 6 * 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(LayoutKind.ALL),
+       process=st.sampled_from(list(Process)), batch=st.integers(1, 3),
+       p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
+def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
+    # random small conv layers and plans, priced by the vectorized pricer
+    # and by the per-run scalar loop over the same walk
+    k = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(1, 2))
+    pad = data.draw(st.integers(0, k - 1))
+    r, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    assume((min(r, c) - 1) * s + k - 2 * pad >= 1)  # a non-empty input map
+    tm = data.draw(st.sampled_from([1, 2, 4]))
+    layer = conv_layer(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)),
+                       r, c, k, s, pad)
+    plan = TilePlan(tm=tm, tn=tm, entries={0: PlanEntry(
+        tr=data.draw(st.integers(1, r)), tc=data.draw(st.integers(1, c)),
+        m_on=tm * data.draw(st.integers(1, 3)),
+        wu_tr=data.draw(st.one_of(st.none(), st.integers(1, r))))})
+    dev = DeviceSpec(stream_width_words=p, t_start=t_start)
+    res = simulate_layer(process, layer, plan, kind, dev, batch)
+    walk = layer_sequences(process, layer, plan, kind, batch)
+    cycles, bursts, words, hist = oracles.price_walk_loops(walk, t_start, p)
+    assert (res.cycles, res.bursts, res.words, res.burst_lengths) == \
+        (cycles, bursts, words, hist)

@@ -7,57 +7,72 @@ pricing flags.  The digests in golden/walks.json were captured from the
 walkers as they stood before FP and BP shared one loop nest; regenerate
 them only for a change that is meant to move a walk:
 
-    PYTHONPATH=src python tests/test_walk_golden.py > tests/golden/walks.json
+    python tests/test_walk_golden.py > tests/golden/walks.json
 """
 
 import hashlib
 import json
 import sys
 from array import array
-from itertools import chain
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from trainsim.config import load_device, load_network, load_plan
-from trainsim.layout import LayoutKind, layer_sequences
-from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer
-from trainsim.plan import Channel, PlanEntry, Process, TilePlan
-from trainsim.sched import schedule
+if __name__ == "__main__":  # run as a script: use the package in this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from trainsim.config import load_device, load_network, load_plan  # noqa: E402
+from trainsim.layout import (CHUNK_STORE, LOAD, NO_STORE, LayoutKind,  # noqa: E402
+                             layer_sequences)
+from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer  # noqa: E402
+from trainsim.plan import PlanEntry, Process, TilePlan  # noqa: E402
+from trainsim.sched import schedule  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "walks.json"
 
 
-CHANNEL_CODE = {c: i for i, c in enumerate(Channel)}
-
-
-def _put_transfer(out: array, tr) -> None:
-    out.extend((-6, CHANNEL_CODE[tr.channel], len(tr.runs)))
-    out.extend(chain.from_iterable(tr.runs))
-    out.extend((-1 if tr.slot_words is None else tr.slot_words,
-                tr.overlapped, tr.per_run_start, tr.fresh_start))
-
-
-def walk_digest(seqs) -> str:
+def walk_digest(walk) -> str:
     """sha256 over the walk flattened to int64s; negative codes mark where
     sequences (-1), productions (-2), chunks (-3), per-chunk stores (-4),
-    the production store (-5) and each transfer (-6) begin."""
+    the production store (-5) and each transfer (-6) begin.  A transfer
+    is its channel code, run count, runs, slot width (-1 for none) and the
+    three pricing flags."""
+    runs = np.column_stack((walk.start, walk.length)).ravel().tolist()
+    off = walk.run_off.tolist()
+    chan, slot = walk.chan.tolist(), walk.slot_words.tolist()
+    flags = list(zip(walk.overlapped.tolist(), walk.per_run_start.tolist(),
+                     walk.fresh_start.tolist()))
+    loads, stores = defaultdict(list), defaultdict(list)
+    for t, (role, owner) in enumerate(zip(walk.role.tolist(), walk.owner.tolist())):
+        (loads if role == LOAD else stores)[owner].append(t)
+    chunks, prods = defaultdict(list), defaultdict(list)
+    for c, p in enumerate(walk.chunk_prod.tolist()):
+        chunks[p].append(c)
+    for p, s in enumerate(walk.prod_seq.tolist()):
+        prods[s].append(p)
+    comp, store_kind = walk.comp.tolist(), walk.prod_store.tolist()
+
     out = array("q")
-    for seq in seqs:
-        out.extend((-1, seq.tail_start))
-        for prod in seq.productions:
+
+    def put_transfer(t):
+        out.extend((-6, chan[t], off[t + 1] - off[t]))
+        out.extend(runs[2 * off[t]:2 * off[t + 1]])
+        out.extend((slot[t] or -1, *flags[t]))
+
+    for s, tail_start in enumerate(walk.tail_start.tolist()):
+        out.extend((-1, tail_start))
+        for p in prods[s]:
             out.append(-2)
-            for chunk in prod.chunks:
-                out.extend((-3, chunk.comp))
-                for tr in chunk.loads:
-                    _put_transfer(out, tr)
-            if prod.chunk_stores is not None:
-                out.append(-4)
-                for tr in prod.chunk_stores:
-                    _put_transfer(out, tr)
-            if prod.store is not None:
-                out.append(-5)
-                _put_transfer(out, prod.store)
+            for c in chunks[p]:
+                out.extend((-3, comp[c]))
+                for t in loads[c]:
+                    put_transfer(t)
+            if store_kind[p] != NO_STORE:
+                out.append(-4 if store_kind[p] == CHUNK_STORE else -5)
+            for t in stores[p]:
+                put_transfer(t)
     if sys.byteorder == "big":
         out.byteswap()
     return hashlib.sha256(out.tobytes()).hexdigest()
@@ -127,10 +142,12 @@ def test_walks_match_golden(golden):
 def test_digest_sees_pricing_flags():
     net = _one_conv(4, 4, 4, 4, 3, 1, 1)
     plan = _plan(2, tr=4, tc=4, m_on=4)
-    seqs = layer_sequences(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
-    before = walk_digest(seqs)
-    seqs[0].productions[0].chunks[0].loads[-1].fresh_start ^= True
-    assert walk_digest(seqs) != before
+    walk = layer_sequences(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
+    before = walk_digest(walk)
+    # the last load of the first chunk
+    t = np.flatnonzero((walk.role == LOAD) & (walk.owner == 0))[-1]
+    walk.fresh_start[t] ^= True
+    assert walk_digest(walk) != before
 
 
 if __name__ == "__main__":
