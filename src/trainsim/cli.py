@@ -81,34 +81,6 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _report_with_sim(net, plan, dev, batch, kind):
-    rep = perf.network_report(net, plan, dev, batch)
-    hist_rows = []
-    for row in rep.rows:
-        if row.process == Process.BP.value and row.layer == 0:
-            continue  # loss is never propagated past the first layer
-        res = dma.simulate_layer(Process(row.process), net.layers[row.layer],
-                                 plan, kind, dev, batch, idx=row.layer)
-        row.simulated = res.cycles
-        row.fill_deviation()
-        for chan, lens in res.burst_lengths.items():
-            for length, count in sorted(lens.items()):
-                hist_rows.append([row.layer, row.process, chan, length, count])
-    # non-tiled layers move their maps once per pass; flagged as estimates
-    for i, l in enumerate(net.layers):
-        if l.weighted:
-            continue
-        for proc in Process:
-            est = dma.stream_estimate(l, proc, dev, batch)
-            if est:
-                rep.rows.append(perf.ReportRow(i, l.label(), proc.value, None,
-                                               simulated=est, estimated=True))
-    rep.rows.sort(key=lambda r: (r.layer, r.process))
-    rep.total_simulated = sum(r.simulated for r in rep.rows
-                              if r.simulated and not r.estimated)
-    return rep, hist_rows
-
-
 def cmd_estimate(args) -> int:
     net = config.load_network(args.net, args.batch)
     dev = config.load_device(args.device)
@@ -135,7 +107,7 @@ def cmd_simulate(args) -> int:
     dev = config.load_device(args.device)
     plan = config.load_plan(args.plan)
     kind = layout.LayoutKind.parse(args.layout)
-    rep, hist_rows = _report_with_sim(net, plan, dev, args.batch or net.batch, kind)
+    rep, hist_rows = dma.simulate_report(net, plan, dev, args.batch or net.batch, kind)
     out = _out_dir(args)
     _write_report(rep.to_dict(), out, f"simulate_{kind}", args.format)
     with open(out / f"bursts_{kind}.csv", "w", newline="") as f:
@@ -153,6 +125,7 @@ def cmd_train(args) -> int:
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     net = config.load_network(args.net, args.batch)
+    engine.require_trainable(net)  # before allocating weights and data
     engine_params = engine.init_params(net, seed=args.seed)
     if args.data == "synthetic":
         batches = datasets.synthetic_batches(net, args.steps, args.seed)
@@ -179,6 +152,7 @@ def cmd_train(args) -> int:
 def cmd_layout_dump(args) -> int:
     net = config.load_network(args.net, args.batch)
     plan = config.load_plan(args.plan)
+    plan.check_against(net)
     kind = layout.LayoutKind.parse(args.layout)
     table, entries = layout.dma_start_table(net, plan, kind)
     bases = {(e.layer, e.process, e.channel): e.start for e in entries}
@@ -264,6 +238,10 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except PlanMismatch as e:
         print(f"plan mismatch: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        # a network, batch or plan too large for this host
+        print("config error: the configuration does not fit in memory", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

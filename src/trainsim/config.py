@@ -15,6 +15,9 @@ from .model import DeviceSpec, Kind, LayerSpec, NetworkSpec, validate_and_infer
 from .plan import PlanEntry, TilePlan
 
 _LAYER_KEYS = {"kind", "m", "n", "r", "c", "k", "s", "pad", "r_in", "c_in"}
+# device fields counted in whole units (cycles, words, bits, DSPs, banks)
+_DEVICE_INTS = ("total_dsps", "total_brams", "bram_bits", "dsps_per_mac",
+                "stream_width_words", "t_start", "bits_per_word")
 # optional per-pass plan fields; None keeps the layer's FP value
 _OVERRIDE_KEYS = ("bp_tr", "bp_tc", "bp_m_on", "wu_tr", "wu_tc", "wu_m_on")
 
@@ -34,26 +37,32 @@ def _read_json(path_or_name: str | Path, preset_kind: str | None = None) -> dict
         raise ConfigError(f"bad JSON in {p}: {e}") from None
 
 
+def _integral(doc: dict, key: str) -> int:
+    """doc[key] as an int: an integral number or a string of digits.  A
+    fractional number or a boolean is an error, not truncated or cast."""
+    value = doc[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key}={value} is not an integer")
+    return int(value)
+
+
 def load_network(path_or_name: str | Path, batch: int | None = None) -> NetworkSpec:
     doc = _read_json(path_or_name, "network")
     try:
+        if batch is None:
+            batch = _integral(doc, "batch") if "batch" in doc else 1
         layers = []
         for entry in doc["layers"]:
             unknown = set(entry) - _LAYER_KEYS
             if unknown:
                 raise ConfigError(f"unknown layer keys {sorted(unknown)}")
             kind = Kind(entry["kind"])
-            layers.append(LayerSpec(
-                kind=kind,
-                m=int(entry.get("m", 0)), n=int(entry.get("n", 0)),
-                r=int(entry.get("r", 0)), c=int(entry.get("c", 0)),
-                k=int(entry.get("k", 1)), s=int(entry.get("s", 1)),
-                pad=int(entry.get("pad", 0)),
-                r_in=entry.get("r_in"), c_in=entry.get("c_in"),
-            ))
+            dims = {k: _integral(entry, k) for k in _LAYER_KEYS - {"kind"}
+                    if entry.get(k) is not None}
+            layers.append(LayerSpec(kind=kind, **dims))
         net = NetworkSpec(
             layers=tuple(layers),
-            batch=int(batch if batch is not None else doc.get("batch", 1)),
+            batch=int(batch),
             learning_rate=float(doc.get("learning_rate", 0.01)),
             name=str(doc.get("name", Path(str(path_or_name)).stem)),
         )
@@ -68,18 +77,9 @@ def load_network(path_or_name: str | Path, batch: int | None = None) -> NetworkS
 def load_device(path_or_name: str | Path) -> DeviceSpec:
     doc = _read_json(path_or_name, "device")
     try:
-        return DeviceSpec(**doc)
+        return DeviceSpec(**{**doc, **{k: _integral(doc, k) for k in _DEVICE_INTS if k in doc}})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad device config {path_or_name}: {e}") from None
-
-
-def _integral(doc: dict, key: str) -> int:
-    """doc[key] as an int: an integral number or a string of digits.  A
-    fractional number or a boolean is an error, not truncated or cast."""
-    value = doc[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key}={value} is not an integer")
-    return int(value)
 
 
 def load_plan(path_or_name: str | Path) -> TilePlan:
@@ -87,6 +87,8 @@ def load_plan(path_or_name: str | Path) -> TilePlan:
     try:
         entries = {}
         for e in doc["layers"]:
+            if not isinstance(e, dict):
+                raise ValueError(f"plan layer entry {e!r} is not an object")
             overrides = {k: None if e.get(k) is None else _integral(e, k)
                          for k in _OVERRIDE_KEYS}
             entries[_integral(e, "layer")] = PlanEntry(

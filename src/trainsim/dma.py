@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyTrace
-from .model import DeviceSpec, LayerSpec, ceil_div
+from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div
+from .perf import LatencyReport, ReportRow, network_report
 from .plan import Process, TilePlan
 from .layout import (CHANNELS, LOAD, STORE, Run, Walk, layer_sequences,
                      merge_runs)
@@ -161,6 +162,39 @@ def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
     return simulate_sequences(walk, dev)
 
 
+def simulate_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec, batch: int,
+                    kind: str) -> tuple[LatencyReport, list[list]]:
+    """The analytic network report with every tiled layer pass simulated
+    under one layout, plus the burst-length histogram as rows of (layer,
+    pass, channel, burst length, count).  Layers without a tiled kernel get
+    a row of their `stream_estimate`, flagged as estimated and left out of
+    the simulated total."""
+    rep = network_report(net, plan, dev, batch)
+    hist_rows = []
+    for row in rep.rows:
+        if row.process == Process.BP.value and row.layer == 0:
+            continue  # loss is never propagated past the first layer
+        res = simulate_layer(Process(row.process), net.layers[row.layer],
+                             plan, kind, dev, batch, idx=row.layer)
+        row.simulated = res.cycles
+        row.fill_deviation()
+        for chan, lens in res.burst_lengths.items():
+            for length, count in sorted(lens.items()):
+                hist_rows.append([row.layer, row.process, chan, length, count])
+    for i, l in enumerate(net.layers):
+        if l.weighted:
+            continue
+        for proc in Process:
+            est = stream_estimate(l, proc, dev, batch)
+            if est:
+                rep.rows.append(ReportRow(i, l.label(), proc.value, None,
+                                          simulated=est, estimated=True))
+    rep.rows.sort(key=lambda r: (r.layer, r.process))
+    rep.total_simulated = sum(r.simulated for r in rep.rows
+                              if r.simulated and not r.estimated)
+    return rep, hist_rows
+
+
 def stream_estimate(layer: LayerSpec, process: Process, dev: DeviceSpec,
                     batch: int) -> int:
     """Coarse streaming estimate for layers without a tiled kernel (pool,
@@ -176,4 +210,4 @@ def stream_estimate(layer: LayerSpec, process: Process, dev: DeviceSpec,
 
 
 __all__ = ["Burst", "split_bursts", "transfer_cycles", "SimResult",
-           "simulate_sequences", "simulate_layer", "stream_estimate"]
+           "simulate_sequences", "simulate_layer", "simulate_report", "stream_estimate"]

@@ -15,28 +15,35 @@ Weight storage for the tile-major layouts is (block, m-tile, n-tile) with
 one contiguous scan.  All maps are fully packed bijections onto their
 regions; addresses are 32-bit word indices, never bytes.
 
-Traces are run-length encoded: geometries give a tile's (start, length)
-runs as an (n, 2) int64 array, in closed form.  A layer pass is one
-columnar trace, a `Walk`: flat arrays of sequences, productions, chunks
-and transfers, each row pointing at its parent, plus the runs of every
-transfer in one start and one length column, all in bus order.  Loop
-walkers append the rows through a `_WalkWriter`, grouped into the
-production pipeline the cycle model assumes.  FP and BP share one walker
-on the pass's role-swapped operands, in which one branch per layout sets
-the loop order and operand reuse; WU has its own.
+Traces are run-length encoded.  `FeatureGeom.tiles` and `WeightGeom.tiles`
+give the (start, length) runs of many tiles in one call, by one strided
+expansion (`_strided`): a tile is n_out x n_in runs at base + o*s_out +
+i*s_in.  A layer pass is one columnar trace, a `Walk`: flat arrays of
+sequences, productions, chunks and transfers, each row pointing at its
+parent, plus the runs of every transfer in one start and one length
+column.  Sequences, productions and chunks are in bus order, and so are
+each channel's transfers.
 
-Descriptor policy lives where transfers are made: `_feature` gives every
-feature load its own descriptor (`fresh_start`), `_feature` and `_weights`
-give every BCHW transfer one descriptor per run (`per_run_start`), and
-`_walk_conv` builds the reshaped BP weight block.  dma.py prices the flags
-and the pipeline; `trace_layer` and `reconstruct_operands` read the run
-columns with one gather per channel.
+Walkers build a walk by index arithmetic, one weight block at a time: the
+only Python loop left is the one over blocks, and a `_WalkWriter` appends
+each block's rows (IFM loads, then OFM, WEI, OUT) in one go.  FP and BP
+share one walker on the pass's role-swapped operands, in which one branch
+per layout sets the production order and which productions reload
+weights; WU has its own.
+
+Descriptor policy lives where transfers are made: every feature load is
+its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
+per run (`per_run_start`), and `_walk_conv` builds the reshaped BP weight
+block.  dma.py prices the flags and the pipeline, one channel at a time;
+`trace_layer` and `reconstruct_operands` read the run columns with one
+gather per channel.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,23 +85,50 @@ def merge_runs(runs: list[Run]) -> list[Run]:
     return out
 
 
-def _run(start: int, length: int) -> np.ndarray:
-    """One run as a (1, 2) int64 array."""
-    return np.array(((start, length),), dtype=np.int64)
+def _nested(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, rank) of every child, in order, when parent i has counts[i]
+    children."""
+    parent = np.repeat(np.arange(counts.size), counts)
+    return parent, np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _runs(starts: np.ndarray, length: int) -> np.ndarray:
-    """Runs as an (n, 2) int64 array of (start, length) rows: one row per
-    entry of `starts`, each `length` words."""
-    out = np.empty((starts.size, 2), dtype=np.int64)
-    out[:, 0] = starts
-    out[:, 1] = length
-    return out
+def _at(x, idx: np.ndarray):
+    """x[idx] for a per-tile array; a scalar stands for every tile."""
+    return x[idx] if np.ndim(x) else x
+
+
+def _full(x, shape: tuple[int, ...]) -> np.ndarray:
+    """x as an array of `shape`; a scalar is repeated."""
+    return x if np.shape(x) == shape else np.full(shape, x, dtype=np.int64)
+
+
+def _strided(base, n_out: np.ndarray, s_out, n_in, s_in,
+             length) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of many tiles, each n_out x n_in runs of `length` words at
+    base + o*s_out + i*s_in, o-major.  `n_out` is an array with one entry
+    per tile; every other argument is such an array or a scalar for all.
+    Returns the (n, 2) int64 (start, length) runs and each tile's count."""
+    t, o = _nested(n_out)
+    start = _at(base, t) + o * _at(s_out, t)
+    if np.ndim(n_in) or n_in != 1:
+        row, i = _nested(_full(_at(n_in, t), t.shape))
+        t = t[row]
+        start = start[row] + i * _at(s_in, t)
+    runs = np.empty((t.size, 2), dtype=np.int64)
+    runs[:, 0] = start
+    runs[:, 1] = _at(length, t)
+    return runs, n_out * n_in
 
 
 def _merged(runs: np.ndarray) -> np.ndarray:
-    """`merge_runs` of an (n, 2) run array."""
-    return np.array(merge_runs(runs.tolist()), dtype=np.int64).reshape(-1, 2)
+    """An (n, 2) run array with each run that continues its predecessor
+    folded into it, as `merge_runs` does for positive lengths."""
+    start, length = runs[:, 0], runs[:, 1]
+    first = np.flatnonzero(np.append(True, start[1:] != start[:-1] + length[:-1]))
+    out = np.empty((first.size, 2), dtype=np.int64)
+    out[:, 0] = start[first]
+    out[:, 1] = np.add.reduceat(length, first)
+    return out
 
 
 def fwd_window(t0: int, t1: int, k: int, s: int, pad: int, extent: int) -> tuple[int, int]:
@@ -134,91 +168,77 @@ class FeatureGeom:
     def words(self) -> int:
         return self.batch * self.ch * self.rows * self.cols
 
-    def group_width(self, ch: int) -> int:
-        g = ch // self.tm
-        return min(self.tm, self.ch - g * self.tm)
-
-    def _block(self, ch: int) -> tuple[int, int, int]:
-        """(block index, channels in block, block base word)."""
-        g = ch // self.m_on
-        full = self.m_on * self.rows * self.cols * self.batch
-        cb = min(self.m_on, self.ch - g * self.m_on)
-        return g, cb, g * full
+    def group_width(self, ch):
+        """Channels in the Tm group of channel `ch` (scalar or array)."""
+        return np.minimum(self.tm, self.ch - ch // self.tm * self.tm)
 
     def addr(self, b: int, ch: int, r: int, c: int) -> int:
         if not (0 <= b < self.batch and 0 <= ch < self.ch
                 and 0 <= r < self.rows and 0 <= c < self.cols):
             raise OutOfRange(f"({b},{ch},{r},{c}) outside feature tensor")
-        return self._addr(b, ch, r, c)
+        return int(self._addr(b, ch, r, c))
 
     def addr_grid(self) -> np.ndarray:
         """words()-sized array: flat (b,ch,r,c) coordinate -> word index."""
-        b = np.arange(self.batch)[:, None, None, None]
-        ch = np.arange(self.ch)[None, :, None, None]
-        r = np.arange(self.rows)[None, None, :, None]
-        c = np.arange(self.cols)[None, None, None, :]
-        if self.kind == LayoutKind.BCHW:
-            a = ((b * self.ch + ch) * self.rows + r) * self.cols + c
-        elif self.kind == LayoutKind.BHWC_REUSE:
-            a = ((b * self.rows + r) * self.cols + c) * self.ch + ch
-        else:
-            g = ch // self.m_on
-            cb = np.minimum(self.m_on, self.ch - g * self.m_on)
-            base = g * (self.m_on * self.rows * self.cols * self.batch)
-            local = ch - g * self.m_on
-            gl = local // self.tm
-            wg = np.minimum(self.tm, self.ch - (ch // self.tm) * self.tm)
-            a = (base + b * cb * self.rows * self.cols
-                 + gl * self.tm * self.rows * self.cols
-                 + (r * self.cols + c) * wg + (local - gl * self.tm))
-        return a.reshape(-1)
+        return self._addr(np.arange(self.batch)[:, None, None, None],
+                          np.arange(self.ch)[None, :, None, None],
+                          np.arange(self.rows)[None, None, :, None],
+                          np.arange(self.cols)[None, None, None, :]).reshape(-1)
 
-    def _addr(self, b: int, ch: int, r: int, c: int) -> int:
-        """`addr` without the range check, for callers that stay inside."""
+    def _addr(self, b, ch, r, c):
+        """`addr` without the range check, over scalars or arrays that
+        broadcast."""
         if self.kind == LayoutKind.BCHW:
             return ((b * self.ch + ch) * self.rows + r) * self.cols + c
         if self.kind == LayoutKind.BHWC_REUSE:
             return ((b * self.rows + r) * self.cols + c) * self.ch + ch
-        g, cb, base = self._block(ch)
+        g = ch // self.m_on  # the M_on block, then the Tm group inside it
+        cb = np.minimum(self.m_on, self.ch - g * self.m_on)
         local = ch - g * self.m_on
         gl = local // self.tm
-        wg = self.group_width(ch)
-        return (base + b * cb * self.rows * self.cols
+        return (g * self.m_on * self.rows * self.cols * self.batch
+                + b * cb * self.rows * self.cols
                 + gl * self.tm * self.rows * self.cols
-                + (r * self.cols + c) * wg + (local - gl * self.tm))
+                + (r * self.cols + c) * self.group_width(ch) + (local - gl * self.tm))
+
+    def tiles(self, b, ch0, ch1, r0, r1, c0, c1
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Runs of many tiles at once: tile i covers channels
+        [ch0[i],ch1[i]) x rows [r0[i],r1[i]) x cols [c0[i],c1[i]) of image
+        b[i] (arrays of one length; a scalar stands for every tile), in this
+        layout's scan order.  Returns (runs, runs per tile, slot words per
+        tile): the (n, 2) int64 (start, length) runs of every tile in turn,
+        and the width of the channel slice a channel-interleaved tile hands
+        its consumer per pixel (0 under BCHW).
+
+        BCHW keeps one run per (channel, row), since the baseline engine
+        programs one descriptor per tile row segment.  BHWC with a channel
+        subset is one run per pixel; otherwise a tile is one run per row, or
+        one run if it covers whole rows."""
+        shape = np.broadcast(b, ch0, ch1, r0, r1, c0, c1).shape or (1,)
+        nch, nr, nc = ch1 - ch0, r1 - r0, c1 - c0
+        empty = (nch <= 0) | (nr <= 0) | (nc <= 0)
+        base = self._addr(b, ch0, r0, c0)
+        if self.kind == LayoutKind.BCHW:
+            n_out = _full(np.where(empty, 0, nch), shape)
+            runs, counts = _strided(base, n_out, self.rows * self.cols, nr, self.cols, nc)
+            return runs, counts, np.zeros(shape, dtype=np.int64)
+        if self.kind == LayoutKind.BHWC_REUSE:
+            wg, pixels = self.ch, (ch0 > 0) | (ch1 < self.ch)
+        else:
+            wg, pixels = self.group_width(ch0), False
+            if np.any(((ch0 % self.tm != 0) | (nch != wg)) & ~empty):
+                raise ShapeMismatch("reshaped tiles must cover whole channel groups")
+        whole = (c0 == 0) & (c1 == self.cols) & ~pixels
+        n_out = _full(np.where(empty, 0, np.where(whole, 1, nr)), shape)
+        runs, counts = _strided(base, n_out, self.cols * wg, np.where(pixels, nc, 1),
+                                self.ch, np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
+        return runs, counts, _full(nch, shape)
 
     def tile_runs(self, b: int, ch0: int, ch1: int, r0: int, r1: int,
                   c0: int, c1: int) -> np.ndarray:
-        """Runs covering channels [ch0,ch1) x rows [r0,r1) x cols [c0,c1)
-        in this layout's scan order; runs that touch are merged, except
-        under BCHW."""
-        if r0 >= r1 or c0 >= c1 or ch0 >= ch1:
-            return np.empty((0, 2), dtype=np.int64)
-        base = self._addr(b, ch0, r0, c0)
-        if self.kind == LayoutKind.BCHW:
-            # the baseline engine programs one descriptor per tile row
-            # segment, so runs stay per (channel, row) and are not merged
-            rows = np.arange(r1 - r0) * self.cols + base
-            chans = np.arange(ch1 - ch0) * (self.rows * self.cols)
-            return _runs((chans[:, None] + rows).ravel(), c1 - c0)
-        if self.kind == LayoutKind.BHWC_REUSE:
-            if ch0 > 0 or ch1 < self.ch:  # one run per pixel
-                pixels = np.arange(r1 - r0)[:, None] * self.cols + np.arange(c1 - c0)
-                return _runs(base + pixels.ravel() * self.ch, ch1 - ch0)
-            wg = self.ch
-        else:
-            wg = self.group_width(ch0)
-            if ch0 % self.tm or (ch1 - ch0) != wg:
-                raise ShapeMismatch("reshaped tiles must cover whole channel groups")
-        if c0 == 0 and c1 == self.cols:  # whole rows: one run
-            return _run(base, (r1 - r0) * self.cols * wg)
-        return _runs(base + np.arange(r1 - r0) * (self.cols * wg), (c1 - c0) * wg)
-
-    def slot_words(self, ch0: int, ch1: int) -> int | None:
-        # channel-interleaved layouts consume whole channel slices per pixel
-        if self.kind == LayoutKind.BCHW:
-            return None
-        return ch1 - ch0
+        """The runs of one tile, as `tiles` gives them."""
+        return self.tiles(b, ch0, ch1, r0, r1, c0, c1)[0]
 
 
 # ----------------------------------------------------------------- weights
@@ -243,68 +263,57 @@ class WeightGeom:
     def words(self) -> int:
         return self.m * self.n * self.k * self.k
 
-    def m_width(self, mt: int) -> int:
-        return min(self.tm, self.m - mt * self.tm)
+    def m_width(self, mt):
+        return np.minimum(self.tm, self.m - mt * self.tm)
 
-    def n_width(self, nt: int) -> int:
-        return min(self.tn, self.n - nt * self.tn)
+    def n_width(self, nt):
+        return np.minimum(self.tn, self.n - nt * self.tn)
 
     def addr(self, m: int, n: int, kr: int, kc: int) -> int:
         if not (0 <= m < self.m and 0 <= n < self.n
                 and 0 <= kr < self.k and 0 <= kc < self.k):
             raise OutOfRange(f"({m},{n},{kr},{kc}) outside weight tensor")
-        if self.kind == LayoutKind.BCHW:
-            return ((m * self.n + n) * self.k + kr) * self.k + kc
-        mt, nt = m // self.tm, n // self.tn
-        wm, wn = self.m_width(mt), self.n_width(nt)
-        dm, dn = m - mt * self.tm, n - nt * self.tn
-        return self._tile_base(mt, nt) + ((kr * self.k + kc) * wn + dn) * wm + dm
+        return int(self._addr(m, n, kr, kc))
 
     def addr_grid(self) -> np.ndarray:
         """words()-sized array: flat (m,n,kr,kc) coordinate -> word index."""
-        if self.kind == LayoutKind.BCHW:
-            return np.arange(self.words())
-        m = np.arange(self.m)[:, None, None, None]
-        n = np.arange(self.n)[None, :, None, None]
-        kr = np.arange(self.k)[None, None, :, None]
-        kc = np.arange(self.k)[None, None, None, :]
-        mt, nt = m // self.tm, n // self.tn
-        wm = np.minimum(self.tm, self.m - mt * self.tm)
-        wn = np.minimum(self.tn, self.n - nt * self.tn)
-        base = (mt * self.tm * self.n + wm * nt * self.tn) * self.k * self.k
-        a = base + ((kr * self.k + kc) * wn + (n - nt * self.tn)) * wm + (m - mt * self.tm)
-        return a.reshape(-1)
+        return self._addr(np.arange(self.m)[:, None, None, None],
+                          np.arange(self.n)[None, :, None, None],
+                          np.arange(self.k)[None, None, :, None],
+                          np.arange(self.k)[None, None, None, :]).reshape(-1)
 
-    def _tile_base(self, mt: int, nt: int) -> int:
+    def _addr(self, m, n, kr, kc):
+        """`addr` without the range check, over scalars or arrays that
+        broadcast."""
+        if self.kind == LayoutKind.BCHW:
+            return ((m * self.n + n) * self.k + kr) * self.k + kc
+        mt, nt = m // self.tm, n // self.tn
+        dm, dn = m - mt * self.tm, n - nt * self.tn
+        return (self._tile_base(mt, nt)
+                + ((kr * self.k + kc) * self.n_width(nt) + dn) * self.m_width(mt) + dm)
+
+    def _tile_base(self, mt, nt):
         """First word of tile (mt, nt) in tile-major storage: all earlier
         m-tiles are full Tm rows, earlier n-tiles of this row full Tn."""
         return (mt * self.tm * self.n + self.m_width(mt) * nt * self.tn) * self.k * self.k
 
-    def chunk_words(self, mt: int, nt: int) -> int:
-        return self.m_width(mt) * self.n_width(nt) * self.k * self.k
-
-    def chunk_runs(self, mt: int, nt: int) -> np.ndarray:
-        """One (Tm x Tn) weight tile; contiguous in tile-major storage, one
-        row-major slice per output channel in the baseline order."""
-        if self.kind == LayoutKind.BCHW:
-            m = np.arange(mt * self.tm, mt * self.tm + self.m_width(mt))
-            kk = self.k * self.k
-            return _runs((m * self.n + nt * self.tn) * kk, self.n_width(nt) * kk)
-        return _run(self._tile_base(mt, nt), self.chunk_words(mt, nt))
-
-    def bp_block_runs(self, mt: int, nt0: int, nt1: int) -> np.ndarray:
-        """Weights for one loss-channel chunk across BP-output tiles
-        [nt0,nt1): a single run in tile-major storage."""
-        if self.kind == LayoutKind.BCHW:
-            return _merged(np.concatenate([self.chunk_runs(mt, nt)
-                                           for nt in range(nt0, nt1)]))
-        n_words = min(self.n, nt1 * self.tn) - nt0 * self.tn
-        return _run(self._tile_base(mt, nt0), self.m_width(mt) * n_words * self.k * self.k)
-
-    def slot_words(self, mt: int, nt: int) -> int | None:
-        if self.kind == LayoutKind.BCHW:
-            return None
-        return self.m_width(mt) * self.n_width(nt)
+    def tiles(self, mt, nt, nt1=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Runs of many weight tiles at once, as `FeatureGeom.tiles` gives
+        them: tile i is m-tile mt[i] over n-tiles [nt[i], nt1[i]), or the
+        single n-tile nt[i] without `nt1`.  Tile-major storage holds it as
+        one run, the baseline order as one row-major slice per output
+        channel.  The slot is the Tm x Tn words of one (kr, kc) position,
+        0 under BCHW."""
+        shape = np.broadcast(mt, nt, nt1).shape or (1,)
+        wm = self.m_width(mt)
+        wn = (self.n_width(nt) if nt1 is None
+              else np.minimum(self.n, nt1 * self.tn) - nt * self.tn)
+        kk = self.k * self.k
+        bchw = self.kind == LayoutKind.BCHW
+        runs, counts = _strided(self._addr(mt * self.tm, nt * self.tn, 0, 0),
+                                _full(wm if bchw else 1, shape), self.n * kk, 1, 0,
+                                (1 if bchw else wm) * wn * kk)
+        return runs, counts, _full(0 if bchw else wm * wn, shape)
 
 
 # -------------------------------------------------------------- DRAM image
@@ -381,7 +390,10 @@ def _gather(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Walk:
-    """One layer pass as columns, every row in bus order.
+    """One layer pass as columns.  Sequences, productions and chunks are in
+    bus order, and so are each channel's transfers; transfers of different
+    channels are grouped by weight block, not interleaved in time, so
+    consumers read them one channel at a time (`on`).
 
     A sequence is a run of productions sharing one double-buffer pipeline;
     a production is a run of chunks (each one compute step and the loads it
@@ -422,15 +434,22 @@ class Walk:
         return list(zip(self.start[idx].tolist(), self.length[idx].tolist()))
 
 
-class _WalkWriter:
-    """Appends a walk's rows in bus order; `finish` hands out the columns.
+def _append(buf: array, values, n: int) -> None:
+    """Append n values to `buf`: an array of n, or one value n times."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        buf.frombytes(values.astype(buf.typecode, copy=False).tobytes())
+    else:
+        buf.frombytes(array(buf.typecode, (int(values),)).tobytes() * n)
 
-    A chunk belongs to the last production begun, a production to the last
-    sequence, a load to the last chunk and a store to the last production.
-    """
+
+class _WalkWriter:
+    """Appends a walk's rows a block at a time; `finish` hands out the
+    columns.  Each call returns the index of the first row it appended, so
+    walkers point rows at their parents by offset.  Sequences, productions
+    and chunks go in bus order; so do each channel's transfers."""
 
     def __init__(self):
-        self.tail_start, self.prod_store = array("b"), array("b")
+        self.tail_start = array("b")
         self.prod_seq, self.chunk_prod, self.comp = array("q"), array("q"), array("q")
         self.chan, self.role = array("b"), array("b")
         self.owner, self.slot_words = array("q"), array("q")
@@ -438,33 +457,39 @@ class _WalkWriter:
             array("b"), array("b"), array("b"))
         self.run_off, self.runs = array("q", [0]), array("q")
 
-    def sequence(self, tail_start: bool) -> None:
-        self.tail_start.append(tail_start)
+    def sequences(self, n: int, tail_start: bool) -> int:
+        first = len(self.tail_start)
+        _append(self.tail_start, tail_start, n)
+        return first
 
-    def production(self) -> None:
-        self.prod_seq.append(len(self.tail_start) - 1)
-        self.prod_store.append(NO_STORE)
+    def productions(self, seq: np.ndarray) -> int:
+        first = len(self.prod_seq)
+        _append(self.prod_seq, seq, seq.size)
+        return first
 
-    def chunk(self, comp: int) -> None:
-        self.chunk_prod.append(len(self.prod_seq) - 1)
-        self.comp.append(comp)
+    def chunks(self, prod: np.ndarray, comp) -> int:
+        first = len(self.chunk_prod)
+        _append(self.chunk_prod, prod, prod.size)
+        _append(self.comp, comp, prod.size)
+        return first
 
-    def transfer(self, channel: int, role: int, runs: np.ndarray,
-                 slot_words: int | None, overlapped: bool = False,
-                 per_run_start: bool = False, fresh_start: bool = False) -> None:
-        if role == LOAD:
-            self.owner.append(len(self.comp) - 1)
-        else:
-            self.owner.append(len(self.prod_seq) - 1)
-            self.prod_store[-1] = role
-        self.chan.append(channel)
-        self.role.append(role)
-        self.slot_words.append(slot_words or 0)
-        self.overlapped.append(overlapped)
-        self.per_run_start.append(per_run_start)
-        self.fresh_start.append(fresh_start)
+    def transfers(self, channel: int, role: int, owners: np.ndarray,
+                  tiles: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  overlapped=False, per_run_start=False, fresh_start=False) -> None:
+        """One transfer per owner (its chunk for a load, its production for
+        a store), with the runs, run counts and slot widths of `tiles`; the
+        flags are per transfer or one for all."""
+        runs, counts, slot = tiles
+        n = owners.size
+        _append(self.chan, channel, n)
+        _append(self.role, role, n)
+        _append(self.owner, owners, n)
+        _append(self.slot_words, slot, n)
+        _append(self.overlapped, overlapped, n)
+        _append(self.per_run_start, per_run_start, n)
+        _append(self.fresh_start, fresh_start, n)
+        _append(self.run_off, len(self.runs) // 2 + np.cumsum(counts), n)
         self.runs.frombytes(runs.tobytes())
-        self.run_off.append(len(self.runs) // 2)
 
     def finish(self) -> Walk:
         def col(a: array, dtype) -> np.ndarray:
@@ -475,8 +500,12 @@ class _WalkWriter:
                  for f in ("tail_start", "overlapped", "per_run_start", "fresh_start")}
         ints = {f: col(getattr(self, f), np.int64)
                 for f in ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "run_off")}
-        codes = {f: col(getattr(self, f), np.int8) for f in ("prod_store", "chan", "role")}
-        return Walk(**flags, **ints, **codes, start=runs[:, 0], length=runs[:, 1])
+        codes = {f: col(getattr(self, f), np.int8) for f in ("chan", "role")}
+        stores = codes["role"] != LOAD
+        prod_store = np.full(len(self.prod_seq), NO_STORE, dtype=np.int8)
+        prod_store[ints["owner"][stores]] = codes["role"][stores]
+        return Walk(**flags, **ints, **codes, prod_store=prod_store,
+                    start=runs[:, 0], length=runs[:, 1])
 
 
 @dataclass(frozen=True)
@@ -526,35 +555,25 @@ def _tile_blocks(channels: int, m_on: int, tm: int) -> list[tuple[int, int, int]
 
 
 def _spatial_tiles(ws: WalkSpec, rows: int, cols: int, window,
-                   src_rows: int, src_cols: int) -> list[tuple[int, ...]]:
+                   src_rows: int, src_cols: int) -> np.ndarray:
     """Output tiles in row-major order with the source window each reads
-    and its compute: (r0, r1, i0, i1, c0, c1, j0, j1, comp)."""
+    and its compute, one row each: (r0, r1, i0, i1, c0, c1, j0, j1, comp)."""
     l, t = ws.layer, ws.tile
-    k2 = l.k * l.k
-    row_w = [(r0, r1, *window(r0, r1, l.k, l.s, l.pad, src_rows))
-             for r0, r1 in _ranges(rows, t.tr)]
-    col_w = [(c0, c1, *window(c0, c1, l.k, l.s, l.pad, src_cols))
-             for c0, c1 in _ranges(cols, t.tc)]
-    return [(r0, r1, i0, i1, c0, c1, j0, j1, (r1 - r0) * (c1 - c0) * k2)
-            for r0, r1, i0, i1 in row_w for c0, c1, j0, j1 in col_w]
+    row_w = np.array([(r0, r1, *window(r0, r1, l.k, l.s, l.pad, src_rows))
+                      for r0, r1 in _ranges(rows, t.tr)], dtype=np.int64)
+    col_w = np.array([(c0, c1, *window(c0, c1, l.k, l.s, l.pad, src_cols))
+                      for c0, c1 in _ranges(cols, t.tc)], dtype=np.int64)
+    out = np.empty((len(row_w) * len(col_w), 9), dtype=np.int64)
+    out[:, 0:4] = np.repeat(row_w, len(col_w), axis=0)
+    out[:, 4:8] = np.tile(col_w, (len(row_w), 1))
+    out[:, 8] = (out[:, 1] - out[:, 0]) * (out[:, 5] - out[:, 4]) * l.k * l.k
+    return out
 
 
-def _feature(w: _WalkWriter, channel: int, geom: FeatureGeom, b: int,
-             ch0: int, ch1: int, r0: int, r1: int, c0: int, c1: int) -> None:
-    """One feature tile, stored on OUT and loaded on any other channel.  A
-    load is its own descriptor (the double buffer swaps under it), so it
-    restarts even where the previous one ended."""
-    load = channel != OUT
-    w.transfer(channel, LOAD if load else STORE,
-               geom.tile_runs(b, ch0, ch1, r0, r1, c0, c1), geom.slot_words(ch0, ch1),
-               False, geom.kind == LayoutKind.BCHW, load)
-
-
-def _weights(w: _WalkWriter, channel: int, role: int, wei: WeightGeom,
-             mt: int, nt: int) -> None:
-    """One (Tm x Tn) weight tile, loaded or stored."""
-    w.transfer(channel, role, wei.chunk_runs(mt, nt), wei.slot_words(mt, nt),
-               False, wei.kind == LayoutKind.BCHW)
+def _repeated(tiles: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
+    """`tiles` output for the same tiles n times over, one copy per image."""
+    runs, counts, slot = tiles
+    return np.tile(runs, (n, 1)), np.tile(counts, n), np.tile(slot, n)
 
 
 def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
@@ -564,9 +583,10 @@ def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
 
     A sequence is one weight block of one image; each production stores one
     output tile, accumulating over the chunks of the accumulation channels.
-    The layout branch below sets the loop order, when weight tiles reload
-    and whether the source map is preloaded whole."""
-    l, t, kind, tm = ws.layer, ws.tile, ws.kind, ws.tm
+    A block is built whole, for the whole batch, by index arithmetic: its
+    shape (`block_shape`) depends only on how many output tiles it has, and
+    only its weight and output addresses on where it starts."""
+    l, t, kind, tm, batch = ws.layer, ws.tile, ws.kind, ws.tm, ws.batch
     fp = process is Process.FP
     out_ch, acc_ch, rows, cols, src_rows, src_cols, window = (
         (l.m, l.n, l.r, l.c, l.r_in, l.c_in, fwd_window) if fp
@@ -574,66 +594,90 @@ def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
     src = ws.feature_geom(acc_ch, src_rows, src_cols, ws.fp_m_on)
     dst = ws.feature_geom(out_ch, rows, cols, t.m_on)
     wei = ws.weight_geom()
-    acc_tiles = list(enumerate(_ranges(acc_ch, ws.tn)))
-    spatial = _spatial_tiles(ws, rows, cols, window, src_rows, src_cols)
-    m_on = ceil_div(out_ch, tm) * tm  # one block: every output channel
-
-    if kind == LayoutKind.RESHAPED:
-        # the M_on weight block stays resident over the batch, so channel
-        # tiles are outermost; FP loads a tile's weights with its first
-        # spatial tile, BP the whole block in its first production
-        m_on = t.m_on
-
-        def order(g0, g1):
-            return (((o, o + 1), sp) for o in range(g0, g1) for sp in spatial)
-
-        def reload(b, p, sp):
-            return b == 0 and (sp == spatial[0] if fp else p == 0)
-    elif kind == LayoutKind.BCHW:
-        # baseline: channel tiles innermost, weights refetched every chunk
-        def order(g0, g1):
-            return (((o, o + 1), sp) for sp in spatial for o in range(g0, g1))
-
-        def reload(b, p, sp):
-            return True
-    else:
-        # BHWC reuse: the source map is preloaded whole per image, each
-        # production covers every output channel, weights stream once per
-        # image in storage order
-        def order(g0, g1):
-            return (((g0, g1), sp) for sp in spatial)
-
-        def reload(b, p, sp):
-            return p == 0
-    preload = kind == LayoutKind.BHWC_REUSE
+    r0, r1, i0, i1, c0, c1, j0, j1, comp = _spatial_tiles(
+        ws, rows, cols, window, src_rows, src_cols).T
+    n_sp, sp_all = r0.size, np.arange(r0.size)
+    a0 = np.arange(0, acc_ch, ws.tn)
+    a1, n_acc = np.minimum(acc_ch, a0 + ws.tn), a0.size
+    images = np.arange(batch)
+    bchw = kind == LayoutKind.BCHW
+    preload = int(kind == LayoutKind.BHWC_REUSE)
     bp_block = kind == LayoutKind.RESHAPED and not fp
+    m_on = t.m_on if kind == LayoutKind.RESHAPED else ceil_div(out_ch, tm) * tm
 
+    def block_shape(n_o: int) -> SimpleNamespace:
+        """A block of n_o output tiles over the batch, each row relative to
+        the block's first output tile, sequence, production and chunk."""
+        # one image's productions: first output tile (p_o), output tiles
+        # (p_w) and spatial tile (p_sp); which reload weights, in which images
+        if kind == LayoutKind.RESHAPED:
+            # the M_on weight block stays resident over the batch, so channel
+            # tiles are outermost; FP loads a tile's weights with its first
+            # spatial tile, BP the whole block in its first production
+            p_o, p_sp, p_w = np.repeat(np.arange(n_o), n_sp), np.tile(sp_all, n_o), 1
+            reload = p_sp == 0 if fp else np.arange(p_o.size) == 0
+            reload_images = images[:1]
+        elif bchw:
+            # baseline: channel tiles innermost, weights refetched every chunk
+            p_o, p_sp, p_w = np.tile(np.arange(n_o), n_sp), np.repeat(sp_all, n_o), 1
+            reload, reload_images = np.ones(p_o.size, dtype=bool), images
+        else:
+            # BHWC reuse: the source map is preloaded whole per image, each
+            # production covers every output channel, weights stream once per
+            # image in storage order
+            p_o, p_sp, p_w = np.zeros(n_sp, dtype=np.int64), sp_all, n_o
+            reload, reload_images = sp_all == 0, images
+        n_prod = p_o.size
+        # one image's chunks: production, output tile, accumulation tile
+        c_p, rank = _nested(np.full(n_prod, p_w * n_acc))
+        c_o, c_a = p_o[c_p] + rank // n_acc, rank % n_acc
+        img_prods, img_chunks = preload + n_prod, preload + c_p.size
+        c_prod, c_comp = c_p + preload, comp[p_sp[c_p]]
+        if preload:
+            c_prod, c_comp = np.append(0, c_prod), np.append(0, c_comp)
+        k = SimpleNamespace(prod_seq=np.repeat(images, img_prods),
+                            chunk_prod=(images[:, None] * img_prods + c_prod).ravel(),
+                            comp=np.tile(c_comp, batch), out_w=p_w)
+        if preload:
+            k.ifm_owner = images * img_chunks
+            k.ifm = src.tiles(images, 0, acc_ch, 0, src_rows, 0, src_cols)
+        else:
+            b, a, sp = np.repeat(images, c_p.size), np.tile(c_a, batch), np.tile(p_sp[c_p], batch)
+            k.ifm_owner = np.arange(b.size)
+            k.ifm = src.tiles(b, a0[a], a1[a], i0[sp], i1[sp], j0[sp], j1[sp])
+        load = np.flatnonzero(reload[c_p])
+        k.wei_owner = (preload + reload_images[:, None] * img_chunks + load).ravel()
+        k.wei_o, k.wei_a, k.reload_images = c_o[load], c_a[load], reload_images.size
+        b, q = np.repeat(images, n_prod), np.tile(np.arange(n_prod), batch)
+        sp = p_sp[q]
+        k.out_owner, k.out_b, k.out_o = preload + b * img_prods + q, b, p_o[q]
+        k.out_rc = (r0[sp], r1[sp], c0[sp], c1[sp])
+        return k
+
+    shapes: dict[int, SimpleNamespace] = {}
     w = _WalkWriter()
     for g0, g1, width in _tile_blocks(out_ch, m_on, tm):
-        for b in range(ws.batch):
-            w.sequence(True)
-            if preload:
-                w.production()
-                w.chunk(0)
-                _feature(w, IFM, src, b, 0, acc_ch, 0, src_rows, 0, src_cols)
-            for p, ((o0, o1), sp) in enumerate(order(g0, g1)):
-                r0, r1, i0, i1, c0, c1, j0, j1, comp = sp
-                load_wei = reload(b, p, sp)
-                w.production()
-                for o in range(o0, o1):
-                    for a, (a0, a1) in acc_tiles:
-                        w.chunk(comp)
-                        if not preload:
-                            _feature(w, IFM, src, b, a0, a1, i0, i1, j0, j1)
-                        if load_wei and bp_block:
-                            # one descriptor per block; its first chunk
-                            # does not wait for it
-                            w.transfer(WEI, LOAD, wei.bp_block_runs(a, g0, g1),
-                                       width * min(ws.tn, acc_ch), a == 0, False, True)
-                        elif load_wei:
-                            _weights(w, WEI, LOAD, wei, *((o, a) if fp else (a, o)))
-                _feature(w, OUT, dst, b, o0 * tm, min(out_ch, o1 * tm),
-                         r0, r1, c0, c1)
+        if g1 - g0 not in shapes:
+            shapes[g1 - g0] = block_shape(g1 - g0)
+        k = shapes[g1 - g0]
+        s = w.sequences(batch, True)
+        p = w.productions(s + k.prod_seq)
+        c = w.chunks(p + k.chunk_prod, k.comp)
+        w.transfers(IFM, LOAD, c + k.ifm_owner, k.ifm, per_run_start=bchw, fresh_start=True)
+        if bp_block:
+            # one descriptor per block; its first chunk does not wait for it
+            runs, counts, _ = wei.tiles(k.wei_a, g0, g1)
+            w.transfers(WEI, LOAD, c + k.wei_owner, (runs, counts, width * min(ws.tn, acc_ch)),
+                        overlapped=k.wei_a == 0, fresh_start=True)
+        else:
+            o = g0 + k.wei_o
+            tiles = wei.tiles(o, k.wei_a) if fp else wei.tiles(k.wei_a, o)
+            w.transfers(WEI, LOAD, c + k.wei_owner, _repeated(tiles, k.reload_images),
+                        per_run_start=bchw)
+        o = g0 + k.out_o
+        w.transfers(OUT, STORE, p + k.out_owner,
+                    dst.tiles(k.out_b, o * tm, np.minimum(out_ch, (o + k.out_w) * tm), *k.out_rc),
+                    per_run_start=bchw)
     return w.finish()
 
 
@@ -647,74 +691,89 @@ def walk_bp(ws: WalkSpec) -> Walk:
 
 def walk_wu(ws: WalkSpec) -> Walk:
     """Weight update: gradients accumulate over the batch per weight tile;
-    updated weights stream out once per block after the last image."""
-    l, t = ws.layer, ws.tile
+    updated weights stream out once per block after the last image.  Each
+    weight block is built whole by index arithmetic; its weights are read
+    once, merged into as few runs as storage allows, under the first chunk
+    of the last image."""
+    l, t, tm, batch = ws.layer, ws.tile, ws.tm, ws.batch
     act = ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on)
     loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
     wei = ws.weight_geom()
     map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
-    n_tiles = list(enumerate(_ranges(l.n, ws.tn)))
-    use_m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, ws.tm) * ws.tm
+    n0 = np.arange(0, l.n, ws.tn)
+    n1, n_n = np.minimum(l.n, n0 + ws.tn), n0.size
+    use_m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, tm) * tm
     bchw = ws.kind == LayoutKind.BCHW
     resident = l.r <= t.tr and not bchw
+    images, last = np.arange(batch), batch - 1
+    if not resident:
+        r0, r1, i0, i1, c0, c1, j0, j1, comp = _spatial_tiles(
+            ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
 
     w = _WalkWriter()
-    for g0, g1, _ in _tile_blocks(l.m, use_m_on, ws.tm):
-        m_tiles = range(g0, g1)
-        wei_runs = _merged(np.concatenate([wei.chunk_runs(mt, nt) for mt in m_tiles
-                                           for nt, _ in n_tiles]))
+    for g0, g1, _ in _tile_blocks(l.m, use_m_on, tm):
+        n_m = g1 - g0
+        m0 = np.arange(g0, g1) * tm
+        m1 = np.minimum(l.m, m0 + tm)
+        # every (m-tile, n-tile) weight tile of the block, m-tile major
+        wei_tiles = wei.tiles(np.repeat(np.arange(g0, g1), n_n), np.tile(np.arange(n_n), n_m))
+        wei_runs = _merged(wei_tiles[0])
+        wei_load = (wei_runs, np.array([len(wei_runs)]), np.zeros(1, dtype=np.int64))
         if resident and ws.kind == LayoutKind.BHWC_REUSE:
-            # channel-last reuse: both maps stream in whole, once per image
-            w.sequence(False)
-            for b in range(ws.batch):
-                last = b == ws.batch - 1
-                w.production()
-                w.chunk(0)
-                _feature(w, IFM, act, b, 0, l.n, 0, l.r_in, 0, l.c_in)
-                _feature(w, OFM, loss, b, 0, l.m, 0, l.r, 0, l.c)
-                for mt in m_tiles:
-                    w.production()
-                    for nt, _ in n_tiles:
-                        w.chunk(map_comp)
-                        if last and mt == g0 and nt == 0:
-                            w.transfer(WEI, LOAD, wei_runs, None, True, bchw)
-                    if last:
-                        for nt, _ in n_tiles:
-                            _weights(w, OUT, CHUNK_STORE, wei, mt, nt)
+            # channel-last reuse: both maps stream in whole, once per image;
+            # an image is one loading production, then one per m-tile of
+            # n-tile chunks
+            s = w.sequences(1, False)
+            img_prods, img_chunks = 1 + n_m, 1 + n_m * n_n
+            p = w.productions(np.full(batch * img_prods, s))
+            c_prod = np.append(0, 1 + np.repeat(np.arange(n_m), n_n))
+            c = w.chunks((p + images[:, None] * img_prods + c_prod).ravel(),
+                         np.tile(np.append(0, np.full(n_m * n_n, map_comp)), batch))
+            first = c + images * img_chunks
+            w.transfers(IFM, LOAD, first, act.tiles(images, 0, l.n, 0, l.r_in, 0, l.c_in),
+                        fresh_start=True)
+            w.transfers(OFM, LOAD, first, loss.tiles(images, 0, l.m, 0, l.r, 0, l.c),
+                        fresh_start=True)
+            w.transfers(WEI, LOAD, np.array([c + last * img_chunks + 1]), wei_load,
+                        overlapped=True)
+            w.transfers(OUT, CHUNK_STORE,
+                        p + last * img_prods + 1 + np.repeat(np.arange(n_m), n_n), wei_tiles)
         elif resident:
-            for mt in m_tiles:
-                ch0, ch1 = mt * ws.tm, min(l.m, mt * ws.tm + ws.tm)
-                w.sequence(False)
-                for b in range(ws.batch):
-                    last = b == ws.batch - 1
-                    w.production()
-                    for nt, (n0, n1) in n_tiles:
-                        w.chunk(map_comp)
-                        _feature(w, IFM, act, b, n0, n1, 0, l.r_in, 0, l.c_in)
-                        if nt == 0:
-                            _feature(w, OFM, loss, b, ch0, ch1, 0, l.r, 0, l.c)
-                        if last and nt == 0 and mt == g0:
-                            w.transfer(WEI, LOAD, wei_runs, None, True, bchw)
-                    if last:
-                        for nt, _ in n_tiles:
-                            _weights(w, OUT, CHUNK_STORE, wei, mt, nt)
+            # a sequence per m-tile, a production per image, a chunk per n-tile
+            s = w.sequences(n_m, False)
+            p = w.productions(s + np.repeat(np.arange(n_m), batch))
+            c = w.chunks(p + np.repeat(np.arange(n_m * batch), n_n), map_comp)
+            b, nt = np.tile(np.repeat(images, n_n), n_m), np.tile(np.arange(n_n), n_m * batch)
+            w.transfers(IFM, LOAD, c + np.arange(b.size),
+                        act.tiles(b, n0[nt], n1[nt], 0, l.r_in, 0, l.c_in), fresh_start=True)
+            # the m-tile's loss map, with each production's first chunk
+            b, mt = np.tile(images, n_m), np.repeat(np.arange(n_m), batch)
+            w.transfers(OFM, LOAD, c + np.arange(b.size) * n_n,
+                        loss.tiles(b, m0[mt], m1[mt], 0, l.r, 0, l.c), fresh_start=True)
+            w.transfers(WEI, LOAD, np.array([c + last * n_n]), wei_load, overlapped=True)
+            w.transfers(OUT, CHUNK_STORE, p + np.repeat(np.arange(n_m) * batch + last, n_n),
+                        wei_tiles)
         else:
-            spatial = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in)
-            w.sequence(False)
-            for b in range(ws.batch):
-                last = b == ws.batch - 1
-                for mt in m_tiles:
-                    ch0, ch1 = mt * ws.tm, min(l.m, mt * ws.tm + ws.tm)
-                    for nt, (n0, n1) in n_tiles:
-                        w.production()
-                        for r0, r1, i0, i1, c0, c1, j0, j1, comp in spatial:
-                            w.chunk(comp)
-                            _feature(w, IFM, act, b, n0, n1, i0, i1, j0, j1)
-                            _feature(w, OFM, loss, b, ch0, ch1, r0, r1, c0, c1)
-                            if last and mt == g0 and nt == 0 and r0 == 0 and c0 == 0:
-                                w.transfer(WEI, LOAD, wei_runs, None, True, bchw)
-                        if last:
-                            _weights(w, OUT, STORE, wei, mt, nt)
+            # one sequence; a production per (image, m-tile, n-tile), a chunk
+            # per spatial tile
+            n_sp, n_prod = r0.size, batch * n_m * n_n
+            s = w.sequences(1, False)
+            p = w.productions(np.full(n_prod, s))
+            c = w.chunks(p + np.repeat(np.arange(n_prod), n_sp), np.tile(comp, n_prod))
+            b = np.repeat(images, n_m * n_n * n_sp)
+            mt = np.tile(np.repeat(np.arange(n_m), n_n * n_sp), batch)
+            nt = np.tile(np.repeat(np.arange(n_n), n_sp), batch * n_m)
+            sp = np.tile(np.arange(n_sp), n_prod)
+            w.transfers(IFM, LOAD, c + np.arange(b.size),
+                        act.tiles(b, n0[nt], n1[nt], i0[sp], i1[sp], j0[sp], j1[sp]),
+                        per_run_start=bchw, fresh_start=True)
+            w.transfers(OFM, LOAD, c + np.arange(b.size),
+                        loss.tiles(b, m0[mt], m1[mt], r0[sp], r1[sp], c0[sp], c1[sp]),
+                        per_run_start=bchw, fresh_start=True)
+            w.transfers(WEI, LOAD, np.array([c + last * n_m * n_n * n_sp]), wei_load,
+                        overlapped=True, per_run_start=bchw)
+            w.transfers(OUT, STORE, p + last * n_m * n_n + np.arange(n_m * n_n),
+                        wei_tiles, per_run_start=bchw)
     return w.finish()
 
 

@@ -103,6 +103,10 @@ class DeviceSpec:
             v = getattr(self, f)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"DeviceSpec.{f} must be in (0, 1]")
+        if not self.clock_hz > 0:
+            raise ValueError("DeviceSpec.clock_hz must be positive")
+        if self.bank_words() < 1:
+            raise ValueError(f"a {self.bram_bits}-bit bank holds no {self.bits_per_word}-bit word")
 
     @property
     def p(self) -> int:
@@ -145,6 +149,8 @@ def validate_and_infer(net: NetworkSpec) -> NetworkSpec:
                 l = replace(l, r_in=(l.r - 1) * l.s + l.k - 2 * l.pad,
                             c_in=(l.c - 1) * l.s + l.k - 2 * l.pad)
             ch_in, r_in, c_in = l.n, l.r_in, l.c_in
+            if r_in < 1 or c_in < 1:
+                raise InvalidLayer(f"layer 0: input map {r_in}x{c_in} is empty")
         else:
             ch_in, r_in, c_in = prev_m, prev_r, prev_c
 

@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trainsim.cli import main
 from trainsim.datasets import load_raw, save_raw, synthetic_batches
@@ -282,3 +285,187 @@ def test_plan_override_not_a_number_is_config_error(tmp_path):
     rc = run(["estimate", "--net", "alexnet_conv", "--device", "zcu102",
               "--plan", plan, "--out", str(tmp_path)])
     assert rc == 2
+
+
+def _write(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_network_with_empty_input_map_is_config_error(tmp_path, capsys):
+    # layer 0's declared 2x1 output under k=3, pad=2 needs a 0x-1 input
+    net = _write(tmp_path, "net.json", {"layers": [
+        {"kind": "conv", "m": 4, "n": 1, "r": 2, "c": 1, "k": 3, "s": 1, "pad": 2},
+        {"kind": "fc", "m": 2, "n": 8}, {"kind": "softmax_xent"}]})
+    rc = run(["train", "--net", net, "--steps", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "input map" in capsys.readouterr().err
+
+
+def test_network_numbers_are_integers(tmp_path):
+    layers = [{"kind": "conv", "m": 2, "n": 1, "k": 3, "s": 1, "pad": 1, "r_in": "6", "c_in": 6}]
+    ok = _write(tmp_path, "ok.json", {"layers": layers, "batch": 2.0})
+    assert run(["schedule", "--net", ok, "--device", "zcu102", "--out", str(tmp_path)]) == 0
+    # once a TypeError deep in shape inference, and a batch cut to 2
+    for doc in ({"layers": [{**layers[0], "r_in": "x"}]}, {"layers": layers, "batch": 2.5}):
+        bad = _write(tmp_path, "bad.json", doc)
+        assert run(["schedule", "--net", bad, "--device", "zcu102", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"bram_bits": 64, "bits_per_word": 50},  # a bank too narrow for one word
+    {"clock_hz": 0},
+    {"stream_width_words": 2.5},  # once priced in fractional cycles
+])
+def test_unusable_device_is_config_error(tmp_path, capsys, fields):
+    dev = _write(tmp_path, "dev.json", fields)
+    rc = run(["schedule", "--net", "cifar6", "--device", dev, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers", ["4", [5], {"layer": 0}])
+def test_plan_entries_not_objects_are_config_error(tmp_path, layers):
+    plan = _write(tmp_path, "plan.json", {"tm": 16, "tn": 16, "layers": layers})
+    rc = run(["layout-dump", "--net", "alexnet_conv", "--plan", plan,
+              "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
+    # as init_params fails on a 100000-wide kernel, without allocating here
+    def too_large(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("trainsim.engine.init_params", too_large)
+    rc = run(["train", "--net", "cifar6", "--batch", "2", "--steps", "1",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+
+
+def test_layout_dump_plan_for_missing_layer_is_config_error(tmp_path, capsys):
+    plan = _alexnet_plan(tmp_path, layer=9)
+    rc = run(["layout-dump", "--net", "alexnet_conv", "--plan", plan,
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "plan mismatch" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ exit codes
+
+# 99 is large next to the drawn sizes, yet a network built with it stays a
+# few MB, so the test's memory is bounded
+ODD = st.sampled_from([0, -1, 2.5, "4", "x", None, True, [], 99])
+
+
+@st.composite
+def _network(draw):
+    """A network config that is mostly valid (a conv/fc stem, then layers
+    chained to its shape, maybe a loss head), with one field sometimes made
+    odd; and each weighted layer's output and input map."""
+    m, n, r = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    s, pad, c = draw(st.integers(1, 2)), draw(st.integers(0, k - 1)), draw(st.integers(1, r))
+    layers = [{"kind": draw(st.sampled_from(["conv", "fc"])), "m": m, "n": n, "r": r,
+               "c": c, "k": k, "s": s, "pad": pad}]
+    maps = {0: (r, c, (r - 1) * s + k - 2 * pad, (c - 1) * s + k - 2 * pad)}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["conv", "fc", "relu", "maxpool", "avgpool", "batchnorm"]))
+        if kind == "conv":
+            k, s = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+            pad = draw(st.integers(0, k - 1))
+            if k > min(r, c) + 2 * pad:
+                continue
+            m_in, r_in, c_in, m = m, r, c, draw(st.integers(1, 6))
+            r, c = (r + 2 * pad - k) // s + 1, (c + 2 * pad - k) // s + 1
+            maps[len(layers)] = (r, c, r_in, c_in)
+            layers.append({"kind": "conv", "m": m, "n": m_in, "k": k, "s": s, "pad": pad})
+        elif kind == "fc":
+            maps[len(layers)] = (1, 1, 1, 1)
+            layers.append({"kind": "fc", "m": draw(st.integers(1, 8)), "n": m * r * c})
+            m, r, c = layers[-1]["m"], 1, 1
+        elif kind.endswith("pool"):
+            if min(r, c) >= 2:
+                layers.append({"kind": kind, "k": 2, "s": 2})
+                r, c = r // 2, c // 2
+        else:
+            layers.append({"kind": kind})
+    if draw(st.booleans()):
+        if (r, c) != (1, 1):
+            maps[len(layers)] = (1, 1, 1, 1)
+            layers.append({"kind": "fc", "m": draw(st.integers(2, 5)), "n": m * r * c})
+        layers.append({"kind": "softmax_xent"})
+    if draw(st.integers(0, 3)) == 0:
+        layer = draw(st.sampled_from(layers))
+        layer[draw(st.sampled_from(["m", "n", "r", "k", "s", "pad", "kind", "r_in"]))] = draw(ODD)
+    return {"name": "fuzz", "layers": layers}, maps
+
+
+@st.composite
+def _plan(draw, maps):
+    """A plan with tiles inside each weighted layer's maps, with an entry
+    sometimes missing and one field sometimes made odd."""
+    tm = draw(st.sampled_from([1, 2, 4, 16]))
+    entries = []
+    for i, (r, c, r_in, c_in) in sorted(maps.items()):
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        e = {"layer": i, "tr": draw(st.integers(1, r)), "tc": draw(st.integers(1, c)),
+             "m_on": tm * draw(st.integers(1, 3))}
+        if draw(st.booleans()):
+            e["bp_tr"] = draw(st.integers(1, max(1, r_in)))
+            e["bp_m_on"] = tm * draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            e["wu_tr"] = draw(st.integers(1, r))
+        entries.append(e)
+    doc = {"tm": tm, "tn": draw(st.sampled_from([tm, tm, tm, 2])), "layers": entries}
+    if draw(st.integers(0, 3)) == 0:
+        target = draw(st.sampled_from([doc, *entries]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(ODD)
+    return doc
+
+
+_DEVICE_RANGES = {"total_dsps": (4, 3000), "total_brams": (4, 1000), "bram_bits": (32, 40000),
+                  "dsps_per_mac": (1, 6), "stream_width_words": (1, 8), "t_start": (1, 500),
+                  "bits_per_word": (8, 64)}
+
+
+@st.composite
+def _device(draw):
+    """A device preset, or a config of some fields in range (small budgets
+    make schedules infeasible), with one field sometimes made odd."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["zcu102", "pynq_z1"]))
+    doc = {f: draw(st.integers(lo, hi)) for f, (lo, hi) in _DEVICE_RANGES.items()
+           if draw(st.booleans())}
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from([*_DEVICE_RANGES, "clock_hz", "dsp_budget_frac"]))] = draw(ODD)
+    return doc
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), cmd=st.sampled_from(["schedule", "estimate", "simulate",
+                                            "layout-dump", "train"]),
+       batch=st.integers(-1, 3), layout=st.sampled_from(["bchw", "bhwc", "reshaped", "zigzag"]))
+def test_cli_exit_codes(tmp_path_factory, data, cmd, batch, layout):
+    # any config the CLI is given ends in ok, a config error or infeasible,
+    # never in an internal error
+    net, maps = data.draw(_network())
+    plan, dev = data.draw(_plan(maps)), data.draw(_device())
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [cmd, "--net", _write(tmp, "net.json", net), "--batch", str(batch),
+            "--out", str(tmp / "out")]
+    if cmd in ("schedule", "estimate", "simulate"):
+        argv += ["--device", dev if isinstance(dev, str) else _write(tmp, "dev.json", dev)]
+    if cmd in ("estimate", "simulate", "layout-dump"):
+        argv += ["--plan", _write(tmp, "plan.json", plan)]
+    if cmd in ("simulate", "layout-dump"):
+        argv += ["--layout", layout]
+    if cmd == "train":
+        argv += ["--steps", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run(argv)
+    assert rc in (0, 2, 3), err.getvalue()

@@ -142,6 +142,90 @@ def test_reshaped_tile_requires_group_alignment():
         g.tile_runs(0, 1, 3, 0, 2, 0, 4)
 
 
+def _words(runs) -> list[int]:
+    return [a for s, l in runs.tolist() for a in range(s, s + l)]
+
+
+def _split(runs, counts) -> list:
+    return np.split(runs, np.cumsum(counts)[:-1])
+
+
+def _check_tiles(geom, tiles, scan_addrs):
+    """`geom.tiles` over all `tiles` at once: each tile's runs expand to
+    `scan_addrs(tile)`, and the call equals its one-tile calls in turn."""
+    runs, counts, slot = geom.tiles(*(np.array(col) for col in zip(*tiles)))
+    assert len(counts) == len(slot) == len(tiles)
+    singles = [geom.tiles(*tile) for tile in tiles]
+    for tile, tile_runs, one in zip(tiles, _split(runs, counts), singles):
+        assert _words(tile_runs) == scan_addrs(tile)
+        assert (tile_runs[:, 1] > 0).all()
+    assert np.array_equal(runs, np.concatenate([one[0] for one in singles]))
+    assert counts.tolist() == [int(one[1][0]) for one in singles]
+    assert slot.tolist() == [int(one[2][0]) for one in singles]
+    return slot
+
+
+def _span(data, extent):
+    lo = data.draw(st.integers(0, extent - 1))
+    return lo, data.draw(st.integers(lo, extent))  # may be empty
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(LayoutKind.ALL), batch=st.integers(1, 3),
+       ch=st.integers(1, 11), rows=st.integers(1, 5), cols=st.integers(1, 5),
+       tm=st.sampled_from([1, 2, 3, 4]), groups=st.integers(1, 3))
+def test_feature_tiles_expand_to_addresses(data, kind, batch, ch, rows, cols, tm, groups):
+    geom = FeatureGeom(kind, batch, ch, rows, cols, tm=tm, m_on=tm * groups)
+    tiles = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        if kind == LayoutKind.RESHAPED:  # whole Tm groups only
+            ch0 = data.draw(st.integers(0, (ch - 1) // tm)) * tm
+            ch1 = min(ch, ch0 + tm)
+        else:
+            ch0, ch1 = _span(data, ch)
+        tiles.append((data.draw(st.integers(0, batch - 1)), ch0, ch1,
+                      *_span(data, rows), *_span(data, cols)))
+
+    def scan(tile):
+        b, ch0, ch1, r0, r1, c0, c1 = tile
+        if kind == LayoutKind.BCHW:
+            return [geom.addr(b, m, r, c) for m in range(ch0, ch1)
+                    for r in range(r0, r1) for c in range(c0, c1)]
+        return [geom.addr(b, m, r, c) for r in range(r0, r1)
+                for c in range(c0, c1) for m in range(ch0, ch1)]
+
+    slot = _check_tiles(geom, tiles, scan)
+    assert slot.tolist() == [0 if kind == LayoutKind.BCHW else t[2] - t[1] for t in tiles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(LayoutKind.ALL), m=st.integers(1, 11),
+       n=st.integers(1, 11), k=st.integers(1, 3), tm=st.sampled_from([1, 2, 3, 4]),
+       tn=st.sampled_from([1, 2, 3, 4]), block=st.booleans())
+def test_weight_tiles_expand_to_addresses(data, kind, m, n, k, tm, tn, block):
+    geom = WeightGeom(kind, m, n, k, tm, tn, 2 * tm)
+    n_tiles = -(-n // tn)
+    tiles = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        mt, nt = data.draw(st.integers(0, (m - 1) // tm)), data.draw(st.integers(0, n_tiles - 1))
+        tiles.append((mt, nt, data.draw(st.integers(nt + 1, n_tiles))) if block else (mt, nt))
+
+    def scan(tile):
+        mt, nt = tile[:2]
+        nt1 = tile[2] if block else nt + 1
+        ms = range(mt * tm, min(m, mt * tm + tm))
+        if kind == LayoutKind.BCHW:
+            return [geom.addr(a, b, kr, kc) for a in ms for b in range(nt * tn, min(n, nt1 * tn))
+                    for kr in range(k) for kc in range(k)]
+        return [geom.addr(a, b, kr, kc) for t in range(nt, nt1) for kr in range(k)
+                for kc in range(k) for b in range(t * tn, min(n, t * tn + tn)) for a in ms]
+
+    slot = _check_tiles(geom, tiles, scan)
+    if not block:
+        assert slot.tolist() == [0 if kind == LayoutKind.BCHW else
+                                 geom.m_width(mt) * geom.n_width(nt) for mt, nt in tiles]
+
+
 # ------------------------------------------------------------------ traces
 
 def test_fp_weight_scan_is_storage_order():

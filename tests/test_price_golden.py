@@ -1,8 +1,9 @@
 """Golden digests of the priced walks.
 
-Each case hashes what `simulate_layer` makes of one golden walk (every case
-of `test_walk_golden.cases()`) on the zcu102 device: total cycles, bursts
-and words per channel, and the burst-length histogram of each channel.
+Each case hashes what `simulate_sequences` makes of one golden walk (every
+walk of `test_walk_golden.walks()`, which the suite walks once for both
+golden tests) on the zcu102 device: total cycles, bursts and words per
+channel, and the burst-length histogram of each channel.
 The digests in golden/prices.json were captured from the per-run scalar
 pricer, before pricing moved to numpy; regenerate them only for a change
 that is meant to move a price:
@@ -19,11 +20,9 @@ if __name__ == "__main__":  # run as a script: use the package in this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from trainsim.config import load_device  # noqa: E402
-from trainsim.dma import simulate_layer  # noqa: E402
-from trainsim.layout import LayoutKind  # noqa: E402
-from trainsim.plan import Process  # noqa: E402
+from trainsim.dma import simulate_sequences  # noqa: E402
 
-from test_walk_golden import cases  # noqa: E402
+from test_walk_golden import walks  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "prices.json"
 
@@ -34,27 +33,19 @@ def price_digest(res) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def price_digests() -> dict[str, str]:
+def price_digests(pairs) -> dict[str, str]:
     dev = load_device("zcu102")
-    digests = {}
-    for case, net, plan, batch in cases():
-        for idx in sorted(plan.entries):
-            layer = net.layers[idx]
-            for proc in Process:
-                for kind in LayoutKind.ALL:
-                    res = simulate_layer(proc, layer, plan, kind, dev, batch, idx=idx)
-                    digests[f"{case}/{idx}/{proc.value}/{kind}"] = price_digest(res)
-    return digests
+    return {key: price_digest(simulate_sequences(walk, dev)) for key, walk in pairs}
 
 
-def test_prices_match_golden():
+def test_prices_match_golden(golden_walks):
     golden = json.loads(GOLDEN.read_text())
-    got = price_digests()
+    got = price_digests(golden_walks.items())
     assert sorted(got) == sorted(golden)
     moved = sorted(k for k in got if got[k] != golden[k])
     assert not moved, f"{len(moved)} prices changed, e.g. {moved[:5]}"
 
 
 if __name__ == "__main__":
-    json.dump(price_digests(), sys.stdout, indent=1, sort_keys=True)
+    json.dump(price_digests(walks()), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

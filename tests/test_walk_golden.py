@@ -115,16 +115,19 @@ def cases():
     return out
 
 
-def walk_digests() -> dict[str, str]:
-    digests = {}
+def walks():
+    """(case id/layer/pass/layout, walk) for every golden walk, in turn."""
     for case, net, plan, batch in cases():
         for idx in sorted(plan.entries):
             layer = net.layers[idx]
             for proc in Process:
                 for kind in LayoutKind.ALL:
-                    seqs = layer_sequences(proc, layer, plan, kind, batch, idx=idx)
-                    digests[f"{case}/{idx}/{proc.value}/{kind}"] = walk_digest(seqs)
-    return digests
+                    yield (f"{case}/{idx}/{proc.value}/{kind}",
+                           layer_sequences(proc, layer, plan, kind, batch, idx=idx))
+
+
+def walk_digests(pairs) -> dict[str, str]:
+    return {key: walk_digest(walk) for key, walk in pairs}
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +135,8 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_walks_match_golden(golden):
-    got = walk_digests()
+def test_walks_match_golden(golden, golden_walks):
+    got = walk_digests(golden_walks.items())
     assert sorted(got) == sorted(golden)
     moved = sorted(k for k in got if got[k] != golden[k])
     assert not moved, f"{len(moved)} walks changed, e.g. {moved[:5]}"
@@ -151,5 +154,5 @@ def test_digest_sees_pricing_flags():
 
 
 if __name__ == "__main__":
-    json.dump(walk_digests(), sys.stdout, indent=1, sort_keys=True)
+    json.dump(walk_digests(walks()), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
