@@ -168,12 +168,13 @@ def cmd_layout_dump(args) -> int:
                 traces = layout.trace_layer(proc, net.layers[i], plan, kind,
                                             net.batch, idx=i)
                 for chan, runs in traces.items():
-                    if not runs:
+                    if not len(runs):
                         continue
-                    base = bases.get((i, proc.value, chan.value), 0)
-                    for bi, burst in enumerate(dma.split_bursts(runs)):
-                        w.writerow([i, proc.value, chan.value, bi,
-                                    base + burst.start, burst.length])
+                    bursts = dma.split_bursts(runs)
+                    key = (i, proc.value, chan.value)
+                    bursts[:, 0] += bases[key]
+                    w.writerows([*key, bi, start, length]
+                                for bi, (start, length) in enumerate(bursts.tolist()))
     print(f"wrote layout_{kind}.csv ({len(table)} regions)")
     return EXIT_OK
 

@@ -2,7 +2,13 @@
 
 A burst is a maximal run of consecutive word addresses; the DMA restarts
 (t_start cycles) at every discontinuity and otherwise streams p words per
-cycle.  The layer simulator prices a columnar `layout.Walk`: the exact
+cycle.  `split_bursts` merges a whole trace (an (n, 2) run array, as
+`layout.trace_layer` gives one per channel) into its bursts, which
+`layout-dump` lists.  The pricer charges more restarts than that: a
+transfer's descriptor policy (`per_run_start`, `fresh_start`) restarts
+runs that would continue their predecessor.
+
+The layer simulator prices a columnar `layout.Walk`: the exact
 production pipeline the analytic model assumes, with every transfer priced
 from the bursts its runs actually produce.  It works in numpy, one channel
 at a time, in two steps:
@@ -27,30 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrace
 from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div
 from .perf import LatencyReport, ReportRow, network_report
 from .plan import Process, TilePlan
-from .layout import (CHANNELS, LOAD, STORE, Run, Walk, layer_sequences,
-                     merge_runs)
+from .layout import CHANNELS, LOAD, STORE, Walk, layer_sequences, merge_runs
 
 
-@dataclass(frozen=True)
-class Burst:
-    start: int
-    length: int
-
-
-def split_bursts(trace: list[Run]) -> list[Burst]:
-    """Maximal contiguous runs of a trace; concatenation reproduces it."""
-    if len(trace) == 0:
-        raise EmptyTrace("cannot split an empty trace")
-    return [Burst(s, l) for s, l in merge_runs(list(trace))]
-
-
-def transfer_cycles(bursts: list[Burst], dev: DeviceSpec) -> int:
-    """One restart penalty per burst plus streaming at p words/cycle."""
-    return sum(dev.t_start + ceil_div(b.length, dev.p) for b in bursts)
+def split_bursts(runs: np.ndarray) -> np.ndarray:
+    """The bursts of a trace's (n, 2) run array, its maximal contiguous
+    runs, as a (k, 2) int64 array; their concatenation reproduces the
+    trace, and an empty trace has none."""
+    return merge_runs(runs)
 
 
 def _beats(length: np.ndarray, slot_words: np.ndarray, p: int) -> np.ndarray:
@@ -209,5 +202,5 @@ def stream_estimate(layer: LayerSpec, process: Process, dev: DeviceSpec,
     return 2 * dev.t_start + ceil_div(words_in, dev.p) + ceil_div(words_out, dev.p)
 
 
-__all__ = ["Burst", "split_bursts", "transfer_cycles", "SimResult",
+__all__ = ["split_bursts", "SimResult",
            "simulate_sequences", "simulate_layer", "simulate_report", "stream_estimate"]

@@ -25,16 +25,8 @@ class RegionMismatch(ValueError):
     """A DRAM region's size does not match the tensor being packed."""
 
 
-class RegionOverflow(ValueError):
-    """The DRAM region table does not fit in the modeled memory."""
-
-
 class OutOfRange(IndexError):
     """A coordinate falls outside its tensor."""
-
-
-class EmptyTrace(ValueError):
-    """A DMA trace with no addresses cannot be split into bursts."""
 
 
 class MissingIndices(ValueError):

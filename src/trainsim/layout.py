@@ -15,14 +15,17 @@ Weight storage for the tile-major layouts is (block, m-tile, n-tile) with
 one contiguous scan.  All maps are fully packed bijections onto their
 regions; addresses are 32-bit word indices, never bytes.
 
-Traces are run-length encoded.  `FeatureGeom.tiles` and `WeightGeom.tiles`
-give the (start, length) runs of many tiles in one call, by one strided
-expansion (`_strided`): a tile is n_out x n_in runs at base + o*s_out +
-i*s_in.  A layer pass is one columnar trace, a `Walk`: flat arrays of
-sequences, productions, chunks and transfers, each row pointing at its
-parent, plus the runs of every transfer in one start and one length
-column.  Sequences, productions and chunks are in bus order, and so are
-each channel's transfers.
+Traces are run-length encoded, and a run list is always an (n, 2) int64
+array of (start, length) rows.  `FeatureGeom.tiles` and `WeightGeom.tiles`
+give the runs of many tiles in one call, by one strided expansion
+(`_strided`): a tile is n_out x n_in runs at base + o*s_out + i*s_in.  A
+layer pass is one columnar trace, a `Walk`: flat arrays of sequences,
+productions, chunks and transfers, each row pointing at its parent, plus
+the runs of every transfer in one start and one length column.
+Sequences, productions and chunks are in bus order, and so are each
+channel's transfers.  `Walk.runs` gathers the runs of some transfers,
+`trace_layer` those of each channel, and `merge_runs` folds runs that
+continue each other into the maximal contiguous ones.
 
 Walkers build a walk by index arithmetic, one weight block at a time: the
 only Python loop left is the one over blocks, and a `_WalkWriter` appends
@@ -34,9 +37,7 @@ weights; WU has its own.
 Descriptor policy lives where transfers are made: every feature load is
 its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
 per run (`per_run_start`), and `_walk_conv` builds the reshaped BP weight
-block.  dma.py prices the flags and the pipeline, one channel at a time;
-`trace_layer` and `reconstruct_operands` read the run columns with one
-gather per channel.
+block.  dma.py prices the flags and the pipeline, one channel at a time.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (ConfigError, OutOfRange, RegionMismatch, RegionOverflow,
-                     ShapeMismatch)
+from .errors import ConfigError, OutOfRange, RegionMismatch, ShapeMismatch
 from .model import LayerSpec, NetworkSpec, Kind, ceil_div
 from .plan import Channel, LayerTile, Process, TilePlan, blocks
-
-Run = tuple[int, int]
 
 
 class LayoutKind:
@@ -70,19 +68,6 @@ class LayoutKind:
         if key not in aliases:
             raise ConfigError(f"unknown layout {name!r}")
         return aliases[key]
-
-
-def merge_runs(runs: list[Run]) -> list[Run]:
-    """Collapse adjacent runs; keeps order, never reorders addresses."""
-    out: list[Run] = []
-    for start, length in runs:
-        if length <= 0:
-            continue
-        if out and out[-1][0] + out[-1][1] == start:
-            out[-1] = (out[-1][0], out[-1][1] + length)
-        else:
-            out.append((start, length))
-    return out
 
 
 def _nested(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,11 +105,14 @@ def _strided(base, n_out: np.ndarray, s_out, n_in, s_in,
     return runs, n_out * n_in
 
 
-def _merged(runs: np.ndarray) -> np.ndarray:
+def merge_runs(runs: np.ndarray) -> np.ndarray:
     """An (n, 2) run array with each run that continues its predecessor
-    folded into it, as `merge_runs` does for positive lengths."""
+    folded into it: the maximal contiguous runs, in order.  Empty in,
+    empty out."""
     start, length = runs[:, 0], runs[:, 1]
-    first = np.flatnonzero(np.append(True, start[1:] != start[:-1] + length[:-1]))
+    head = np.ones(start.size, dtype=bool)
+    head[1:] = start[1:] != start[:-1] + length[:-1]
+    first = np.flatnonzero(head)
     out = np.empty((first.size, 2), dtype=np.int64)
     out[:, 0] = start[first]
     out[:, 1] = np.add.reduceat(length, first)
@@ -235,11 +223,6 @@ class FeatureGeom:
                                 self.ch, np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
         return runs, counts, _full(nch, shape)
 
-    def tile_runs(self, b: int, ch0: int, ch1: int, r0: int, r1: int,
-                  c0: int, c1: int) -> np.ndarray:
-        """The runs of one tile, as `tiles` gives them."""
-        return self.tiles(b, ch0, ch1, r0, r1, c0, c1)[0]
-
 
 # ----------------------------------------------------------------- weights
 
@@ -326,7 +309,6 @@ class DramImage:
     Regions are appended into a buffer that grows by doubling, so adding
     one does not copy the whole image; `words` is the used part."""
 
-    capacity: int | None = None
     regions: dict[str, tuple[int, int]] = field(default_factory=dict)
     _buf: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32),
                              repr=False)
@@ -340,8 +322,6 @@ class DramImage:
         if name in self.regions:
             raise RegionMismatch(f"region {name!r} already exists")
         offset = self._used
-        if self.capacity is not None and offset + length > self.capacity:
-            raise RegionOverflow(f"region {name!r} exceeds {self.capacity} words")
         if offset + length > self._buf.size:
             buf = np.zeros(max(offset + length, 2 * self._buf.size), dtype=np.float32)
             buf[:offset] = self._buf[:offset]
@@ -428,10 +408,11 @@ class Walk:
         lo = self.run_off[transfers]
         return _gather(lo, self.run_off[transfers + 1] - lo)
 
-    def runs(self, transfers: np.ndarray) -> list[Run]:
-        """The runs of `transfers` as (start, length) tuples, in order."""
+    def runs(self, transfers: np.ndarray) -> np.ndarray:
+        """The runs of `transfers` in order, as an (n, 2) int64 array of
+        (start, length)."""
         idx = self.run_index(transfers)
-        return list(zip(self.start[idx].tolist(), self.length[idx].tolist()))
+        return np.column_stack((self.start[idx], self.length[idx]))
 
 
 def _append(buf: array, values, n: int) -> None:
@@ -533,8 +514,14 @@ class WalkSpec:
         return WeightGeom(self.kind, l.m, l.n, l.k, self.tm, self.tn, m_on)
 
 
-def resolve_walk(layer: LayerSpec, plan: TilePlan, idx: int, process: Process,
+def resolve_walk(layer: LayerSpec, plan: TilePlan, idx: int | None, process: Process,
                  kind: str, batch: int) -> WalkSpec:
+    """What the walkers need for `layer`, which is plan entry `idx`; only a
+    one-layer plan may leave `idx` out (None)."""
+    if idx is None:
+        if len(plan.entries) != 1:
+            raise ValueError("idx required for multi-layer plans")
+        idx = next(iter(plan.entries))
     tile = plan.tile_for(idx, layer, process)
     fp_m_on = plan.tile_for(idx, layer, Process.FP).m_on
     return WalkSpec(layer=layer, tm=plan.tm, tn=plan.tn, tile=tile,
@@ -717,7 +704,7 @@ def walk_wu(ws: WalkSpec) -> Walk:
         m1 = np.minimum(l.m, m0 + tm)
         # every (m-tile, n-tile) weight tile of the block, m-tile major
         wei_tiles = wei.tiles(np.repeat(np.arange(g0, g1), n_n), np.tile(np.arange(n_n), n_m))
-        wei_runs = _merged(wei_tiles[0])
+        wei_runs = merge_runs(wei_tiles[0])
         wei_load = (wei_runs, np.array([len(wei_runs)]), np.zeros(1, dtype=np.int64))
         if resident and ws.kind == LayoutKind.BHWC_REUSE:
             # channel-last reuse: both maps stream in whole, once per image;
@@ -782,22 +769,15 @@ WALKERS = {Process.FP: walk_fp, Process.BP: walk_bp, Process.WU: walk_wu}
 
 def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
                     kind: str, batch: int, idx: int | None = None) -> Walk:
-    if idx is None:
-        if len(plan.entries) != 1:
-            raise ValueError("idx required for multi-layer plans")
-        idx = next(iter(plan.entries))
     return WALKERS[process](resolve_walk(layer, plan, idx, process, kind, batch))
 
 
 def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
-                batch: int, idx: int | None = None) -> dict[Channel, list[Run]]:
-    """Ordered word-address runs per DMA channel for one layer's pass."""
+                batch: int, idx: int | None = None) -> dict[Channel, np.ndarray]:
+    """Word-address runs per DMA channel for one layer's pass, each an
+    (n, 2) int64 array of (start, length) in bus order."""
     walk = layer_sequences(process, layer, plan, kind, batch, idx)
     return {c: walk.runs(walk.on(c)) for c in Channel}
-
-
-def trace_words(trace: list[Run]) -> int:
-    return sum(l for _, l in trace)
 
 
 # ------------------------------------------------------- network-level map
@@ -806,7 +786,7 @@ def trace_words(trace: list[Run]) -> int:
 REGION_ORDER = ("act_in", "wei", "act", "a_hat", "loss", "pool_idx", "bn_par", "labels")
 
 
-def region_table(net: NetworkSpec, plan: TilePlan, kind: str) -> dict[str, int]:
+def region_table(net: NetworkSpec) -> dict[str, int]:
     """Region name -> word length for a whole training iteration."""
     regions: dict[str, int] = {}
     b = net.batch
@@ -839,16 +819,14 @@ class StartEntry:
     start: int
 
 
-def dma_start_table(net: NetworkSpec, plan: TilePlan, kind: str,
-                    capacity: int | None = None) -> tuple[dict[str, tuple[int, int]], list[StartEntry]]:
+def dma_start_table(net: NetworkSpec, plan: TilePlan,
+                    kind: str) -> tuple[dict[str, tuple[int, int]], list[StartEntry]]:
     """Lay out all regions and derive per-(layer, process, channel) start
-    offsets.  Offsets are deterministic for a given network and plan."""
-    lengths = region_table(net, plan, kind)
+    offsets.  Offsets depend only on the network: every layout packs a
+    tensor into the same number of words."""
     table: dict[str, tuple[int, int]] = {}
     off = 0
-    for name, length in lengths.items():
-        if capacity is not None and off + length > capacity:
-            raise RegionOverflow(f"region {name!r} exceeds DRAM capacity")
+    for name, length in region_table(net).items():
         table[name] = (off, length)
         off += length
 
@@ -920,8 +898,6 @@ def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
                          ) -> dict[Channel, np.ndarray]:
     """Pack the given operand tensors, walk the pass's trace, and rebuild
     each operand from exactly the words the trace touches."""
-    if idx is None:
-        idx = next(iter(plan.entries))
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
     geoms = _operand_geoms(ws, process)
     image = DramImage()
@@ -958,8 +934,6 @@ def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str
     contents: every element the loop nest requires is read and matches the
     packed original, and nothing required is missed under either layout."""
     rng = np.random.default_rng(seed)
-    if idx is None:
-        idx = next(iter(plan.entries))
     ws = resolve_walk(layer, plan, idx, process, LayoutKind.RESHAPED, batch)
     tensors = {chan: rng.standard_normal(shape).astype(np.float32)
                for chan, (_, shape) in _operand_geoms(ws, process).items()}
@@ -984,11 +958,11 @@ def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str
 
 
 __all__ = [
-    "LayoutKind", "Run", "merge_runs", "fwd_window", "bp_window",
+    "LayoutKind", "merge_runs", "fwd_window", "bp_window",
     "FeatureGeom", "WeightGeom", "DramImage", "pack", "unpack",
     "LOAD", "CHUNK_STORE", "STORE", "NO_STORE", "CHANNELS", "Walk", "WalkSpec",
     "resolve_walk", "walk_fp", "walk_bp", "walk_wu", "WALKERS",
-    "layer_sequences", "trace_layer", "trace_words",
+    "layer_sequences", "trace_layer",
     "region_table", "dma_start_table", "StartEntry",
     "required_mask", "reconstruct_operands", "equivalence_check",
 ]

@@ -271,7 +271,7 @@ def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
     tr = trace_layer(Process.FP, layer, alexnet_plan, LayoutKind.RESHAPED, 4,
                      idx=5)
     wei = merge_runs(tr[Channel.WEI])
-    a_ok = len(wei) == 1 and wei[0][1] == 384 * 384 * 9
+    a_ok = len(wei) == 1 and wei[0, 1] == 384 * 384 * 9
 
     # (b) with weight reuse, each image's resident block of output features
     # is one contiguous run of m_on * r * c words
@@ -285,7 +285,7 @@ def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
         stores = walk.runs(store_trs[store_seq == seq])
         merged = merge_runs(stores)
         expect = {112 * 13 * 13, 48 * 13 * 13}
-        b_ok &= len(merged) == 1 and merged[0][1] in expect
+        b_ok &= len(merged) == 1 and int(merged[0, 1]) in expect
         blocks_seen += 1
     b_ok &= blocks_seen == 16  # ceil(384/112) blocks x 4 images
 
@@ -294,7 +294,7 @@ def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
                          entries={0: PlanEntry(tr=11, tc=11, m_on=96)})
     tr = trace_layer(Process.FP, alexnet.layers[0], base_plan,
                      LayoutKind.BCHW, 1, idx=0)
-    out_lens = {l for _, l in tr[Channel.OUT]}
+    out_lens = set(tr[Channel.OUT][:, 1].tolist())
     c_ok = out_lens == {11}
 
     ok = a_ok and b_ok and c_ok

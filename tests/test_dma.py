@@ -1,10 +1,10 @@
-import pytest
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from trainsim.dma import (Burst, simulate_layer, split_bursts, stream_estimate,
-                          transfer_cycles)
-from trainsim.errors import EmptyTrace
-from trainsim.layout import FeatureGeom, LayoutKind, layer_sequences, trace_layer
+from trainsim.dma import (simulate_layer, simulate_sequences, split_bursts,
+                          stream_estimate)
+from trainsim.layout import (IFM, LOAD, FeatureGeom, LayoutKind, _WalkWriter,
+                             layer_sequences, trace_layer)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
@@ -18,54 +18,68 @@ def conv_layer(m, n, r, c, k, s, pad=0):
     return validate_and_infer(net).layers[0]
 
 
+def runs(*pairs) -> np.ndarray:
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 # ------------------------------------------------------------ split_bursts
 
 def test_split_bursts_by_definition():
-    bursts = split_bursts([(0, 1), (1, 1), (2, 2), (10, 2)])
-    assert [(b.start, b.length) for b in bursts] == [(0, 4), (10, 2)]
+    bursts = split_bursts(runs((0, 1), (1, 1), (2, 2), (10, 2)))
+    assert bursts.tolist() == [[0, 4], [10, 2]]
 
 
 def test_split_bursts_fully_contiguous():
-    assert split_bursts([(0, 16)]) == [Burst(0, 16)]
+    assert split_bursts(runs((0, 16))).tolist() == [[0, 16]]
 
 
 def test_split_bursts_empty_trace():
-    with pytest.raises(EmptyTrace):
-        split_bursts([])
+    assert split_bursts(runs()).shape == (0, 2)
 
 
 def test_split_bursts_bchw_tile():
     g = FeatureGeom(LayoutKind.BCHW, 1, 2, 5, 5)
-    bursts = split_bursts(g.tile_runs(0, 0, 2, 1, 4, 1, 4))
-    assert len(bursts) == 6 and all(b.length == 3 for b in bursts)
+    bursts = split_bursts(g.tiles(0, 0, 2, 1, 4, 1, 4)[0])
+    assert len(bursts) == 6 and (bursts[:, 1] == 3).all()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)), min_size=1,
                 max_size=10))
-def test_split_bursts_preserves_words_and_is_maximal(runs):
-    bursts = split_bursts(runs)
-    assert sum(b.length for b in bursts) == sum(l for _, l in runs)
-    for a, b in zip(bursts, bursts[1:]):
-        assert a.start + a.length != b.start  # merging any pair would break
+def test_split_bursts_preserves_words_and_is_maximal(pairs):
+    bursts = split_bursts(runs(*pairs))
+    assert bursts[:, 1].sum() == sum(l for _, l in pairs)
+    # merging any neighbouring pair would break contiguity
+    assert (bursts[:-1].sum(axis=1) != bursts[1:, 0]).all()
 
 
 # --------------------------------------------------------- transfer_cycles
 
+def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
+    """What the pricer charges for one load of `bursts`: a walk of one
+    sequence, production and chunk, with no compute and no store."""
+    w = _WalkWriter()
+    p = w.productions(np.array([w.sequences(1, False)]))
+    c = w.chunks(np.array([p]), 0)
+    w.transfers(IFM, LOAD, np.array([c]),
+                (bursts, np.array([len(bursts)]), np.zeros(1, dtype=np.int64)))
+    return simulate_sequences(w.finish(), dev).cycles
+
+
 def test_transfer_cycles_single_burst():
-    assert transfer_cycles([Burst(0, 16)], DeviceSpec()) == 404
+    assert transfer_cycles(runs((0, 16)), DeviceSpec()) == 404
 
 
 def test_transfer_cycles_six_short_bursts():
     dev = DeviceSpec()
-    assert transfer_cycles([Burst(i * 10, 3) for i in range(6)], dev) == 2406
+    assert transfer_cycles(runs(*((i * 10, 3) for i in range(6))), dev) == 2406
 
 
 def test_transfer_cycles_monotone():
     dev = DeviceSpec()
-    base = [Burst(0, 8), Burst(100, 8)]
-    assert transfer_cycles(base + [Burst(200, 1)], dev) > transfer_cycles(base, dev)
-    merged = [Burst(0, 16)]
+    base = runs((0, 8), (100, 8))
+    assert transfer_cycles(np.vstack((base, runs((200, 1)))), dev) > transfer_cycles(base, dev)
+    merged = runs((0, 16))
     assert transfer_cycles(merged, dev) < transfer_cycles(base, dev)
 
 

@@ -6,8 +6,7 @@ from trainsim.errors import RegionMismatch, ShapeMismatch
 from trainsim.layout import (DramImage, FeatureGeom, LayoutKind, WeightGeom,
                              bp_window, equivalence_check, dma_start_table,
                              fwd_window, layer_sequences, merge_runs, pack,
-                             reconstruct_operands, trace_layer, trace_words,
-                             unpack)
+                             reconstruct_operands, trace_layer, unpack)
 from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
 
@@ -127,19 +126,20 @@ def test_windows():
 
 
 def test_merge_runs():
-    assert merge_runs([(0, 4), (4, 2), (10, 1)]) == [(0, 6), (10, 1)]
+    assert merge_runs(np.array([(0, 4), (4, 2), (10, 1)])).tolist() == [[0, 6], [10, 1]]
+    assert merge_runs(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
 
 
 def test_bchw_tile_runs_row_granular():
     g = FeatureGeom(LayoutKind.BCHW, 1, 2, 5, 5)
-    runs = g.tile_runs(0, 0, 2, 1, 4, 1, 4)
-    assert len(runs) == 6 and all(l == 3 for _, l in runs)
+    runs = g.tiles(0, 0, 2, 1, 4, 1, 4)[0]
+    assert len(runs) == 6 and (runs[:, 1] == 3).all()
 
 
 def test_reshaped_tile_requires_group_alignment():
     g = FeatureGeom(LayoutKind.RESHAPED, 1, 8, 4, 4, tm=4, m_on=8)
     with pytest.raises(ShapeMismatch):
-        g.tile_runs(0, 1, 3, 0, 2, 0, 4)
+        g.tiles(0, 1, 3, 0, 2, 0, 4)
 
 
 def _words(runs) -> list[int]:
@@ -234,7 +234,7 @@ def test_fp_weight_scan_is_storage_order():
     plan = single_plan(tr=6, tc=6, m_on=4)
     tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
     runs = merge_runs(tr[Channel.WEI])
-    assert runs == [(0, 4 * 4 * 9)]
+    assert runs.tolist() == [[0, 4 * 4 * 9]]
 
 
 def test_fp_weights_loaded_once_per_batch():
@@ -242,7 +242,7 @@ def test_fp_weights_loaded_once_per_batch():
     plan = single_plan(tr=3, tc=6, m_on=4)
     for batch in (1, 4):
         tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
-        assert trace_words(tr[Channel.WEI]) == 8 * 4 * 9
+        assert tr[Channel.WEI][:, 1].sum() == 8 * 4 * 9
 
 
 def test_fp_ifm_repetition_count():
@@ -252,7 +252,7 @@ def test_fp_ifm_repetition_count():
     batch = 2
     tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
     m_tiles = 4  # ceil(8/2)
-    assert trace_words(tr[Channel.IFM]) == batch * m_tiles * (4 * 4 * 4)
+    assert tr[Channel.IFM][:, 1].sum() == batch * m_tiles * (4 * 4 * 4)
 
 
 def test_wu_ofm_repetition_counts():
@@ -261,11 +261,11 @@ def test_wu_ofm_repetition_counts():
     # rows split across tiles: loss re-read once per input-channel tile
     plan = single_plan(tr=3, tc=6, m_on=4)
     tr = trace_layer(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
-    assert trace_words(tr[Channel.OFM]) == 4 * loss_words  # ceil(8/2) tiles
+    assert tr[Channel.OFM][:, 1].sum() == 4 * loss_words  # ceil(8/2) tiles
     # all rows resident: each loss element read exactly once
     plan = single_plan(tr=6, tc=6, m_on=4)
     tr = trace_layer(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
-    assert trace_words(tr[Channel.OFM]) == loss_words
+    assert tr[Channel.OFM][:, 1].sum() == loss_words
 
 
 def test_bp_weight_trace_block_runs():
@@ -277,7 +277,7 @@ def test_bp_weight_trace_block_runs():
     blocks = 2          # N=6 in blocks of m_on=4 -> 4 + 2
     m_chunks = 4        # ceil(M=8 / tn=2)
     assert len(runs) == blocks * m_chunks
-    lengths = sorted({l for _, l in runs})
+    lengths = sorted(set(runs[:, 1].tolist()))
     assert lengths == [2 * 2 * 9 * 1, 2 * 2 * 9 * 2]  # partial and full block
 
 
@@ -320,6 +320,20 @@ def test_equivalence_detects_corruption():
     assert not np.array_equal(bad[Channel.IFM], tensors[Channel.IFM])
 
 
+def test_idx_required_for_multi_layer_plans(alexnet, alexnet_plan):
+    # without idx a multi-layer plan has no one tile for the layer; taking
+    # its first entry would walk layer 4 with layer 0's 2x55 tile
+    layer = alexnet.layers[4]
+    with pytest.raises(ValueError, match="idx required"):
+        equivalence_check(layer, alexnet_plan, LayoutKind.RESHAPED, LayoutKind.BCHW,
+                          Process.FP, 1)
+    with pytest.raises(ValueError, match="idx required"):
+        reconstruct_operands(layer, alexnet_plan, LayoutKind.RESHAPED, Process.FP, 1, {})
+    ok, report = equivalence_check(layer, alexnet_plan, LayoutKind.RESHAPED,
+                                   LayoutKind.BCHW, Process.FP, 1, idx=4)
+    assert ok, report
+
+
 # -------------------------------------------------------------- start table
 
 def test_start_table_single_layer():
@@ -342,13 +356,6 @@ def test_start_table_offsets_ascending(alexnet, alexnet_plan):
     for off, length in table.values():
         assert off == prev_end
         prev_end = off + length
-
-
-def test_start_table_capacity_overflow(alexnet, alexnet_plan):
-    from trainsim.errors import RegionOverflow
-    with pytest.raises(RegionOverflow):
-        dma_start_table(alexnet, alexnet_plan, LayoutKind.RESHAPED,
-                        capacity=1000)
 
 
 def test_start_table_covers_all_weighted_layers(cifar_small):
