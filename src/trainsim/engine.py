@@ -1,10 +1,21 @@
 """Full-precision reference implementation of the training math.
 
-All kernels are pure functions over (B, CH, R, C) numpy arrays and follow
-the accelerator's arithmetic exactly: plain SGD, batch statistics over the
-whole mini-batch, loss routed through recorded pool argmax codes.  The
-training pipeline runs in float32; kernels keep the dtype of their inputs
-so the same code serves float64 gradient checking.
+The kernels follow the accelerator's arithmetic exactly: plain SGD, batch
+statistics over the whole mini-batch, loss routed through recorded pool
+argmax codes.  The training pipeline runs in float32; kernels keep the
+dtype of their inputs so the same code serves float64 gradient checking.
+
+`forward` and `train_minibatch` carry activations channels-last, as
+(B, R, C, CH) arrays, from the input transpose to the logits.  Each conv
+pass is one tall GEMM over pixel-major im2col columns: FP multiplies the
+columns by the kernel matrix, WU multiplies the loss by the columns FP
+built, and BP is the full correlation of the stride-dilated loss with the
+flipped, transposed kernel.  Pooling is one strided-slice pass per window
+cell, and BN reduces over every axis but the channel axis.
+
+The public kernels (`conv_fp`, `pool_bp`, `bn_fp`, ...) take and return
+(B, CH, R, C) arrays; each is a transpose around the same channels-last
+core the engine runs.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (LabelOutOfRange, MissingIndices, ShapeMismatch,
                      StaleState)
@@ -27,51 +38,115 @@ def _check(cond: bool, msg: str) -> None:
         raise ShapeMismatch(msg)
 
 
-def _pad2d(a: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _nhwc(a: np.ndarray) -> np.ndarray:
+    """(B, CH, R, C) -> (B, R, C, CH) view."""
+    return a.transpose(0, 2, 3, 1)
 
 
-def _windows(a_pad: np.ndarray, k: int, s: int) -> np.ndarray:
-    """(B, N, R, C, k, k) view of every stride-s window."""
-    w = sliding_window_view(a_pad, (k, k), axis=(2, 3))
-    return w[:, :, ::s, ::s]
+def _nchw(a: np.ndarray) -> np.ndarray:
+    """(B, R, C, CH) -> (B, CH, R, C) view."""
+    return a.transpose(0, 3, 1, 2)
+
+
+def _im2col(a: np.ndarray, k: int, s: int, pad: int) -> np.ndarray:
+    """Pixel-major columns of a channels-last map: (B, R, C, k*k*N).
+
+    Row (b, r, c) holds the stride-s window at output pixel (r, c) in
+    (kr, kc, n) order.  The windows are read from a zero-padded NHWC
+    buffer, in which each (kr, kc, n) row segment of a window is one
+    contiguous run of k*N values.
+    """
+    b, h, w, n = a.shape
+    if pad:
+        ap = np.zeros((b, h + 2 * pad, w + 2 * pad, n), dtype=a.dtype)
+        ap[:, pad:pad + h, pad:pad + w] = a
+    else:
+        ap = np.ascontiguousarray(a)
+    _, hp, wp, _ = ap.shape
+    r, c = (hp - k) // s + 1, (wp - k) // s + 1
+    sn = ap.itemsize  # C-contiguous strides; numpy's may differ on size-1 axes
+    sw, sh = n * sn, wp * n * sn
+    win = as_strided(ap, (b, r, c, k, k * n), (hp * sh, s * sh, s * sw, sh, sn),
+                     writeable=False)
+    return win.reshape(b, r, c, k * k * n)
+
+
+def _gemm(cols: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """One tall GEMM of (B, R, C, K) columns with a (K, M) matrix."""
+    b, r, c, kk = cols.shape
+    return (cols.reshape(b * r * c, kk) @ wmat).reshape(b, r, c, wmat.shape[1])
+
+
+def _conv_fp(a: np.ndarray, w: np.ndarray, s: int,
+             pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channels-last conv_fp; also returns the columns for _conv_wu."""
+    m, n, k, _ = w.shape
+    cols = _im2col(a, k, s, pad)
+    return _gemm(cols, w.transpose(2, 3, 1, 0).reshape(k * k * n, m)), cols
+
+
+def _conv_wu(cols: np.ndarray, l_next: np.ndarray, k: int) -> np.ndarray:
+    """dW from conv_fp's columns and the channels-last loss, summed over the batch."""
+    m = l_next.shape[-1]
+    dw = l_next.reshape(-1, m).T @ cols.reshape(-1, cols.shape[-1])
+    return np.ascontiguousarray(dw.reshape(m, k, k, -1).transpose(0, 3, 1, 2))
+
+
+def _placed(o: int, s: int, count: int, size: int) -> tuple[slice, slice]:
+    """Indices i in [0, count) whose position o + s*i lies in [0, size),
+    and the matching strided slice of positions."""
+    i0 = max(0, -(o // s))
+    i1 = max(i0, min(count, -((o - size) // s)))
+    return slice(i0, i1), slice(o + s * i0, o + s * i1, s)
+
+
+def _conv_bp(l_next: np.ndarray, w: np.ndarray, s: int, pad: int,
+             in_hw: tuple[int, int]) -> np.ndarray:
+    """Channels-last conv_bp: the full correlation of the stride-dilated
+    loss with the flipped, transposed kernel, as one im2col GEMM.
+
+    Loss pixel (r, c) lands at (k-1-pad + s*r, k-1-pad + s*c) of a zero
+    buffer of (hi + k-1, wi + k-1) pixels, whose k x k windows are the
+    input pixels.  Loss pixels that only reach the padding fall outside
+    the buffer and are cropped; input pixels no window reaches see only
+    the buffer's zero border.
+    """
+    b, r, c, m = l_next.shape
+    _, n, k, _ = w.shape
+    hi, wi = in_hw
+    buf = np.zeros((b, hi + k - 1, wi + k - 1, m), dtype=l_next.dtype)
+    r_src, r_dst = _placed(k - 1 - pad, s, r, hi + k - 1)
+    c_src, c_dst = _placed(k - 1 - pad, s, c, wi + k - 1)
+    buf[:, r_dst, c_dst] = l_next[:, r_src, c_src]
+    flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * m, n)
+    return _gemm(_im2col(buf, k, 1, 0), flipped)
 
 
 def conv_fp(a: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """out[b,m,r,c] = sum_n,kr,kc a[b,n,s*r+kr,s*c+kc] * w[m,n,kr,kc]."""
     _check(a.ndim == 4 and w.ndim == 4, "conv_fp expects 4-d tensors")
     _check(a.shape[1] == w.shape[1], f"channels {a.shape[1]} != kernel n {w.shape[1]}")
-    k = w.shape[2]
     _check(w.shape[2] == w.shape[3], "kernel must be square")
-    win = _windows(_pad2d(a, pad), k, stride)
-    return np.einsum("bnrckl,mnkl->bmrc", win, w, optimize=True)
+    return _nchw(_conv_fp(_nhwc(a), w, stride, pad)[0])
 
 
 def conv_bp(l_next: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0,
             in_hw: tuple[int, int] | None = None) -> np.ndarray:
     """Adjoint of conv_fp with respect to the activations.
 
-    Scatter of l_next * w back through every window: transposed-convolution
-    semantics (the loss is implicitly dilated by the stride before the
-    kernel-flipped correlation).
+    Transposed-convolution semantics: the loss is dilated by the stride
+    before the kernel-flipped correlation.  in_hw defaults to the smallest
+    input the loss map fits; a larger one gets zeros where no window reaches.
     """
     _check(l_next.ndim == 4 and w.ndim == 4, "conv_bp expects 4-d tensors")
     _check(l_next.shape[1] == w.shape[0], f"loss channels {l_next.shape[1]} != m {w.shape[0]}")
-    b, m, r, c = l_next.shape
-    _, n, k, _ = w.shape
-    if in_hw is None:
-        in_hw = ((r - 1) * stride + k - 2 * pad, (c - 1) * stride + k - 2 * pad)
-    hi, wi = in_hw
-    grad_pad = np.zeros((b, n, hi + 2 * pad, wi + 2 * pad), dtype=l_next.dtype)
-    g = np.einsum("bmrc,mnkl->bnrckl", l_next, w, optimize=True)
-    for kr in range(k):
-        for kc in range(k):
-            grad_pad[:, :, kr:kr + stride * r:stride, kc:kc + stride * c:stride] += g[..., kr, kc]
-    if pad:
-        grad_pad = grad_pad[:, :, pad:pad + hi, pad:pad + wi]
-    return grad_pad
+    _, _, r, c = l_next.shape
+    k = w.shape[2]
+    reach = ((r - 1) * stride + k - 2 * pad, (c - 1) * stride + k - 2 * pad)
+    in_hw = reach if in_hw is None else in_hw
+    _check(in_hw[0] >= reach[0] and in_hw[1] >= reach[1],
+           f"input map {in_hw} smaller than the windows' reach {reach}")
+    return _nchw(_conv_bp(_nhwc(l_next), w, stride, pad, in_hw))
 
 
 def conv_wu(a: np.ndarray, l_next: np.ndarray, k: int, stride: int = 1,
@@ -82,10 +157,10 @@ def conv_wu(a: np.ndarray, l_next: np.ndarray, k: int, stride: int = 1,
     """
     _check(a.ndim == 4 and l_next.ndim == 4, "conv_wu expects 4-d tensors")
     _check(a.shape[0] == l_next.shape[0], "batch sizes differ")
-    win = _windows(_pad2d(a, pad), k, stride)
-    _check(win.shape[2:4] == l_next.shape[2:4],
-           f"loss map {l_next.shape[2:4]} inconsistent with windows {win.shape[2:4]}")
-    return np.einsum("bmrc,bnrckl->mnkl", l_next, win, optimize=True)
+    cols = _im2col(_nhwc(a), k, stride, pad)
+    _check(cols.shape[1:3] == l_next.shape[2:4],
+           f"loss map {l_next.shape[2:4]} inconsistent with windows {cols.shape[1:3]}")
+    return _conv_wu(cols, _nhwc(l_next), k)
 
 
 def sgd_apply(w: np.ndarray, dw: np.ndarray, lr: float) -> np.ndarray:
@@ -102,50 +177,71 @@ def relu_bp(l_next: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.where(a > 0, l_next, 0)
 
 
+def _pool_fp(a: np.ndarray, k: int, s: int,
+             mode: Kind) -> tuple[np.ndarray, np.ndarray | None]:
+    """Channels-last pool_fp, one strided-slice pass per window cell."""
+    _, h, w, _ = a.shape
+    r, c = (h - k) // s + 1, (w - k) // s + 1
+
+    def cell(j):
+        kr, kc = divmod(j, k)
+        return a[:, kr:kr + s * r:s, kc:kc + s * c:s]
+
+    out = cell(0).copy()
+    if mode is Kind.MAXPOOL:
+        code = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+        more = np.empty(out.shape, dtype=bool)
+        for j in range(1, k * k):
+            v = cell(j)
+            np.greater(v, out, out=more)  # strict: ties keep the first maximum
+            np.maximum(out, v, out=out)
+            np.copyto(code, j, where=more)
+        return out, code
+    if mode is Kind.AVGPOOL:
+        for j in range(1, k * k):
+            out += cell(j)
+        out /= k * k
+        return out, None
+    raise ShapeMismatch(f"not a pooling kind: {mode}")
+
+
+def _pool_bp(l_next: np.ndarray, code: np.ndarray | None, k: int, s: int,
+             mode: Kind, in_hw: tuple[int, int]) -> np.ndarray:
+    """Channels-last pool_bp, one strided-slice pass per window cell."""
+    b, r, c, ch = l_next.shape
+    out = np.zeros((b, *in_hw, ch), dtype=l_next.dtype)
+    if mode is Kind.MAXPOOL:
+        if code is None:
+            raise MissingIndices("max-pool backward needs the recorded indices")
+        _check(code.shape == l_next.shape, "index/loss shapes differ")
+    elif mode is Kind.AVGPOOL:
+        spread = l_next / np.asarray(k * k, dtype=l_next.dtype)
+    else:
+        raise ShapeMismatch(f"not a pooling kind: {mode}")
+    for j in range(k * k):
+        kr, kc = divmod(j, k)
+        part = l_next * (code == j) if mode is Kind.MAXPOOL else spread
+        out[:, kr:kr + s * r:s, kc:kc + s * c:s] += part
+    return out
+
+
 def pool_fp(a: np.ndarray, k: int, stride: int,
             mode: Kind) -> tuple[np.ndarray, np.ndarray | None]:
     """Window-max or window-mean; max pooling records the argmax code.
 
     The code is the row-major position inside the window (2 bits for the
-    common 2x2 window); ties take the first maximum.
+    common 2x2 window), stored in the smallest unsigned type that holds
+    k*k - 1; ties take the first maximum.
     """
-    win = _windows(a, k, stride)
-    b, ch, r, c, _, _ = win.shape
-    flat = win.reshape(b, ch, r, c, k * k)
-    if mode is Kind.MAXPOOL:
-        idx = np.argmax(flat, axis=-1).astype(np.uint8)
-        out = np.take_along_axis(flat, idx[..., None].astype(np.int64), axis=-1)[..., 0]
-        return out, idx
-    if mode is Kind.AVGPOOL:
-        return flat.mean(axis=-1, dtype=a.dtype), None
-    raise ShapeMismatch(f"not a pooling kind: {mode}")
+    out, code = _pool_fp(_nhwc(a), k, stride, mode)
+    return _nchw(out), None if code is None else _nchw(code)
 
 
 def pool_bp(l_next: np.ndarray, idx: np.ndarray | None, k: int, stride: int,
             mode: Kind, in_hw: tuple[int, int]) -> np.ndarray:
     """Route loss to the recorded argmax cell (max) or spread l/k^2 (avg)."""
-    b, ch, r, c = l_next.shape
-    hi, wi = in_hw
-    out = np.zeros((b, ch, hi, wi), dtype=l_next.dtype)
-    if mode is Kind.MAXPOOL:
-        if idx is None:
-            raise MissingIndices("max-pool backward needs the recorded indices")
-        _check(idx.shape == l_next.shape, "index/loss shapes differ")
-        kr = (idx // k).astype(np.int64)
-        kc = (idx % k).astype(np.int64)
-        rr = stride * np.arange(r)[None, None, :, None] + kr
-        cc = stride * np.arange(c)[None, None, None, :] + kc
-        bb = np.arange(b)[:, None, None, None]
-        mm = np.arange(ch)[None, :, None, None]
-        np.add.at(out, (bb, mm, rr, cc), l_next)
-        return out
-    if mode is Kind.AVGPOOL:
-        share = l_next / np.asarray(k * k, dtype=l_next.dtype)
-        for kr in range(k):
-            for kc in range(k):
-                out[:, :, kr:kr + stride * r:stride, kc:kc + stride * c:stride] += share
-        return out
-    raise ShapeMismatch(f"not a pooling kind: {mode}")
+    return _nchw(_pool_bp(_nhwc(l_next), None if idx is None else _nhwc(idx),
+                          k, stride, mode, in_hw))
 
 
 @dataclass
@@ -167,6 +263,34 @@ class BnState:
                    beta=np.zeros(channels, dtype=dtype))
 
 
+def _bn_fp(a: np.ndarray, st: BnState) -> np.ndarray:
+    """Channels-last bn_fp: statistics over every axis but the last."""
+    dt = a.dtype
+    axes = tuple(range(a.ndim - 1))
+    st.ex = a.mean(axis=axes, dtype=dt)
+    st.ex2 = (a * a).mean(axis=axes, dtype=dt)
+    st.var = st.ex2 - st.ex * st.ex
+    st.lam = 1.0 / np.sqrt(st.var + np.asarray(st.eps, dtype=dt))
+    st.a_hat = (a - st.ex) * st.lam
+    return st.a_hat * st.gamma.astype(dt) + st.beta.astype(dt)
+
+
+def _bn_bp(l_next: np.ndarray, st: BnState, lr: float) -> np.ndarray:
+    """Channels-last bn_bp; st.a_hat must have l_next's shape."""
+    if st.lam is None or st.a_hat is None:
+        raise StaleState("bn_bp without a preceding bn_fp")
+    dt = l_next.dtype
+    axes = tuple(range(l_next.ndim - 1))
+    dgamma = np.sum(l_next * st.a_hat, axis=axes, dtype=dt)
+    dbeta = np.sum(l_next, axis=axes, dtype=dt)
+    inv = np.asarray(l_next.shape[-1] / l_next.size, dtype=dt)  # 1 / (B*R*C)
+    out = (st.gamma.astype(dt) * st.lam) * (l_next - dbeta * inv - st.a_hat * dgamma * inv)
+    st.gamma = (st.gamma - np.asarray(lr, st.gamma.dtype) * dgamma.astype(st.gamma.dtype))
+    st.beta = (st.beta - np.asarray(lr, st.beta.dtype) * dbeta.astype(st.beta.dtype))
+    st.lam = st.a_hat = None  # consumed; a second bn_bp would use stale carriers
+    return out
+
+
 def bn_fp(a: np.ndarray, st: BnState) -> np.ndarray:
     """Normalize per channel over the whole mini-batch, then scale/shift.
 
@@ -174,14 +298,9 @@ def bn_fp(a: np.ndarray, st: BnState) -> np.ndarray:
     is E(X^2) - E(X)^2 and lambda = 1/sqrt(var + eps).
     """
     _check(a.ndim == 4 and a.shape[1] == st.gamma.shape[0], "bn_fp channel mismatch")
-    dt = a.dtype
-    st.ex = a.mean(axis=(0, 2, 3), dtype=dt)
-    st.ex2 = (a * a).mean(axis=(0, 2, 3), dtype=dt)
-    st.var = st.ex2 - st.ex * st.ex
-    st.lam = 1.0 / np.sqrt(st.var + np.asarray(st.eps, dtype=dt))
-    st.a_hat = (a - st.ex[None, :, None, None]) * st.lam[None, :, None, None]
-    return st.a_hat * st.gamma.astype(dt)[None, :, None, None] \
-        + st.beta.astype(dt)[None, :, None, None]
+    out = _nchw(_bn_fp(_nhwc(a), st))
+    st.a_hat = _nchw(st.a_hat)
+    return out
 
 
 def bn_bp(l_next: np.ndarray, st: BnState, lr: float) -> np.ndarray:
@@ -189,21 +308,11 @@ def bn_bp(l_next: np.ndarray, st: BnState, lr: float) -> np.ndarray:
 
     l[b,m,r,c] = gamma*lambda*(l_next - dbeta/(B*R*C) - a_hat*dgamma/(B*R*C))
     """
-    if st.lam is None or st.a_hat is None:
-        raise StaleState("bn_bp without a preceding bn_fp")
-    _check(l_next.shape == st.a_hat.shape, "bn_bp loss shape differs from a_hat")
-    dt = l_next.dtype
-    count = l_next.shape[0] * l_next.shape[2] * l_next.shape[3]
-    dgamma = np.sum(l_next * st.a_hat, axis=(0, 2, 3), dtype=dt)
-    dbeta = np.sum(l_next, axis=(0, 2, 3), dtype=dt)
-    inv = np.asarray(1.0 / count, dtype=dt)
-    coeff = (st.gamma.astype(dt) * st.lam)[None, :, None, None]
-    out = coeff * (l_next - dbeta[None, :, None, None] * inv
-                   - st.a_hat * dgamma[None, :, None, None] * inv)
-    st.gamma = (st.gamma - np.asarray(lr, st.gamma.dtype) * dgamma.astype(st.gamma.dtype))
-    st.beta = (st.beta - np.asarray(lr, st.beta.dtype) * dbeta.astype(st.beta.dtype))
-    st.lam = st.a_hat = None  # consumed; a second bn_bp would use stale carriers
-    return out
+    _check(st.a_hat is None or l_next.shape == st.a_hat.shape,
+           "bn_bp loss shape differs from a_hat")
+    if st.a_hat is not None:
+        st.a_hat = _nhwc(st.a_hat)
+    return _nchw(_bn_bp(_nhwc(l_next), st, lr))
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -256,7 +365,41 @@ def init_params(net: NetworkSpec, seed: int = 0, dtype=np.float32) -> Params:
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
-    return a.reshape(a.shape[0], -1, 1, 1)
+    """(B, R, C, CH) -> (B, 1, 1, CH*R*C) in NCHW order, the order FC weights index."""
+    return _nchw(a).reshape(a.shape[0], 1, 1, -1)
+
+
+def _forward(net: NetworkSpec, params: Params, x: np.ndarray, keep: bool):
+    """forward over channels-last activations, from the (B, CH, R, C) input x.
+
+    Returns the output, every layer's input and the max-pool codes, all
+    channels-last, and with keep=True each weighted layer's im2col columns.
+    """
+    first = net.layers[0]
+    _check(x.ndim == 4 and x.shape[1:] == (first.n, first.r_in, first.c_in),
+           f"input {x.shape} != (B, {first.n}, {first.r_in}, {first.c_in})")
+    acts: list[np.ndarray] = []
+    pool_idx: dict[int, np.ndarray] = {}
+    cols: dict[int, np.ndarray] = {}
+    a = _nhwc(x)
+    for i, l in enumerate(net.layers):
+        acts.append(a)
+        if l.weighted:
+            a, col = _conv_fp(_flat(a) if l.flatten_input else a,
+                              params.weights[i], l.s, l.pad)
+            if keep:
+                cols[i] = col
+        elif l.is_pool:
+            a, idx = _pool_fp(a, l.k, l.s, l.kind)
+            if idx is not None:
+                pool_idx[i] = idx
+        elif l.kind is Kind.RELU:
+            a = relu_fp(a)
+        elif l.kind is Kind.BATCHNORM:
+            a = _bn_fp(a, params.bn[i])
+        elif l.kind is Kind.SOFTMAX_XENT:
+            break
+    return a, acts, pool_idx, cols
 
 
 def forward(net: NetworkSpec, params: Params, x: np.ndarray,
@@ -265,56 +408,42 @@ def forward(net: NetworkSpec, params: Params, x: np.ndarray,
 
     acts[i] holds the input of layer i exactly as the previous layer
     produced it; flattening for 1x1 FC layers happens at the use site.
+    The output, acts and max-pool codes are (B, CH, R, C) views of the
+    channels-last arrays the pass carries.
     """
-    acts: list[np.ndarray] = []
-    pool_idx: dict[int, np.ndarray] = {}
-    a = x
-    for i, l in enumerate(net.layers):
-        acts.append(a)
-        if l.weighted:
-            a = conv_fp(_flat(a) if l.flatten_input else a,
-                        params.weights[i], l.s, l.pad)
-        elif l.is_pool:
-            a, idx = pool_fp(a, l.k, l.s, l.kind)
-            if idx is not None:
-                pool_idx[i] = idx
-        elif l.kind is Kind.RELU:
-            a = relu_fp(a)
-        elif l.kind is Kind.BATCHNORM:
-            a = bn_fp(a, params.bn[i])
-        elif l.kind is Kind.SOFTMAX_XENT:
-            break
+    a, acts, pool_idx, _ = _forward(net, params, x, keep=False)
     if keep:
-        return a, acts, pool_idx
-    return a
+        return (_nchw(a), [_nchw(v) for v in acts],
+                {i: _nchw(v) for i, v in pool_idx.items()})
+    return _nchw(a)
 
 
 def train_minibatch(net: NetworkSpec, params: Params, x: np.ndarray,
                     labels: np.ndarray) -> tuple[float, Params]:
     """One full FP -> loss -> BP -> WU -> SGD pass over a mini-batch."""
     require_trainable(net)
-    logits, acts, pool_idx = forward(net, params, x, keep=True)
-    loss, l_back = softmax_xent(logits, labels)
+    logits, acts, pool_idx, cols = _forward(net, params, x, keep=True)
+    loss, l_back = softmax_xent(_nchw(logits), labels)
+    l_back = _nhwc(l_back)
     lr = net.learning_rate
     grads: dict[int, np.ndarray] = {}
     for i in range(len(net.layers) - 2, -1, -1):
         l = net.layers[i]
         if l.weighted:
-            a_in = _flat(acts[i]) if l.flatten_input else acts[i]
-            grads[i] = conv_wu(a_in, l_back, l.k, l.s, l.pad)
+            grads[i] = _conv_wu(cols.pop(i), l_back, l.k)
             if i == 0:
                 break  # loss is never propagated past the first layer
-            l_back = conv_bp(l_back, params.weights[i], l.s, l.pad,
-                             (a_in.shape[2], a_in.shape[3]))
+            l_back = _conv_bp(l_back, params.weights[i], l.s, l.pad,
+                              (l.r_in, l.c_in))
             if l.flatten_input:
-                l_back = l_back.reshape(acts[i].shape)
+                l_back = _nhwc(l_back.reshape(_nchw(acts[i]).shape))
         elif l.is_pool:
-            l_back = pool_bp(l_back, pool_idx.get(i), l.k, l.s, l.kind,
-                             (l.r_in, l.c_in))
+            l_back = _pool_bp(l_back, pool_idx.get(i), l.k, l.s, l.kind,
+                              (l.r_in, l.c_in))
         elif l.kind is Kind.RELU:
             l_back = relu_bp(l_back, acts[i])
         elif l.kind is Kind.BATCHNORM:
-            l_back = bn_bp(l_back, params.bn[i], lr)
+            l_back = _bn_bp(l_back, params.bn[i], lr)
     for i, dw in grads.items():
         params.weights[i] = sgd_apply(params.weights[i], dw, lr)
     return loss, params

@@ -88,6 +88,29 @@ def pool_loops(a, k, stride, maximum):
     return out
 
 
+def pool_bp_loops(l_next, a, k, stride, maximum, in_hw):
+    """Route each loss to the first maximum of its window of a (row-major
+    scan, strict >), or spread l/k^2 over the window."""
+    b, ch, r, c = l_next.shape
+    out = np.zeros((b, ch, *in_hw))
+    for bb in range(b):
+        for mm in range(ch):
+            for rr in range(r):
+                for cc in range(c):
+                    v = float(l_next[bb, mm, rr, cc])
+                    best = None
+                    for kr in range(k):
+                        for kc in range(k):
+                            y, x = stride * rr + kr, stride * cc + kc
+                            if not maximum:
+                                out[bb, mm, y, x] += v / (k * k)
+                            elif best is None or a[bb, mm, y, x] > a[bb, mm, best[0], best[1]]:
+                                best = (y, x)
+                    if maximum:
+                        out[bb, mm, best[0], best[1]] += v
+    return out
+
+
 def bn_fp_loops(a, gamma, beta, eps):
     """Literal per-channel batch statistics and normalization."""
     a = a.astype(np.float64)

@@ -80,6 +80,48 @@ def test_conv_adjoint_identity(b, n, m, k, s, extra, seed):
     assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 2), n=st.integers(1, 3), m=st.integers(1, 3),
+       k=st.integers(1, 3), s=st.integers(1, 3), data=st.data(),
+       seed=st.integers(0, 2 ** 31))
+def test_conv_kernels_match_loop_oracles(b, n, m, k, s, data, seed):
+    # stride up to 3 (so stride > kernel occurs), pad 0..k, non-square
+    # maps whose last rows/cols may lie beyond every window
+    pad = data.draw(st.integers(0, k), label="pad")
+    lo = max(1, k - 2 * pad)
+    hi = data.draw(st.integers(lo, lo + 5), label="hi")
+    wi = data.draw(st.integers(lo, lo + 5), label="wi")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((b, n, hi, wi))
+    w = rng.standard_normal((m, n, k, k))
+    out = engine.conv_fp(a, w, s, pad)
+    np.testing.assert_allclose(out, oracles.conv_fp_loops(a, w, s, pad),
+                               rtol=1e-12, atol=1e-12)
+    l = rng.standard_normal(out.shape)
+    np.testing.assert_allclose(engine.conv_bp(l, w, s, pad, (hi, wi)),
+                               oracles.conv_bp_loops(l, w, s, pad, (hi, wi)),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(engine.conv_wu(a, l, k, s, pad),
+                               oracles.conv_wu_loops(a, l, k, s, pad),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_conv_bp_unreached_rows_get_zero():
+    # k=1, s=2 on a 5x6 map: odd rows/cols and the last column are never read
+    rng = np.random.default_rng(2)
+    w = rng.standard_normal((3, 2, 1, 1))
+    l = rng.standard_normal((2, 3, 3, 3))
+    got = engine.conv_bp(l, w, 2, 0, (5, 6))
+    assert not got[:, :, 1::2].any() and not got[:, :, :, 1::2].any()
+    np.testing.assert_allclose(got, oracles.conv_bp_loops(l, w, 2, 0, (5, 6)),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_conv_bp_rejects_too_small_input():
+    with pytest.raises(ShapeMismatch):
+        engine.conv_bp(np.zeros((1, 2, 4, 4)), np.zeros((2, 3, 3, 3)), 1, 0, (5, 6))
+
+
 def test_conv_wu_zero_loss():
     a = RNG.standard_normal((2, 3, 6, 6))
     l = np.zeros((2, 4, 4, 4))
@@ -193,6 +235,48 @@ def test_pool_matches_loop_oracle():
         out, _ = engine.pool_fp(a, 2, 2, kind)
         ref = oracles.pool_loops(a, 2, 2, maximum)
         assert np.abs(out - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k,s,hi,wi", [
+    (2, 2, 4, 4),  # tiling
+    (3, 2, 7, 6),  # overlapping, last column unreached
+    (2, 2, 5, 7),  # non-divisible
+    (3, 1, 5, 4),  # stride 1, heavy overlap
+    (2, 3, 8, 7),  # stride > kernel
+])
+def test_pool_fp_bp_match_loop_oracles(k, s, hi, wi):
+    rng = np.random.default_rng(k * 100 + s * 10 + hi)
+    for a in (rng.standard_normal((2, 3, hi, wi)),
+              rng.integers(0, 3, size=(2, 3, hi, wi)).astype(np.float64)):  # ties
+        for kind, maximum in ((Kind.MAXPOOL, True), (Kind.AVGPOOL, False)):
+            out, idx = engine.pool_fp(a, k, s, kind)
+            np.testing.assert_allclose(out, oracles.pool_loops(a, k, s, maximum),
+                                       rtol=1e-12, atol=1e-12)
+            l = rng.standard_normal(out.shape)
+            np.testing.assert_allclose(
+                engine.pool_bp(l, idx, k, s, kind, (hi, wi)),
+                oracles.pool_bp_loops(l, a, k, s, maximum, (hi, wi)),
+                rtol=1e-12, atol=1e-12)
+
+
+def test_maxpool_tie_routes_to_first_cell():
+    a = np.array([[[[1.0, 4.0, 0.0],
+                    [4.0, 4.0, 2.0],
+                    [0.0, 3.0, 4.0]]]])
+    out, idx = engine.pool_fp(a, 3, 1, Kind.MAXPOOL)
+    assert out.ravel().tolist() == [4.0] and idx.ravel().tolist() == [1]
+    bp = engine.pool_bp(np.array([[[[2.0]]]]), idx, 3, 1, Kind.MAXPOOL, (3, 3))
+    assert bp.tolist() == [[[[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]]
+
+
+def test_maxpool_wide_window_code():
+    # a 17x17 window has codes up to 288, which a uint8 would wrap to 32
+    a = np.zeros((1, 1, 17, 17))
+    a[0, 0, 16, 16] = 1.0
+    out, idx = engine.pool_fp(a, 17, 17, Kind.MAXPOOL)
+    assert out.ravel().tolist() == [1.0] and int(idx.ravel()[0]) == 288
+    bp = engine.pool_bp(np.full((1, 1, 1, 1), 5.0), idx, 17, 17, Kind.MAXPOOL, (17, 17))
+    assert bp[0, 0, 16, 16] == 5.0 and bp.sum() == 5.0
 
 
 def test_maxpool_bp_conserves_routed_loss():
@@ -400,6 +484,44 @@ def test_train_deterministic_per_seed():
     assert runs[0][0] == runs[1][0]
     for i in runs[0][1]:
         assert np.array_equal(runs[0][1][i], runs[1][1][i])
+
+
+def test_float32_in_float32_out():
+    f32 = np.float32
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2, 3, 6, 5)).astype(f32)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(f32)
+    out = engine.conv_fp(a, w, 2, 1)
+    l = rng.standard_normal(out.shape).astype(f32)
+    got = [out, engine.conv_bp(l, w, 2, 1, (6, 5)), engine.conv_wu(a, l, 3, 2, 1),
+           engine.sgd_apply(w, w, 0.1), engine.relu_fp(a), engine.relu_bp(a, a)]
+    for kind in (Kind.MAXPOOL, Kind.AVGPOOL):
+        p, idx = engine.pool_fp(a, 2, 2, kind)
+        got += [p, engine.pool_bp(p, idx, 2, 2, kind, (6, 5))]
+    st_ = engine.BnState.init(3)
+    got += [engine.bn_fp(a, st_), engine.bn_bp(a, st_, 0.1), st_.gamma, st_.beta]
+    got.append(engine.softmax_xent(rng.standard_normal((2, 4, 1, 1)).astype(f32),
+                                   np.array([0, 3]))[1])
+    assert [g.dtype for g in got] == [np.dtype(f32)] * len(got)
+    net = smoke_net(batch=2)
+    params = engine.init_params(net, seed=1)
+    x, y = next(synthetic_batches(net, 1, seed=1))
+    logits, acts, _ = engine.forward(net, params, x, keep=True)
+    loss, params = engine.train_minibatch(net, params, x, y)
+    assert isinstance(loss, float) and logits.dtype == f32
+    assert all(v.dtype == f32 for v in acts)
+    assert all(v.dtype == f32 for v in params.weights.values())
+    assert all(bn.gamma.dtype == bn.beta.dtype == f32 for bn in params.bn.values())
+
+
+def test_forward_rejects_mismatched_input():
+    net = smoke_net(batch=2)
+    params = engine.init_params(net, seed=1)
+    with pytest.raises(ShapeMismatch):
+        engine.forward(net, params, np.zeros((2, 2, 12, 12), dtype=np.float32))
+    with pytest.raises(ShapeMismatch):
+        engine.train_minibatch(net, params, np.zeros((2, 3, 12, 11), dtype=np.float32),
+                               np.array([0, 1]))
 
 
 def test_small_cnn_forward_dims(cifar_small):
