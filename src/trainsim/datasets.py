@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,25 +44,51 @@ def save_raw(path, data: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_raw(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a `save_raw` container.  A file that is not one whole container
+    (bad magic, a short header, or a payload of another size than the
+    header says) raises ConfigError."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if f.read(8) != RAW_MAGIC:
             raise ConfigError(f"{path}: not a raw tensor file")
-        (ndim,) = struct.unpack("<I", f.read(4))
+        head = f.read(4)
+        ndim = struct.unpack("<I", head)[0] if len(head) == 4 else 0
+        if not ndim or 12 + 4 * ndim > size:
+            raise ConfigError(f"{path}: truncated or empty dims header")
         shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-        n = int(np.prod(shape))
+        n = math.prod(shape)
+        payload = size - f.tell()
+        if payload != 4 * (n + shape[0]):
+            raise ConfigError(f"{path}: payload is {payload} bytes, the header "
+                              f"{shape} needs {4 * (n + shape[0])}")
         data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape).copy()
         labels = np.frombuffer(f.read(4 * shape[0]), dtype="<i4").copy()
     return data, labels
 
 
 def file_batches(path, net: NetworkSpec, steps: int, seed: int):
+    """Minibatches drawn at random from a raw dataset whose samples fit the
+    network's input and whose labels are its classes, else ConfigError."""
     data, labels = load_raw(path)
-    if data.ndim != 4:
-        raise ConfigError("raw dataset must be (samples, ch, rows, cols)")
+    first, classes = net.layers[0], net.layers[-1].m
+    want = (first.n, first.r_in, first.c_in)
+    if data.ndim != 4 or data.shape[1:] != want:
+        raise ConfigError(f"{path}: raw dataset must be (samples, ch, rows, cols) with "
+                          f"(ch, rows, cols) = {want}, got {data.shape}")
+    if not data.shape[0]:
+        raise ConfigError(f"{path}: raw dataset holds no samples")
+    bad = (labels < 0) | (labels >= classes)
+    if bad.any():
+        raise ConfigError(f"{path}: label {labels[bad][0]} outside the "
+                          f"{classes} classes of the network")
+    return _minibatches(data, labels, net.batch, steps, seed)
+
+
+def _minibatches(data: np.ndarray, labels: np.ndarray, batch: int, steps: int, seed: int):
     rng = np.random.default_rng(seed)
     n = data.shape[0]
     for _ in range(steps):
-        pick = rng.integers(0, n, size=net.batch)
+        pick = rng.integers(0, n, size=batch)
         yield data[pick], labels[pick]
 
 

@@ -20,7 +20,12 @@ at a time, in two steps:
   previous run, so streams that genuinely continue across loop steps (the
   forward weight scan, block-sized output slabs) pay no second restart.
   Beats follow the slot rule of `_beats`; bursts are the runs between
-  restarts.
+  restarts.  The walk keeps runs as groups (`layout.Walk`), and no run of
+  a group continues the one before it.  So only a group's boundary runs,
+  its first and its last, go through these rules, in one run list; each
+  of its count - 2 interior runs is a burst of its own, costing
+  `_beats(length) + t_start`, and is added in closed form, weighted by
+  count - 2 in the histogram.
 - `simulate_sequences` folds transfer cycles into the pipeline: a chunk's
   load is the max over its non-overlapped loads, a production costs
   load_0 + sum(max(load_k, comp_(k-1))) plus its last compute (the tail),
@@ -69,23 +74,42 @@ class SimResult:
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums of consecutive segments of `values`, `counts` long each."""
     ends = np.cumsum(counts)
-    sums = np.concatenate(([0], np.cumsum(values)))
+    sums = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=sums[1:])
     return sums[ends] - sums[ends - counts]
 
 
-def _price_channel(walk: Walk, trs: np.ndarray,
-                   dev: DeviceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
-    order), and the length of every burst they make."""
-    idx = walk.run_index(trs)
+    order), and the burst-length histogram they make: each length once,
+    ascending, with its count."""
+    idx = walk.group_index(trs)
     start, length = walk.start[idx], walk.length[idx]
-    n = walk.run_off[trs + 1] - walk.run_off[trs]
-    tr = np.repeat(np.arange(trs.size), n)  # position in trs, per run
+    many, count, stride = walk.repeats(idx)  # the groups of two runs or more
     del idx
+    n = walk.run_off[trs + 1] - walk.run_off[trs]  # groups per transfer
+    tr = np.repeat(np.arange(trs.size), n)  # position in trs, per group
+    slot = walk.slot_words[trs]
     head = np.zeros(tr.size, dtype=bool)
     head[(np.cumsum(n) - n)[n > 0]] = True
+    del n
+    if many.size:
+        # no run of a group continues the one before it, so every run between
+        # its first and last is a burst of its own
+        inner = many[count > 2]
+        inner_len, inner_tr, n_inner = length[inner], tr[inner], count[count > 2] - 2
+        inner_cost = n_inner * (_beats(inner_len, slot[inner_tr], dev.p) + dev.t_start)
+        # the rest are boundary runs: each group's first, then its last
+        g = np.repeat(np.arange(tr.size), 1 + np.bincount(many, minlength=tr.size))
+        many = many + np.arange(1, many.size + 1)  # now where the last runs go
+        start = start[g]
+        start[many] += (count - 1) * stride
+        length, tr, head = length[g], tr[g], head[g]
+        del g, inner
     cont = np.zeros(tr.size, dtype=bool)
     cont[1:] = start[1:] == start[:-1] + length[:-1]
+    cont[many] = False  # a group's last run never continues the one before it
     prs = walk.per_run_start[trs][tr]
     # merge runs that continue their predecessor inside a transfer
     keep = np.flatnonzero(~cont | head | prs)
@@ -93,10 +117,19 @@ def _price_channel(walk: Walk, trs: np.ndarray,
     tr = tr[keep]
     restart = ~cont[keep] | prs[keep] | (head[keep] & walk.fresh_start[trs][tr])
     del start, head, cont, prs, keep
-    cycles = _beats(length, walk.slot_words[trs][tr], dev.p) + restart * dev.t_start
+    cycles = _beats(length, slot[tr], dev.p)
+    cycles += restart * dev.t_start
     per_tr = np.bincount(tr, minlength=trs.size)
-    bursts = np.add.reduceat(length, np.flatnonzero(restart))
-    return (_segment_sums(cycles, per_tr), _segment_sums(restart, per_tr), bursts)
+    lengths, counts = np.unique(np.add.reduceat(length, np.flatnonzero(restart)),
+                                return_counts=True)
+    del slot, length, tr
+    cycles, restarts = _segment_sums(cycles, per_tr), _segment_sums(restart, per_tr)
+    if many.size:
+        np.add.at(cycles, inner_tr, inner_cost)
+        np.add.at(restarts, inner_tr, n_inner)
+        lengths, at = np.unique(np.concatenate((lengths, inner_len)), return_inverse=True)
+        counts = np.bincount(at, np.concatenate((counts, n_inner))).astype(np.int64)
+    return cycles, restarts, lengths, counts
 
 
 def _store_terms(walk: Walk, tail: np.ndarray, store_cost: np.ndarray,
@@ -121,11 +154,10 @@ def simulate_sequences(walk: Walk, dev: DeviceSpec) -> SimResult:
     restarts = np.zeros(walk.chan.size, dtype=np.int64)
     for chan in CHANNELS:
         trs = walk.on(chan)
-        cost[trs], restarts[trs], bursts = _price_channel(walk, trs, dev)
-        if bursts.size:
-            lengths, counts = np.unique(bursts, return_counts=True)
-            res.bursts[chan.value] = int(bursts.size)
-            res.words[chan.value] = int(bursts.sum())
+        cost[trs], restarts[trs], lengths, counts = _price_channel(walk, trs, dev)
+        if lengths.size:
+            res.bursts[chan.value] = int(counts.sum())
+            res.words[chan.value] = int(lengths @ counts)
             res.burst_lengths[chan.value] = dict(zip(lengths.tolist(), counts.tolist()))
 
     loads = (walk.role == LOAD) & ~walk.overlapped

@@ -15,17 +15,25 @@ Weight storage for the tile-major layouts is (block, m-tile, n-tile) with
 one contiguous scan.  All maps are fully packed bijections onto their
 regions; addresses are 32-bit word indices, never bytes.
 
-Traces are run-length encoded, and a run list is always an (n, 2) int64
-array of (start, length) rows.  `FeatureGeom.tiles` and `WeightGeom.tiles`
-give the runs of many tiles in one call, by one strided expansion
-(`_strided`): a tile is n_out x n_in runs at base + o*s_out + i*s_in.  A
-layer pass is one columnar trace, a `Walk`: flat arrays of sequences,
-productions, chunks and transfers, each row pointing at its parent, plus
-the runs of every transfer in one start and one length column.
-Sequences, productions and chunks are in bus order, and so are each
-channel's transfers.  `Walk.runs` gathers the runs of some transfers,
-`trace_layer` those of each channel, and `merge_runs` folds runs that
-continue each other into the maximal contiguous ones.
+Traces are run-length encoded twice over.  A run list is always an (n, 2)
+int64 array of (start, length) rows; a run group is `count` runs of
+`length` words at start + j*stride, an (n, 4) row of (start, length,
+count, stride) (`expand_groups` turns groups into runs).
+`FeatureGeom.tiles` and `WeightGeom.tiles` give the groups of many tiles
+in one call (`_strided`): a tile is n_out x n_in runs at
+base + o*s_out + i*s_in, one group of n_in runs per o, such as the rows of
+one channel of a BCHW tile.  No run of a group continues the one before it
+(stride != length) unless its transfer restarts every run anyway
+(`per_run_start`), so a pricer needs only a group's first and last run to
+see where it joins its neighbours.  A layer pass is one columnar trace, a
+`Walk`: flat arrays of sequences, productions, chunks and transfers, each
+row pointing at its parent, plus the run groups of every transfer: each
+group's first run in a start and a length column, and count and stride
+for the groups of more than one run.  Sequences, productions and chunks
+are in bus order, and so are each channel's transfers.  `Walk.runs`
+expands the groups of some transfers into runs, `trace_layer` those of
+each channel, and `merge_runs` folds runs that continue each other into
+the maximal contiguous ones.
 
 Walkers build a walk by index arithmetic, one weight block at a time: the
 only Python loop left is the one over blocks, and a `_WalkWriter` appends
@@ -89,20 +97,41 @@ def _full(x, shape: tuple[int, ...]) -> np.ndarray:
 
 def _strided(base, n_out: np.ndarray, s_out, n_in, s_in,
              length) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of many tiles, each n_out x n_in runs of `length` words at
-    base + o*s_out + i*s_in, o-major.  `n_out` is an array with one entry
-    per tile; every other argument is such an array or a scalar for all.
-    Returns the (n, 2) int64 (start, length) runs and each tile's count."""
+    """Run groups of many tiles, each n_out x n_in runs of `length` words
+    at base + o*s_out + i*s_in, o-major: one group of n_in runs at stride
+    s_in per o.  `n_out` is an array with one entry per tile; every other
+    argument is such an array or a scalar for all.  Returns the (n, 4)
+    int64 (start, length, count, stride) groups and each tile's number of
+    groups, n_out."""
     t, o = _nested(n_out)
-    start = _at(base, t) + o * _at(s_out, t)
-    if np.ndim(n_in) or n_in != 1:
-        row, i = _nested(_full(_at(n_in, t), t.shape))
-        t = t[row]
-        start = start[row] + i * _at(s_in, t)
-    runs = np.empty((t.size, 2), dtype=np.int64)
-    runs[:, 0] = start
-    runs[:, 1] = _at(length, t)
-    return runs, n_out * n_in
+    groups = np.empty((t.size, 4), dtype=np.int64, order="F")  # columns contiguous
+    groups[:, 0] = _at(base, t) + o * _at(s_out, t)
+    groups[:, 1] = _at(length, t)
+    groups[:, 2] = _at(n_in, t)
+    groups[:, 3] = _at(s_in, t)
+    return groups, n_out
+
+
+def expand_groups(groups: np.ndarray) -> np.ndarray:
+    """The runs of an (n, 4) group array in order, as an (m, 2) int64 run
+    array: group (start, length, count, stride) is `count` runs of
+    `length` words at start + j*stride.  Groups of one run each come back
+    as a view of their first two columns."""
+    if np.all(groups[:, 2] == 1):
+        return groups[:, :2]
+    g, j = _nested(groups[:, 2])
+    runs = np.empty((g.size, 2), dtype=np.int64)
+    runs[:, 0] = groups[g, 0] + j * groups[g, 3]
+    runs[:, 1] = groups[g, 1]
+    return runs
+
+
+def _single(runs: np.ndarray) -> np.ndarray:
+    """An (n, 2) run array as n groups of one run each."""
+    groups = np.zeros((len(runs), 4), dtype=np.int64)
+    groups[:, :2] = runs
+    groups[:, 2] = 1
+    return groups
 
 
 def merge_runs(runs: np.ndarray) -> np.ndarray:
@@ -191,26 +220,32 @@ class FeatureGeom:
 
     def tiles(self, b, ch0, ch1, r0, r1, c0, c1
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Runs of many tiles at once: tile i covers channels
+        """Run groups of many tiles at once: tile i covers channels
         [ch0[i],ch1[i]) x rows [r0[i],r1[i]) x cols [c0[i],c1[i]) of image
         b[i] (arrays of one length; a scalar stands for every tile), in this
-        layout's scan order.  Returns (runs, runs per tile, slot words per
-        tile): the (n, 2) int64 (start, length) runs of every tile in turn,
-        and the width of the channel slice a channel-interleaved tile hands
-        its consumer per pixel (0 under BCHW).
+        layout's scan order.  Returns (groups, groups per tile, slot words
+        per tile): the (n, 4) int64 (start, length, count, stride) groups of
+        every tile in turn (see `expand_groups`), and the width of the
+        channel slice a channel-interleaved tile hands its consumer per
+        pixel (0 under BCHW).
 
         BCHW keeps one run per (channel, row), since the baseline engine
-        programs one descriptor per tile row segment.  BHWC with a channel
-        subset is one run per pixel; otherwise a tile is one run per row, or
-        one run if it covers whole rows."""
+        programs one descriptor per tile row segment: a group per channel,
+        or one group of all channels if the tile is one row.
+        BHWC with a channel subset is one run per pixel, a group per row;
+        otherwise a tile is one run per row, or one run if it covers whole
+        rows, each a group of its own."""
         shape = np.broadcast(b, ch0, ch1, r0, r1, c0, c1).shape or (1,)
         nch, nr, nc = ch1 - ch0, r1 - r0, c1 - c0
         empty = (nch <= 0) | (nr <= 0) | (nc <= 0)
         base = self._addr(b, ch0, r0, c0)
         if self.kind == LayoutKind.BCHW:
-            n_out = _full(np.where(empty, 0, nch), shape)
-            runs, counts = _strided(base, n_out, self.rows * self.cols, nr, self.cols, nc)
-            return runs, counts, np.zeros(shape, dtype=np.int64)
+            # a group of rows per channel, or one of channels for a one-row tile
+            row = nr == 1
+            n_out = _full(np.where(empty, 0, np.where(row, 1, nch)), shape)
+            groups, counts = _strided(base, n_out, self.rows * self.cols, np.where(row, nch, nr),
+                                      np.where(row, self.rows * self.cols, self.cols), nc)
+            return groups, counts, np.zeros(shape, dtype=np.int64)
         if self.kind == LayoutKind.BHWC_REUSE:
             wg, pixels = self.ch, (ch0 > 0) | (ch1 < self.ch)
         else:
@@ -219,9 +254,9 @@ class FeatureGeom:
                 raise ShapeMismatch("reshaped tiles must cover whole channel groups")
         whole = (c0 == 0) & (c1 == self.cols) & ~pixels
         n_out = _full(np.where(empty, 0, np.where(whole, 1, nr)), shape)
-        runs, counts = _strided(base, n_out, self.cols * wg, np.where(pixels, nc, 1),
+        groups, counts = _strided(base, n_out, self.cols * wg, np.where(pixels, nc, 1),
                                 self.ch, np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
-        return runs, counts, _full(nch, shape)
+        return groups, counts, _full(nch, shape)
 
 
 # ----------------------------------------------------------------- weights
@@ -281,22 +316,22 @@ class WeightGeom:
         return (mt * self.tm * self.n + self.m_width(mt) * nt * self.tn) * self.k * self.k
 
     def tiles(self, mt, nt, nt1=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Runs of many weight tiles at once, as `FeatureGeom.tiles` gives
-        them: tile i is m-tile mt[i] over n-tiles [nt[i], nt1[i]), or the
-        single n-tile nt[i] without `nt1`.  Tile-major storage holds it as
-        one run, the baseline order as one row-major slice per output
-        channel.  The slot is the Tm x Tn words of one (kr, kc) position,
-        0 under BCHW."""
+        """Run groups of many weight tiles at once, as `FeatureGeom.tiles`
+        gives them: tile i is m-tile mt[i] over n-tiles [nt[i], nt1[i]), or
+        the single n-tile nt[i] without `nt1`.  Tile-major storage holds it
+        as one run, the baseline order as one group of row-major slices,
+        one per output channel.  The slot is the Tm x Tn words of one
+        (kr, kc) position, 0 under BCHW."""
         shape = np.broadcast(mt, nt, nt1).shape or (1,)
         wm = self.m_width(mt)
         wn = (self.n_width(nt) if nt1 is None
               else np.minimum(self.n, nt1 * self.tn) - nt * self.tn)
         kk = self.k * self.k
         bchw = self.kind == LayoutKind.BCHW
-        runs, counts = _strided(self._addr(mt * self.tm, nt * self.tn, 0, 0),
-                                _full(wm if bchw else 1, shape), self.n * kk, 1, 0,
-                                (1 if bchw else wm) * wn * kk)
-        return runs, counts, _full(0 if bchw else wm * wn, shape)
+        groups, counts = _strided(self._addr(mt * self.tm, nt * self.tn, 0, 0),
+                                  _full(1, shape), 0, wm if bchw else 1, self.n * kk,
+                                  (1 if bchw else wm) * wn * kk)
+        return groups, counts, _full(0 if bchw else wm * wn, shape)
 
 
 # -------------------------------------------------------------- DRAM image
@@ -379,8 +414,14 @@ class Walk:
     a production is a run of chunks (each one compute step and the loads it
     waits for) plus what it stores.  Rows point at their parent: a chunk at
     its production, a production at its sequence, a load at its chunk and
-    a store at its production.  A transfer's runs are
-    start/length[run_off[t]:run_off[t + 1]]; every run is at least one word.
+    a store at its production.  A transfer's runs are those of its run
+    groups run_off[t]:run_off[t + 1], a group being `count` runs of
+    `length` words `stride` apart from `start` (`groups`, `expand_groups`);
+    every run is at least one word.  Most groups are one run, so the columns
+    keep every group's first run, and count and stride only for the groups
+    of more than one (`multi`).  No run of a group continues the one before
+    it (stride != length), unless the transfer is `per_run_start`, which
+    restarts every run anyway.
     """
 
     tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
@@ -395,24 +436,44 @@ class Walk:
     overlapped: np.ndarray     # per transfer: on the bus, hidden by the pipeline
     per_run_start: np.ndarray  # per transfer: one descriptor (restart) per run
     fresh_start: np.ndarray    # per transfer: own descriptor, restarts anyway
-    run_off: np.ndarray        # per transfer, plus one: first run
-    start: np.ndarray          # per run: first word
-    length: np.ndarray         # per run: words
+    run_off: np.ndarray        # per transfer, plus one: first run group
+    start: np.ndarray          # per group: first word of its first run
+    length: np.ndarray         # per group: words per run
+    multi: np.ndarray          # ascending: the groups of more than one run
+    count: np.ndarray          # per multi group: runs
+    stride: np.ndarray         # per multi group: words from run to run
 
     def on(self, channel: Channel) -> np.ndarray:
         """Indices of the channel's transfers, in bus order."""
         return np.flatnonzero(self.chan == CHANNELS.index(channel))
 
-    def run_index(self, transfers: np.ndarray) -> np.ndarray:
-        """Indices of the runs of `transfers`, in their order."""
+    def group_index(self, transfers: np.ndarray) -> np.ndarray:
+        """Indices of the run groups of `transfers`, in their order."""
         lo = self.run_off[transfers]
         return _gather(lo, self.run_off[transfers + 1] - lo)
+
+    def repeats(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The groups of more than one run among the ascending group indices
+        `idx`: their positions in `idx`, run counts and strides."""
+        pos = np.searchsorted(idx, self.multi)
+        hit = pos < idx.size
+        hit[hit] = idx[pos[hit]] == self.multi[hit]
+        return pos[hit], self.count[hit], self.stride[hit]
+
+    def groups(self, transfers: np.ndarray) -> np.ndarray:
+        """The run groups of `transfers` in order, as an (n, 4) int64 array
+        of (start, length, count, stride)."""
+        idx = self.group_index(transfers)
+        groups = np.zeros((idx.size, 4), dtype=np.int64)
+        groups[:, 0], groups[:, 1], groups[:, 2] = self.start[idx], self.length[idx], 1
+        pos, count, stride = self.repeats(idx)
+        groups[pos, 2], groups[pos, 3] = count, stride
+        return groups
 
     def runs(self, transfers: np.ndarray) -> np.ndarray:
         """The runs of `transfers` in order, as an (n, 2) int64 array of
         (start, length)."""
-        idx = self.run_index(transfers)
-        return np.column_stack((self.start[idx], self.length[idx]))
+        return expand_groups(self.groups(transfers))
 
 
 def _append(buf: array, values, n: int) -> None:
@@ -436,7 +497,8 @@ class _WalkWriter:
         self.owner, self.slot_words = array("q"), array("q")
         self.overlapped, self.per_run_start, self.fresh_start = (
             array("b"), array("b"), array("b"))
-        self.run_off, self.runs = array("q", [0]), array("q")
+        self.run_off, self.start, self.length = array("q", [0]), array("q"), array("q")
+        self.multi, self.count, self.stride = array("q"), array("q"), array("q")
 
     def sequences(self, n: int, tail_start: bool) -> int:
         first = len(self.tail_start)
@@ -458,10 +520,20 @@ class _WalkWriter:
                   tiles: tuple[np.ndarray, np.ndarray, np.ndarray],
                   overlapped=False, per_run_start=False, fresh_start=False) -> None:
         """One transfer per owner (its chunk for a load, its production for
-        a store), with the runs, run counts and slot widths of `tiles`; the
-        flags are per transfer or one for all."""
-        runs, counts, slot = tiles
+        a store), with the run groups, group counts and slot widths of
+        `tiles`; the flags are per transfer or one for all."""
+        groups, counts, slot = tiles
         n = owners.size
+        first = len(self.start)
+        if groups[:, 2].max(initial=1) > 1:
+            many = np.flatnonzero(groups[:, 2] > 1)
+            restarts = np.repeat(per_run_start, counts)[many] if np.ndim(per_run_start) \
+                else per_run_start
+            assert np.all((groups[many, 3] != groups[many, 1]) | restarts), \
+                "a run group continues its own runs"
+            _append(self.multi, first + many, many.size)
+            _append(self.count, groups[many, 2], many.size)
+            _append(self.stride, groups[many, 3], many.size)
         _append(self.chan, channel, n)
         _append(self.role, role, n)
         _append(self.owner, owners, n)
@@ -469,24 +541,24 @@ class _WalkWriter:
         _append(self.overlapped, overlapped, n)
         _append(self.per_run_start, per_run_start, n)
         _append(self.fresh_start, fresh_start, n)
-        _append(self.run_off, len(self.runs) // 2 + np.cumsum(counts), n)
-        self.runs.frombytes(runs.tobytes())
+        _append(self.run_off, first + np.cumsum(counts), n)
+        self.start.frombytes(groups[:, 0].tobytes())
+        self.length.frombytes(groups[:, 1].tobytes())
 
     def finish(self) -> Walk:
         def col(a: array, dtype) -> np.ndarray:
             return np.frombuffer(a, dtype=dtype)
 
-        runs = col(self.runs, np.int64).reshape(-1, 2)
         flags = {f: col(getattr(self, f), np.bool_)
                  for f in ("tail_start", "overlapped", "per_run_start", "fresh_start")}
         ints = {f: col(getattr(self, f), np.int64)
-                for f in ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "run_off")}
+                for f in ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "run_off",
+                          "start", "length", "multi", "count", "stride")}
         codes = {f: col(getattr(self, f), np.int8) for f in ("chan", "role")}
         stores = codes["role"] != LOAD
         prod_store = np.full(len(self.prod_seq), NO_STORE, dtype=np.int8)
         prod_store[ints["owner"][stores]] = codes["role"][stores]
-        return Walk(**flags, **ints, **codes, prod_store=prod_store,
-                    start=runs[:, 0], length=runs[:, 1])
+        return Walk(**flags, **ints, **codes, prod_store=prod_store)
 
 
 @dataclass(frozen=True)
@@ -559,8 +631,8 @@ def _spatial_tiles(ws: WalkSpec, rows: int, cols: int, window,
 
 def _repeated(tiles: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
     """`tiles` output for the same tiles n times over, one copy per image."""
-    runs, counts, slot = tiles
-    return np.tile(runs, (n, 1)), np.tile(counts, n), np.tile(slot, n)
+    groups, counts, slot = tiles
+    return np.tile(groups, (n, 1)), np.tile(counts, n), np.tile(slot, n)
 
 
 def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
@@ -653,8 +725,8 @@ def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
         w.transfers(IFM, LOAD, c + k.ifm_owner, k.ifm, per_run_start=bchw, fresh_start=True)
         if bp_block:
             # one descriptor per block; its first chunk does not wait for it
-            runs, counts, _ = wei.tiles(k.wei_a, g0, g1)
-            w.transfers(WEI, LOAD, c + k.wei_owner, (runs, counts, width * min(ws.tn, acc_ch)),
+            groups, counts, _ = wei.tiles(k.wei_a, g0, g1)
+            w.transfers(WEI, LOAD, c + k.wei_owner, (groups, counts, width * min(ws.tn, acc_ch)),
                         overlapped=k.wei_a == 0, fresh_start=True)
         else:
             o = g0 + k.wei_o
@@ -704,8 +776,8 @@ def walk_wu(ws: WalkSpec) -> Walk:
         m1 = np.minimum(l.m, m0 + tm)
         # every (m-tile, n-tile) weight tile of the block, m-tile major
         wei_tiles = wei.tiles(np.repeat(np.arange(g0, g1), n_n), np.tile(np.arange(n_n), n_m))
-        wei_runs = merge_runs(wei_tiles[0])
-        wei_load = (wei_runs, np.array([len(wei_runs)]), np.zeros(1, dtype=np.int64))
+        wei_runs = merge_runs(expand_groups(wei_tiles[0]))
+        wei_load = (_single(wei_runs), np.array([len(wei_runs)]), np.zeros(1, dtype=np.int64))
         if resident and ws.kind == LayoutKind.BHWC_REUSE:
             # channel-last reuse: both maps stream in whole, once per image;
             # an image is one loading production, then one per m-tile of
@@ -917,8 +989,8 @@ def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
                for chan in geoms}
     walk = WALKERS[process](ws)
     for chan in geoms:
-        runs = walk.run_index(walk.on(chan))
-        a = _gather(walk.start[runs], walk.length[runs])  # every word read
+        runs = walk.runs(walk.on(chan))
+        a = _gather(runs[:, 0], runs[:, 1])  # every word read
         off = image.region(chan.value)[0]
         rebuilt[chan][inverses[chan][a]] = image.words[off + a]
     out = {}
@@ -958,7 +1030,7 @@ def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str
 
 
 __all__ = [
-    "LayoutKind", "merge_runs", "fwd_window", "bp_window",
+    "LayoutKind", "expand_groups", "merge_runs", "fwd_window", "bp_window",
     "FeatureGeom", "WeightGeom", "DramImage", "pack", "unpack",
     "LOAD", "CHUNK_STORE", "STORE", "NO_STORE", "CHANNELS", "Walk", "WalkSpec",
     "resolve_walk", "walk_fp", "walk_bp", "walk_wu", "WALKERS",

@@ -154,18 +154,60 @@ def count_ops_per_layer(layers):
     return per_layer, total
 
 
+def feature_tile_runs(geom, b, ch0, ch1, r0, r1, c0, c1):
+    """The (start, length) runs of one feature tile, run by run, by literal
+    loops over `geom.addr`: BCHW one per (channel, row), BHWC over a
+    channel subset one per pixel, otherwise one per row, or one in all if
+    the tile covers whole rows.  An empty tile has none."""
+    if ch1 <= ch0 or r1 <= r0 or c1 <= c0:
+        return []
+    nch, nc = ch1 - ch0, c1 - c0
+    if geom.kind == "bchw":
+        return [(geom.addr(b, m, r, c0), nc) for m in range(ch0, ch1) for r in range(r0, r1)]
+    if geom.kind == "bhwc" and nch < geom.ch:
+        return [(geom.addr(b, ch0, r, c), nch) for r in range(r0, r1) for c in range(c0, c1)]
+    if c0 == 0 and c1 == geom.cols:
+        return [(geom.addr(b, ch0, r0, 0), (r1 - r0) * nc * nch)]
+    return [(geom.addr(b, ch0, r, c0), nc * nch) for r in range(r0, r1)]
+
+
+def weight_tile_runs(geom, mt, nt, nt1=None):
+    """The (start, length) runs of m-tile mt over n-tiles [nt, nt1) (or
+    the one n-tile nt): one row-major slice per output channel under BCHW,
+    one run in tile-major storage."""
+    nt1 = nt + 1 if nt1 is None else nt1
+    m0, m1 = mt * geom.tm, min(geom.m, (mt + 1) * geom.tm)
+    n0, n1 = nt * geom.tn, min(geom.n, nt1 * geom.tn)
+    kk = geom.k * geom.k
+    if geom.kind == "bchw":
+        return [(geom.addr(m, n0, 0, 0), (n1 - n0) * kk) for m in range(m0, m1)]
+    return [(geom.addr(m0, n0, 0, 0), (m1 - m0) * (n1 - n0) * kk)]
+
+
+def transfer_runs(walk):
+    """Every run of a `layout.Walk` in transfer order, as `Walk.runs`
+    expands them, and where each transfer's runs begin (plus the end)."""
+    transfers = np.arange(walk.chan.size)
+    runs = walk.runs(transfers)
+    off = np.concatenate(([0], np.cumsum(walk.groups(transfers)[:, 2])))[walk.run_off]
+    return runs, off
+
+
 def price_walk_loops(walk, t_start, p):
     """Scalar reference for `dma.simulate_sequences`: the per-run pricer,
     pricing one run at a time in pipeline order (each production's chunk
     loads, then its stores) and carrying continuity per channel.  Reads a
-    `layout.Walk` row by row.  Returns (cycles, bursts, words, burst-length
+    `layout.Walk` row by row, one run at a time as `Walk.runs` expands
+    them.  Returns (cycles, bursts, words, burst-length
     histogram), the last three keyed by channel name."""
     from trainsim.layout import CHANNELS, CHUNK_STORE, LOAD, STORE
 
     col = {f: getattr(walk, f).tolist() for f in (
         "tail_start", "prod_seq", "prod_store", "chunk_prod", "comp", "chan",
         "role", "owner", "slot_words", "overlapped", "per_run_start",
-        "fresh_start", "run_off", "start", "length")}
+        "fresh_start")}
+    runs, off = transfer_runs(walk)
+    col["run_off"], col["start"], col["length"] = off.tolist(), *runs.T.tolist()
     loads, stores, chunks, prods = {}, {}, {}, {}
     for t, (role, owner) in enumerate(zip(col["role"], col["owner"])):
         (loads if role == LOAD else stores).setdefault(owner, []).append(t)

@@ -188,6 +188,42 @@ def test_train_raw_file_dataset(tmp_path):
     assert rc == 0
 
 
+def _raw_cifar6(path, samples=4, ch=3, label=0):
+    save_raw(path, np.zeros((samples, ch, 32, 32), dtype=np.float32),
+             np.full(samples, label))
+
+
+def _truncated(path):
+    _raw_cifar6(path)
+    path.write_bytes(path.read_bytes()[:-6])
+
+
+@pytest.mark.parametrize("write, says", [
+    (_truncated, "payload"),
+    (lambda path: _raw_cifar6(path, samples=0), "no samples"),
+    (lambda path: _raw_cifar6(path, label=10), "label 10"),
+    (lambda path: _raw_cifar6(path, ch=2), "(ch, rows, cols)"),
+], ids=["truncated", "no-samples", "label-out-of-range", "channels"])
+def test_train_malformed_raw_dataset_is_config_error(tmp_path, capsys, write, says):
+    write(tmp_path / "data.bin")
+    rc = run(["train", "--net", "cifar6", "--batch", "2", "--steps", "1",
+              "--data", str(tmp_path / "data.bin"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert says in capsys.readouterr().err
+
+
+def test_simulate_reports_deviation_only_for_reshaped(tmp_path, capsys):
+    lines = {}
+    for kind in ("reshaped", "bchw"):
+        assert run(["simulate", "--net", "alexnet_conv", "--device", "zcu102",
+                    "--plan", "alexnet_conv_zcu102", "--batch", "1",
+                    "--layout", kind, "--out", str(tmp_path)]) == 0
+        lines[kind] = capsys.readouterr().out
+    assert "worst deviation vs analytic" in lines["reshaped"]
+    assert "worst deviation" not in lines["bchw"]
+    assert "the analytic model describes the reshaped layout only" in lines["bchw"]
+
+
 def test_layout_dump_schema(tmp_path):
     rc = run(["layout-dump", "--net", "alexnet_conv",
               "--plan", "alexnet_conv_zcu102", "--batch", "2",

@@ -3,7 +3,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trainsim.dma import (simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
-from trainsim.layout import (IFM, LOAD, FeatureGeom, LayoutKind, _WalkWriter,
+from trainsim.layout import (CHUNK_STORE, IFM, LOAD, NO_STORE, OUT, STORE, WEI,
+                             FeatureGeom, LayoutKind, _WalkWriter, expand_groups,
                              layer_sequences, trace_layer)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
@@ -39,7 +40,7 @@ def test_split_bursts_empty_trace():
 
 def test_split_bursts_bchw_tile():
     g = FeatureGeom(LayoutKind.BCHW, 1, 2, 5, 5)
-    bursts = split_bursts(g.tiles(0, 0, 2, 1, 4, 1, 4)[0])
+    bursts = split_bursts(expand_groups(g.tiles(0, 0, 2, 1, 4, 1, 4)[0]))
     assert len(bursts) == 6 and (bursts[:, 1] == 3).all()
 
 
@@ -57,13 +58,18 @@ def test_split_bursts_preserves_words_and_is_maximal(pairs):
 
 def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
     """What the pricer charges for one load of `bursts`: a walk of one
-    sequence, production and chunk, with no compute and no store."""
+    sequence, production and chunk, with no compute and no store, whose
+    runs (`Walk.runs`) are `bursts`."""
     w = _WalkWriter()
     p = w.productions(np.array([w.sequences(1, False)]))
     c = w.chunks(np.array([p]), 0)
+    groups = np.column_stack((bursts, np.ones(len(bursts), dtype=np.int64),
+                              np.zeros(len(bursts), dtype=np.int64)))
     w.transfers(IFM, LOAD, np.array([c]),
-                (bursts, np.array([len(bursts)]), np.zeros(1, dtype=np.int64)))
-    return simulate_sequences(w.finish(), dev).cycles
+                (groups, np.array([len(bursts)]), np.zeros(1, dtype=np.int64)))
+    walk = w.finish()
+    assert np.array_equal(walk.runs(walk.on(Channel.IFM)), bursts)
+    return simulate_sequences(walk, dev).cycles
 
 
 def test_transfer_cycles_single_burst():
@@ -185,3 +191,49 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
     cycles, bursts, words, hist = oracles.price_walk_loops(walk, t_start, p)
     assert (res.cycles, res.bursts, res.words, res.burst_lengths) == \
         (cycles, bursts, words, hist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
+def test_group_pricer_matches_scalar_oracle(data, p, t_start):
+    # synthetic walks of random run groups, whose heads may continue the
+    # channel's previous run, priced whole and run by run
+    draw = data.draw
+    group = st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11),
+                      st.booleans(), st.integers(0, 100))
+    flags = st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans())
+    w = _WalkWriter()
+    ends = {}  # per channel, the end of its last run
+
+    def transfer(channel, role, owner):
+        groups = []
+        for length, count, stride, go_on, start in draw(st.lists(group, min_size=1, max_size=3)):
+            stride += stride >= length  # any stride in 0..12 but the length
+            start = ends[channel] if go_on and channel in ends else start
+            groups.append((start, length, count, stride))
+            ends[channel] = start + (count - 1) * stride + length
+        slot, overlapped, per_run_start, fresh_start = draw(flags)
+        w.transfers(channel, role, np.array([owner]),
+                    (np.array(groups, dtype=np.int64), np.array([len(groups)]), slot),
+                    overlapped=role == LOAD and overlapped,
+                    per_run_start=per_run_start, fresh_start=fresh_start)
+
+    for tail_start in draw(st.lists(st.booleans(), min_size=1, max_size=2)):
+        seq = w.sequences(1, tail_start)
+        for store, n_stores in draw(st.lists(st.tuples(
+                st.sampled_from([NO_STORE, STORE, CHUNK_STORE]), st.integers(1, 2)),
+                min_size=1, max_size=3)):
+            prod = w.productions(np.array([seq]))
+            for comp, loads in draw(st.lists(st.tuples(
+                    st.integers(0, 40), st.lists(st.sampled_from([IFM, WEI]), max_size=2)),
+                    min_size=1, max_size=3)):
+                chunk = w.chunks(np.array([prod]), comp)
+                for channel in loads:
+                    transfer(channel, LOAD, chunk)
+            # a production stores once, or once per chunk-store transfer
+            for _ in range(0 if store == NO_STORE else 1 if store == STORE else n_stores):
+                transfer(OUT, store, prod)
+    walk = w.finish()
+    res = simulate_sequences(walk, DeviceSpec(stream_width_words=p, t_start=t_start))
+    assert (res.cycles, res.bursts, res.words, res.burst_lengths) == \
+        oracles.price_walk_loops(walk, t_start, p)

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from trainsim.errors import RegionMismatch, ShapeMismatch
 from trainsim.layout import (DramImage, FeatureGeom, LayoutKind, WeightGeom,
                              bp_window, equivalence_check, dma_start_table,
-                             fwd_window, layer_sequences, merge_runs, pack,
-                             reconstruct_operands, trace_layer, unpack)
+                             expand_groups, fwd_window, layer_sequences, merge_runs,
+                             pack, reconstruct_operands, trace_layer, unpack)
 from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
+
+import oracles
 
 
 def conv_layer(m, n, r, c, k, s, pad=0):
@@ -132,8 +134,10 @@ def test_merge_runs():
 
 def test_bchw_tile_runs_row_granular():
     g = FeatureGeom(LayoutKind.BCHW, 1, 2, 5, 5)
-    runs = g.tiles(0, 0, 2, 1, 4, 1, 4)[0]
+    groups = g.tiles(0, 0, 2, 1, 4, 1, 4)[0]
+    runs = expand_groups(groups)
     assert len(runs) == 6 and (runs[:, 1] == 3).all()
+    assert groups[:, 2].tolist() == [3, 3]  # one group of rows per channel
 
 
 def test_reshaped_tile_requires_group_alignment():
@@ -150,16 +154,23 @@ def _split(runs, counts) -> list:
     return np.split(runs, np.cumsum(counts)[:-1])
 
 
-def _check_tiles(geom, tiles, scan_addrs):
-    """`geom.tiles` over all `tiles` at once: each tile's runs expand to
-    `scan_addrs(tile)`, and the call equals its one-tile calls in turn."""
-    runs, counts, slot = geom.tiles(*(np.array(col) for col in zip(*tiles)))
+def _check_tiles(geom, tiles, scan_addrs, runs_of):
+    """`geom.tiles` over all `tiles` at once: each tile's run groups expand
+    to exactly the runs of the per-run oracle `runs_of(tile)`, which cover
+    `scan_addrs(tile)`; outside BCHW no group continues its own runs; and
+    the call equals its one-tile calls in turn."""
+    groups, counts, slot = geom.tiles(*(np.array(col) for col in zip(*tiles)))
     assert len(counts) == len(slot) == len(tiles)
+    assert (groups[:, 2] > 0).all()
+    if geom.kind != LayoutKind.BCHW:  # BCHW restarts every run anyway
+        assert ((groups[:, 2] == 1) | (groups[:, 3] != groups[:, 1])).all()
     singles = [geom.tiles(*tile) for tile in tiles]
-    for tile, tile_runs, one in zip(tiles, _split(runs, counts), singles):
-        assert _words(tile_runs) == scan_addrs(tile)
-        assert (tile_runs[:, 1] > 0).all()
-    assert np.array_equal(runs, np.concatenate([one[0] for one in singles]))
+    for tile, tile_groups in zip(tiles, _split(groups, counts)):
+        runs = expand_groups(tile_groups)
+        assert runs.tolist() == [list(run) for run in runs_of(tile)]
+        assert _words(runs) == scan_addrs(tile)
+        assert (runs[:, 1] > 0).all()
+    assert np.array_equal(groups, np.concatenate([one[0] for one in singles]))
     assert counts.tolist() == [int(one[1][0]) for one in singles]
     assert slot.tolist() == [int(one[2][0]) for one in singles]
     return slot
@@ -194,7 +205,8 @@ def test_feature_tiles_expand_to_addresses(data, kind, batch, ch, rows, cols, tm
         return [geom.addr(b, m, r, c) for r in range(r0, r1)
                 for c in range(c0, c1) for m in range(ch0, ch1)]
 
-    slot = _check_tiles(geom, tiles, scan)
+    slot = _check_tiles(geom, tiles, scan,
+                        lambda tile: oracles.feature_tile_runs(geom, *tile))
     assert slot.tolist() == [0 if kind == LayoutKind.BCHW else t[2] - t[1] for t in tiles]
 
 
@@ -220,7 +232,8 @@ def test_weight_tiles_expand_to_addresses(data, kind, m, n, k, tm, tn, block):
         return [geom.addr(a, b, kr, kc) for t in range(nt, nt1) for kr in range(k)
                 for kc in range(k) for b in range(t * tn, min(n, t * tn + tn)) for a in ms]
 
-    slot = _check_tiles(geom, tiles, scan)
+    slot = _check_tiles(geom, tiles, scan,
+                        lambda tile: oracles.weight_tile_runs(geom, *tile))
     if not block:
         assert slot.tolist() == [0 if kind == LayoutKind.BCHW else
                                  geom.m_width(mt) * geom.n_width(nt) for mt, nt in tiles]

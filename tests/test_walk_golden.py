@@ -30,6 +30,8 @@ from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer  # n
 from trainsim.plan import PlanEntry, Process, TilePlan  # noqa: E402
 from trainsim.sched import schedule  # noqa: E402
 
+import oracles  # noqa: E402
+
 GOLDEN = Path(__file__).parent / "golden" / "walks.json"
 
 
@@ -39,8 +41,8 @@ def walk_digest(walk) -> str:
     the production store (-5) and each transfer (-6) begin.  A transfer
     is its channel code, run count, runs, slot width (-1 for none) and the
     three pricing flags."""
-    runs = np.column_stack((walk.start, walk.length)).ravel().tolist()
-    off = walk.run_off.tolist()
+    runs, off = oracles.transfer_runs(walk)
+    runs, off = runs.ravel().tolist(), off.tolist()
     chan, slot = walk.chan.tolist(), walk.slot_words.tolist()
     flags = list(zip(walk.overlapped.tolist(), walk.per_run_start.tolist(),
                      walk.fresh_start.tolist()))
