@@ -30,6 +30,17 @@ at a time, in two steps:
   load is the max over its non-overlapped loads, a production costs
   load_0 + sum(max(load_k, comp_(k-1))) plus its last compute (the tail),
   and its stores add as `_store_terms` says.
+
+`simulate_layer` never holds a whole pass: it walks and prices it in the
+slices `layout.slices` cuts, of at most `SLICE_ROWS` rows each, ending on
+production boundaries.  Productions price independently but for three
+things, which a `Carry` takes from one slice to the next: per channel, the
+end address of its last run (the continuity rule) and its open burst (a
+burst across a cut is one burst in the histogram, which counts the open
+burst at its length so far), and whether the slice's last sequence goes on
+in the next (`Walk.continued`): then its last production's store is not
+the sequence's last, and its `tail_start` restart is charged where it
+ends.  A whole walk is priced as the one slice of its pass.
 """
 
 from __future__ import annotations
@@ -41,7 +52,11 @@ import numpy as np
 from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div
 from .perf import LatencyReport, ReportRow, network_report
 from .plan import Process, TilePlan
-from .layout import CHANNELS, LOAD, STORE, Walk, layer_sequences, merge_runs
+from .layout import (CHANNELS, LOAD, STORE, WALKERS, Walk, merge_runs, resolve_walk,
+                     slices)
+
+# the most rows (productions, chunks, transfers and run groups) a slice holds
+SLICE_ROWS = 1 << 15
 
 
 def split_bursts(runs: np.ndarray) -> np.ndarray:
@@ -79,11 +94,28 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums[ends] - sums[ends - counts]
 
 
-def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+@dataclass
+class _Stream:
+    """One channel's bursts so far, carried from slice to slice of a pass:
+    the address after its last run (-1 before the first) and the length of
+    its last burst, which the next slice's first run may continue; the
+    histogram counts that burst at its length so far."""
+
+    end: int = -1
+    open: int = 0
+    bursts: int = 0
+    words: int = 0
+    hist: dict[int, int] = field(default_factory=dict)
+
+    def count(self, lengths: np.ndarray, counts: np.ndarray) -> None:
+        for length, n in zip(lengths.tolist(), counts.tolist()):
+            self.hist[length] = self.hist.get(length, 0) + n
+
+
+def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
-    order), and the burst-length histogram they make: each length once,
-    ascending, with its count."""
+    order), whose bursts continue the channel's stream `s`."""
     idx = walk.group_index(trs)
     start, length = walk.start[idx], walk.length[idx]
     many, count, stride = walk.repeats(idx)  # the groups of two runs or more
@@ -107,9 +139,11 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec
         start[many] += (count - 1) * stride
         length, tr, head = length[g], tr[g], head[g]
         del g, inner
-    cont = np.zeros(tr.size, dtype=bool)
+    cont = np.empty(tr.size, dtype=bool)
+    cont[0] = start[0] == s.end
     cont[1:] = start[1:] == start[:-1] + length[:-1]
     cont[many] = False  # a group's last run never continues the one before it
+    s.end = int(start[-1] + length[-1])
     prs = walk.per_run_start[trs][tr]
     # merge runs that continue their predecessor inside a transfer
     keep = np.flatnonzero(~cont | head | prs)
@@ -120,16 +154,26 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec
     cycles = _beats(length, slot[tr], dev.p)
     cycles += restart * dev.t_start
     per_tr = np.bincount(tr, minlength=trs.size)
-    lengths, counts = np.unique(np.add.reduceat(length, np.flatnonzero(restart)),
-                                return_counts=True)
+    s.words += int(length.sum())
+    # bursts begin at restarts; runs before the first continue the open one
+    first = np.flatnonzero(restart)
+    lead = not restart[0]
+    bursts = np.add.reduceat(length, np.append(0, first) if lead else first)
+    if lead:
+        s.hist[s.open] -= 1
+        bursts[0] += s.open
+    s.open = int(bursts[-1])
+    s.count(*np.unique(bursts, return_counts=True))
     del slot, length, tr
     cycles, restarts = _segment_sums(cycles, per_tr), _segment_sums(restart, per_tr)
     if many.size:
         np.add.at(cycles, inner_tr, inner_cost)
         np.add.at(restarts, inner_tr, n_inner)
-        lengths, at = np.unique(np.concatenate((lengths, inner_len)), return_inverse=True)
-        counts = np.bincount(at, np.concatenate((counts, n_inner))).astype(np.int64)
-    return cycles, restarts, lengths, counts
+        lengths, at = np.unique(inner_len, return_inverse=True)
+        s.count(lengths, np.bincount(at, n_inner).astype(np.int64))
+        s.words += int(inner_len @ n_inner)
+    s.bursts += int(restarts.sum())
+    return cycles, restarts
 
 
 def _store_terms(walk: Walk, tail: np.ndarray, store_cost: np.ndarray,
@@ -138,27 +182,45 @@ def _store_terms(walk: Walk, tail: np.ndarray, store_cost: np.ndarray,
     stores.  A production's store folds into the tail (max) unless it is
     its sequence's last: that one is exposed, and its first restart is the
     sequence's tail penalty, charged once per `tail_start` sequence instead.
-    Per-chunk stores always add."""
-    final = np.append(np.diff(walk.prod_seq) != 0, True)
+    Per-chunk stores always add.  A slice's last production is not its
+    sequence's last if the sequence goes on in the next slice."""
+    final = np.append(np.diff(walk.prod_seq) != 0, not walk.continued)
     store = walk.prod_store == STORE
     terms = np.where(store & ~final, np.maximum(tail, store_cost), tail + store_cost)
     shared = store & final & walk.tail_start[walk.prod_seq] & (store_restarts > 0)
     return terms - shared * t_start
 
 
-def simulate_sequences(walk: Walk, dev: DeviceSpec) -> SimResult:
+@dataclass
+class Carry:
+    """What pricing one slice of a layer pass hands the next: the cycles so
+    far and each channel's stream."""
+
+    cycles: int = 0
+    streams: list[_Stream] = field(default_factory=lambda: [_Stream() for _ in CHANNELS])
+
+    def result(self) -> SimResult:
+        res = SimResult(cycles=self.cycles)
+        for chan, s in zip(CHANNELS, self.streams):
+            if s.words:
+                res.bursts[chan.value] = s.bursts
+                res.words[chan.value] = s.words
+                res.burst_lengths[chan.value] = {l: n for l, n in sorted(s.hist.items()) if n}
+        return res
+
+
+def simulate_sequences(walk: Walk, dev: DeviceSpec, carry: Carry | None = None) -> SimResult:
     """Cycles of one layer pass, with its bursts, words and burst-length
-    histogram per channel."""
-    res = SimResult(cycles=0)
+    histogram per channel.  Given the `carry` of the slices before it, the
+    walk is the next slice of a pass, which `carry` takes in; the result is
+    then the pass's so far."""
+    carry = carry or Carry()
     cost = np.zeros(walk.chan.size, dtype=np.int64)
     restarts = np.zeros(walk.chan.size, dtype=np.int64)
-    for chan in CHANNELS:
+    for chan, s in zip(CHANNELS, carry.streams):
         trs = walk.on(chan)
-        cost[trs], restarts[trs], lengths, counts = _price_channel(walk, trs, dev)
-        if lengths.size:
-            res.bursts[chan.value] = int(counts.sum())
-            res.words[chan.value] = int(lengths @ counts)
-            res.burst_lengths[chan.value] = dict(zip(lengths.tolist(), counts.tolist()))
+        if trs.size:
+            cost[trs], restarts[trs] = _price_channel(walk, trs, dev, s)
 
     loads = (walk.role == LOAD) & ~walk.overlapped
     load = np.zeros(walk.comp.size, dtype=np.int64)
@@ -168,23 +230,28 @@ def simulate_sequences(walk: Walk, dev: DeviceSpec) -> SimResult:
     later = np.flatnonzero(same) + 1
     load[later] = np.maximum(load[later], walk.comp[later - 1])
     tail = walk.comp[np.append(~same, True)]  # each production's last compute
-
     stores = walk.role != LOAD
     n_prod = walk.prod_seq.size
     store_cost = np.bincount(walk.owner[stores], cost[stores], n_prod).astype(np.int64)
     store_restarts = np.bincount(walk.owner[stores], restarts[stores], n_prod)
     terms = _store_terms(walk, tail, store_cost, store_restarts, dev.t_start)
-    res.cycles = int(load.sum() + terms.sum()
-                     + dev.t_start * np.count_nonzero(walk.tail_start))
-    return res
+    # a sequence's tail restart is charged in the slice where it ends
+    tails = np.count_nonzero(walk.tail_start) - (walk.continued and walk.tail_start[-1])
+    carry.cycles += int(load.sum() + terms.sum() + dev.t_start * tails)
+    return carry.result()
 
 
 def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
                    kind: str, dev: DeviceSpec, batch: int,
                    idx: int | None = None) -> SimResult:
-    """Trace-driven cycles for one layer pass under one layout."""
-    walk = layer_sequences(process, layer, plan, kind, batch, idx)
-    return simulate_sequences(walk, dev)
+    """Trace-driven cycles for one layer pass under one layout, walked and
+    priced one slice at a time (`layout.slices`), so that memory stays
+    bounded however large the pass."""
+    ws = resolve_walk(layer, plan, idx, process, kind, batch)
+    carry = Carry()
+    for part in slices(ws, process, SLICE_ROWS):
+        simulate_sequences(WALKERS[process](ws, part), dev, carry)
+    return carry.result()
 
 
 def simulate_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec, batch: int,

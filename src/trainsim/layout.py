@@ -38,9 +38,18 @@ the maximal contiguous ones.
 Walkers build a walk by index arithmetic, one weight block at a time: the
 only Python loop left is the one over blocks, and a `_WalkWriter` appends
 each block's rows (IFM loads, then OFM, WEI, OUT) in one go.  FP and BP
-share one walker on the pass's role-swapped operands, in which one branch
-per layout sets the production order and which productions reload
-weights; WU has its own.
+share one loop nest on the pass's role-swapped operands, in which one
+branch per layout sets the production order and which productions reload
+weights; WU has its own.  A nest is set up once per pass (geometry,
+spatial tiles, one table of what each production holds per block width)
+and writes any range of a block's productions, so a walker walks either a
+whole pass or one of its slices: `slices` cuts a pass, by those tables and
+without walking it, into ranges of productions of at most a given number
+of rows (productions, chunks, transfers and run groups), between weight
+blocks where it can, else between a block's sequences, else between
+productions.  Every block starts new sequences; a slice cut inside a
+sequence says so (`Walk.continued`).  WU reads a block's weights as the
+run groups of `merge_groups`, the maximal contiguous runs of its tiles.
 
 Descriptor policy lives where transfers are made: every feature load is
 its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
@@ -50,8 +59,9 @@ block.  dma.py prices the flags and the pipeline, one channel at a time.
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,12 +136,36 @@ def expand_groups(groups: np.ndarray) -> np.ndarray:
     return runs
 
 
-def _single(runs: np.ndarray) -> np.ndarray:
-    """An (n, 2) run array as n groups of one run each."""
-    groups = np.zeros((len(runs), 4), dtype=np.int64)
-    groups[:, :2] = runs
-    groups[:, 2] = 1
-    return groups
+def merge_groups(groups: np.ndarray) -> np.ndarray:
+    """`merge_runs` on run groups, without expanding them: (n, 4) groups
+    whose runs are the maximal contiguous runs of `expand_groups(groups)`.
+    A group whose runs continue each other becomes one run.  No other run
+    continues the one before it inside its group, so only a group's last
+    run can join the next group's first: such a chain of runs becomes one
+    joined run, placed where it begins, and each group keeps the rest of
+    its runs."""
+    start, length, count, stride = (groups[:, i].copy() for i in range(4))
+    solid = (count > 1) & (stride == length)
+    length[solid] *= count[solid]
+    count[solid] = 1
+    last = start + (count - 1) * stride  # each group's last run
+    link = last[:-1] + length[:-1] == start[1:]
+    joins = np.zeros(count.size, dtype=bool)  # its first run joins the last group's
+    goes_on = np.zeros(count.size, dtype=bool)  # its last run joins the next group's
+    joins[1:], goes_on[:-1] = link, link
+    own = np.maximum(count - joins - goes_on, 0)  # runs it keeps
+    opens = goes_on & ~(joins & (count == 1))  # a joined run begins at its last run
+    before = np.cumsum(opens) - opens  # joined runs begun before each group
+    joined = length[opens] + np.bincount(before[joins] - 1, length[joins],
+                                         minlength=int(opens.sum())).astype(np.int64)
+    n = (own > 0).astype(np.int64) + opens
+    at = np.cumsum(n) - n  # each group's first item
+    out = np.zeros((int(n.sum()), 4), dtype=np.int64)
+    keep = own > 0
+    out[at[keep]] = np.column_stack((start + joins * stride, length, own, stride))[keep]
+    out[(at + keep)[opens]] = np.column_stack(
+        (last[opens], joined, np.ones_like(joined), np.zeros_like(joined)))
+    return out
 
 
 def merge_runs(runs: np.ndarray) -> np.ndarray:
@@ -237,26 +271,38 @@ class FeatureGeom:
         rows, each a group of its own."""
         shape = np.broadcast(b, ch0, ch1, r0, r1, c0, c1).shape or (1,)
         nch, nr, nc = ch1 - ch0, r1 - r0, c1 - c0
-        empty = (nch <= 0) | (nr <= 0) | (nc <= 0)
+        n_out = _full(self.tile_groups(ch0, ch1, r0, r1, c0, c1), shape)
         base = self._addr(b, ch0, r0, c0)
         if self.kind == LayoutKind.BCHW:
             # a group of rows per channel, or one of channels for a one-row tile
             row = nr == 1
-            n_out = _full(np.where(empty, 0, np.where(row, 1, nch)), shape)
             groups, counts = _strided(base, n_out, self.rows * self.cols, np.where(row, nch, nr),
                                       np.where(row, self.rows * self.cols, self.cols), nc)
             return groups, counts, np.zeros(shape, dtype=np.int64)
         if self.kind == LayoutKind.BHWC_REUSE:
-            wg, pixels = self.ch, (ch0 > 0) | (ch1 < self.ch)
+            wg, pixels = self.ch, self._pixels(ch0, ch1)
         else:
             wg, pixels = self.group_width(ch0), False
-            if np.any(((ch0 % self.tm != 0) | (nch != wg)) & ~empty):
+            if np.any(((ch0 % self.tm != 0) | (nch != wg)) & (n_out > 0)):
                 raise ShapeMismatch("reshaped tiles must cover whole channel groups")
         whole = (c0 == 0) & (c1 == self.cols) & ~pixels
-        n_out = _full(np.where(empty, 0, np.where(whole, 1, nr)), shape)
         groups, counts = _strided(base, n_out, self.cols * wg, np.where(pixels, nc, 1),
                                 self.ch, np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
         return groups, counts, _full(nch, shape)
+
+    def _pixels(self, ch0, ch1):
+        """Whether a BHWC tile over channels [ch0, ch1) is one run per pixel."""
+        return (ch0 > 0) | (ch1 < self.ch)
+
+    def tile_groups(self, ch0, ch1, r0, r1, c0, c1) -> np.ndarray:
+        """How many run groups `tiles` gives each tile, without making them."""
+        nr = r1 - r0
+        empty = (ch1 <= ch0) | (nr <= 0) | (c1 <= c0)
+        if self.kind == LayoutKind.BCHW:
+            return np.where(empty, 0, np.where(nr == 1, 1, ch1 - ch0))
+        pixels = self.kind == LayoutKind.BHWC_REUSE and self._pixels(ch0, ch1)
+        whole = (c0 == 0) & (c1 == self.cols) & ~pixels
+        return np.where(empty, 0, np.where(whole, 1, nr))
 
 
 # ----------------------------------------------------------------- weights
@@ -422,6 +468,9 @@ class Walk:
     of more than one (`multi`).  No run of a group continues the one before
     it (stride != length), unless the transfer is `per_run_start`, which
     restarts every run anyway.
+
+    A walk may be one slice of a pass (`slices`): then `continued` says
+    whether its last sequence goes on in the next slice.
     """
 
     tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
@@ -442,6 +491,7 @@ class Walk:
     multi: np.ndarray          # ascending: the groups of more than one run
     count: np.ndarray          # per multi group: runs
     stride: np.ndarray         # per multi group: words from run to run
+    continued: bool = False    # its last sequence goes on past the walk
 
     def on(self, channel: Channel) -> np.ndarray:
         """Indices of the channel's transfers, in bus order."""
@@ -455,10 +505,13 @@ class Walk:
     def repeats(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The groups of more than one run among the ascending group indices
         `idx`: their positions in `idx`, run counts and strides."""
-        pos = np.searchsorted(idx, self.multi)
-        hit = pos < idx.size
-        hit[hit] = idx[pos[hit]] == self.multi[hit]
-        return pos[hit], self.count[hit], self.stride[hit]
+        if not idx.size:
+            return idx, idx, idx
+        lo, hi = np.searchsorted(self.multi, (idx[0], idx[-1] + 1))
+        multi = self.multi[lo:hi]  # only these can be among idx
+        pos = np.searchsorted(idx, multi)
+        hit = idx[pos] == multi
+        return pos[hit], self.count[lo:hi][hit], self.stride[lo:hi][hit]
 
     def groups(self, transfers: np.ndarray) -> np.ndarray:
         """The run groups of `transfers` in order, as an (n, 4) int64 array
@@ -476,12 +529,28 @@ class Walk:
         return expand_groups(self.groups(transfers))
 
 
-def _append(buf: array, values, n: int) -> None:
-    """Append n values to `buf`: an array of n, or one value n times."""
-    if isinstance(values, np.ndarray) and values.ndim:
-        buf.frombytes(values.astype(buf.typecode, copy=False).tobytes())
-    else:
-        buf.frombytes(array(buf.typecode, (int(values),)).tobytes() * n)
+class _Column:
+    """One column of a walk, appended in pieces and joined once.  It keeps
+    a copy of each piece, so that the arrays a piece comes from, such as
+    the four columns of a tile's run groups, are freed as the walk goes."""
+
+    def __init__(self, dtype, *first):
+        self.dtype, self.parts, self.size = dtype, [np.array(first, dtype=dtype)], len(first)
+
+    def add(self, values, n: int) -> int:
+        """Append n values, an array of n or one value n times; returns
+        the index of the first."""
+        first = self.size
+        if isinstance(values, np.ndarray) and values.ndim:
+            self.parts.append(values.astype(self.dtype))
+        else:
+            self.parts.append(np.empty(n, dtype=self.dtype))
+            self.parts[-1].fill(values)
+        self.size += n
+        return first
+
+    def array(self) -> np.ndarray:
+        return np.concatenate(self.parts)
 
 
 class _WalkWriter:
@@ -490,31 +559,26 @@ class _WalkWriter:
     walkers point rows at their parents by offset.  Sequences, productions
     and chunks go in bus order; so do each channel's transfers."""
 
+    FLAGS = ("tail_start", "overlapped", "per_run_start", "fresh_start")
+    CODES = ("chan", "role")
+    INTS = ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "start", "length",
+            "multi", "count", "stride")
+
     def __init__(self):
-        self.tail_start = array("b")
-        self.prod_seq, self.chunk_prod, self.comp = array("q"), array("q"), array("q")
-        self.chan, self.role = array("b"), array("b")
-        self.owner, self.slot_words = array("q"), array("q")
-        self.overlapped, self.per_run_start, self.fresh_start = (
-            array("b"), array("b"), array("b"))
-        self.run_off, self.start, self.length = array("q", [0]), array("q"), array("q")
-        self.multi, self.count, self.stride = array("q"), array("q"), array("q")
+        self.cols = {f: _Column(np.bool_) for f in self.FLAGS}
+        self.cols.update({f: _Column(np.int8) for f in self.CODES})
+        self.cols.update({f: _Column(np.int64) for f in self.INTS})
+        self.cols["run_off"] = _Column(np.int64, 0)
 
     def sequences(self, n: int, tail_start: bool) -> int:
-        first = len(self.tail_start)
-        _append(self.tail_start, tail_start, n)
-        return first
+        return self.cols["tail_start"].add(tail_start, n)
 
     def productions(self, seq: np.ndarray) -> int:
-        first = len(self.prod_seq)
-        _append(self.prod_seq, seq, seq.size)
-        return first
+        return self.cols["prod_seq"].add(seq, seq.size)
 
     def chunks(self, prod: np.ndarray, comp) -> int:
-        first = len(self.chunk_prod)
-        _append(self.chunk_prod, prod, prod.size)
-        _append(self.comp, comp, prod.size)
-        return first
+        self.cols["comp"].add(comp, prod.size)
+        return self.cols["chunk_prod"].add(prod, prod.size)
 
     def transfers(self, channel: int, role: int, owners: np.ndarray,
                   tiles: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -523,42 +587,30 @@ class _WalkWriter:
         a store), with the run groups, group counts and slot widths of
         `tiles`; the flags are per transfer or one for all."""
         groups, counts, slot = tiles
-        n = owners.size
-        first = len(self.start)
+        n, cols = owners.size, self.cols
+        first = cols["start"].add(groups[:, 0], len(groups))
+        cols["length"].add(groups[:, 1], len(groups))
         if groups[:, 2].max(initial=1) > 1:
             many = np.flatnonzero(groups[:, 2] > 1)
             restarts = np.repeat(per_run_start, counts)[many] if np.ndim(per_run_start) \
                 else per_run_start
             assert np.all((groups[many, 3] != groups[many, 1]) | restarts), \
                 "a run group continues its own runs"
-            _append(self.multi, first + many, many.size)
-            _append(self.count, groups[many, 2], many.size)
-            _append(self.stride, groups[many, 3], many.size)
-        _append(self.chan, channel, n)
-        _append(self.role, role, n)
-        _append(self.owner, owners, n)
-        _append(self.slot_words, slot, n)
-        _append(self.overlapped, overlapped, n)
-        _append(self.per_run_start, per_run_start, n)
-        _append(self.fresh_start, fresh_start, n)
-        _append(self.run_off, first + np.cumsum(counts), n)
-        self.start.frombytes(groups[:, 0].tobytes())
-        self.length.frombytes(groups[:, 1].tobytes())
+            cols["multi"].add(first + many, many.size)
+            cols["count"].add(groups[many, 2], many.size)
+            cols["stride"].add(groups[many, 3], many.size)
+        for f, values in (("chan", channel), ("role", role), ("owner", owners),
+                          ("slot_words", slot), ("overlapped", overlapped),
+                          ("per_run_start", per_run_start), ("fresh_start", fresh_start),
+                          ("run_off", first + np.cumsum(counts))):
+            cols[f].add(values, n)
 
-    def finish(self) -> Walk:
-        def col(a: array, dtype) -> np.ndarray:
-            return np.frombuffer(a, dtype=dtype)
-
-        flags = {f: col(getattr(self, f), np.bool_)
-                 for f in ("tail_start", "overlapped", "per_run_start", "fresh_start")}
-        ints = {f: col(getattr(self, f), np.int64)
-                for f in ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "run_off",
-                          "start", "length", "multi", "count", "stride")}
-        codes = {f: col(getattr(self, f), np.int8) for f in ("chan", "role")}
-        stores = codes["role"] != LOAD
-        prod_store = np.full(len(self.prod_seq), NO_STORE, dtype=np.int8)
-        prod_store[ints["owner"][stores]] = codes["role"][stores]
-        return Walk(**flags, **ints, **codes, prod_store=prod_store)
+    def finish(self, continued: bool = False) -> Walk:
+        cols = {f: c.array() for f, c in self.cols.items()}
+        stores = cols["role"] != LOAD
+        prod_store = np.full(cols["prod_seq"].size, NO_STORE, dtype=np.int8)
+        prod_store[cols["owner"][stores]] = cols["role"][stores]
+        return Walk(**cols, prod_store=prod_store, continued=continued)
 
 
 @dataclass(frozen=True)
@@ -629,211 +681,409 @@ def _spatial_tiles(ws: WalkSpec, rows: int, cols: int, window,
     return out
 
 
-def _repeated(tiles: tuple[np.ndarray, np.ndarray, np.ndarray], n: int):
-    """`tiles` output for the same tiles n times over, one copy per image."""
-    groups, counts, slot = tiles
-    return np.tile(groups, (n, 1)), np.tile(counts, n), np.tile(slot, n)
+class _TileTable:
+    """`FeatureGeom.tiles` of a fixed list of tiles, made once, for image 0:
+    any image's groups are the same, shifted by a per-tile address step."""
+
+    def __init__(self, geom: FeatureGeom, ch0, ch1, r0, r1, c0, c1):
+        self.groups, self.counts, self.slot = geom.tiles(0, ch0, ch1, r0, r1, c0, c1)
+        self.first = np.cumsum(self.counts) - self.counts
+        self.step = np.broadcast_to(geom._addr(1, ch0, r0, c0) - geom._addr(0, ch0, r0, c0),
+                                    self.counts.shape)
+
+    def take(self, b: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`tiles` output for tiles t (indices into the list) of images b."""
+        counts = self.counts[t]
+        groups = self.groups[_gather(self.first[t], counts)]
+        groups[:, 0] += np.repeat(b * self.step[t], counts)
+        return groups, counts, self.slot[t]
 
 
-def _walk_conv(ws: WalkSpec, process: Process) -> Walk:
+class _Nest:
+    """One pass's loop nest, set up once for all its slices: its weight
+    blocks and, per block shape, what each production holds.  A block's
+    productions are numbered in bus order from 0 and a pass's across its
+    blocks (`starts`).  A subclass gives, for block g, its shape (`shape`:
+    productions `prods`, productions per sequence `seq_len` and `rows`),
+    the rows of productions [q0, q1) (`rows`), and `write`, which appends
+    those productions to a `_WalkWriter`.  A production's rows are itself,
+    its chunks, and its transfers and their run groups."""
+
+    def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]]):
+        self.ws, self.blocks = ws, tile_blocks
+        self._shapes: dict[tuple[int, int], SimpleNamespace] = {}
+        self.starts = [0, *accumulate(self.shape(g).prods for g in range(len(tile_blocks)))]
+
+    def shape(self, g: int) -> SimpleNamespace:
+        """Block g's shape; blocks of one width share one."""
+        g0, g1, width = self.blocks[g]
+        if (g1 - g0, width) not in self._shapes:
+            self._shapes[g1 - g0, width] = self._shape(g0, g1)
+        return self._shapes[g1 - g0, width]
+
+    def walk(self, lo: int, hi: int) -> Walk:
+        """Productions [lo, hi) of the pass."""
+        w = _WalkWriter()
+        g = bisect_right(self.starts, lo) - 1
+        while g < len(self.blocks) and self.starts[g] < hi:
+            first = self.starts[g]
+            self.write(w, g, max(lo, first) - first, min(hi, self.starts[g + 1]) - first)
+            g += 1
+        return w.finish(continued=(hi - self.starts[g - 1]) % self.shape(g - 1).seq_len != 0)
+
+
+class _ConvNest(_Nest):
     """FP and BP as one loop nest over the pass's role-swapped operands (as
     `perf._dims_for` sees them): BP writes the input-side loss map from the
     M loss channels through the transposed weights.
 
     A sequence is one weight block of one image; each production stores one
     output tile, accumulating over the chunks of the accumulation channels.
-    A block is built whole, for the whole batch, by index arithmetic: its
-    shape (`block_shape`) depends only on how many output tiles it has, and
-    only its weight and output addresses on where it starts."""
-    l, t, kind, tm, batch = ws.layer, ws.tile, ws.kind, ws.tm, ws.batch
-    fp = process is Process.FP
-    out_ch, acc_ch, rows, cols, src_rows, src_cols, window = (
-        (l.m, l.n, l.r, l.c, l.r_in, l.c_in, fwd_window) if fp
-        else (l.n, l.m, l.r_in, l.c_in, l.r, l.c, bp_window))
-    src = ws.feature_geom(acc_ch, src_rows, src_cols, ws.fp_m_on)
-    dst = ws.feature_geom(out_ch, rows, cols, t.m_on)
-    wei = ws.weight_geom()
-    r0, r1, i0, i1, c0, c1, j0, j1, comp = _spatial_tiles(
-        ws, rows, cols, window, src_rows, src_cols).T
-    n_sp, sp_all = r0.size, np.arange(r0.size)
-    a0 = np.arange(0, acc_ch, ws.tn)
-    a1, n_acc = np.minimum(acc_ch, a0 + ws.tn), a0.size
-    images = np.arange(batch)
-    bchw = kind == LayoutKind.BCHW
-    preload = int(kind == LayoutKind.BHWC_REUSE)
-    bp_block = kind == LayoutKind.RESHAPED and not fp
-    m_on = t.m_on if kind == LayoutKind.RESHAPED else ceil_div(out_ch, tm) * tm
+    A block's productions are image-major, and every image's are alike but
+    for their addresses and whether they reload weights, so a block shape
+    is one image's productions, and `write` makes any run of a block's
+    productions from it by index arithmetic."""
 
-    def block_shape(n_o: int) -> SimpleNamespace:
-        """A block of n_o output tiles over the batch, each row relative to
-        the block's first output tile, sequence, production and chunk."""
+    def __init__(self, ws: WalkSpec, process: Process):
+        l, t, kind = ws.layer, ws.tile, ws.kind
+        self.fp = process is Process.FP
+        out_ch, acc_ch, rows, cols, src_rows, src_cols, window = (
+            (l.m, l.n, l.r, l.c, l.r_in, l.c_in, fwd_window) if self.fp
+            else (l.n, l.m, l.r_in, l.c_in, l.r, l.c, bp_window))
+        self.out_ch, self.acc_ch = out_ch, acc_ch
+        src = ws.feature_geom(acc_ch, src_rows, src_cols, ws.fp_m_on)
+        self.dst = ws.feature_geom(out_ch, rows, cols, t.m_on)
+        self.wei = ws.weight_geom()
+        # r0, r1, i0, i1, c0, c1, j0, j1, comp of each spatial tile
+        self.sp = _spatial_tiles(ws, rows, cols, window, src_rows, src_cols).T
+        self.a0 = np.arange(0, acc_ch, ws.tn)
+        self.a1 = np.minimum(acc_ch, self.a0 + ws.tn)
+        self.bchw = kind == LayoutKind.BCHW
+        self.preload = int(kind == LayoutKind.BHWC_REUSE)
+        # the source tiles: the whole map, or one per (accumulation, spatial) tile
+        if self.preload:
+            self.ifm = _TileTable(src, 0, acc_ch, 0, src_rows, 0, src_cols)
+        else:
+            a, sp = np.divmod(np.arange(self.a0.size * self.sp.shape[1]), self.sp.shape[1])
+            _, _, i0, i1, _, _, j0, j1, _ = self.sp[:, sp]
+            self.ifm = _TileTable(src, self.a0[a], self.a1[a], i0, i1, j0, j1)
+        self.bp_block = kind == LayoutKind.RESHAPED and not self.fp
+        m_on = t.m_on if kind == LayoutKind.RESHAPED else ceil_div(out_ch, ws.tm) * ws.tm
+        super().__init__(ws, _tile_blocks(out_ch, m_on, ws.tm))
+
+    def _shape(self, g0: int, g1: int) -> SimpleNamespace:
+        ws, kind, tm, n_o, n_acc = self.ws, self.ws.kind, self.ws.tm, g1 - g0, self.a0.size
+        r0, r1, _, _, c0, c1, _, _, _ = self.sp
+        sp_all = np.arange(r0.size)
         # one image's productions: first output tile (p_o), output tiles
         # (p_w) and spatial tile (p_sp); which reload weights, in which images
         if kind == LayoutKind.RESHAPED:
             # the M_on weight block stays resident over the batch, so channel
             # tiles are outermost; FP loads a tile's weights with its first
             # spatial tile, BP the whole block in its first production
-            p_o, p_sp, p_w = np.repeat(np.arange(n_o), n_sp), np.tile(sp_all, n_o), 1
-            reload = p_sp == 0 if fp else np.arange(p_o.size) == 0
-            reload_images = images[:1]
-        elif bchw:
+            p_o, p_sp, p_w = np.repeat(np.arange(n_o), r0.size), np.tile(sp_all, n_o), 1
+            reload, every_image = (p_sp == 0 if self.fp else np.arange(p_o.size) == 0), False
+        elif self.bchw:
             # baseline: channel tiles innermost, weights refetched every chunk
-            p_o, p_sp, p_w = np.tile(np.arange(n_o), n_sp), np.repeat(sp_all, n_o), 1
-            reload, reload_images = np.ones(p_o.size, dtype=bool), images
+            p_o, p_sp, p_w = np.tile(np.arange(n_o), r0.size), np.repeat(sp_all, n_o), 1
+            reload, every_image = np.ones(p_o.size, dtype=bool), True
         else:
             # BHWC reuse: the source map is preloaded whole per image, each
             # production covers every output channel, weights stream once per
             # image in storage order
-            p_o, p_sp, p_w = np.zeros(n_sp, dtype=np.int64), sp_all, n_o
-            reload, reload_images = sp_all == 0, images
-        n_prod = p_o.size
-        # one image's chunks: production, output tile, accumulation tile
-        c_p, rank = _nested(np.full(n_prod, p_w * n_acc))
-        c_o, c_a = p_o[c_p] + rank // n_acc, rank % n_acc
-        img_prods, img_chunks = preload + n_prod, preload + c_p.size
-        c_prod, c_comp = c_p + preload, comp[p_sp[c_p]]
-        if preload:
-            c_prod, c_comp = np.append(0, c_prod), np.append(0, c_comp)
-        k = SimpleNamespace(prod_seq=np.repeat(images, img_prods),
-                            chunk_prod=(images[:, None] * img_prods + c_prod).ravel(),
-                            comp=np.tile(c_comp, batch), out_w=p_w)
-        if preload:
-            k.ifm_owner = images * img_chunks
-            k.ifm = src.tiles(images, 0, acc_ch, 0, src_rows, 0, src_cols)
+            p_o, p_sp, p_w = np.zeros(r0.size, dtype=np.int64), sp_all, n_o
+            reload, every_image = sp_all == 0, True
+        k = SimpleNamespace(p_w=p_w, every_image=every_image)
+        o = g0 + p_o
+        stores = 1 + self.dst.tile_groups(o * tm, np.minimum(self.out_ch, (o + p_w) * tm),
+                                          r0[p_sp], r1[p_sp], c0[p_sp], c1[p_sp])
+        chunks = np.full(p_o.size, p_w * n_acc)
+        if self.preload:
+            # which come after a production of one chunk that loads the map
+            k.p_o, k.p_sp = np.append(0, p_o), np.append(0, p_sp)
+            k.reload, k.chunks = np.append(False, reload), np.append(1, chunks)
+            k.rows_base = np.append(3 + self.ifm.counts[0], 1 + chunks + stores)
         else:
-            b, a, sp = np.repeat(images, c_p.size), np.tile(c_a, batch), np.tile(p_sp[c_p], batch)
-            k.ifm_owner = np.arange(b.size)
-            k.ifm = src.tiles(b, a0[a], a1[a], i0[sp], i1[sp], j0[sp], j1[sp])
-        load = np.flatnonzero(reload[c_p])
-        k.wei_owner = (preload + reload_images[:, None] * img_chunks + load).ravel()
-        k.wei_o, k.wei_a, k.reload_images = c_o[load], c_a[load], reload_images.size
-        b, q = np.repeat(images, n_prod), np.tile(np.arange(n_prod), batch)
-        sp = p_sp[q]
-        k.out_owner, k.out_b, k.out_o = preload + b * img_prods + q, b, p_o[q]
-        k.out_rc = (r0[sp], r1[sp], c0[sp], c1[sp])
+            k.p_o, k.p_sp, k.reload, k.chunks = p_o, p_sp, reload, chunks
+            ifm = n_acc + self.ifm.counts.reshape(n_acc, -1).sum(axis=0)
+            k.rows_base = 1 + chunks + p_w * ifm[p_sp] + stores
+        k.rows_wei = 2 * k.chunks * k.reload  # each weight load is one group
+        k.seq_len = k.chunks.size
+        k.prods = ws.batch * k.seq_len
+        k.rows = int(ws.batch * k.rows_base.sum()
+                     + (ws.batch if every_image else 1) * k.rows_wei.sum())
         return k
 
-    shapes: dict[int, SimpleNamespace] = {}
-    w = _WalkWriter()
-    for g0, g1, width in _tile_blocks(out_ch, m_on, tm):
-        if g1 - g0 not in shapes:
-            shapes[g1 - g0] = block_shape(g1 - g0)
-        k = shapes[g1 - g0]
-        s = w.sequences(batch, True)
-        p = w.productions(s + k.prod_seq)
-        c = w.chunks(p + k.chunk_prod, k.comp)
-        w.transfers(IFM, LOAD, c + k.ifm_owner, k.ifm, per_run_start=bchw, fresh_start=True)
-        if bp_block:
-            # one descriptor per block; its first chunk does not wait for it
-            groups, counts, _ = wei.tiles(k.wei_a, g0, g1)
-            w.transfers(WEI, LOAD, c + k.wei_owner, (groups, counts, width * min(ws.tn, acc_ch)),
-                        overlapped=k.wei_a == 0, fresh_start=True)
+    def rows(self, g: int, q0: int, q1: int) -> np.ndarray:
+        k, prod = self.shape(g), np.arange(q0, q1)
+        q = prod % k.seq_len
+        return k.rows_base[q] + k.rows_wei[q] * (k.every_image | (prod < k.seq_len))
+
+    def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
+        k, (g0, g1, width) = self.shape(g), self.blocks[g]
+        tm, tn, bchw = self.ws.tm, self.ws.tn, self.bchw
+        r0, r1, _, _, c0, c1, _, _, comp = self.sp
+        b, q = np.divmod(np.arange(q0, q1), k.seq_len)
+        s = w.sequences(int(b[-1] - b[0]) + 1, True)
+        p = w.productions(s + b - b[0])
+        # each chunk's production (in this range), image, output and
+        # accumulation tile, and spatial tile
+        cp, rank = _nested(k.chunks[q])
+        qc, bc = q[cp], b[cp]
+        o, a, sp = k.p_o[qc] + rank // self.a0.size, rank % self.a0.size, k.p_sp[qc]
+        loads = qc >= self.preload
+        c = w.chunks(p + cp, np.where(loads, comp[sp], 0))
+        if self.preload:
+            pre = np.flatnonzero(~loads)
+            w.transfers(IFM, LOAD, c + pre, self.ifm.take(bc[pre], np.zeros_like(pre)),
+                        fresh_start=True)
         else:
-            o = g0 + k.wei_o
-            tiles = wei.tiles(o, k.wei_a) if fp else wei.tiles(k.wei_a, o)
-            w.transfers(WEI, LOAD, c + k.wei_owner, _repeated(tiles, k.reload_images),
+            w.transfers(IFM, LOAD, c + np.arange(cp.size), self.ifm.take(bc, a * r0.size + sp),
+                        per_run_start=bchw, fresh_start=True)
+        ld = np.flatnonzero(k.reload[qc] & (k.every_image | (bc == 0)))
+        if self.bp_block:
+            # one descriptor per block; its first chunk does not wait for it
+            groups, counts, _ = self.wei.tiles(a[ld], g0, g1)
+            w.transfers(WEI, LOAD, c + ld, (groups, counts, width * min(tn, self.acc_ch)),
+                        overlapped=a[ld] == 0, fresh_start=True)
+        else:
+            ow = g0 + o[ld]
+            w.transfers(WEI, LOAD, c + ld,
+                        self.wei.tiles(ow, a[ld]) if self.fp else self.wei.tiles(a[ld], ow),
                         per_run_start=bchw)
-        o = g0 + k.out_o
-        w.transfers(OUT, STORE, p + k.out_owner,
-                    dst.tiles(k.out_b, o * tm, np.minimum(out_ch, (o + k.out_w) * tm), *k.out_rc),
+        st = np.flatnonzero(q >= self.preload)
+        o, sp = g0 + k.p_o[q[st]], k.p_sp[q[st]]
+        w.transfers(OUT, STORE, p + st,
+                    self.dst.tiles(b[st], o * tm, np.minimum(self.out_ch, (o + k.p_w) * tm),
+                                   r0[sp], r1[sp], c0[sp], c1[sp]),
                     per_run_start=bchw)
-    return w.finish()
 
 
-def walk_fp(ws: WalkSpec) -> Walk:
-    return _walk_conv(ws, Process.FP)
-
-
-def walk_bp(ws: WalkSpec) -> Walk:
-    return _walk_conv(ws, Process.BP)
-
-
-def walk_wu(ws: WalkSpec) -> Walk:
+class _WuNest(_Nest):
     """Weight update: gradients accumulate over the batch per weight tile;
-    updated weights stream out once per block after the last image.  Each
-    weight block is built whole by index arithmetic; its weights are read
-    once, merged into as few runs as storage allows, under the first chunk
-    of the last image."""
-    l, t, tm, batch = ws.layer, ws.tile, ws.tm, ws.batch
-    act = ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on)
-    loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
-    wei = ws.weight_geom()
-    map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
-    n0 = np.arange(0, l.n, ws.tn)
-    n1, n_n = np.minimum(l.n, n0 + ws.tn), n0.size
-    use_m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, tm) * tm
-    bchw = ws.kind == LayoutKind.BCHW
-    resident = l.r <= t.tr and not bchw
-    images, last = np.arange(batch), batch - 1
-    if not resident:
-        r0, r1, i0, i1, c0, c1, j0, j1, comp = _spatial_tiles(
-            ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
+    updated weights stream out once per block after the last image.  A
+    block's weights are read once, as few runs as storage allows
+    (`merge_groups`), under the first chunk of the last image's first
+    production that computes."""
 
-    w = _WalkWriter()
-    for g0, g1, _ in _tile_blocks(l.m, use_m_on, tm):
-        n_m = g1 - g0
-        m0 = np.arange(g0, g1) * tm
-        m1 = np.minimum(l.m, m0 + tm)
-        # every (m-tile, n-tile) weight tile of the block, m-tile major
-        wei_tiles = wei.tiles(np.repeat(np.arange(g0, g1), n_n), np.tile(np.arange(n_n), n_m))
-        wei_runs = merge_runs(expand_groups(wei_tiles[0]))
-        wei_load = (_single(wei_runs), np.array([len(wei_runs)]), np.zeros(1, dtype=np.int64))
-        if resident and ws.kind == LayoutKind.BHWC_REUSE:
-            # channel-last reuse: both maps stream in whole, once per image;
-            # an image is one loading production, then one per m-tile of
-            # n-tile chunks
-            s = w.sequences(1, False)
-            img_prods, img_chunks = 1 + n_m, 1 + n_m * n_n
-            p = w.productions(np.full(batch * img_prods, s))
-            c_prod = np.append(0, 1 + np.repeat(np.arange(n_m), n_n))
-            c = w.chunks((p + images[:, None] * img_prods + c_prod).ravel(),
-                         np.tile(np.append(0, np.full(n_m * n_n, map_comp)), batch))
-            first = c + images * img_chunks
-            w.transfers(IFM, LOAD, first, act.tiles(images, 0, l.n, 0, l.r_in, 0, l.c_in),
-                        fresh_start=True)
-            w.transfers(OFM, LOAD, first, loss.tiles(images, 0, l.m, 0, l.r, 0, l.c),
-                        fresh_start=True)
-            w.transfers(WEI, LOAD, np.array([c + last * img_chunks + 1]), wei_load,
-                        overlapped=True)
-            w.transfers(OUT, CHUNK_STORE,
-                        p + last * img_prods + 1 + np.repeat(np.arange(n_m), n_n), wei_tiles)
-        elif resident:
+    def __init__(self, ws: WalkSpec):
+        l, t, tm = ws.layer, ws.tile, ws.tm
+        self.act = ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on)
+        self.loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
+        self.wei = ws.weight_geom()
+        self.map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
+        self.n0 = np.arange(0, l.n, ws.tn)
+        self.n1 = np.minimum(l.n, self.n0 + ws.tn)
+        self.bchw = ws.kind == LayoutKind.BCHW
+        resident = l.r <= t.tr and not self.bchw
+        # channel-last reuse streams both maps in whole; otherwise a resident
+        # loss map is one chunk per n-tile, and a tiled one a chunk per
+        # spatial tile
+        self.reuse = resident and ws.kind == LayoutKind.BHWC_REUSE
+        self.resident = resident and not self.reuse
+        self.sp = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
+        m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, tm) * tm
+        super().__init__(ws, _tile_blocks(l.m, m_on, tm))
+
+    def _m_range(self, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The loss channels [m0, m1) of m-tiles `mt`."""
+        m0 = mt * self.ws.tm
+        return m0, np.minimum(self.ws.layer.m, m0 + self.ws.tm)
+
+    def _load(self, g0: int, g1: int) -> np.ndarray:
+        """The block's weight load: every (m-tile, n-tile) weight tile,
+        m-tile major, merged."""
+        n_n = self.n0.size
+        tiles = self.wei.tiles(np.repeat(np.arange(g0, g1), n_n), np.tile(np.arange(n_n), g1 - g0))
+        return merge_groups(tiles[0])
+
+    def _shape(self, g0: int, g1: int) -> SimpleNamespace:
+        l, batch, n_m, n_n = self.ws.layer, self.ws.batch, g1 - g0, self.n0.size
+        r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
+        k, (m0, m1) = SimpleNamespace(n_m=n_m), self._m_range(np.arange(g0, g1))
+        load = 1 + len(self._load(g0, g1))
+        last = batch - 1
+        if self.reuse:
+            # one sequence; an image is one loading production, then one per
+            # m-tile of n-tile chunks, which the last image stores
+            maps = (self.act.tile_groups(0, l.n, 0, l.r_in, 0, l.c_in)
+                    + self.loss.tile_groups(0, l.m, 0, l.r, 0, l.c))
+            k.rows_img = np.append(4 + maps, np.full(n_m, 1 + n_n))
+            k.rows_last = np.append(0, np.full(n_m, 2 * n_n))
+            k.seq_len = k.prods = batch * (1 + n_m)
+            k.wei_at = last * (1 + n_m) + 1
+            rows = batch * k.rows_img.sum() + k.rows_last.sum()
+        elif self.resident:
             # a sequence per m-tile, a production per image, a chunk per n-tile
-            s = w.sequences(n_m, False)
-            p = w.productions(s + np.repeat(np.arange(n_m), batch))
-            c = w.chunks(p + np.repeat(np.arange(n_m * batch), n_n), map_comp)
-            b, nt = np.tile(np.repeat(images, n_n), n_m), np.tile(np.arange(n_n), n_m * batch)
-            w.transfers(IFM, LOAD, c + np.arange(b.size),
-                        act.tiles(b, n0[nt], n1[nt], 0, l.r_in, 0, l.c_in), fresh_start=True)
-            # the m-tile's loss map, with each production's first chunk
-            b, mt = np.tile(images, n_m), np.repeat(np.arange(n_m), batch)
-            w.transfers(OFM, LOAD, c + np.arange(b.size) * n_n,
-                        loss.tiles(b, m0[mt], m1[mt], 0, l.r, 0, l.c), fresh_start=True)
-            w.transfers(WEI, LOAD, np.array([c + last * n_n]), wei_load, overlapped=True)
-            w.transfers(OUT, CHUNK_STORE, p + np.repeat(np.arange(n_m) * batch + last, n_n),
-                        wei_tiles)
+            ifm = n_n + self.act.tile_groups(self.n0, self.n1, 0, l.r_in, 0, l.c_in).sum()
+            k.rows_m = 2 + n_n + ifm + self.loss.tile_groups(m0, m1, 0, l.r, 0, l.c)
+            k.seq_len, k.prods, k.wei_at = batch, n_m * batch, last
+            rows = batch * k.rows_m.sum() + n_m * 2 * n_n
         else:
             # one sequence; a production per (image, m-tile, n-tile), a chunk
             # per spatial tile
-            n_sp, n_prod = r0.size, batch * n_m * n_n
+            k.rows_n = 1 + 2 * comp.size + self.act.tile_groups(
+                self.n0[:, None], self.n1[:, None], i0, i1, j0, j1).sum(axis=1)
+            k.rows_m = comp.size + self.loss.tile_groups(
+                m0[:, None], m1[:, None], r0, r1, c0, c1).sum(axis=1)
+            k.seq_len = k.prods = batch * n_m * n_n
+            k.wei_at = last * n_m * n_n
+            rows = batch * (n_m * k.rows_n.sum() + n_n * k.rows_m.sum()) + n_m * n_n * 2
+        k.load, k.rows = load, int(rows + load)
+        return k
+
+    def _split(self, k: SimpleNamespace, prod: np.ndarray):
+        """Image, m-tile and n-tile (None for all) of each production, and
+        whether it is a loading production (reuse only)."""
+        n_m, n_n = k.n_m, self.n0.size
+        if self.reuse:
+            b, q = np.divmod(prod, 1 + n_m)
+            return b, q - 1, None, q == 0
+        if self.resident:
+            m, b = np.divmod(prod, self.ws.batch)
+            return b, m, None, None
+        b, mn = np.divmod(prod, n_m * n_n)
+        return (b, *np.divmod(mn, n_n), None)
+
+    def rows(self, g: int, q0: int, q1: int) -> np.ndarray:
+        k, prod, last = self.shape(g), np.arange(q0, q1), self.ws.batch - 1
+        b, m, n, _ = self._split(k, prod)
+        if self.reuse:
+            q = m + 1
+            rows = k.rows_img[q] + (b == last) * k.rows_last[q]
+        elif self.resident:
+            rows = k.rows_m[m] + (b == last) * 2 * self.n0.size
+        else:
+            rows = k.rows_n[n] + k.rows_m[m] + (b == last) * 2
+        return rows + (prod == k.wei_at) * k.load
+
+    def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
+        l, k, (g0, g1, _) = self.ws.layer, self.shape(g), self.blocks[g]
+        n_n, bchw = self.n0.size, self.bchw
+        prod = np.arange(q0, q1)
+        b, m, n, loading = self._split(k, prod)
+        if self.reuse:
             s = w.sequences(1, False)
-            p = w.productions(np.full(n_prod, s))
-            c = w.chunks(p + np.repeat(np.arange(n_prod), n_sp), np.tile(comp, n_prod))
-            b = np.repeat(images, n_m * n_n * n_sp)
-            mt = np.tile(np.repeat(np.arange(n_m), n_n * n_sp), batch)
-            nt = np.tile(np.repeat(np.arange(n_n), n_sp), batch * n_m)
-            sp = np.tile(np.arange(n_sp), n_prod)
-            w.transfers(IFM, LOAD, c + np.arange(b.size),
-                        act.tiles(b, n0[nt], n1[nt], i0[sp], i1[sp], j0[sp], j1[sp]),
+            p = w.productions(np.full(prod.size, s))
+            chunks = np.where(loading, 1, n_n)
+            cp, _ = _nested(chunks)
+            c = w.chunks(p + cp, np.where(loading[cp], 0, self.map_comp))
+            first = c + np.cumsum(chunks) - chunks  # each production's first chunk
+            ld = np.flatnonzero(loading)
+            w.transfers(IFM, LOAD, first[ld], self.act.tiles(b[ld], 0, l.n, 0, l.r_in, 0, l.c_in),
+                        fresh_start=True)
+            w.transfers(OFM, LOAD, first[ld], self.loss.tiles(b[ld], 0, l.m, 0, l.r, 0, l.c),
+                        fresh_start=True)
+            stores = ~loading
+        elif self.resident:
+            s = w.sequences(int(m[-1] - m[0]) + 1, False)
+            p = w.productions(s + m - m[0])
+            c = w.chunks(p + np.repeat(np.arange(prod.size), n_n), self.map_comp)
+            first = c + np.arange(prod.size) * n_n
+            nt = np.tile(np.arange(n_n), prod.size)
+            w.transfers(IFM, LOAD, c + np.arange(nt.size), self.act.tiles(
+                np.repeat(b, n_n), self.n0[nt], self.n1[nt], 0, l.r_in, 0, l.c_in), fresh_start=True)
+            # the m-tile's loss map, with each production's first chunk
+            w.transfers(OFM, LOAD, first, self.loss.tiles(b, *self._m_range(g0 + m), 0, l.r, 0, l.c),
+                        fresh_start=True)
+            stores = True
+        else:
+            r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
+            s = w.sequences(1, False)
+            p = w.productions(np.full(prod.size, s))
+            c = w.chunks(p + np.repeat(np.arange(prod.size), comp.size), np.tile(comp, prod.size))
+            first = c + np.arange(prod.size) * comp.size
+            bc, mc, nc = (np.repeat(x, comp.size) for x in (b, m, n))
+            sp = np.tile(np.arange(comp.size), prod.size)
+            w.transfers(IFM, LOAD, c + np.arange(sp.size),
+                        self.act.tiles(bc, self.n0[nc], self.n1[nc], i0[sp], i1[sp], j0[sp], j1[sp]),
                         per_run_start=bchw, fresh_start=True)
-            w.transfers(OFM, LOAD, c + np.arange(b.size),
-                        loss.tiles(b, m0[mt], m1[mt], r0[sp], r1[sp], c0[sp], c1[sp]),
+            w.transfers(OFM, LOAD, c + np.arange(sp.size),
+                        self.loss.tiles(bc, *self._m_range(g0 + mc), r0[sp], r1[sp], c0[sp], c1[sp]),
                         per_run_start=bchw, fresh_start=True)
-            w.transfers(WEI, LOAD, np.array([c + last * n_m * n_n * n_sp]), wei_load,
+            stores = True
+        at = np.flatnonzero(prod == k.wei_at)
+        if at.size:
+            load = self._load(g0, g1)
+            w.transfers(WEI, LOAD, first[at], (load, np.array([len(load)]), np.zeros(1, np.int64)),
                         overlapped=True, per_run_start=bchw)
-            w.transfers(OUT, STORE, p + last * n_m * n_n + np.arange(n_m * n_n),
-                        wei_tiles, per_run_start=bchw)
-    return w.finish()
+        st = np.flatnonzero(stores & (b == self.ws.batch - 1))
+        if n is None:  # every n-tile of the m-tile, one chunk store each
+            st = np.repeat(st, n_n)
+            w.transfers(OUT, CHUNK_STORE, p + st,
+                        self.wei.tiles(g0 + m[st], np.tile(np.arange(n_n), st.size // n_n)))
+        else:
+            w.transfers(OUT, STORE, p + st, self.wei.tiles(g0 + m[st], n[st]), per_run_start=bchw)
+
+
+def _nest(ws: WalkSpec, process: Process) -> _Nest:
+    return _WuNest(ws) if process is Process.WU else _ConvNest(ws, process)
+
+
+@dataclass(frozen=True)
+class Slice:
+    """Productions [lo, hi) of a layer pass, numbered in bus order across
+    its weight blocks; `nest` is the pass's loop nest, set up once for all
+    the slices `slices` cuts it into."""
+
+    nest: _Nest
+    lo: int
+    hi: int
+
+
+def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
+    """The pass cut into slices of at most `budget` rows (productions,
+    chunks, transfers and run groups) each, every one ending on a
+    production boundary: between weight blocks where the next block does
+    not fit, else, inside a block over the budget, between its sequences,
+    else between its productions.  A production over the budget is a slice
+    of its own."""
+    nest = _nest(ws, process)
+    cuts, filled = [0], 0
+    for g in range(len(nest.blocks)):
+        first, k = nest.starts[g], nest.shape(g)
+        if filled and filled + k.rows > budget:
+            cuts.append(first)
+            filled = 0
+        if filled + k.rows <= budget:
+            filled += k.rows
+            continue
+        q = 0
+        while q < k.prods:
+            # every production is two rows or more
+            fit = np.cumsum(nest.rows(g, q, min(k.prods, q + budget // 2 + 1)))
+            n = int(np.searchsorted(fit, budget, "right"))  # productions from q that fit
+            if q + n == k.prods:  # the rest of the block begins the next slice
+                filled = int(fit[-1])
+                break
+            seq = (q + n) // k.seq_len * k.seq_len
+            q = seq if seq > q else q + max(n, 1)
+            cuts.append(first + q)
+    if cuts[-1] < nest.starts[-1]:
+        cuts.append(nest.starts[-1])
+    return [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _walk(ws: WalkSpec, process: Process, part: Slice | None) -> Walk:
+    if part is None:
+        nest = _nest(ws, process)
+        return nest.walk(0, nest.starts[-1])
+    return part.nest.walk(part.lo, part.hi)
+
+
+def walk_fp(ws: WalkSpec, part: Slice | None = None) -> Walk:
+    """The forward pass, or its slice `part` (see `slices`)."""
+    return _walk(ws, Process.FP, part)
+
+
+def walk_bp(ws: WalkSpec, part: Slice | None = None) -> Walk:
+    """The backward pass, or its slice `part` (see `slices`)."""
+    return _walk(ws, Process.BP, part)
+
+
+def walk_wu(ws: WalkSpec, part: Slice | None = None) -> Walk:
+    """The weight update, or its slice `part` (see `slices`)."""
+    return _walk(ws, Process.WU, part)
 
 
 WALKERS = {Process.FP: walk_fp, Process.BP: walk_bp, Process.WU: walk_wu}

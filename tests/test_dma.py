@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from trainsim.dma import (simulate_layer, simulate_sequences, split_bursts,
+from trainsim.config import load_device, load_network
+from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
-from trainsim.layout import (CHUNK_STORE, IFM, LOAD, NO_STORE, OUT, STORE, WEI,
-                             FeatureGeom, LayoutKind, _WalkWriter, expand_groups,
-                             layer_sequences, trace_layer)
+from trainsim.layout import (CHUNK_STORE, IFM, LOAD, NO_STORE, OUT, STORE, WALKERS, WEI,
+                             FeatureGeom, LayoutKind, Walk, _WalkWriter, expand_groups,
+                             layer_sequences, resolve_walk, slices, trace_layer)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
 
 import oracles
+from test_walk_golden import cases as golden_cases
 
 
 def conv_layer(m, n, r, c, k, s, pad=0):
@@ -193,12 +197,9 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
         (cycles, bursts, words, hist)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
-def test_group_pricer_matches_scalar_oracle(data, p, t_start):
-    # synthetic walks of random run groups, whose heads may continue the
-    # channel's previous run, priced whole and run by run
-    draw = data.draw
+def synthetic_walk(draw) -> Walk:
+    """A walk of random run groups through `_WalkWriter`, whose heads may
+    continue the channel's previous run, with random pricing flags."""
     group = st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11),
                       st.booleans(), st.integers(0, 100))
     flags = st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans())
@@ -233,7 +234,110 @@ def test_group_pricer_matches_scalar_oracle(data, p, t_start):
             # a production stores once, or once per chunk-store transfer
             for _ in range(0 if store == NO_STORE else 1 if store == STORE else n_stores):
                 transfer(OUT, store, prod)
-    walk = w.finish()
+    return w.finish()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
+def test_group_pricer_matches_scalar_oracle(data, p, t_start):
+    # synthetic walks of random run groups, priced whole and run by run
+    walk = synthetic_walk(data.draw)
     res = simulate_sequences(walk, DeviceSpec(stream_width_words=p, t_start=t_start))
     assert (res.cycles, res.bursts, res.words, res.burst_lengths) == \
         oracles.price_walk_loops(walk, t_start, p)
+
+
+# ------------------------------------------------------------------ slices
+
+def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
+    """Productions [lo, hi) of a whole walk as a walk of their own, the
+    slice of the pass a walker would give."""
+    seq = walk.prod_seq[lo:hi]
+    chunks = np.flatnonzero((walk.chunk_prod >= lo) & (walk.chunk_prod < hi))
+    load = walk.role == LOAD
+    prod = np.where(load, walk.chunk_prod[np.where(load, walk.owner, 0)], walk.owner)
+    trs = np.flatnonzero((prod >= lo) & (prod < hi))
+    idx = walk.group_index(trs)
+    multi, count, stride = walk.repeats(idx)
+    per_tr = walk.run_off[trs + 1] - walk.run_off[trs]
+    cols = {f: getattr(walk, f)[trs] for f in (
+        "chan", "role", "slot_words", "overlapped", "per_run_start", "fresh_start")}
+    return Walk(tail_start=walk.tail_start[seq[0]:seq[-1] + 1], prod_seq=seq - seq[0],
+                prod_store=walk.prod_store[lo:hi], chunk_prod=walk.chunk_prod[chunks] - lo,
+                comp=walk.comp[chunks],
+                owner=walk.owner[trs] - np.where(load[trs], chunks[0], lo),
+                run_off=np.append(0, np.cumsum(per_tr)), start=walk.start[idx],
+                length=walk.length[idx], multi=multi, count=count, stride=stride,
+                continued=hi < walk.prod_seq.size and walk.prod_seq[hi] == seq[-1], **cols)
+
+
+def sim_tuple(res):
+    return res.cycles, res.bursts, res.words, res.burst_lengths
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
+def test_slices_fold_to_whole_walk(golden_walks, data, p, t_start):
+    # a golden or synthetic walk cut at random production boundaries, often
+    # inside a sequence, and priced slice by slice through one carry
+    if data.draw(st.booleans(), label="golden"):
+        walk = golden_walks[data.draw(st.sampled_from(sorted(golden_walks)), label="case")]
+    else:
+        walk = synthetic_walk(data.draw)
+    n = walk.prod_seq.size
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=8), label="cuts"))
+    bounds = [0, *(c for c in cuts if c < n), n]
+    dev = DeviceSpec(stream_width_words=p, t_start=t_start)
+    carry = Carry()
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = simulate_sequences(cut_walk(walk, lo, hi), dev, carry)
+    assert sim_tuple(part) == sim_tuple(simulate_sequences(walk, dev))
+
+
+def walk_rows(walk: Walk) -> int:
+    """Productions, chunks, transfers and run groups: what a slice budgets."""
+    return walk.prod_seq.size + walk.comp.size + walk.chan.size + walk.start.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_walker_slices_fold_to_whole_pass(golden_walks, data):
+    # the walkers' own slices of a golden pass, at a random budget: each
+    # holds at most that many rows unless it is one production, and their
+    # prices fold to the whole walk's
+    key = data.draw(st.sampled_from(sorted(golden_walks)), label="case")
+    case, idx, proc, kind = key.split("/")
+    _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
+    process, idx = Process(proc), int(idx)
+    ws = resolve_walk(net.layers[idx], plan, idx, process, kind, batch)
+    whole = golden_walks[key]
+    total = walk_rows(whole)
+    budget = data.draw(st.integers(max(2, total // 16), total), label="budget")
+    parts = slices(ws, process, budget)
+    assert parts[0].lo == 0 and all(a.hi == b.lo for a, b in zip(parts, parts[1:]))
+    dev = DeviceSpec()
+    carry = Carry()
+    for part in parts:
+        walk = WALKERS[process](ws, part)
+        assert walk_rows(walk) <= budget or part.hi - part.lo == 1
+        res = simulate_sequences(walk, dev, carry)
+    assert parts[-1].hi == whole.prod_seq.size
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+
+
+def test_simulate_layer_memory_does_not_grow_with_batch():
+    # vgg16 fc8 FP under bchw is several slices at batch 1 and four times as
+    # many at batch 4; the walk of a slice, not of the pass, sets the peak
+    net, dev = load_network("vgg16", 1), load_device("zcu102")
+    plan = TilePlan(tm=16, tn=16, entries={20: PlanEntry(tr=1, tc=1, m_on=128)})
+    ws = resolve_walk(net.layers[20], plan, 20, Process.FP, LayoutKind.BCHW, 1)
+    assert len(slices(ws, Process.FP, SLICE_ROWS)) > 1
+    peaks = []
+    for batch in (1, 4):
+        tracemalloc.start()
+        try:
+            simulate_layer(Process.FP, net.layers[20], plan, LayoutKind.BCHW, dev, batch, idx=20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks

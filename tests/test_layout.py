@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from trainsim.errors import RegionMismatch, ShapeMismatch
 from trainsim.layout import (DramImage, FeatureGeom, LayoutKind, WeightGeom,
                              bp_window, equivalence_check, dma_start_table,
-                             expand_groups, fwd_window, layer_sequences, merge_runs,
+                             expand_groups, fwd_window, layer_sequences, merge_groups,
+                             merge_runs,
                              pack, reconstruct_operands, trace_layer, unpack)
 from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
@@ -208,6 +209,8 @@ def test_feature_tiles_expand_to_addresses(data, kind, batch, ch, rows, cols, tm
     slot = _check_tiles(geom, tiles, scan,
                         lambda tile: oracles.feature_tile_runs(geom, *tile))
     assert slot.tolist() == [0 if kind == LayoutKind.BCHW else t[2] - t[1] for t in tiles]
+    cols = [np.array(col) for col in zip(*tiles)]
+    assert geom.tile_groups(*cols[1:]).tolist() == geom.tiles(*cols)[1].tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,6 +240,39 @@ def test_weight_tiles_expand_to_addresses(data, kind, m, n, k, tm, tn, block):
     if not block:
         assert slot.tolist() == [0 if kind == LayoutKind.BCHW else
                                  geom.m_width(mt) * geom.n_width(nt) for mt, nt in tiles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(LayoutKind.ALL), m=st.integers(1, 11),
+       n=st.integers(1, 11), k=st.integers(1, 3), tm=st.sampled_from([1, 2, 3, 4]),
+       tn=st.sampled_from([1, 2, 3, 4]))
+def test_merged_weight_block_expands_to_merged_runs(data, kind, m, n, k, tm, tn):
+    # a weight block's (m-tile, n-tile) tiles, m-tile major, as WU reads them
+    geom = WeightGeom(kind, m, n, k, tm, tn, 2 * tm)
+    m_tiles, n_tiles = -(-m // tm), -(-n // tn)
+    g0 = data.draw(st.integers(0, m_tiles - 1))
+    g1 = data.draw(st.integers(g0 + 1, m_tiles))
+    tiles = geom.tiles(np.repeat(np.arange(g0, g1), n_tiles),
+                       np.tile(np.arange(n_tiles), g1 - g0))[0]
+    merged = merge_groups(tiles)
+    assert expand_groups(merged).tolist() == merge_runs(expand_groups(tiles)).tolist()
+    assert ((merged[:, 2] == 1) | (merged[:, 3] != merged[:, 1])).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4), st.integers(1, 4),
+                          st.integers(0, 8), st.booleans()), max_size=8))
+def test_merge_groups_is_merge_runs(specs):
+    # random groups, each of which may begin where the one before ends
+    groups, end = [], 0
+    for start, length, count, stride, go_on in specs:
+        start = end if go_on else start
+        groups.append((start, length, count, stride))
+        end = start + (count - 1) * stride + length
+    groups = np.array(groups, dtype=np.int64).reshape(-1, 4)
+    merged = merge_groups(groups)
+    assert expand_groups(merged).tolist() == merge_runs(expand_groups(groups)).tolist()
+    assert ((merged[:, 2] == 1) | (merged[:, 3] != merged[:, 1])).all()
 
 
 # ------------------------------------------------------------------ traces

@@ -1,0 +1,53 @@
+"""Golden digests of simulated vgg16 layer passes.
+
+Each case is one (layer, pass, layout) of vgg16 at batch 1 on zcu102,
+with the plan `sched.schedule` makes for it, simulated by
+`dma.simulate_layer` and hashed as `test_price_golden.price_digest` hashes
+a price.  The layers are three late convolutions and the fc7 and fc8
+heads, whose walks run to hundreds of thousands of transfers, so the
+simulator cuts most of them into several slices.  The digests in
+golden/sim_vgg16.json were captured from the simulator as it stood before
+it priced a pass in slices, when every pass was walked and priced whole;
+regenerate them only for a change that is meant to move a price:
+
+    python tests/test_sim_golden.py > tests/golden/sim_vgg16.json
+"""
+
+import json
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: use the package in this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from trainsim.config import load_device, load_network  # noqa: E402
+from trainsim.dma import simulate_layer  # noqa: E402
+from trainsim.layout import LayoutKind  # noqa: E402
+from trainsim.plan import Process  # noqa: E402
+from trainsim.sched import schedule  # noqa: E402
+
+from test_price_golden import price_digest  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "golden" / "sim_vgg16.json"
+BATCH, LAYERS = 1, (12, 14, 16, 19, 20)
+
+
+def sim_digests() -> dict[str, str]:
+    net, dev = load_network("vgg16", BATCH), load_device("zcu102")
+    plan, _ = schedule(net, dev, BATCH)
+    return {f"{i}/{proc.value}/{kind}": price_digest(
+                simulate_layer(proc, net.layers[i], plan, kind, dev, BATCH, idx=i))
+            for i in LAYERS for proc in Process for kind in LayoutKind.ALL}
+
+
+def test_vgg16_passes_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    got = sim_digests()
+    assert sorted(got) == sorted(golden)
+    moved = sorted(k for k in got if got[k] != golden[k])
+    assert not moved, f"{len(moved)} simulated passes changed, e.g. {moved[:5]}"
+
+
+if __name__ == "__main__":
+    json.dump(sim_digests(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
