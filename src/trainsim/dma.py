@@ -41,11 +41,30 @@ burst at its length so far), and whether the slice's last sequence goes on
 in the next (`Walk.continued`): then its last production's store is not
 the sequence's last, and its `tail_start` restart is charged where it
 ends.  A whole walk is priced as the one slice of its pass.
+
+It prices a run of repeated weight blocks once.  Under reshaped, the
+blocks of one width are translates of each other: each re-reads the same
+source tiles, its weight and output tiles sit one fixed step per channel
+past the previous block's, and its rows, flags and run lengths are the
+same (`layout._Nest.runs`; bchw and bhwc have one block per pass).  A
+block then prices alike wherever it follows a translate, since the
+continuity rule sees the same gaps and the carry hands on the same open
+burst.  `simulate_layer` prices the first three blocks of a run of four
+or more as above, takes the `Carry` step over the third, and adds it for
+the rest in closed form (`Carry.repeat`): cycles, bursts and words
+k times, each channel's end k of its steps on.  A channel's histogram
+takes k more of the block's bursts where the block leaves the open burst
+as it found it; where it makes no restart (the forward weight scan), the
+one open burst grows by k blocks' words instead.  If neither holds for
+some channel, the rest of the run is priced block by block, which keeps
+the result exact.  The walker marks no run where blocks do not translate:
+BP weight loads over m-tiles of unequal widths, and WU loss tiles that
+are not whole M_on blocks of the loss map at a batch over one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,12 +130,17 @@ class _Stream:
         for length, n in zip(lengths.tolist(), counts.tolist()):
             self.hist[length] = self.hist.get(length, 0) + n
 
+    def copy(self) -> _Stream:
+        return replace(self, hist=dict(self.hist))
+
 
 def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
     order), whose bursts continue the channel's stream `s`."""
     idx = walk.group_index(trs)
+    if not idx.size:  # a slice may hold only empty loads, such as BP windows a stride skips
+        return np.zeros((2, trs.size), dtype=np.int64)
     start, length = walk.start[idx], walk.length[idx]
     many, count, stride = walk.repeats(idx)  # the groups of two runs or more
     del idx
@@ -199,6 +223,35 @@ class Carry:
     cycles: int = 0
     streams: list[_Stream] = field(default_factory=lambda: [_Stream() for _ in CHANNELS])
 
+    def copy(self) -> Carry:
+        return Carry(self.cycles, [s.copy() for s in self.streams])
+
+    def repeat(self, base: Carry, k: int) -> bool:
+        """Take in k more blocks, each a translate of the block priced since
+        `base`, whose carry was itself left by a translate: add k times what
+        that block added.  Each channel's end moves by k of its steps.  Its
+        histogram takes k more of the block's bursts where the block leaves
+        the open burst as it found it; where the block makes no restart, its
+        one open burst grows by k blocks' words instead.  If neither holds
+        for some channel, nothing changes, and False says to price the
+        blocks."""
+        grows = [s.open != b.open for s, b in zip(self.streams, base.streams)]
+        if any(g and s.bursts != b.bursts for g, s, b in zip(grows, self.streams, base.streams)):
+            return False
+        self.cycles += k * (self.cycles - base.cycles)
+        for g, s, b in zip(grows, self.streams, base.streams):
+            if g:
+                s.hist[s.open] -= 1
+                s.open += k * (s.words - b.words)
+                s.hist[s.open] = s.hist.get(s.open, 0) + 1
+            else:
+                for length, n in list(s.hist.items()):
+                    s.hist[length] += k * (n - b.hist.get(length, 0))
+            s.end += k * (s.end - b.end)
+            s.words += k * (s.words - b.words)
+            s.bursts += k * (s.bursts - b.bursts)
+        return True
+
     def result(self) -> SimResult:
         res = SimResult(cycles=self.cycles)
         for chan, s in zip(CHANNELS, self.streams):
@@ -246,11 +299,17 @@ def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
                    idx: int | None = None) -> SimResult:
     """Trace-driven cycles for one layer pass under one layout, walked and
     priced one slice at a time (`layout.slices`), so that memory stays
-    bounded however large the pass."""
+    bounded however large the pass.  Of a run of repeated blocks, only the
+    first three are walked; the rest are added in closed form."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
     carry = Carry()
     for part in slices(ws, process, SLICE_ROWS):
-        simulate_sequences(WALKERS[process](ws, part), dev, carry)
+        base = carry.copy() if part.period else None
+        for piece in part.parts():
+            simulate_sequences(WALKERS[process](ws, piece), dev, carry)
+            if piece.hi == part.lo + part.period and \
+                    carry.repeat(base, (part.hi - piece.hi) // part.period):
+                break
     return carry.result()
 
 

@@ -48,8 +48,12 @@ without walking it, into ranges of productions of at most a given number
 of rows (productions, chunks, transfers and run groups), between weight
 blocks where it can, else between a block's sequences, else between
 productions.  Every block starts new sequences; a slice cut inside a
-sequence says so (`Walk.continued`).  WU reads a block's weights as the
-run groups of `merge_groups`, the maximal contiguous runs of its tiles.
+sequence says so (`Walk.continued`).  Under reshaped, consecutive blocks
+of one width are translates of each other but in two cases
+(`_Nest.runs`), and `slices` marks a run of them, so that dma.py can
+price its blocks once.
+WU reads a block's weights as the run groups of `merge_groups`, the
+maximal contiguous runs of its tiles.
 
 Descriptor policy lives where transfers are made: every feature load is
 its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -699,6 +703,12 @@ class _TileTable:
         return groups, counts, self.slot[t]
 
 
+# the fewest blocks in a run of translates that `slices` marks: two that
+# set the pricer's carry, one whose step it measures, and one or more that
+# it adds in closed form
+FOLD_BLOCKS = 4
+
+
 class _Nest:
     """One pass's loop nest, set up once for all its slices: its weight
     blocks and, per block shape, what each production holds.  A block's
@@ -707,10 +717,15 @@ class _Nest:
     productions `prods`, productions per sequence `seq_len` and `rows`),
     the rows of productions [q0, q1) (`rows`), and `write`, which appends
     those productions to a `_WalkWriter`.  A production's rows are itself,
-    its chunks, and its transfers and their run groups."""
+    its chunks, and its transfers and their run groups.
 
-    def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]]):
-        self.ws, self.blocks = ws, tile_blocks
+    `translates` says whether consecutive blocks of one width are
+    translates of each other: the same rows, flags and run lengths, with
+    each channel's addresses one step further on per block (`runs`)."""
+
+    def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]],
+                 translates: bool):
+        self.ws, self.blocks, self.translates = ws, tile_blocks, translates
         self._shapes: dict[tuple[int, int], SimpleNamespace] = {}
         self.starts = [0, *accumulate(self.shape(g).prods for g in range(len(tile_blocks)))]
 
@@ -720,6 +735,19 @@ class _Nest:
         if (g1 - g0, width) not in self._shapes:
             self._shapes[g1 - g0, width] = self._shape(g0, g1)
         return self._shapes[g1 - g0, width]
+
+    def runs(self) -> list[tuple[int, int]]:
+        """Blocks [a, b) of each run of at least `FOLD_BLOCKS` consecutive
+        blocks of one width that are translates of each other."""
+        if not self.translates:
+            return []
+        out, a = [], 0
+        for _, run in groupby(self.blocks, key=lambda b: (b[1] - b[0], b[2])):
+            n = len(list(run))
+            if n >= FOLD_BLOCKS:
+                out.append((a, a + n))
+            a += n
+        return out
 
     def walk(self, lo: int, hi: int) -> Walk:
         """Productions [lo, hi) of the pass."""
@@ -769,7 +797,13 @@ class _ConvNest(_Nest):
             self.ifm = _TileTable(src, self.a0[a], self.a1[a], i0, i1, j0, j1)
         self.bp_block = kind == LayoutKind.RESHAPED and not self.fp
         m_on = t.m_on if kind == LayoutKind.RESHAPED else ceil_div(out_ch, ws.tm) * ws.tm
-        super().__init__(ws, _tile_blocks(out_ch, m_on, ws.tm))
+        # only reshaped has more than one block.  The source tiles of every
+        # block are the same; its output tiles and FP weight tiles move by one
+        # step a block, and so do BP's weight loads unless the m-tiles they
+        # span differ in width: a load moves by its own m-tile's width a block
+        translates = kind == LayoutKind.RESHAPED and (
+            self.fp or np.unique(self.wei.m_width(np.arange(self.a0.size))).size == 1)
+        super().__init__(ws, _tile_blocks(out_ch, m_on, ws.tm), translates)
 
     def _shape(self, g0: int, g1: int) -> SimpleNamespace:
         ws, kind, tm, n_o, n_acc = self.ws, self.ws.kind, self.ws.tm, g1 - g0, self.a0.size
@@ -883,7 +917,13 @@ class _WuNest(_Nest):
         self.resident = resident and not self.reuse
         self.sp = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
         m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, tm) * tm
-        super().__init__(ws, _tile_blocks(l.m, m_on, tm))
+        # the activation tiles of every block are the same, and its weight
+        # tiles move by one step a block.  The loss tiles do too if a block is
+        # whole M_on blocks of the loss map; else its images interleave at a
+        # block size of their own, which only a batch of one hides
+        translates = ws.kind == LayoutKind.RESHAPED and (
+            ws.batch == 1 or m_on % self.loss.m_on == 0)
+        super().__init__(ws, _tile_blocks(l.m, m_on, tm), translates)
 
     def _m_range(self, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The loss channels [m0, m1) of m-tiles `mt`."""
@@ -1024,11 +1064,23 @@ def _nest(ws: WalkSpec, process: Process) -> _Nest:
 class Slice:
     """Productions [lo, hi) of a layer pass, numbered in bus order across
     its weight blocks; `nest` is the pass's loop nest, set up once for all
-    the slices `slices` cuts it into."""
+    the slices `slices` cuts it into.
+
+    A slice with a `period` covers a run of translates (`_Nest.runs`) from
+    its third block on: whole blocks of `period` productions each, every
+    one a translate of the block before it, as the run's second block is
+    of its first.  Its `parts` are the slices of the budget that cover it,
+    cut at `cuts`."""
 
     nest: _Nest
     lo: int
     hi: int
+    period: int = 0
+    cuts: tuple[int, ...] = ()
+
+    def parts(self) -> list[Slice]:
+        bounds = (self.lo, *self.cuts, self.hi)
+        return [Slice(self.nest, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
@@ -1037,12 +1089,16 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     production boundary: between weight blocks where the next block does
     not fit, else, inside a block over the budget, between its sequences,
     else between its productions.  A production over the budget is a slice
-    of its own."""
+    of its own.  A run of translates (`_Nest.runs`) is also cut after its
+    first two blocks, after its third and where it ends; from its third
+    block on it is one slice, whose `parts` are slices of the budget."""
     nest = _nest(ws, process)
+    runs = nest.runs()
+    own = {g for a, b in runs for g in (a + 2, a + 3, b)}  # blocks that begin a slice
     cuts, filled = [0], 0
     for g in range(len(nest.blocks)):
         first, k = nest.starts[g], nest.shape(g)
-        if filled and filled + k.rows > budget:
+        if filled and (filled + k.rows > budget or g in own):
             cuts.append(first)
             filled = 0
         if filled + k.rows <= budget:
@@ -1061,7 +1117,12 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
             cuts.append(first + q)
     if cuts[-1] < nest.starts[-1]:
         cuts.append(nest.starts[-1])
-    return [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    out = [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    for a, b in reversed(runs):
+        i, j = cuts.index(nest.starts[a + 2]), cuts.index(nest.starts[b])
+        out[i:j] = [Slice(nest, cuts[i], cuts[j], nest.starts[a + 3] - cuts[i],
+                          tuple(cuts[i + 1:j]))]
+    return out
 
 
 def _walk(ws: WalkSpec, process: Process, part: Slice | None) -> Walk:

@@ -1,14 +1,19 @@
+import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from trainsim import dma
 from trainsim.config import load_device, load_network
 from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
-from trainsim.layout import (CHUNK_STORE, IFM, LOAD, NO_STORE, OUT, STORE, WALKERS, WEI,
-                             FeatureGeom, LayoutKind, Walk, _WalkWriter, expand_groups,
-                             layer_sequences, resolve_walk, slices, trace_layer)
+from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OUT,
+                             STORE, WALKERS, WEI, FeatureGeom, LayoutKind, Walk, _nest,
+                             _WalkWriter, expand_groups, layer_sequences, resolve_walk, slices,
+                             trace_layer)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
@@ -302,9 +307,9 @@ def walk_rows(walk: Walk) -> int:
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_walker_slices_fold_to_whole_pass(golden_walks, data):
-    # the walkers' own slices of a golden pass, at a random budget: each
-    # holds at most that many rows unless it is one production, and their
-    # prices fold to the whole walk's
+    # the walkers' own slices of a golden pass, at a random budget (a run of
+    # translates in its parts): each holds at most that many rows unless it
+    # is one production, and their prices fold to the whole walk's
     key = data.draw(st.sampled_from(sorted(golden_walks)), label="case")
     case, idx, proc, kind = key.split("/")
     _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
@@ -313,7 +318,7 @@ def test_walker_slices_fold_to_whole_pass(golden_walks, data):
     whole = golden_walks[key]
     total = walk_rows(whole)
     budget = data.draw(st.integers(max(2, total // 16), total), label="budget")
-    parts = slices(ws, process, budget)
+    parts = [p for s in slices(ws, process, budget) for p in s.parts()]
     assert parts[0].lo == 0 and all(a.hi == b.lo for a, b in zip(parts, parts[1:]))
     dev = DeviceSpec()
     carry = Carry()
@@ -322,6 +327,18 @@ def test_walker_slices_fold_to_whole_pass(golden_walks, data):
         assert walk_rows(walk) <= budget or part.hi - part.lo == 1
         res = simulate_sequences(walk, dev, carry)
     assert parts[-1].hi == whole.prod_seq.size
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+
+
+def test_slice_of_empty_loads():
+    # BP of a 1x1 stride-2 conv reads no loss for the input columns the
+    # stride skips; at a budget of two rows such a load is a slice of its own
+    layer = conv_layer(1, 4, 1, 2, 1, 2)
+    plan = TilePlan(tm=1, tn=1, entries={0: PlanEntry(tr=1, tc=1, m_on=1)})
+    dev = DeviceSpec(stream_width_words=1, t_start=1)
+    with mock.patch.object(dma, "SLICE_ROWS", 2):
+        res = simulate_layer(Process.BP, layer, plan, LayoutKind.RESHAPED, dev, 1)
+    whole = layer_sequences(Process.BP, layer, plan, LayoutKind.RESHAPED, 1)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
 
 
@@ -341,3 +358,211 @@ def test_simulate_layer_memory_does_not_grow_with_batch():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+# -------------------------------------------------------------- block runs
+
+def fc_layer(m, n):
+    net = NetworkSpec(layers=(LayerSpec(Kind.FC, m=m, n=n, r=1, c=1),))
+    return validate_and_infer(net).layers[0]
+
+
+def reshaped_case(draw, process: Process):
+    """A random FC or conv layer and plan whose `process` pass has
+    FOLD_BLOCKS weight blocks or more under reshaped.  The last block may
+    be partial and so may the last weight m-tile, and BP and WU may block
+    by a width of their own, which need not divide the FP block that lays
+    out the feature maps."""
+    tm = draw(st.sampled_from([1, 2, 4]), label="tm")
+    m_on = tm * draw(st.integers(1, 3), label="m_on / tm")
+    width = m_on if process is Process.FP else tm * draw(st.integers(1, 4), label="pass m_on / tm")
+    blocked = width * draw(st.integers(FOLD_BLOCKS - 1, 6)) + draw(st.integers(1, width))
+    other = draw(st.integers(1, 3 * tm), label="other channels")
+    m, n = (other, blocked) if process is Process.BP else (blocked, other)
+    own = {"bp_m_on": width} if process is Process.BP else \
+        {"wu_m_on": width} if process is Process.WU else {}
+    if draw(st.booleans(), label="fc"):
+        return fc_layer(m, n), TilePlan(tm=tm, tn=tm, entries={
+            0: PlanEntry(tr=1, tc=1, m_on=m_on, **own)})
+    k, s = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    pad = draw(st.integers(0, k - 1))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    assume((min(r, c) - 1) * s + k - 2 * pad >= 1)  # a non-empty input map
+    return conv_layer(m, n, r, c, k, s, pad), TilePlan(tm=tm, tn=tm, entries={0: PlanEntry(
+        tr=draw(st.integers(1, r)), tc=draw(st.integers(1, c)), m_on=m_on,
+        wu_tr=draw(st.one_of(st.none(), st.integers(1, r))), **own)})
+
+
+WALK_COLUMNS = [f.name for f in dataclasses.fields(Walk) if f.name not in ("start", "continued")]
+
+
+def block_step(a: Walk, b: Walk) -> tuple | None:
+    """How far each channel's addresses move from walk a to walk b, if b
+    is a with each channel's addresses moved by one step of its own and
+    nothing else changed; None if it is not."""
+    if not all(np.array_equal(getattr(a, f), getattr(b, f)) for f in WALK_COLUMNS):
+        return None
+    chan = np.repeat(a.chan, np.diff(a.run_off))  # per run group
+    steps = [np.unique(b.start[chan == c] - a.start[chan == c]) for c in range(len(CHANNELS))]
+    if any(step.size > 1 for step in steps):
+        return None
+    return tuple(tuple(step.tolist()) for step in steps)
+
+
+def translate(nest) -> bool:
+    """Whether consecutive blocks of one width are translates of each
+    other, each channel moving by one step from every block to the next."""
+    steps = {}  # per block width, the `block_step`s from each block to the next
+    for g in range(len(nest.blocks) - 1):
+        (a0, a1, wa), (b0, b1, wb) = nest.blocks[g], nest.blocks[g + 1]
+        if (a1 - a0, wa) == (b1 - b0, wb):
+            steps.setdefault((a1 - a0, wa), set()).add(block_step(
+                nest.walk(nest.starts[g], nest.starts[g + 1]),
+                nest.walk(nest.starts[g + 1], nest.starts[g + 2])))
+    return all(len(width) == 1 and None not in width for width in steps.values())
+
+
+def test_golden_blocks_of_one_width_are_translates():
+    # every reshaped golden pass whose nest says so: consecutive blocks of
+    # one width are translates of each other
+    folded = 0
+    for case, net, plan, batch in golden_cases():
+        for idx in sorted(plan.entries):
+            for process in Process:
+                nest = _nest(resolve_walk(net.layers[idx], plan, idx, process,
+                                          LayoutKind.RESHAPED, batch), process)
+                if nest.translates:
+                    assert translate(nest), (case, idx, process)
+                    folded += len(nest.runs())
+    assert folded >= 3  # lenet10 BP of layers 6 and 7, cifar6 BP of layer 9
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), process=st.sampled_from(list(Process)), batch=st.integers(1, 3))
+def test_blocks_of_one_width_are_translates(data, process, batch):
+    # what the fold assumes, on random reshaped layers: where a nest says its
+    # blocks translate, consecutive blocks of one width do
+    layer, plan = reshaped_case(data.draw, process)
+    nest = _nest(resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch), process)
+    if nest.translates:
+        assert translate(nest)
+
+
+def test_blocks_that_do_not_translate_are_not_folded():
+    # vgg16 fc8 BP: the last of the 63 weight m-tiles over its 1000 loss
+    # channels is 8 wide, so its loads move by half the others' step a
+    # block.  WU that blocks 16 of fc7's 128-channel loss blocks at a time,
+    # at batch 2: the loss tiles jump to the next block after every eighth.
+    net = load_network("vgg16", 2)
+    plan = TilePlan(tm=16, tn=16, entries={19: PlanEntry(tr=1, tc=1, m_on=128, wu_m_on=16),
+                                           20: PlanEntry(tr=1, tc=1, m_on=128)})
+    for idx, process in ((20, Process.BP), (19, Process.WU)):
+        ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED, 2)
+        nest = _nest(ws, process)
+        assert not nest.translates and not nest.runs()
+        assert not translate(nest)
+        assert all(not part.period for part in slices(ws, process, SLICE_ROWS))
+
+
+def counting_walker(process: Process, walked: list):
+    """WALKERS[process], noting the productions of every walk it makes."""
+    walker = WALKERS[process]
+
+    def walk(ws, part=None):
+        w = walker(ws, part)
+        walked.append(w.prod_seq.size)
+        return w
+    return walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), process=st.sampled_from(list(Process)), batch=st.integers(1, 3),
+       p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
+def test_simulate_layer_folds_runs_exactly(data, process, batch, p, t_start):
+    # random reshaped layers with runs of four blocks or more, at the real
+    # slice budget or one small enough to cut a block into several slices:
+    # folding equals pricing the whole walk, and it walks fewer productions
+    # wherever the pass has a run
+    layer, plan = reshaped_case(data.draw, process)
+    budget = data.draw(st.sampled_from([SLICE_ROWS, 2, 17, 60]), label="budget")
+    dev = DeviceSpec(stream_width_words=p, t_start=t_start)
+    walked = []
+    with mock.patch.object(dma, "SLICE_ROWS", budget), \
+            mock.patch.dict(WALKERS, {process: counting_walker(process, walked)}):
+        res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
+    whole = layer_sequences(process, layer, plan, LayoutKind.RESHAPED, batch)
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+    nest = _nest(resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch), process)
+    assert sum(walked) < whole.prod_seq.size if nest.runs() else sum(walked) == whole.prod_seq.size
+
+
+@pytest.mark.parametrize("name, process, m, n, batch, m_on, budget", [
+    # a partial last block (38 = 4 x 8 + 6 channels), priced from the advanced carry
+    ("partial last block", Process.FP, 38, 8, 1, 8, SLICE_ROWS),
+    # batch > 1 interleaves the images of each block
+    ("batch of three", Process.WU, 32, 12, 3, 8, SLICE_ROWS),
+    # BP blocks the layer's input channels
+    ("backward", Process.BP, 12, 40, 2, 8, SLICE_ROWS),
+    # a budget under one block cuts each block into several slices
+    ("block over the budget", Process.FP, 40, 16, 2, 8, 40),
+])
+def test_fold_cases(name, process, m, n, batch, m_on, budget):
+    layer = fc_layer(m, n)
+    plan = TilePlan(tm=4, tn=4, entries={0: PlanEntry(tr=1, tc=1, m_on=m_on)})
+    ws = resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch)
+    parts = slices(ws, process, budget)
+    run = next(part for part in parts if part.period)
+    assert (run.hi - run.lo) // run.period >= 2  # one block priced, one or more folded
+    if budget < SLICE_ROWS:
+        assert run.cuts[0] < run.lo + run.period  # the priced block is several slices
+    if name == "partial last block":
+        assert parts[-1].lo == run.hi
+    dev = load_device("zcu102")
+    walked = []
+    with mock.patch.object(dma, "SLICE_ROWS", budget), \
+            mock.patch.dict(WALKERS, {process: counting_walker(process, walked)}):
+        res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
+    whole = layer_sequences(process, layer, plan, LayoutKind.RESHAPED, batch)
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+    assert sum(walked) < whole.prod_seq.size
+    if process is Process.FP:
+        # the forward weight scan never restarts: one burst over every block
+        assert res.bursts[Channel.WEI.value] == 1
+
+
+def test_fold_engages_on_vgg16_fc7():
+    # fc7 FP at batch 1 is 32 blocks of 128 channels, 8 productions each;
+    # the pricer walks the first three and adds the other 29 in closed form
+    net, dev = load_network("vgg16", 1), load_device("zcu102")
+    plan = TilePlan(tm=16, tn=16, entries={19: PlanEntry(tr=1, tc=1, m_on=128)})
+    walked = []
+    with mock.patch.dict(WALKERS, {Process.FP: counting_walker(Process.FP, walked)}):
+        res = simulate_layer(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, dev, 1, idx=19)
+    assert sum(walked) <= 4 * 8
+    whole = layer_sequences(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, 1, idx=19)
+    assert whole.prod_seq.size == 32 * 8
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+
+
+def test_carry_repeat_refuses_what_it_cannot_add():
+    # a channel whose open burst changed over a block with a restart in it:
+    # neither histogram rule holds, so the carry stays as it was
+    base = Carry()
+    base.streams[IFM] = dma._Stream(end=10, open=4, bursts=2, words=8, hist={4: 2})
+    carry = base.copy()
+    carry.cycles = 50
+    carry.streams[IFM] = dma._Stream(end=20, open=3, bursts=3, words=11, hist={4: 2, 3: 1})
+    before = carry.copy()
+    assert not carry.repeat(base, 5)
+    assert carry == before
+    # the same block with the open burst as it found it adds five more
+    carry.streams[IFM] = dma._Stream(end=20, open=4, bursts=3, words=12, hist={4: 3})
+    assert carry.repeat(base, 5)
+    assert carry.cycles == 300
+    assert carry.streams[IFM] == dma._Stream(end=70, open=4, bursts=8, words=32, hist={4: 8})
+    # a block without a restart grows the one open burst
+    carry = base.copy()
+    carry.streams[IFM] = dma._Stream(end=20, open=9, bursts=2, words=13, hist={4: 1, 9: 1})
+    assert carry.repeat(base, 2)
+    assert carry.streams[IFM] == dma._Stream(end=40, open=19, bursts=2, words=23,
+                                             hist={4: 1, 9: 0, 19: 1})

@@ -3,14 +3,18 @@
 Each case is one (layer, pass, layout) of vgg16 at batch 1 on zcu102,
 with the plan `sched.schedule` makes for it, simulated by
 `dma.simulate_layer` and hashed as `test_price_golden.price_digest` hashes
-a price.  The layers are three late convolutions and the fc7 and fc8
-heads, whose walks run to hundreds of thousands of transfers, so the
-simulator cuts most of them into several slices.  The digests in
-golden/sim_vgg16.json were captured from the simulator as it stood before
-it priced a pass in slices, when every pass was walked and priced whole;
-regenerate them only for a change that is meant to move a price:
+a price.  golden/sim_vgg16.json holds three late convolutions and the fc7
+and fc8 heads under every layout; their walks run to hundreds of
+thousands of transfers, so the simulator cuts most of them into several
+slices.  Its digests were captured from the simulator as it stood before
+it priced a pass in slices, when every pass was walked and priced whole.
+golden/sim_vgg16_fc6.json holds fc6 (layer 18) under reshaped, whose
+passes are 256, 1,568 and 256 weight blocks of 16 channels; its digests
+were captured before the simulator priced repeated blocks once.
+Regenerate them only for a change that is meant to move a price:
 
     python tests/test_sim_golden.py > tests/golden/sim_vgg16.json
+    python tests/test_sim_golden.py fc6 > tests/golden/sim_vgg16_fc6.json
 """
 
 import json
@@ -29,25 +33,38 @@ from trainsim.sched import schedule  # noqa: E402
 from test_price_golden import price_digest  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "sim_vgg16.json"
+GOLDEN_FC6 = Path(__file__).parent / "golden" / "sim_vgg16_fc6.json"
 BATCH, LAYERS = 1, (12, 14, 16, 19, 20)
 
 
-def sim_digests() -> dict[str, str]:
+def sim_digests(layers=LAYERS, kinds=LayoutKind.ALL) -> dict[str, str]:
     net, dev = load_network("vgg16", BATCH), load_device("zcu102")
     plan, _ = schedule(net, dev, BATCH)
     return {f"{i}/{proc.value}/{kind}": price_digest(
                 simulate_layer(proc, net.layers[i], plan, kind, dev, BATCH, idx=i))
-            for i in LAYERS for proc in Process for kind in LayoutKind.ALL}
+            for i in layers for proc in Process for kind in kinds}
 
 
-def test_vgg16_passes_match_golden():
-    golden = json.loads(GOLDEN.read_text())
-    got = sim_digests()
+def fc6_digests() -> dict[str, str]:
+    return sim_digests((18,), (LayoutKind.RESHAPED,))
+
+
+def assert_golden(got: dict[str, str], path: Path) -> None:
+    golden = json.loads(path.read_text())
     assert sorted(got) == sorted(golden)
     moved = sorted(k for k in got if got[k] != golden[k])
     assert not moved, f"{len(moved)} simulated passes changed, e.g. {moved[:5]}"
 
 
+def test_vgg16_passes_match_golden():
+    assert_golden(sim_digests(), GOLDEN)
+
+
+def test_vgg16_fc6_reshaped_matches_golden():
+    assert_golden(fc6_digests(), GOLDEN_FC6)
+
+
 if __name__ == "__main__":
-    json.dump(sim_digests(), sys.stdout, indent=1, sort_keys=True)
+    digests = fc6_digests() if sys.argv[1:] == ["fc6"] else sim_digests()
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
