@@ -21,11 +21,14 @@ at a time, in two steps:
   forward weight scan, block-sized output slabs) pay no second restart.
   Beats follow the slot rule of `_beats`; bursts are the runs between
   restarts.  The walk keeps runs as groups (`layout.Walk`), and no run of
-  a group continues the one before it.  So only a group's boundary runs,
-  its first and its last, go through these rules, in one run list; each
-  of its count - 2 interior runs is a burst of its own, costing
-  `_beats(length) + t_start`, and is added in closed form, weighted by
-  count - 2 in the histogram.
+  a group continues the one before it unless its transfer is
+  `per_run_start`.  So only the runs whose price depends on a neighbour go
+  through these rules, in one run list: the first and last run of each
+  group of a transfer that is not `per_run_start`, and the last run of each
+  `per_run_start` transfer, which hands the next transfer the channel's
+  end address and open burst.  Every other run is a burst of its own,
+  costing `_beats(length) + t_start`; each group adds its count of them in
+  closed form, to its transfer's cycles and restarts and to the histogram.
 - `simulate_sequences` folds transfer cycles into the pipeline: a chunk's
   load is the max over its non-overlapped loads, a production costs
   load_0 + sum(max(load_k, comp_(k-1))) plus its last compute (the tail),
@@ -149,26 +152,48 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
     slot = walk.slot_words[trs]
     head = np.zeros(tr.size, dtype=bool)
     head[(np.cumsum(n) - n)[n > 0]] = True
-    del n
-    if many.size:
+    prs = walk.per_run_start[trs]
+    # runs whose price depends on no neighbour are bursts of their own:
+    # n_lone runs each of the groups `lone`, priced in closed form below
+    if prs.any():
+        # every run of a per_run_start transfer restarts, so only its last,
+        # whose end and open burst the next transfer may continue, stays
+        own = prs[tr]
+        last = np.zeros(tr.size, dtype=bool)
+        last[np.cumsum(n)[n > 0] - 1] = True
+        runs = np.ones(tr.size, dtype=np.int64)
+        runs[many] = count
+        alone = runs - np.where(own, last, np.minimum(runs, 2))
+        lone = np.flatnonzero(alone)
+        n_lone, lone_len, lone_tr = alone[lone], length[lone], tr[lone]
+        tip = own[many] & last[many]  # the multi-run groups whose last run stays
+        start[many[tip]] += (count[tip] - 1) * stride[tip]
+        keep = ~own | last
+        rest = ~own[many]
+        many, count, stride = (np.cumsum(keep) - 1)[many[rest]], count[rest], stride[rest]
+        start, length, tr, head = start[keep], length[keep], tr[keep], head[keep]
+        del own, last, runs, alone, tip, keep, rest
+    else:
         # no run of a group continues the one before it, so every run between
         # its first and last is a burst of its own
-        inner = many[count > 2]
-        inner_len, inner_tr, n_inner = length[inner], tr[inner], count[count > 2] - 2
-        inner_cost = n_inner * (_beats(inner_len, slot[inner_tr], dev.p) + dev.t_start)
+        inner = count > 2
+        lone, n_lone = many[inner], count[inner] - 2
+        lone_len, lone_tr = length[lone], tr[lone]
+    del n, lone
+    if many.size:
         # the rest are boundary runs: each group's first, then its last
         g = np.repeat(np.arange(tr.size), 1 + np.bincount(many, minlength=tr.size))
         many = many + np.arange(1, many.size + 1)  # now where the last runs go
         start = start[g]
         start[many] += (count - 1) * stride
         length, tr, head = length[g], tr[g], head[g]
-        del g, inner
+        del g
     cont = np.empty(tr.size, dtype=bool)
     cont[0] = start[0] == s.end
     cont[1:] = start[1:] == start[:-1] + length[:-1]
     cont[many] = False  # a group's last run never continues the one before it
     s.end = int(start[-1] + length[-1])
-    prs = walk.per_run_start[trs][tr]
+    prs = prs[tr]
     # merge runs that continue their predecessor inside a transfer
     keep = np.flatnonzero(~cont | head | prs)
     length = np.add.reduceat(length, keep)
@@ -188,14 +213,20 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
         bursts[0] += s.open
     s.open = int(bursts[-1])
     s.count(*np.unique(bursts, return_counts=True))
-    del slot, length, tr
+    del length, tr
     cycles, restarts = _segment_sums(cycles, per_tr), _segment_sums(restart, per_tr)
-    if many.size:
-        np.add.at(cycles, inner_tr, inner_cost)
-        np.add.at(restarts, inner_tr, n_inner)
-        lengths, at = np.unique(inner_len, return_inverse=True)
-        s.count(lengths, np.bincount(at, n_inner).astype(np.int64))
-        s.words += int(inner_len @ n_inner)
+    if n_lone.size:
+        # price each distinct (length, slot) of the lone runs once; they come
+        # in transfer order, so they sum per transfer as segments
+        wide = int(slot.max()) + 1
+        pairs, at = np.unique(lone_len * wide + slot[lone_tr], return_inverse=True)
+        lengths = pairs // wide
+        cost = n_lone * (_beats(lengths, pairs % wide, dev.p)[at] + dev.t_start)
+        per_tr = np.bincount(lone_tr, minlength=trs.size)
+        cycles += _segment_sums(cost, per_tr)
+        restarts += _segment_sums(n_lone, per_tr)
+        s.count(lengths, np.bincount(at, n_lone).astype(np.int64))
+        s.words += int(lone_len @ n_lone)
     s.bursts += int(restarts.sum())
     return cycles, restarts
 

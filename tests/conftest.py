@@ -27,9 +27,3 @@ def alexnet_plan():
 def cifar_small():
     return load_network("cifar6")
 
-
-@pytest.fixture(scope="session")
-def golden_walks():
-    """Every golden walk by key, walked once for the walk and price tests."""
-    from test_walk_golden import walks
-    return dict(walks())

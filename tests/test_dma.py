@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +24,11 @@ from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
 
 import oracles
-from test_walk_golden import cases as golden_cases
+from test_walk_golden import GOLDEN as GOLDEN_WALKS, cases as golden_cases, walk_table
+
+# the golden walks' keys, drawn by the hypothesis tests that price golden
+# walks; a test reads its walk by key, so a failing case prints only the key
+GOLDEN_KEYS = sorted(json.loads(GOLDEN_WALKS.read_text()))
 
 
 def conv_layer(m, n, r, c, k, s, pad=0):
@@ -65,18 +74,26 @@ def test_split_bursts_preserves_words_and_is_maximal(pairs):
 
 # --------------------------------------------------------- transfer_cycles
 
+def load_walk(*transfers) -> Walk:
+    """A walk of one sequence whose productions each load one transfer of
+    `transfers` on the IFM channel.  A transfer is its (start, length,
+    count, stride) run groups, its slot width and its pricing flags."""
+    w = _WalkWriter()
+    seq = w.sequences(1, False)
+    for groups, slot, flags in transfers:
+        chunk = w.chunks(np.array([w.productions(np.array([seq]))]), 0)
+        w.transfers(IFM, LOAD, np.array([chunk]),
+                    (np.array(groups, dtype=np.int64), np.array([len(groups)]), slot), **flags)
+    return w.finish()
+
+
 def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
     """What the pricer charges for one load of `bursts`: a walk of one
     sequence, production and chunk, with no compute and no store, whose
     runs (`Walk.runs`) are `bursts`."""
-    w = _WalkWriter()
-    p = w.productions(np.array([w.sequences(1, False)]))
-    c = w.chunks(np.array([p]), 0)
     groups = np.column_stack((bursts, np.ones(len(bursts), dtype=np.int64),
                               np.zeros(len(bursts), dtype=np.int64)))
-    w.transfers(IFM, LOAD, np.array([c]),
-                (groups, np.array([len(bursts)]), np.zeros(1, dtype=np.int64)))
-    walk = w.finish()
+    walk = load_walk((groups, 0, {}))
     assert np.array_equal(walk.runs(walk.on(Channel.IFM)), bursts)
     return simulate_sequences(walk, dev).cycles
 
@@ -252,6 +269,51 @@ def test_group_pricer_matches_scalar_oracle(data, p, t_start):
         oracles.price_walk_loops(walk, t_start, p)
 
 
+PRS, FRESH = {"per_run_start": True}, {"fresh_start": True}
+
+
+@pytest.mark.parametrize("transfers, hist", [
+    # the head of a transfer that is neither per_run_start nor fresh_start
+    # continues the last run of a per_run_start one: one burst of 4 + 6
+    ([([(0, 4, 3, 10)], 0, PRS), ([(24, 6, 1, 0), (40, 2, 1, 0)], 0, {})], {2: 1, 4: 2, 10: 1}),
+    # a per_run_start group whose stride equals its length: every run restarts
+    ([([(0, 4, 5, 4)], 0, PRS)], {4: 5}),
+    # the same, its last run continued by the next transfer, or not if that
+    # one is fresh_start
+    ([([(0, 4, 5, 4)], 0, PRS), ([(20, 3, 1, 0)], 0, {})], {4: 4, 7: 1}),
+    ([([(0, 4, 5, 4)], 0, PRS), ([(20, 3, 1, 0)], 0, FRESH)], {3: 1, 4: 5}),
+    # a per_run_start transfer whose first run continues the one before it
+    # restarts anyway; its multi-run group is not its last
+    ([([(0, 4, 1, 0)], 0, {}), ([(4, 4, 2, 8), (30, 5, 1, 0)], 0, PRS)], {4: 3, 5: 1}),
+    # runs of one length under two slot widths price apart
+    ([([(0, 6, 3, 10)], 3, PRS), ([(100, 6, 3, 10)], 0, PRS), ([(200, 6, 2, 7)], 3, {})],
+     {6: 8}),
+], ids=["continued last run", "stride equals length", "stride equals length, continued",
+        "stride equals length, fresh next", "continuing head", "two slot widths"])
+def test_per_run_start_edges(transfers, hist):
+    # priced whole and cut before every transfer, against the scalar oracle
+    walk = load_walk(*transfers)
+    dev = DeviceSpec(stream_width_words=2, t_start=7)
+    want = oracles.price_walk_loops(walk, dev.t_start, dev.p)
+    assert want[3] == {Channel.IFM.value: hist}
+    assert sim_tuple(simulate_sequences(walk, dev)) == want
+    carry = Carry()
+    for lo in range(len(transfers)):
+        res = simulate_sequences(cut_walk(walk, lo, lo + 1), dev, carry)
+    assert sim_tuple(res) == want
+
+
+def test_training_modules_do_not_import_dma():
+    # the training workload imports these modules; keeping the dependency
+    # one-way keeps pricer changes out of it
+    code = ("import sys, trainsim.layout, trainsim.engine, trainsim.sched, trainsim.config, "
+            "trainsim.datasets; print('trainsim.dma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(dma.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------------ slices
 
 def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
@@ -282,11 +344,11 @@ def sim_tuple(res):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
-def test_slices_fold_to_whole_walk(golden_walks, data, p, t_start):
+def test_slices_fold_to_whole_walk(data, p, t_start):
     # a golden or synthetic walk cut at random production boundaries, often
     # inside a sequence, and priced slice by slice through one carry
     if data.draw(st.booleans(), label="golden"):
-        walk = golden_walks[data.draw(st.sampled_from(sorted(golden_walks)), label="case")]
+        walk = walk_table()[data.draw(st.sampled_from(GOLDEN_KEYS), label="case")]
     else:
         walk = synthetic_walk(data.draw)
     n = walk.prod_seq.size
@@ -306,16 +368,16 @@ def walk_rows(walk: Walk) -> int:
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_walker_slices_fold_to_whole_pass(golden_walks, data):
+def test_walker_slices_fold_to_whole_pass(data):
     # the walkers' own slices of a golden pass, at a random budget (a run of
     # translates in its parts): each holds at most that many rows unless it
     # is one production, and their prices fold to the whole walk's
-    key = data.draw(st.sampled_from(sorted(golden_walks)), label="case")
+    key = data.draw(st.sampled_from(GOLDEN_KEYS), label="case")
     case, idx, proc, kind = key.split("/")
     _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
     process, idx = Process(proc), int(idx)
     ws = resolve_walk(net.layers[idx], plan, idx, process, kind, batch)
-    whole = golden_walks[key]
+    whole = walk_table()[key]
     total = walk_rows(whole)
     budget = data.draw(st.integers(max(2, total // 16), total), label="budget")
     parts = [p for s in slices(ws, process, budget) for p in s.parts()]

@@ -22,7 +22,7 @@ if __name__ == "__main__":  # run as a script: use the package in this checkout
 from trainsim.config import load_device  # noqa: E402
 from trainsim.dma import simulate_sequences  # noqa: E402
 
-from test_walk_golden import walks  # noqa: E402
+from test_walk_golden import walk_table, walks  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "prices.json"
 
@@ -38,9 +38,9 @@ def price_digests(pairs) -> dict[str, str]:
     return {key: price_digest(simulate_sequences(walk, dev)) for key, walk in pairs}
 
 
-def test_prices_match_golden(golden_walks):
+def test_prices_match_golden():
     golden = json.loads(GOLDEN.read_text())
-    got = price_digests(golden_walks.items())
+    got = price_digests(walk_table().items())
     assert sorted(got) == sorted(golden)
     moved = sorted(k for k in got if got[k] != golden[k])
     assert not moved, f"{len(moved)} prices changed, e.g. {moved[:5]}"

@@ -10,6 +10,7 @@ them only for a change that is meant to move a walk:
     python tests/test_walk_golden.py > tests/golden/walks.json
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -128,6 +129,13 @@ def walks():
                            layer_sequences(proc, layer, plan, kind, batch, idx=idx))
 
 
+@functools.cache
+def walk_table() -> dict:
+    """Every golden walk by key, walked once per process for the tests that
+    read them; callers must not modify the walks."""
+    return dict(walks())
+
+
 def walk_digests(pairs) -> dict[str, str]:
     return {key: walk_digest(walk) for key, walk in pairs}
 
@@ -137,8 +145,8 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_walks_match_golden(golden, golden_walks):
-    got = walk_digests(golden_walks.items())
+def test_walks_match_golden(golden):
+    got = walk_digests(walk_table().items())
     assert sorted(got) == sorted(golden)
     moved = sorted(k for k in got if got[k] != golden[k])
     assert not moved, f"{len(moved)} walks changed, e.g. {moved[:5]}"
