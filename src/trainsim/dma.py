@@ -47,22 +47,25 @@ ends.  A whole walk is priced as the one slice of its pass.
 
 It prices a run of repeated weight blocks once.  Under reshaped, the
 blocks of one width are translates of each other: each re-reads the same
-source tiles, its weight and output tiles sit one fixed step per channel
-past the previous block's, and its rows, flags and run lengths are the
-same (`layout._Nest.runs`; bchw and bhwc have one block per pass).  A
-block then prices alike wherever it follows a translate, since the
-continuity rule sees the same gaps and the carry hands on the same open
-burst.  `simulate_layer` prices the first three blocks of a run of four
-or more as above, takes the `Carry` step over the third, and adds it for
-the rest in closed form (`Carry.repeat`): cycles, bursts and words
-k times, each channel's end k of its steps on.  A channel's histogram
-takes k more of the block's bursts where the block leaves the open burst
-as it found it; where it makes no restart (the forward weight scan), the
-one open burst grows by k blocks' words instead.  If neither holds for
-some channel, the rest of the run is priced block by block, which keeps
-the result exact.  The walker marks no run where blocks do not translate:
-BP weight loads over m-tiles of unequal widths, and WU loss tiles that
-are not whole M_on blocks of the loss map at a batch over one.
+source tiles, each of its weight and output transfers sits one fixed step
+of its own past the previous block's, and its rows, flags and run lengths
+are the same (`layout._Nest`; bchw and bhwc have one block per pass).
+Wherever two consecutive transfers of a channel move by different steps,
+such as BP's block loads over m-tiles of two widths, the later one
+restarts at its head whatever its address.  A block then prices alike
+wherever it follows a translate, since every continuity test that decides
+a restart, a merge or the open burst comes out the same, and the carry
+hands on the same open burst.  `simulate_layer` prices the first three
+blocks of a run of four or more as above, takes the `Carry` step over the
+third, and adds it for the rest in closed form (`Carry.repeat`): cycles,
+bursts and words k times, each channel's end k of its last transfer's
+steps on.  A channel's histogram takes k more of the block's bursts where
+the block leaves the open burst as it found it; where it makes no restart
+(the forward weight scan), the one open burst grows by k blocks' words
+instead.  If neither holds for some channel, the rest of the run is
+priced block by block, which keeps the result exact.  The walker marks
+no run where blocks do not translate, such as WU loss tiles that are not
+whole M_on blocks of the loss map at a batch over one.
 """
 
 from __future__ import annotations

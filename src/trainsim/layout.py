@@ -48,10 +48,9 @@ without walking it, into ranges of productions of at most a given number
 of rows (productions, chunks, transfers and run groups), between weight
 blocks where it can, else between a block's sequences, else between
 productions.  Every block starts new sequences; a slice cut inside a
-sequence says so (`Walk.continued`).  Under reshaped, consecutive blocks
-of one width are translates of each other but in two cases
-(`_Nest.runs`), and `slices` marks a run of them, so that dma.py can
-price its blocks once.
+sequence says so (`Walk.continued`).  Where consecutive blocks of one
+width translate, as a nest shows from its geometry and descriptor flags
+(`_Nest`), `slices` marks the run, so that dma.py prices it once.
 WU reads a block's weights as the run groups of `merge_groups`, the
 maximal contiguous runs of its tiles.
 
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, groupby
 from types import SimpleNamespace
 
@@ -294,6 +294,12 @@ class FeatureGeom:
                                 self.ch, np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
         return groups, counts, _full(nch, shape)
 
+    def shifts(self, width: int) -> bool:
+        """Whether moving a tile of whole Tm groups `width` channels on moves
+        it one step wherever it lies: not if images interleave M_on blocks
+        (reshaped, batch over one), unless it moves by whole blocks."""
+        return self.kind != LayoutKind.RESHAPED or self.batch == 1 or width % self.m_on == 0
+
     def _pixels(self, ch0, ch1):
         """Whether a BHWC tile over channels [ch0, ch1) is one run per pixel."""
         return (ch0 > 0) | (ch1 < self.ch)
@@ -506,16 +512,19 @@ class Walk:
         lo = self.run_off[transfers]
         return _gather(lo, self.run_off[transfers + 1] - lo)
 
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        """Per group: its index into `multi`, or -1 for a group of one run."""
+        rank = np.full(self.start.size, -1, dtype=np.intp)
+        rank[self.multi] = np.arange(self.multi.size)
+        return rank
+
     def repeats(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The groups of more than one run among the ascending group indices
-        `idx`: their positions in `idx`, run counts and strides."""
-        if not idx.size:
-            return idx, idx, idx
-        lo, hi = np.searchsorted(self.multi, (idx[0], idx[-1] + 1))
-        multi = self.multi[lo:hi]  # only these can be among idx
-        pos = np.searchsorted(idx, multi)
-        hit = idx[pos] == multi
-        return pos[hit], self.count[lo:hi][hit], self.stride[lo:hi][hit]
+        """The groups of more than one run among the group indices `idx`:
+        their positions in `idx`, run counts and strides."""
+        rank = self._rank[idx]
+        pos = np.flatnonzero(rank >= 0)
+        return pos, self.count[rank[pos]], self.stride[rank[pos]]
 
     def groups(self, transfers: np.ndarray) -> np.ndarray:
         """The run groups of `transfers` in order, as an (n, 4) int64 array
@@ -720,12 +729,19 @@ class _Nest:
     its chunks, and its transfers and their run groups.
 
     `translates` says whether consecutive blocks of one width are
-    translates of each other: the same rows, flags and run lengths, with
-    each channel's addresses one step further on per block (`runs`)."""
+    translates of each other (`runs`): the same rows, flags and run
+    lengths (one shape), each transfer one step of its own further on per
+    block (`FeatureGeom.shifts`), and, wherever two consecutive transfers
+    of a channel move by different steps, the later one restarting at its
+    head whatever its address, so that no continuity test flips.  A
+    channel's transfers share their flags, so each channel of `moves` (the
+    steps from the first block's tile origins to the second's, and whether
+    it restarts at every head) restarts or moves by one step."""
 
     def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]],
-                 translates: bool):
-        self.ws, self.blocks, self.translates = ws, tile_blocks, translates
+                 shifts: bool, moves: list[tuple[np.ndarray, bool]]):
+        self.ws, self.blocks = ws, tile_blocks
+        self.translates = shifts and all(restart or np.ptp(step) == 0 for step, restart in moves)
         self._shapes: dict[tuple[int, int], SimpleNamespace] = {}
         self.starts = [0, *accumulate(self.shape(g).prods for g in range(len(tile_blocks)))]
 
@@ -797,13 +813,14 @@ class _ConvNest(_Nest):
             self.ifm = _TileTable(src, self.a0[a], self.a1[a], i0, i1, j0, j1)
         self.bp_block = kind == LayoutKind.RESHAPED and not self.fp
         m_on = t.m_on if kind == LayoutKind.RESHAPED else ceil_div(out_ch, ws.tm) * ws.tm
-        # only reshaped has more than one block.  The source tiles of every
-        # block are the same; its output tiles and FP weight tiles move by one
-        # step a block, and so do BP's weight loads unless the m-tiles they
-        # span differ in width: a load moves by its own m-tile's width a block
-        translates = kind == LayoutKind.RESHAPED and (
-            self.fp or np.unique(self.wei.m_width(np.arange(self.a0.size))).size == 1)
-        super().__init__(ws, _tile_blocks(out_ch, m_on, ws.tm), translates)
+        # a block moves its output and weight tiles m_on channels on, and its
+        # source tiles not at all: the tile origins of the first two blocks
+        # give the steps.  BP's block loads restart, as every bchw transfer does
+        ch = (np.arange(0, min(m_on, out_ch), ws.tm) + np.array([[0], [m_on]]))[..., None]
+        wei = self.wei._addr(*((ch, self.a0) if self.fp else (self.a0, ch)), 0, 0)
+        out = self.dst._addr(np.arange(ws.batch), ch, 0, 0)
+        moves = [(wei[1] - wei[0], self.bp_block or self.bchw), (out[1] - out[0], self.bchw)]
+        super().__init__(ws, _tile_blocks(out_ch, m_on, ws.tm), self.dst.shifts(m_on), moves)
 
     def _shape(self, g0: int, g1: int) -> SimpleNamespace:
         ws, kind, tm, n_o, n_acc = self.ws, self.ws.kind, self.ws.tm, g1 - g0, self.a0.size
@@ -917,13 +934,12 @@ class _WuNest(_Nest):
         self.resident = resident and not self.reuse
         self.sp = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
         m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, tm) * tm
-        # the activation tiles of every block are the same, and its weight
-        # tiles move by one step a block.  The loss tiles do too if a block is
-        # whole M_on blocks of the loss map; else its images interleave at a
-        # block size of their own, which only a batch of one hides
-        translates = ws.kind == LayoutKind.RESHAPED and (
-            ws.batch == 1 or m_on % self.loss.m_on == 0)
-        super().__init__(ws, _tile_blocks(l.m, m_on, tm), translates)
+        # a block moves its loss and weight tiles m_on channels on, and its
+        # activation tiles not at all; every loss load restarts
+        ch = (np.arange(0, min(m_on, l.m), tm) + np.array([[0], [m_on]]))[..., None]
+        wei = self.wei._addr(ch, self.n0, 0, 0)
+        moves = [(wei[1] - wei[0], self.bchw)]
+        super().__init__(ws, _tile_blocks(l.m, m_on, tm), self.loss.shifts(m_on), moves)
 
     def _m_range(self, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The loss channels [m0, m1) of m-tiles `mt`."""
@@ -1207,33 +1223,20 @@ def dma_start_table(net: NetworkSpec, plan: TilePlan,
     """Lay out all regions and derive per-(layer, process, channel) start
     offsets.  Offsets depend only on the network: every layout packs a
     tensor into the same number of words."""
-    table: dict[str, tuple[int, int]] = {}
-    off = 0
-    for name, length in region_table(net).items():
-        table[name] = (off, length)
-        off += length
-
-    def base(name: str) -> int:
-        return table[name][0]
-
+    lengths = region_table(net)
+    offsets = accumulate(lengths.values(), initial=0)
+    table = {name: (off, n) for (name, n), off in zip(lengths.items(), offsets)}
     entries: list[StartEntry] = []
     for i, l in enumerate(net.layers):
-        act_in = "act_in/0" if i == 0 else f"act/{i - 1}"
         if not l.weighted:
             continue
-        wei = f"wei/{i}"
-        entries.append(StartEntry(i, "fp", "ifm", act_in, base(act_in)))
-        entries.append(StartEntry(i, "fp", "wei", wei, base(wei)))
-        entries.append(StartEntry(i, "fp", "out", f"act/{i}", base(f"act/{i}")))
+        act_in, wei, loss = "act_in/0" if i == 0 else f"act/{i - 1}", f"wei/{i}", f"loss/{i}"
+        rows = [("fp", "ifm", act_in), ("fp", "wei", wei), ("fp", "out", f"act/{i}")]
         if i > 0:
-            entries.append(StartEntry(i, "bp", "ifm", f"loss/{i}", base(f"loss/{i}")))
-            entries.append(StartEntry(i, "bp", "wei", wei, base(wei)))
-            entries.append(StartEntry(i, "bp", "out", f"loss/{i - 1}",
-                                      base(f"loss/{i - 1}")))
-        entries.append(StartEntry(i, "wu", "ifm", act_in, base(act_in)))
-        entries.append(StartEntry(i, "wu", "ofm", f"loss/{i}", base(f"loss/{i}")))
-        entries.append(StartEntry(i, "wu", "wei", wei, base(wei)))
-        entries.append(StartEntry(i, "wu", "out", wei, base(wei)))
+            rows += [("bp", "ifm", loss), ("bp", "wei", wei), ("bp", "out", f"loss/{i - 1}")]
+        rows += [("wu", "ifm", act_in), ("wu", "ofm", loss), ("wu", "wei", wei), ("wu", "out", wei)]
+        entries += [StartEntry(i, proc, chan, region, table[region][0])
+                    for proc, chan, region in rows]
     return table, entries
 
 
@@ -1304,10 +1307,7 @@ def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
         a = _gather(runs[:, 0], runs[:, 1])  # every word read
         off = image.region(chan.value)[0]
         rebuilt[chan][inverses[chan][a]] = image.words[off + a]
-    out = {}
-    for chan, (geom, shape) in geoms.items():
-        out[chan] = rebuilt[chan].reshape(shape)
-    return out
+    return {chan: rebuilt[chan].reshape(shape) for chan, (_, shape) in geoms.items()}
 
 
 def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str,

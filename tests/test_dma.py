@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_S
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
+from trainsim.sched import schedule
 
 import oracles
 from test_walk_golden import GOLDEN as GOLDEN_WALKS, cases as golden_cases, walk_table
@@ -219,37 +221,45 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
         (cycles, bursts, words, hist)
 
 
+# what `synthetic_walk` draws, built once: a strategy made afresh for every
+# draw is validated afresh, which costs more than the draw
+SYNTHETIC = SimpleNamespace(
+    # a transfer's run groups: length, count, stride, whether the first
+    # continues the channel's last run, and start
+    groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11),
+                              st.booleans(), st.integers(0, 100)), min_size=1, max_size=3),
+    flags=st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans()),
+    sequences=st.lists(st.booleans(), min_size=1, max_size=2),
+    productions=st.lists(st.tuples(st.sampled_from([NO_STORE, STORE, CHUNK_STORE]),
+                                   st.integers(1, 2)), min_size=1, max_size=3),
+    chunks=st.lists(st.tuples(st.integers(0, 40), st.lists(st.sampled_from([IFM, WEI]),
+                                                           max_size=2)), min_size=1, max_size=3))
+
+
 def synthetic_walk(draw) -> Walk:
     """A walk of random run groups through `_WalkWriter`, whose heads may
     continue the channel's previous run, with random pricing flags."""
-    group = st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11),
-                      st.booleans(), st.integers(0, 100))
-    flags = st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans())
     w = _WalkWriter()
     ends = {}  # per channel, the end of its last run
 
     def transfer(channel, role, owner):
         groups = []
-        for length, count, stride, go_on, start in draw(st.lists(group, min_size=1, max_size=3)):
+        for length, count, stride, go_on, start in draw(SYNTHETIC.groups):
             stride += stride >= length  # any stride in 0..12 but the length
             start = ends[channel] if go_on and channel in ends else start
             groups.append((start, length, count, stride))
             ends[channel] = start + (count - 1) * stride + length
-        slot, overlapped, per_run_start, fresh_start = draw(flags)
+        slot, overlapped, per_run_start, fresh_start = draw(SYNTHETIC.flags)
         w.transfers(channel, role, np.array([owner]),
                     (np.array(groups, dtype=np.int64), np.array([len(groups)]), slot),
                     overlapped=role == LOAD and overlapped,
                     per_run_start=per_run_start, fresh_start=fresh_start)
 
-    for tail_start in draw(st.lists(st.booleans(), min_size=1, max_size=2)):
+    for tail_start in draw(SYNTHETIC.sequences):
         seq = w.sequences(1, tail_start)
-        for store, n_stores in draw(st.lists(st.tuples(
-                st.sampled_from([NO_STORE, STORE, CHUNK_STORE]), st.integers(1, 2)),
-                min_size=1, max_size=3)):
+        for store, n_stores in draw(SYNTHETIC.productions):
             prod = w.productions(np.array([seq]))
-            for comp, loads in draw(st.lists(st.tuples(
-                    st.integers(0, 40), st.lists(st.sampled_from([IFM, WEI]), max_size=2)),
-                    min_size=1, max_size=3)):
+            for comp, loads in draw(SYNTHETIC.chunks):
                 chunk = w.chunks(np.array([prod]), comp)
                 for channel in loads:
                     transfer(channel, LOAD, chunk)
@@ -458,30 +468,45 @@ def reshaped_case(draw, process: Process):
 WALK_COLUMNS = [f.name for f in dataclasses.fields(Walk) if f.name not in ("start", "continued")]
 
 
-def block_step(a: Walk, b: Walk) -> tuple | None:
-    """How far each channel's addresses move from walk a to walk b, if b
-    is a with each channel's addresses moved by one step of its own and
-    nothing else changed; None if it is not."""
+def transfer_steps(a: Walk, b: Walk) -> np.ndarray | None:
+    """How far each transfer's run groups move from walk a to walk b, if b
+    is a with each transfer's groups moved by one step of its own and
+    nothing else changed; None if it is not.  A transfer without runs
+    moves by 0."""
     if not all(np.array_equal(getattr(a, f), getattr(b, f)) for f in WALK_COLUMNS):
         return None
-    chan = np.repeat(a.chan, np.diff(a.run_off))  # per run group
-    steps = [np.unique(b.start[chan == c] - a.start[chan == c]) for c in range(len(CHANNELS))]
-    if any(step.size > 1 for step in steps):
-        return None
-    return tuple(tuple(step.tolist()) for step in steps)
+    tr = np.repeat(np.arange(a.chan.size), np.diff(a.run_off))  # per run group
+    moved = b.start - a.start
+    step = np.zeros(a.chan.size, dtype=np.int64)
+    step[tr] = moved
+    return step if np.array_equal(step[tr], moved) else None
 
 
 def translate(nest) -> bool:
     """Whether consecutive blocks of one width are translates of each
-    other, each channel moving by one step from every block to the next."""
-    steps = {}  # per block width, the `block_step`s from each block to the next
-    for g in range(len(nest.blocks) - 1):
-        (a0, a1, wa), (b0, b1, wb) = nest.blocks[g], nest.blocks[g + 1]
-        if (a1 - a0, wa) == (b1 - b0, wb):
-            steps.setdefault((a1 - a0, wa), set()).add(block_step(
-                nest.walk(nest.starts[g], nest.starts[g + 1]),
-                nest.walk(nest.starts[g + 1], nest.starts[g + 2])))
-    return all(len(width) == 1 and None not in width for width in steps.values())
+    other: the same rows, flags and run lengths, each transfer moving by one
+    step of its own from every block to the next, and, wherever two
+    consecutive transfers of a channel move by different steps (the last of
+    a block and the first of the next included), the later one restarting
+    at its head whatever its address."""
+    steps = {}  # per block width: a block's walk, and the steps from each block to the next
+    last = None  # the block before, and its walk
+    for g, (g0, g1, width) in enumerate(nest.blocks):
+        walk = nest.walk(nest.starts[g], nest.starts[g + 1])
+        if last and last[0] == (g1 - g0, width):
+            steps.setdefault(last[0], (last[1], []))[1].append(transfer_steps(last[1], walk))
+        last = (g1 - g0, width), walk
+    for walk, moves in steps.values():
+        if any(step is None or not np.array_equal(step, moves[0]) for step in moves):
+            return False
+        restarts = walk.fresh_start | walk.per_run_start
+        for c in range(len(CHANNELS)):
+            # the channel's transfers with runs, each after the one before it
+            trs = np.flatnonzero((walk.chan == c) & (np.diff(walk.run_off) > 0))
+            step = moves[0][trs]
+            if not np.all((step == np.roll(step, 1)) | restarts[trs]):
+                return False
+    return True
 
 
 def test_golden_blocks_of_one_width_are_translates():
@@ -503,7 +528,8 @@ def test_golden_blocks_of_one_width_are_translates():
 @given(data=st.data(), process=st.sampled_from(list(Process)), batch=st.integers(1, 3))
 def test_blocks_of_one_width_are_translates(data, process, batch):
     # what the fold assumes, on random reshaped layers: where a nest says its
-    # blocks translate, consecutive blocks of one width do
+    # blocks translate, consecutive blocks of one width do, each transfer by
+    # a step of its own, restarting where its channel's step changes
     layer, plan = reshaped_case(data.draw, process)
     nest = _nest(resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch), process)
     if nest.translates:
@@ -511,19 +537,19 @@ def test_blocks_of_one_width_are_translates(data, process, batch):
 
 
 def test_blocks_that_do_not_translate_are_not_folded():
-    # vgg16 fc8 BP: the last of the 63 weight m-tiles over its 1000 loss
-    # channels is 8 wide, so its loads move by half the others' step a
-    # block.  WU that blocks 16 of fc7's 128-channel loss blocks at a time,
-    # at batch 2: the loss tiles jump to the next block after every eighth.
+    # WU that blocks 16 of fc7's 128-channel loss blocks at a time, at
+    # batch 2: the loss tiles jump to the next block after every eighth, so
+    # their steps are not constant.  vgg16 fc8 BP does fold: the last of the
+    # 63 weight m-tiles over its 1000 loss channels is 8 wide, so its loads
+    # move by half the others' step a block, but every one of them restarts
     net = load_network("vgg16", 2)
     plan = TilePlan(tm=16, tn=16, entries={19: PlanEntry(tr=1, tc=1, m_on=128, wu_m_on=16),
                                            20: PlanEntry(tr=1, tc=1, m_on=128)})
-    for idx, process in ((20, Process.BP), (19, Process.WU)):
+    for idx, process, folds in ((19, Process.WU, False), (20, Process.BP, True)):
         ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED, 2)
         nest = _nest(ws, process)
-        assert not nest.translates and not nest.runs()
-        assert not translate(nest)
-        assert all(not part.period for part in slices(ws, process, SLICE_ROWS))
+        assert nest.translates == bool(nest.runs()) == translate(nest) == folds
+        assert any(part.period for part in slices(ws, process, SLICE_ROWS)) == folds
 
 
 def counting_walker(process: Process, walked: list):
@@ -604,6 +630,21 @@ def test_fold_engages_on_vgg16_fc7():
     whole = layer_sequences(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, 1, idx=19)
     assert whole.prod_seq.size == 32 * 8
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+
+
+def test_fold_engages_on_every_vgg_fc_head_pass():
+    # vgg16 fc7 and fc8 at batch 2 with their `sched.schedule` plan: the
+    # pricer walks fewer productions than each of the six passes has, fc8
+    # BP over m-tiles of two widths included
+    net, dev = load_network("vgg16", 2), load_device("zcu102")
+    plan, _ = schedule(net, dev, 2)
+    for idx in (19, 20):
+        for process in Process:
+            walked = []
+            with mock.patch.dict(WALKERS, {process: counting_walker(process, walked)}):
+                simulate_layer(process, net.layers[idx], plan, LayoutKind.RESHAPED, dev, 2, idx=idx)
+            ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED, 2)
+            assert sum(walked) < _nest(ws, process).starts[-1], (idx, process)
 
 
 def test_carry_repeat_refuses_what_it_cannot_add():
