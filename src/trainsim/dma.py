@@ -20,15 +20,18 @@ at a time, in two steps:
   previous run, so streams that genuinely continue across loop steps (the
   forward weight scan, block-sized output slabs) pay no second restart.
   Beats follow the slot rule of `_beats`; bursts are the runs between
-  restarts.  The walk keeps runs as groups (`layout.Walk`), and no run of
-  a group continues the one before it unless its transfer is
-  `per_run_start`.  So only the runs whose price depends on a neighbour go
-  through these rules, in one run list: the first and last run of each
-  group of a transfer that is not `per_run_start`, and the last run of each
-  `per_run_start` transfer, which hands the next transfer the channel's
-  end address and open burst.  Every other run is a burst of its own,
-  costing `_beats(length) + t_start`; each group adds its count of them in
-  closed form, to its transfer's cycles and restarts and to the histogram.
+  restarts.  The walk keeps runs as groups (`layout.Walk`), such as a
+  tile's channel x row lattice: `outer` rows of `count` runs, the last
+  starting at start + (outer-1)*outer_stride + (count-1)*stride.  No run
+  of a group continues the one before it, at either level, unless its
+  transfer is `per_run_start`.  So only the runs whose price depends on a
+  neighbour go through these rules, in one run list: the first and last
+  run of each group of a transfer that is not `per_run_start`, and the
+  last run of each `per_run_start` transfer, which hands the next transfer
+  the channel's end address and open burst.  Every other run is a burst of
+  its own, costing `_beats(length) + t_start`; each group adds its number
+  of them in closed form, to its transfer's cycles and restarts and to the
+  histogram.
 - `simulate_sequences` folds transfer cycles into the pipeline: a chunk's
   load is the max over its non-overlapped loads, a production costs
   load_0 + sum(max(load_k, comp_(k-1))) plus its last compute (the tail),
@@ -144,12 +147,13 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
     order), whose bursts continue the channel's stream `s`."""
-    idx = walk.group_index(trs)
+    idx, many, count, stride, outer, o_stride = walk.repeats(trs)  # many: two runs or more
     if not idx.size:  # a slice may hold only empty loads, such as BP windows a stride skips
         return np.zeros((2, trs.size), dtype=np.int64)
     start, length = walk.start[idx], walk.length[idx]
-    many, count, stride = walk.repeats(idx)  # the groups of two runs or more
-    del idx
+    offset = (count - 1) * stride + (outer - 1) * o_stride  # from a group's first run to its last
+    count *= outer  # its runs
+    del idx, stride, outer, o_stride
     n = walk.run_off[trs + 1] - walk.run_off[trs]  # groups per transfer
     tr = np.repeat(np.arange(trs.size), n)  # position in trs, per group
     slot = walk.slot_words[trs]
@@ -170,10 +174,10 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
         lone = np.flatnonzero(alone)
         n_lone, lone_len, lone_tr = alone[lone], length[lone], tr[lone]
         tip = own[many] & last[many]  # the multi-run groups whose last run stays
-        start[many[tip]] += (count[tip] - 1) * stride[tip]
+        start[many[tip]] += offset[tip]
         keep = ~own | last
         rest = ~own[many]
-        many, count, stride = (np.cumsum(keep) - 1)[many[rest]], count[rest], stride[rest]
+        many, count, offset = (np.cumsum(keep) - 1)[many[rest]], count[rest], offset[rest]
         start, length, tr, head = start[keep], length[keep], tr[keep], head[keep]
         del own, last, runs, alone, tip, keep, rest
     else:
@@ -188,7 +192,7 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
         g = np.repeat(np.arange(tr.size), 1 + np.bincount(many, minlength=tr.size))
         many = many + np.arange(1, many.size + 1)  # now where the last runs go
         start = start[g]
-        start[many] += (count - 1) * stride
+        start[many] += offset
         length, tr, head = length[g], tr[g], head[g]
         del g
     cont = np.empty(tr.size, dtype=bool)

@@ -16,48 +16,37 @@ one contiguous scan.  All maps are fully packed bijections onto their
 regions; addresses are 32-bit word indices, never bytes.
 
 Traces are run-length encoded twice over.  A run list is always an (n, 2)
-int64 array of (start, length) rows; a run group is `count` runs of
-`length` words at start + j*stride, an (n, 4) row of (start, length,
-count, stride) (`expand_groups` turns groups into runs).
-`FeatureGeom.tiles` and `WeightGeom.tiles` give the groups of many tiles
-in one call (`_strided`): a tile is n_out x n_in runs at
-base + o*s_out + i*s_in, one group of n_in runs per o, such as the rows of
-one channel of a BCHW tile.  No run of a group continues the one before it
-(stride != length) unless its transfer restarts every run anyway
-(`per_run_start`), so a pricer needs only a group's first and last run to
-see where it joins its neighbours.  A layer pass is one columnar trace, a
-`Walk`: flat arrays of sequences, productions, chunks and transfers, each
-row pointing at its parent, plus the run groups of every transfer: each
-group's first run in a start and a length column, and count and stride
-for the groups of more than one run.  Sequences, productions and chunks
-are in bus order, and so are each channel's transfers.  `Walk.runs`
-expands the groups of some transfers into runs, `trace_layer` those of
-each channel, and `merge_runs` folds runs that continue each other into
-the maximal contiguous ones.
+int64 array of (start, length) rows; a run group is a lattice of runs of
+`length` words, `outer` rows `outer_stride` apart of `count` runs `stride`
+apart, an (n, 6) row of (start, length, count, stride, outer,
+outer_stride) (`expand_groups` turns groups into runs).  `FeatureGeom.tiles`
+and `WeightGeom.tiles` give many tiles' groups in one call (`_strided`),
+one group per tile, such as the rows of each channel of a BCHW tile.  No
+run of a group continues the one before it, in its row or from the row
+before, unless its transfer restarts every run anyway (`per_run_start`),
+so a pricer needs only a group's first and last run to see where it joins
+its neighbours.  A layer pass is one columnar trace, a `Walk` of
+sequences, productions, chunks, transfers and their run groups.
+`Walk.runs` expands the groups of some transfers into runs, `trace_layer`
+those of each channel, and `merge_runs` folds runs that continue each
+other into the maximal contiguous ones.
 
-Walkers build a walk by index arithmetic, one weight block at a time: the
-only Python loop left is the one over blocks, and a `_WalkWriter` appends
-each block's rows (IFM loads, then OFM, WEI, OUT) in one go.  FP and BP
-share one loop nest on the pass's role-swapped operands, in which one
-branch per layout sets the production order and which productions reload
-weights; WU has its own.  A nest is set up once per pass (geometry,
-spatial tiles, one table of what each production holds per block width)
-and writes any range of a block's productions, so a walker walks either a
-whole pass or one of its slices: `slices` cuts a pass, by those tables and
-without walking it, into ranges of productions of at most a given number
-of rows (productions, chunks, transfers and run groups), between weight
-blocks where it can, else between a block's sequences, else between
-productions.  Every block starts new sequences; a slice cut inside a
-sequence says so (`Walk.continued`).  Where consecutive blocks of one
-width translate, as a nest shows from its geometry and descriptor flags
-(`_Nest`), `slices` marks the run, so that dma.py prices it once.
-WU reads a block's weights as the run groups of `merge_groups`, the
-maximal contiguous runs of its tiles.
+Walkers build a walk by index arithmetic, one weight block at a time, and
+a `_WalkWriter` appends each block's rows in one go.  FP and BP share one
+loop nest on the pass's role-swapped operands; WU has its own.  A nest is
+set up once per pass and writes any range of a block's productions, so a
+walker walks a whole pass or one of the slices that `slices` cuts it into
+(of at most a given number of rows) without walking it.  Where consecutive
+blocks of one width translate, as a nest shows from its geometry and
+descriptor flags (`_Nest`), `slices` marks the run, so that dma.py prices
+it once.  WU reads a block's weights (`WeightGeom.block`) as the run groups
+of `merge_groups`, the maximal contiguous runs of its tiles.
 
 Descriptor policy lives where transfers are made: every feature load is
 its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
-per run (`per_run_start`), and `_walk_conv` builds the reshaped BP weight
-block.  dma.py prices the flags and the pipeline, one channel at a time.
+per run (`per_run_start`), and `_ConvNest.write` builds the reshaped BP
+weight block.  dma.py prices the flags and the pipeline, one channel at a
+time.
 """
 
 from __future__ import annotations
@@ -109,66 +98,86 @@ def _full(x, shape: tuple[int, ...]) -> np.ndarray:
     return x if np.shape(x) == shape else np.full(shape, x, dtype=np.int64)
 
 
-def _strided(base, n_out: np.ndarray, s_out, n_in, s_in,
+def _strided(base, tiles: np.ndarray, n_out, s_out, n_in, s_in,
              length) -> tuple[np.ndarray, np.ndarray]:
     """Run groups of many tiles, each n_out x n_in runs of `length` words
-    at base + o*s_out + i*s_in, o-major: one group of n_in runs at stride
-    s_in per o.  `n_out` is an array with one entry per tile; every other
-    argument is such an array or a scalar for all.  Returns the (n, 4)
-    int64 (start, length, count, stride) groups and each tile's number of
-    groups, n_out."""
-    t, o = _nested(n_out)
-    groups = np.empty((t.size, 4), dtype=np.int64, order="F")  # columns contiguous
-    groups[:, 0] = _at(base, t) + o * _at(s_out, t)
+    at base + o*s_out + i*s_in, o-major, as one group (of n_out runs
+    s_out apart if n_in is 1).  `tiles` is 1 for a tile with runs, else
+    0, one per tile; every other argument is such an array or a scalar for
+    all.  Returns the (n, 6) int64 groups and `tiles`."""
+    t = np.flatnonzero(tiles)
+    n_out, s_out, n_in = _at(n_out, t), _at(s_out, t), _at(n_in, t)
+    flat = n_in == 1
+    groups = np.empty((t.size, 6), dtype=np.int64, order="F")  # columns contiguous
+    groups[:, 0] = _at(base, t)
     groups[:, 1] = _at(length, t)
-    groups[:, 2] = _at(n_in, t)
-    groups[:, 3] = _at(s_in, t)
-    return groups, n_out
+    groups[:, 2] = np.where(flat, n_out, n_in)
+    groups[:, 3] = np.where(flat, s_out, _at(s_in, t))
+    groups[:, 4] = np.where(flat, 1, n_out)
+    groups[:, 5] = np.where(flat, 0, s_out)
+    return groups, tiles
 
 
 def expand_groups(groups: np.ndarray) -> np.ndarray:
-    """The runs of an (n, 4) group array in order, as an (m, 2) int64 run
-    array: group (start, length, count, stride) is `count` runs of
-    `length` words at start + j*stride.  Groups of one run each come back
-    as a view of their first two columns."""
-    if np.all(groups[:, 2] == 1):
+    """The runs of an (n, 6) group array in order, as an (m, 2) int64 run
+    array: group (start, length, count, stride, outer, outer_stride) is
+    `outer` rows `outer_stride` apart of `count` runs of `length` words
+    `stride` apart, runs at start + o*outer_stride + j*stride, o-major.
+    Groups of one run each come back as a view of their first two columns."""
+    count, runs_per = groups[:, 2], groups[:, 2] * groups[:, 4]
+    if np.all(runs_per == 1):
         return groups[:, :2]
-    g, j = _nested(groups[:, 2])
+    g, j = _nested(runs_per)
+    o, j = np.divmod(j, count[g])
     runs = np.empty((g.size, 2), dtype=np.int64)
-    runs[:, 0] = groups[g, 0] + j * groups[g, 3]
+    runs[:, 0] = groups[g, 0] + o * groups[g, 5] + j * groups[g, 3]
     runs[:, 1] = groups[g, 1]
     return runs
 
 
 def merge_groups(groups: np.ndarray) -> np.ndarray:
-    """`merge_runs` on run groups, without expanding them: (n, 4) groups
+    """`merge_runs` on run groups, without expanding them: (n, 6) groups
     whose runs are the maximal contiguous runs of `expand_groups(groups)`.
-    A group whose runs continue each other becomes one run.  No other run
-    continues the one before it inside its group, so only a group's last
-    run can join the next group's first: such a chain of runs becomes one
-    joined run, placed where it begins, and each group keeps the rest of
-    its runs."""
-    start, length, count, stride = (groups[:, i].copy() for i in range(4))
-    solid = (count > 1) & (stride == length)
-    length[solid] *= count[solid]
-    count[solid] = 1
-    last = start + (count - 1) * stride  # each group's last run
-    link = last[:-1] + length[:-1] == start[1:]
-    joins = np.zeros(count.size, dtype=bool)  # its first run joins the last group's
-    goes_on = np.zeros(count.size, dtype=bool)  # its last run joins the next group's
-    joins[1:], goes_on[:-1] = link, link
-    own = np.maximum(count - joins - goes_on, 0)  # runs it keeps
-    opens = goes_on & ~(joins & (count == 1))  # a joined run begins at its last run
-    before = np.cumsum(opens) - opens  # joined runs begun before each group
-    joined = length[opens] + np.bincount(before[joins] - 1, length[joins],
-                                         minlength=int(opens.sum())).astype(np.int64)
-    n = (own > 0).astype(np.int64) + opens
-    at = np.cumsum(n) - n  # each group's first item
-    out = np.zeros((int(n.sum()), 4), dtype=np.int64)
-    keep = own > 0
-    out[at[keep]] = np.column_stack((start + joins * stride, length, own, stride))[keep]
-    out[(at + keep)[opens]] = np.column_stack(
-        (last[opens], joined, np.ones_like(joined), np.zeros_like(joined)))
+    A row whose runs continue each other becomes one run, rows of one run
+    one row of them, and a group whose rows continue each other its rows.
+    No other run continues the one before it inside its group, so only a
+    group's first or last run can join a neighbour's: it is cut from its
+    group, and runs that stand alone merge."""
+    start, length, count, stride, outer, o_stride = (groups[:, i].copy() for i in range(6))
+    for _ in range(2):  # a solid row is one run; rows of one run, one row
+        solid = (count > 1) & (stride == length)
+        length[solid] *= count[solid]
+        count[solid] = 1
+        flat = count == 1
+        count[flat], stride[flat], outer[flat], o_stride[flat] = outer[flat], o_stride[flat], 1, 0
+    split = (outer > 1) & (o_stride == (count - 1) * stride + length)
+    if split.any():
+        g, o = _nested(np.where(split, outer, 1))
+        start, length, count, stride = start[g] + o * o_stride[g], length[g], count[g], stride[g]
+        outer, o_stride = np.where(split[g], 1, outer[g]), o_stride[g]
+    two, row = outer > 1, (count - 1) * stride  # from a row's first run to its last
+    last = start + (outer - 1) * o_stride + row
+    goes_on = np.zeros(start.size, dtype=bool)  # its last run joins the next group's
+    goes_on[:-1] = last[:-1] + length[:-1] == start[1:]
+    joins = np.roll(goes_on, 1)  # its first run joins the last group's
+    one, zero = np.ones_like(start), np.zeros_like(start)
+    # per group: its joining first run, the rest of its first row, its whole
+    # rows, the rest of its last row and its joining last run, if any
+    pieces = np.array([
+        (start, length, joins * one, zero, one, zero),
+        (start + stride, length, (count - 1) * (two & joins), stride, one, zero),
+        (start + joins * np.where(two, o_stride, stride), length,
+         np.where(two, count, count - joins - goes_on), stride,
+         np.where(two, outer - joins - goes_on, 1), o_stride),
+        (last - row, length, (count - 1) * (two & goes_on), stride, one, zero),
+        (last, length, goes_on & ~(joins & (count * outer == 1)), zero, one, zero)],
+        dtype=np.int64).transpose(2, 0, 1)
+    pieces = pieces[(pieces[..., 2] > 0) & (pieces[..., 4] > 0)]
+    alone = pieces[:, 2] * pieces[:, 4] == 1
+    head = np.ones(len(pieces), dtype=bool)
+    head[1:] = ~(alone[1:] & alone[:-1] & (pieces[:-1, 0] + pieces[:-1, 1] == pieces[1:, 0]))
+    out = pieces[head]
+    out[:, 1] = np.add.reduceat(pieces[:, 1], np.flatnonzero(head))
     return out
 
 
@@ -216,9 +225,8 @@ class FeatureGeom:
     m_on: int = 1
 
     def __post_init__(self):
-        if self.kind == LayoutKind.RESHAPED:
-            if self.m_on % self.tm:
-                raise ValueError("m_on must be a multiple of tm")
+        if self.kind == LayoutKind.RESHAPED and self.m_on % self.tm:
+            raise ValueError("m_on must be a multiple of tm")
 
     def words(self) -> int:
         return self.batch * self.ch * self.rows * self.cols
@@ -262,37 +270,30 @@ class FeatureGeom:
         [ch0[i],ch1[i]) x rows [r0[i],r1[i]) x cols [c0[i],c1[i]) of image
         b[i] (arrays of one length; a scalar stands for every tile), in this
         layout's scan order.  Returns (groups, groups per tile, slot words
-        per tile): the (n, 4) int64 (start, length, count, stride) groups of
-        every tile in turn (see `expand_groups`), and the width of the
-        channel slice a channel-interleaved tile hands its consumer per
-        pixel (0 under BCHW).
-
-        BCHW keeps one run per (channel, row), since the baseline engine
-        programs one descriptor per tile row segment: a group per channel,
-        or one group of all channels if the tile is one row.
-        BHWC with a channel subset is one run per pixel, a group per row;
-        otherwise a tile is one run per row, or one run if it covers whole
-        rows, each a group of its own."""
+        per tile): one (n, 6) group per tile that is not empty, and the width
+        of the channel slice a channel-interleaved tile hands its consumer
+        per pixel (0 under BCHW).  BCHW keeps one run per (channel, row), as
+        the baseline engine programs one descriptor per tile row segment.
+        BHWC with a channel subset is one run per pixel; otherwise a tile is
+        one run per row, or one run if it covers whole rows."""
         shape = np.broadcast(b, ch0, ch1, r0, r1, c0, c1).shape or (1,)
         nch, nr, nc = ch1 - ch0, r1 - r0, c1 - c0
-        n_out = _full(self.tile_groups(ch0, ch1, r0, r1, c0, c1), shape)
+        tiles = _full(self.tile_groups(ch0, ch1, r0, r1, c0, c1), shape)
         base = self._addr(b, ch0, r0, c0)
         if self.kind == LayoutKind.BCHW:
-            # a group of rows per channel, or one of channels for a one-row tile
-            row = nr == 1
-            groups, counts = _strided(base, n_out, self.rows * self.cols, np.where(row, nch, nr),
-                                      np.where(row, self.rows * self.cols, self.cols), nc)
-            return groups, counts, np.zeros(shape, dtype=np.int64)
+            groups, _ = _strided(base, tiles, nch, self.rows * self.cols, nr, self.cols, nc)
+            return groups, tiles, np.zeros(shape, dtype=np.int64)
         if self.kind == LayoutKind.BHWC_REUSE:
-            wg, pixels = self.ch, self._pixels(ch0, ch1)
+            wg, pixels = self.ch, (ch0 > 0) | (ch1 < self.ch)  # a channel subset
         else:
             wg, pixels = self.group_width(ch0), False
-            if np.any(((ch0 % self.tm != 0) | (nch != wg)) & (n_out > 0)):
+            if np.any(((ch0 % self.tm != 0) | (nch != wg)) & (tiles > 0)):
                 raise ShapeMismatch("reshaped tiles must cover whole channel groups")
         whole = (c0 == 0) & (c1 == self.cols) & ~pixels
-        groups, counts = _strided(base, n_out, self.cols * wg, np.where(pixels, nc, 1),
-                                self.ch, np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
-        return groups, counts, _full(nch, shape)
+        groups, _ = _strided(base, tiles, np.where(whole, 1, nr), self.cols * wg,
+                             np.where(pixels, nc, 1), self.ch,
+                             np.where(pixels, nch, np.where(whole, nr, 1) * nc * wg))
+        return groups, tiles, _full(nch, shape)
 
     def shifts(self, width: int) -> bool:
         """Whether moving a tile of whole Tm groups `width` channels on moves
@@ -300,19 +301,11 @@ class FeatureGeom:
         (reshaped, batch over one), unless it moves by whole blocks."""
         return self.kind != LayoutKind.RESHAPED or self.batch == 1 or width % self.m_on == 0
 
-    def _pixels(self, ch0, ch1):
-        """Whether a BHWC tile over channels [ch0, ch1) is one run per pixel."""
-        return (ch0 > 0) | (ch1 < self.ch)
-
-    def tile_groups(self, ch0, ch1, r0, r1, c0, c1) -> np.ndarray:
-        """How many run groups `tiles` gives each tile, without making them."""
-        nr = r1 - r0
-        empty = (ch1 <= ch0) | (nr <= 0) | (c1 <= c0)
-        if self.kind == LayoutKind.BCHW:
-            return np.where(empty, 0, np.where(nr == 1, 1, ch1 - ch0))
-        pixels = self.kind == LayoutKind.BHWC_REUSE and self._pixels(ch0, ch1)
-        whole = (c0 == 0) & (c1 == self.cols) & ~pixels
-        return np.where(empty, 0, np.where(whole, 1, nr))
+    @staticmethod
+    def tile_groups(ch0, ch1, r0, r1, c0, c1) -> np.ndarray:
+        """How many run groups `tiles` gives each tile: one, or none for an
+        empty tile."""
+        return np.where((ch1 > ch0) & (r1 > r0) & (c1 > c0), 1, 0)
 
 
 # ----------------------------------------------------------------- weights
@@ -385,9 +378,22 @@ class WeightGeom:
         kk = self.k * self.k
         bchw = self.kind == LayoutKind.BCHW
         groups, counts = _strided(self._addr(mt * self.tm, nt * self.tn, 0, 0),
-                                  _full(1, shape), 0, wm if bchw else 1, self.n * kk,
+                                  _full(1, shape), 1, 0, wm if bchw else 1, self.n * kk,
                                   (1 if bchw else wm) * wn * kk)
         return groups, counts, _full(0 if bchw else wm * wn, shape)
+
+    def block(self, g0: int, g1: int) -> np.ndarray:
+        """The run groups of m-tiles [g0, g1) over every n-tile, m-tile
+        major, as `tiles` gives them one n-tile at a time: per m-tile one
+        group of its whole n-tiles, then its partial last n-tile, if any."""
+        mt, kk, bchw = np.arange(g0, g1), self.k * self.k, self.kind == LayoutKind.BCHW
+        whole, part = divmod(self.n, self.tn)
+        wm = self.m_width(mt)
+        step = (1 if bchw else wm) * self.tn * kk  # the words of one run of an n-tile
+        groups = [_strided(self._addr(mt * self.tm, 0, 0, 0), _full(1, mt.shape), whole, step,
+                           wm if bchw else 1, self.n * kk, step)[0]] if whole else []
+        groups += [self.tiles(mt, whole)[0]] if part else []
+        return np.stack(groups, axis=1).reshape(-1, 6)
 
 
 # -------------------------------------------------------------- DRAM image
@@ -471,13 +477,11 @@ class Walk:
     waits for) plus what it stores.  Rows point at their parent: a chunk at
     its production, a production at its sequence, a load at its chunk and
     a store at its production.  A transfer's runs are those of its run
-    groups run_off[t]:run_off[t + 1], a group being `count` runs of
-    `length` words `stride` apart from `start` (`groups`, `expand_groups`);
-    every run is at least one word.  Most groups are one run, so the columns
-    keep every group's first run, and count and stride only for the groups
-    of more than one (`multi`).  No run of a group continues the one before
-    it (stride != length), unless the transfer is `per_run_start`, which
-    restarts every run anyway.
+    groups run_off[t]:run_off[t + 1] (`groups`, `expand_groups`), each at
+    least one word.  Many groups are one run, so the columns keep every
+    group's first run, and its two levels only for a group of more than one
+    (`multi`).  No run of a group continues the one before it unless the
+    transfer is `per_run_start`, which restarts every run anyway.
 
     A walk may be one slice of a pass (`slices`): then `continued` says
     whether its last sequence goes on in the next slice.
@@ -499,18 +503,15 @@ class Walk:
     start: np.ndarray          # per group: first word of its first run
     length: np.ndarray         # per group: words per run
     multi: np.ndarray          # ascending: the groups of more than one run
-    count: np.ndarray          # per multi group: runs
-    stride: np.ndarray         # per multi group: words from run to run
+    count: np.ndarray          # per multi group: runs per row
+    stride: np.ndarray         # per multi group: words from run to run of a row
+    outer: np.ndarray          # per multi group: rows
+    outer_stride: np.ndarray   # per multi group: words from row to row
     continued: bool = False    # its last sequence goes on past the walk
 
     def on(self, channel: Channel) -> np.ndarray:
         """Indices of the channel's transfers, in bus order."""
         return np.flatnonzero(self.chan == CHANNELS.index(channel))
-
-    def group_index(self, transfers: np.ndarray) -> np.ndarray:
-        """Indices of the run groups of `transfers`, in their order."""
-        lo = self.run_off[transfers]
-        return _gather(lo, self.run_off[transfers + 1] - lo)
 
     @cached_property
     def _rank(self) -> np.ndarray:
@@ -519,21 +520,24 @@ class Walk:
         rank[self.multi] = np.arange(self.multi.size)
         return rank
 
-    def repeats(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The groups of more than one run among the group indices `idx`:
-        their positions in `idx`, run counts and strides."""
-        rank = self._rank[idx]
-        pos = np.flatnonzero(rank >= 0)
-        return pos, self.count[rank[pos]], self.stride[rank[pos]]
+    def repeats(self, transfers: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The indices of the run groups of `transfers`, in order, and the
+        groups of more than one run among them: their positions, and their
+        count, stride, outer and outer_stride."""
+        lo = self.run_off[transfers]
+        idx = _gather(lo, self.run_off[transfers + 1] - lo)
+        pos = np.flatnonzero(self._rank[idx] >= 0)
+        r = self._rank[idx[pos]]
+        return idx, pos, self.count[r], self.stride[r], self.outer[r], self.outer_stride[r]
 
     def groups(self, transfers: np.ndarray) -> np.ndarray:
-        """The run groups of `transfers` in order, as an (n, 4) int64 array
-        of (start, length, count, stride)."""
-        idx = self.group_index(transfers)
-        groups = np.zeros((idx.size, 4), dtype=np.int64)
-        groups[:, 0], groups[:, 1], groups[:, 2] = self.start[idx], self.length[idx], 1
-        pos, count, stride = self.repeats(idx)
-        groups[pos, 2], groups[pos, 3] = count, stride
+        """The run groups of `transfers` in order, as an (n, 6) int64 array
+        of (start, length, count, stride, outer, outer_stride)."""
+        idx, pos, *levels = self.repeats(transfers)
+        groups = np.zeros((idx.size, 6), dtype=np.int64)
+        groups[:, 0], groups[:, 1], groups[:, 2], groups[:, 4] = \
+            self.start[idx], self.length[idx], 1, 1
+        groups[pos, 2:] = np.column_stack(levels)
         return groups
 
     def runs(self, transfers: np.ndarray) -> np.ndarray:
@@ -545,7 +549,7 @@ class Walk:
 class _Column:
     """One column of a walk, appended in pieces and joined once.  It keeps
     a copy of each piece, so that the arrays a piece comes from, such as
-    the four columns of a tile's run groups, are freed as the walk goes."""
+    the columns of a tile's run groups, are freed as the walk goes."""
 
     def __init__(self, dtype, *first):
         self.dtype, self.parts, self.size = dtype, [np.array(first, dtype=dtype)], len(first)
@@ -575,7 +579,7 @@ class _WalkWriter:
     FLAGS = ("tail_start", "overlapped", "per_run_start", "fresh_start")
     CODES = ("chan", "role")
     INTS = ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "start", "length",
-            "multi", "count", "stride")
+            "multi", "count", "stride", "outer", "outer_stride")
 
     def __init__(self):
         self.cols = {f: _Column(np.bool_) for f in self.FLAGS}
@@ -603,15 +607,17 @@ class _WalkWriter:
         n, cols = owners.size, self.cols
         first = cols["start"].add(groups[:, 0], len(groups))
         cols["length"].add(groups[:, 1], len(groups))
-        if groups[:, 2].max(initial=1) > 1:
-            many = np.flatnonzero(groups[:, 2] > 1)
+        if groups[:, 2:5:2].max(initial=1) > 1:  # a group of more than one run
+            many = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
+            _, length, count, stride, outer, o_stride = groups[many].T
             restarts = np.repeat(per_run_start, counts)[many] if np.ndim(per_run_start) \
                 else per_run_start
-            assert np.all((groups[many, 3] != groups[many, 1]) | restarts), \
+            assert np.all(((count == 1) | (stride != length)) & (
+                (outer == 1) | (o_stride != (count - 1) * stride + length)) | restarts), \
                 "a run group continues its own runs"
-            cols["multi"].add(first + many, many.size)
-            cols["count"].add(groups[many, 2], many.size)
-            cols["stride"].add(groups[many, 3], many.size)
+            for f, values in zip(("multi", "count", "stride", "outer", "outer_stride"),
+                                 (first + many, count, stride, outer, o_stride)):
+                cols[f].add(values, many.size)
         for f, values in (("chan", channel), ("role", role), ("owner", owners),
                           ("slot_words", slot), ("overlapped", overlapped),
                           ("per_run_start", per_run_start), ("fresh_start", fresh_start),
@@ -700,21 +706,20 @@ class _TileTable:
 
     def __init__(self, geom: FeatureGeom, ch0, ch1, r0, r1, c0, c1):
         self.groups, self.counts, self.slot = geom.tiles(0, ch0, ch1, r0, r1, c0, c1)
-        self.first = np.cumsum(self.counts) - self.counts
+        self.first = np.cumsum(self.counts) - self.counts  # its group, if it has one
         self.step = np.broadcast_to(geom._addr(1, ch0, r0, c0) - geom._addr(0, ch0, r0, c0),
                                     self.counts.shape)
 
     def take(self, b: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`tiles` output for tiles t (indices into the list) of images b."""
         counts = self.counts[t]
-        groups = self.groups[_gather(self.first[t], counts)]
-        groups[:, 0] += np.repeat(b * self.step[t], counts)
+        groups = self.groups[self.first[t[counts > 0]]]
+        groups[:, 0] += (b * self.step[t])[counts > 0]
         return groups, counts, self.slot[t]
 
 
-# the fewest blocks in a run of translates that `slices` marks: two that
-# set the pricer's carry, one whose step it measures, and one or more that
-# it adds in closed form
+# the fewest blocks in a run of translates that `slices` marks: two that set
+# the pricer's carry, one whose step it measures, and one or more it adds
 FOLD_BLOCKS = 4
 
 
@@ -729,14 +734,12 @@ class _Nest:
     its chunks, and its transfers and their run groups.
 
     `translates` says whether consecutive blocks of one width are
-    translates of each other (`runs`): the same rows, flags and run
-    lengths (one shape), each transfer one step of its own further on per
-    block (`FeatureGeom.shifts`), and, wherever two consecutive transfers
-    of a channel move by different steps, the later one restarting at its
-    head whatever its address, so that no continuity test flips.  A
-    channel's transfers share their flags, so each channel of `moves` (the
-    steps from the first block's tile origins to the second's, and whether
-    it restarts at every head) restarts or moves by one step."""
+    translates of each other (`runs`): one shape, each transfer one step of
+    its own further on per block (`FeatureGeom.shifts`), and wherever two
+    consecutive transfers of a channel move by different steps, the later
+    one restarting at its head whatever its address.  So each channel of
+    `moves` (the steps from the first block's tile origins to the second's,
+    and whether it restarts at every head) restarts or moves by one step."""
 
     def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]],
                  shifts: bool, moves: list[tuple[np.ndarray, bool]]):
@@ -946,18 +949,19 @@ class _WuNest(_Nest):
         m0 = mt * self.ws.tm
         return m0, np.minimum(self.ws.layer.m, m0 + self.ws.tm)
 
-    def _load(self, g0: int, g1: int) -> np.ndarray:
-        """The block's weight load: every (m-tile, n-tile) weight tile,
-        m-tile major, merged."""
-        n_n = self.n0.size
-        tiles = self.wei.tiles(np.repeat(np.arange(g0, g1), n_n), np.tile(np.arange(n_n), g1 - g0))
-        return merge_groups(tiles[0])
+    def _origin(self, g0: int) -> int:
+        """The first weight word of the block from m-tile g0 on."""
+        return self.wei._addr(g0 * self.ws.tm, 0, 0, 0)
 
     def _shape(self, g0: int, g1: int) -> SimpleNamespace:
         l, batch, n_m, n_n = self.ws.layer, self.ws.batch, g1 - g0, self.n0.size
         r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
         k, (m0, m1) = SimpleNamespace(n_m=n_m), self._m_range(np.arange(g0, g1))
-        load = 1 + len(self._load(g0, g1))
+        # the block's weight load, merged, from its origin: a block of this
+        # shape reads it moved to its own
+        k.wei = merge_groups(self.wei.block(g0, g1))
+        k.wei[:, 0] -= self._origin(g0)
+        load = 1 + len(k.wei)
         last = batch - 1
         if self.reuse:
             # one sequence; an image is one loading production, then one per
@@ -1060,7 +1064,7 @@ class _WuNest(_Nest):
             stores = True
         at = np.flatnonzero(prod == k.wei_at)
         if at.size:
-            load = self._load(g0, g1)
+            load = k.wei + np.array([self._origin(g0), 0, 0, 0, 0, 0])
             w.transfers(WEI, LOAD, first[at], (load, np.array([len(load)]), np.zeros(1, np.int64)),
                         overlapped=True, per_run_start=bchw)
         st = np.flatnonzero(stores & (b == self.ws.batch - 1))
@@ -1083,10 +1087,9 @@ class Slice:
     the slices `slices` cuts it into.
 
     A slice with a `period` covers a run of translates (`_Nest.runs`) from
-    its third block on: whole blocks of `period` productions each, every
-    one a translate of the block before it, as the run's second block is
-    of its first.  Its `parts` are the slices of the budget that cover it,
-    cut at `cuts`."""
+    its third block on: whole blocks of `period` productions each, each a
+    translate of the one before.  Its `parts` are the slices of the budget
+    that cover it, cut at `cuts`."""
 
     nest: _Nest
     lo: int
@@ -1180,9 +1183,6 @@ def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
 
 
 # ------------------------------------------------------- network-level map
-
-
-REGION_ORDER = ("act_in", "wei", "act", "a_hat", "loss", "pool_idx", "bn_par", "labels")
 
 
 def region_table(net: NetworkSpec) -> dict[str, int]:

@@ -189,7 +189,8 @@ def transfer_runs(walk):
     expands them, and where each transfer's runs begin (plus the end)."""
     transfers = np.arange(walk.chan.size)
     runs = walk.runs(transfers)
-    off = np.concatenate(([0], np.cumsum(walk.groups(transfers)[:, 2])))[walk.run_off]
+    groups = walk.groups(transfers)
+    off = np.concatenate(([0], np.cumsum(groups[:, 2] * groups[:, 4])))[walk.run_off]
     return runs, off
 
 

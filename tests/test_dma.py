@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trainsim import dma
-from trainsim.config import load_device, load_network
+from trainsim.config import load_device, load_network, load_plan
 from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
 from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OUT,
@@ -76,16 +76,22 @@ def test_split_bursts_preserves_words_and_is_maximal(pairs):
 
 # --------------------------------------------------------- transfer_cycles
 
+def as_groups(rows) -> np.ndarray:
+    """Rows of (start, length, count, stride[, outer, outer_stride]) as an
+    (n, 6) group array; a row without the outer pair is one row."""
+    return np.array([(*row, 1, 0)[:6] for row in rows], dtype=np.int64).reshape(-1, 6)
+
+
 def load_walk(*transfers) -> Walk:
     """A walk of one sequence whose productions each load one transfer of
-    `transfers` on the IFM channel.  A transfer is its (start, length,
-    count, stride) run groups, its slot width and its pricing flags."""
+    `transfers` on the IFM channel.  A transfer is its run groups (rows of
+    `as_groups`), its slot width and its pricing flags."""
     w = _WalkWriter()
     seq = w.sequences(1, False)
     for groups, slot, flags in transfers:
         chunk = w.chunks(np.array([w.productions(np.array([seq]))]), 0)
         w.transfers(IFM, LOAD, np.array([chunk]),
-                    (np.array(groups, dtype=np.int64), np.array([len(groups)]), slot), **flags)
+                    (as_groups(groups), np.array([len(groups)]), slot), **flags)
     return w.finish()
 
 
@@ -93,9 +99,7 @@ def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
     """What the pricer charges for one load of `bursts`: a walk of one
     sequence, production and chunk, with no compute and no store, whose
     runs (`Walk.runs`) are `bursts`."""
-    groups = np.column_stack((bursts, np.ones(len(bursts), dtype=np.int64),
-                              np.zeros(len(bursts), dtype=np.int64)))
-    walk = load_walk((groups, 0, {}))
+    walk = load_walk(([(*burst, 1, 0) for burst in bursts.tolist()], 0, {}))
     assert np.array_equal(walk.runs(walk.on(Channel.IFM)), bursts)
     return simulate_sequences(walk, dev).cycles
 
@@ -224,10 +228,11 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
 # what `synthetic_walk` draws, built once: a strategy made afresh for every
 # draw is validated afresh, which costs more than the draw
 SYNTHETIC = SimpleNamespace(
-    # a transfer's run groups: length, count, stride, whether the first
-    # continues the channel's last run, and start
+    # a transfer's run groups: length, count, stride, rows, row stride,
+    # whether the first continues the channel's last run, and start
     groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11),
-                              st.booleans(), st.integers(0, 100)), min_size=1, max_size=3),
+                              st.integers(1, 3), st.integers(0, 40), st.booleans(),
+                              st.integers(0, 100)), min_size=1, max_size=3),
     flags=st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans()),
     sequences=st.lists(st.booleans(), min_size=1, max_size=2),
     productions=st.lists(st.tuples(st.sampled_from([NO_STORE, STORE, CHUNK_STORE]),
@@ -237,21 +242,25 @@ SYNTHETIC = SimpleNamespace(
 
 
 def synthetic_walk(draw) -> Walk:
-    """A walk of random run groups through `_WalkWriter`, whose heads may
-    continue the channel's previous run, with random pricing flags."""
+    """A walk of random two-level run groups through `_WalkWriter`, whose
+    heads may continue the channel's previous run, with random pricing
+    flags.  Only the groups of `per_run_start` transfers may hold runs that
+    continue the one before them, in a row or from the row before."""
     w = _WalkWriter()
     ends = {}  # per channel, the end of its last run
 
     def transfer(channel, role, owner):
-        groups = []
-        for length, count, stride, go_on, start in draw(SYNTHETIC.groups):
-            stride += stride >= length  # any stride in 0..12 but the length
-            start = ends[channel] if go_on and channel in ends else start
-            groups.append((start, length, count, stride))
-            ends[channel] = start + (count - 1) * stride + length
         slot, overlapped, per_run_start, fresh_start = draw(SYNTHETIC.flags)
+        groups = []
+        for length, count, stride, outer, o_stride, go_on, start in draw(SYNTHETIC.groups):
+            if not per_run_start:  # any stride but the one that continues
+                stride += stride >= length
+                o_stride += o_stride >= (count - 1) * stride + length
+            start = ends[channel] if go_on and channel in ends else start
+            groups.append((start, length, count, stride, outer, o_stride))
+            ends[channel] = start + (outer - 1) * o_stride + (count - 1) * stride + length
         w.transfers(channel, role, np.array([owner]),
-                    (np.array(groups, dtype=np.int64), np.array([len(groups)]), slot),
+                    (as_groups(groups), np.array([len(groups)]), slot),
                     overlapped=role == LOAD and overlapped,
                     per_run_start=per_run_start, fresh_start=fresh_start)
 
@@ -334,8 +343,9 @@ def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
     load = walk.role == LOAD
     prod = np.where(load, walk.chunk_prod[np.where(load, walk.owner, 0)], walk.owner)
     trs = np.flatnonzero((prod >= lo) & (prod < hi))
-    idx = walk.group_index(trs)
-    multi, count, stride = walk.repeats(idx)
+    groups = walk.groups(trs)
+    multi = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
+    count, stride, outer, outer_stride = groups[multi, 2:].T
     per_tr = walk.run_off[trs + 1] - walk.run_off[trs]
     cols = {f: getattr(walk, f)[trs] for f in (
         "chan", "role", "slot_words", "overlapped", "per_run_start", "fresh_start")}
@@ -343,8 +353,9 @@ def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
                 prod_store=walk.prod_store[lo:hi], chunk_prod=walk.chunk_prod[chunks] - lo,
                 comp=walk.comp[chunks],
                 owner=walk.owner[trs] - np.where(load[trs], chunks[0], lo),
-                run_off=np.append(0, np.cumsum(per_tr)), start=walk.start[idx],
-                length=walk.length[idx], multi=multi, count=count, stride=stride,
+                run_off=np.append(0, np.cumsum(per_tr)), start=groups[:, 0],
+                length=groups[:, 1], multi=multi, count=count, stride=stride, outer=outer,
+                outer_stride=outer_stride,
                 continued=hi < walk.prod_seq.size and walk.prod_seq[hi] == seq[-1], **cols)
 
 
@@ -400,6 +411,24 @@ def test_walker_slices_fold_to_whole_pass(data):
         res = simulate_sequences(walk, dev, carry)
     assert parts[-1].hi == whole.prod_seq.size
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
+
+
+def test_bchw_tiles_are_one_group_each():
+    # alexnet_conv b4 under bchw, walked in the pricer's slices: a tile's
+    # channel x row lattice is one run group, so its 39,971 transfers hold
+    # 40,275 groups (418,211 when each channel of a tile was a group)
+    net, plan = load_network("alexnet_conv", 4), load_plan("alexnet_conv_zcu102")
+    transfers = groups = 0
+    for idx in sorted(plan.entries):
+        for process in Process:
+            if process is Process.BP and idx == 0:
+                continue  # loss is never propagated past the first layer
+            ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.BCHW, 4)
+            for part in slices(ws, process, SLICE_ROWS):
+                walk = WALKERS[process](ws, part)
+                transfers, groups = transfers + walk.chan.size, groups + walk.start.size
+    assert transfers == 39_971
+    assert groups <= 41_483
 
 
 def test_slice_of_empty_loads():
@@ -552,15 +581,26 @@ def test_blocks_that_do_not_translate_are_not_folded():
         assert any(part.period for part in slices(ws, process, SLICE_ROWS)) == folds
 
 
-def counting_walker(process: Process, walked: list):
-    """WALKERS[process], noting the productions of every walk it makes."""
+def counting_walker(process: Process, parts: list):
+    """WALKERS[process], noting every slice it walks."""
     walker = WALKERS[process]
 
     def walk(ws, part=None):
-        w = walker(ws, part)
-        walked.append(w.prod_seq.size)
-        return w
+        parts.append(part)
+        return walker(ws, part)
     return walk
+
+
+def walked(parts: list) -> int:
+    """The productions of the slices a `counting_walker` walked."""
+    return sum(part.hi - part.lo for part in parts)
+
+
+def whole_walk(parts: list) -> Walk:
+    """The whole pass, walked by the nest that the pricer set up for the
+    slices a `counting_walker` walked."""
+    nest = parts[0].nest
+    return nest.walk(0, nest.starts[-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -570,18 +610,18 @@ def test_simulate_layer_folds_runs_exactly(data, process, batch, p, t_start):
     # random reshaped layers with runs of four blocks or more, at the real
     # slice budget or one small enough to cut a block into several slices:
     # folding equals pricing the whole walk, and it walks fewer productions
-    # wherever the pass has a run
+    # wherever the pass has a run; the whole walk comes from the pricer's
+    # own nest, so the pass is set up once
     layer, plan = reshaped_case(data.draw, process)
     budget = data.draw(st.sampled_from([SLICE_ROWS, 2, 17, 60]), label="budget")
     dev = DeviceSpec(stream_width_words=p, t_start=t_start)
-    walked = []
+    parts = []
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
-            mock.patch.dict(WALKERS, {process: counting_walker(process, walked)}):
+            mock.patch.dict(WALKERS, {process: counting_walker(process, parts)}):
         res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
-    whole = layer_sequences(process, layer, plan, LayoutKind.RESHAPED, batch)
-    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
-    nest = _nest(resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch), process)
-    assert sum(walked) < whole.prod_seq.size if nest.runs() else sum(walked) == whole.prod_seq.size
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole_walk(parts), dev))
+    nest = parts[0].nest
+    assert walked(parts) < nest.starts[-1] if nest.runs() else walked(parts) == nest.starts[-1]
 
 
 @pytest.mark.parametrize("name, process, m, n, batch, m_on, budget", [
@@ -606,13 +646,13 @@ def test_fold_cases(name, process, m, n, batch, m_on, budget):
     if name == "partial last block":
         assert parts[-1].lo == run.hi
     dev = load_device("zcu102")
-    walked = []
+    walks = []
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
-            mock.patch.dict(WALKERS, {process: counting_walker(process, walked)}):
+            mock.patch.dict(WALKERS, {process: counting_walker(process, walks)}):
         res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
     whole = layer_sequences(process, layer, plan, LayoutKind.RESHAPED, batch)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
-    assert sum(walked) < whole.prod_seq.size
+    assert walked(walks) < whole.prod_seq.size
     if process is Process.FP:
         # the forward weight scan never restarts: one burst over every block
         assert res.bursts[Channel.WEI.value] == 1
@@ -623,10 +663,10 @@ def test_fold_engages_on_vgg16_fc7():
     # the pricer walks the first three and adds the other 29 in closed form
     net, dev = load_network("vgg16", 1), load_device("zcu102")
     plan = TilePlan(tm=16, tn=16, entries={19: PlanEntry(tr=1, tc=1, m_on=128)})
-    walked = []
-    with mock.patch.dict(WALKERS, {Process.FP: counting_walker(Process.FP, walked)}):
+    walks = []
+    with mock.patch.dict(WALKERS, {Process.FP: counting_walker(Process.FP, walks)}):
         res = simulate_layer(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, dev, 1, idx=19)
-    assert sum(walked) <= 4 * 8
+    assert walked(walks) <= 4 * 8
     whole = layer_sequences(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, 1, idx=19)
     assert whole.prod_seq.size == 32 * 8
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
@@ -640,11 +680,10 @@ def test_fold_engages_on_every_vgg_fc_head_pass():
     plan, _ = schedule(net, dev, 2)
     for idx in (19, 20):
         for process in Process:
-            walked = []
-            with mock.patch.dict(WALKERS, {process: counting_walker(process, walked)}):
+            walks = []
+            with mock.patch.dict(WALKERS, {process: counting_walker(process, walks)}):
                 simulate_layer(process, net.layers[idx], plan, LayoutKind.RESHAPED, dev, 2, idx=idx)
-            ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED, 2)
-            assert sum(walked) < _nest(ws, process).starts[-1], (idx, process)
+            assert walked(walks) < walks[0].nest.starts[-1], (idx, process)
 
 
 def test_carry_repeat_refuses_what_it_cannot_add():

@@ -138,7 +138,8 @@ def test_bchw_tile_runs_row_granular():
     groups = g.tiles(0, 0, 2, 1, 4, 1, 4)[0]
     runs = expand_groups(groups)
     assert len(runs) == 6 and (runs[:, 1] == 3).all()
-    assert groups[:, 2].tolist() == [3, 3]  # one group of rows per channel
+    # one group: 3 rows 5 words apart in each of 2 channels 25 words apart
+    assert groups[:, 2:].tolist() == [[3, 5, 2, 25]]
 
 
 def test_reshaped_tile_requires_group_alignment():
@@ -155,16 +156,26 @@ def _split(runs, counts) -> list:
     return np.split(runs, np.cumsum(counts)[:-1])
 
 
+def _continues(groups) -> np.ndarray:
+    """Per group: whether one of its runs continues the one before it, in
+    its row or from the row before."""
+    _, length, count, stride, outer, o_stride = groups.T
+    return (((count > 1) & (stride == length))
+            | ((outer > 1) & (o_stride == (count - 1) * stride + length)))
+
+
 def _check_tiles(geom, tiles, scan_addrs, runs_of):
     """`geom.tiles` over all `tiles` at once: each tile's run groups expand
     to exactly the runs of the per-run oracle `runs_of(tile)`, which cover
-    `scan_addrs(tile)`; outside BCHW no group continues its own runs; and
-    the call equals its one-tile calls in turn."""
+    `scan_addrs(tile)`; a tile is one group, or none if it is empty;
+    outside BCHW no group continues its own runs; and the call equals its
+    one-tile calls in turn."""
     groups, counts, slot = geom.tiles(*(np.array(col) for col in zip(*tiles)))
     assert len(counts) == len(slot) == len(tiles)
-    assert (groups[:, 2] > 0).all()
+    assert (groups[:, 2] > 0).all() and (groups[:, 4] > 0).all()
+    assert counts.tolist() == [int(len(runs_of(tile)) > 0) for tile in tiles]
     if geom.kind != LayoutKind.BCHW:  # BCHW restarts every run anyway
-        assert ((groups[:, 2] == 1) | (groups[:, 3] != groups[:, 1])).all()
+        assert not _continues(groups).any()
     singles = [geom.tiles(*tile) for tile in tiles]
     for tile, tile_groups in zip(tiles, _split(groups, counts)):
         runs = expand_groups(tile_groups)
@@ -254,25 +265,49 @@ def test_merged_weight_block_expands_to_merged_runs(data, kind, m, n, k, tm, tn)
     g1 = data.draw(st.integers(g0 + 1, m_tiles))
     tiles = geom.tiles(np.repeat(np.arange(g0, g1), n_tiles),
                        np.tile(np.arange(n_tiles), g1 - g0))[0]
-    merged = merge_groups(tiles)
+    block = geom.block(g0, g1)
+    assert expand_groups(block).tolist() == expand_groups(tiles).tolist()
+    # an m-tile's whole n-tiles are one group, its partial one another
+    assert len(block) == (g1 - g0) * ((n >= tn) + (n % tn > 0))
+    merged = merge_groups(block)
     assert expand_groups(merged).tolist() == merge_runs(expand_groups(tiles)).tolist()
-    assert ((merged[:, 2] == 1) | (merged[:, 3] != merged[:, 1])).all()
+    assert not _continues(merged).any()
+
+
+# lattices of up to 4 x 4 runs: start, length, count, stride, rows, row
+# stride, and whether the group begins where the one before ends
+LATTICES = st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4), st.integers(1, 4),
+                              st.integers(0, 8), st.integers(1, 4), st.integers(0, 24),
+                              st.booleans()), max_size=8)
+
+
+def lattices(specs) -> np.ndarray:
+    groups, end = [], 0
+    for start, length, count, stride, outer, o_stride, go_on in specs:
+        start = end if go_on else start
+        groups.append((start, length, count, stride, outer, o_stride))
+        end = start + (outer - 1) * o_stride + (count - 1) * stride + length
+    return np.array(groups, dtype=np.int64).reshape(-1, 6)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 4), st.integers(1, 4),
-                          st.integers(0, 8), st.booleans()), max_size=8))
+@given(LATTICES)
+def test_expand_groups_by_brute_force(specs):
+    groups = lattices(specs)
+    runs = [(s + o * os + j * st_, l) for s, l, c, st_, n, os in groups.tolist()
+            for o in range(n) for j in range(c)]
+    assert expand_groups(groups).tolist() == [list(run) for run in runs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(LATTICES)
 def test_merge_groups_is_merge_runs(specs):
-    # random groups, each of which may begin where the one before ends
-    groups, end = [], 0
-    for start, length, count, stride, go_on in specs:
-        start = end if go_on else start
-        groups.append((start, length, count, stride))
-        end = start + (count - 1) * stride + length
-    groups = np.array(groups, dtype=np.int64).reshape(-1, 4)
+    # random lattices, each of which may begin where the one before ends,
+    # and whose runs or rows may continue each other
+    groups = lattices(specs)
     merged = merge_groups(groups)
     assert expand_groups(merged).tolist() == merge_runs(expand_groups(groups)).tolist()
-    assert ((merged[:, 2] == 1) | (merged[:, 3] != merged[:, 1])).all()
+    assert not _continues(merged).any()
 
 
 # ------------------------------------------------------------------ traces
