@@ -8,14 +8,20 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import config, datasets, dma, engine, layout, perf, sched
 from .errors import ConfigError, Infeasible, InvalidLayer, InvalidPlan, PlanMismatch
-from .plan import Process
+from .plan import Channel, Process
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,6 +158,32 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _dump_pass(w, traces, key: tuple, bases: dict, spools: dict) -> None:
+    """Write one pass's bursts channel-major, walking it once: each channel's
+    spool takes its bursts as they close; the one still open is held back."""
+    held = {c: np.empty((0, 2), dtype=np.int64) for c in Channel}  # the open burst
+    done = dict.fromkeys(Channel, 0)
+
+    def spool(chan, bursts):
+        head = (*key, chan.value)  # in `bases` if the pass has the channel
+        rows = (bursts + (bases[head] if len(bursts) else 0, 0)).tolist()
+        text = io.StringIO()  # one write: a read-write text file resets its decoder per write
+        csv.writer(text).writerows([*head, bi, *row] for bi, row in enumerate(rows, done[chan]))
+        spools[chan].write(text.getvalue())
+        done[chan] += len(rows)
+
+    for trace in traces:
+        for chan, runs in trace.items():
+            bursts = dma.split_bursts(np.concatenate([held[chan], runs]))
+            spool(chan, bursts[:-1])
+            held[chan] = bursts[-1:]
+    for chan, f in spools.items():
+        spool(chan, held[chan])
+        f.seek(0)
+        shutil.copyfileobj(f, w)
+        f.truncate(f.seek(0))  # empty for the next pass
+
+
 def cmd_layout_dump(args) -> int:
     net = config.load_network(args.net, args.batch)
     plan = config.load_plan(args.plan)
@@ -160,24 +192,24 @@ def cmd_layout_dump(args) -> int:
     table, entries = layout.dma_start_table(net, plan, kind)
     bases = {(e.layer, e.process, e.channel): e.start for e in entries}
     out = _out_dir(args)
-    with open(out / f"layout_{kind}.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer", "process", "channel", "burst_index",
-                    "start_word", "length"])
-        for i in sorted(plan.entries):
-            for proc in Process:
-                if proc is Process.BP and i == 0:
-                    continue
-                traces = layout.trace_layer(proc, net.layers[i], plan, kind,
-                                            net.batch, idx=i)
-                for chan, runs in traces.items():
-                    if not len(runs):
+    # written aside and renamed into place, so that a failed dump leaves none
+    part = out / f"layout_{kind}.csv.part"
+    try:
+        with open(part, "w", newline="") as f, contextlib.ExitStack() as stack:
+            spools = {c: stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=out))
+                      for c in Channel}
+            csv.writer(f).writerow(["layer", "process", "channel", "burst_index",
+                                    "start_word", "length"])
+            for i in sorted(plan.entries):
+                for proc in Process:
+                    if proc is Process.BP and i == 0:
                         continue
-                    bursts = dma.split_bursts(runs)
-                    key = (i, proc.value, chan.value)
-                    bursts[:, 0] += bases[key]
-                    w.writerows([*key, bi, start, length]
-                                for bi, (start, length) in enumerate(bursts.tolist()))
+                    traces = layout.trace_layer(proc, net.layers[i], plan, kind,
+                                                net.batch, idx=i)
+                    _dump_pass(f, traces, (i, proc.value), bases, spools)
+        part.replace(out / f"layout_{kind}.csv")
+    finally:
+        part.unlink(missing_ok=True)
     print(f"wrote layout_{kind}.csv ({len(table)} regions)")
     return EXIT_OK
 

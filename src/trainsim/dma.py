@@ -2,9 +2,9 @@
 
 A burst is a maximal run of consecutive word addresses; the DMA restarts
 (t_start cycles) at every discontinuity and otherwise streams p words per
-cycle.  `split_bursts` merges a whole trace (an (n, 2) run array, as
-`layout.trace_layer` gives one per channel) into its bursts, which
-`layout-dump` lists.  The pricer charges more restarts than that: a
+cycle.  `split_bursts` merges a trace (an (n, 2) run array, as
+`layout.trace_layer` gives one per channel and slice) into its bursts,
+which `layout-dump` lists.  The pricer charges more restarts than that: a
 transfer's descriptor policy (`per_run_start`, `fresh_start`) restarts
 runs that would continue their predecessor.
 
@@ -46,7 +46,7 @@ burst across a cut is one burst in the histogram, which counts the open
 burst at its length so far), and whether the slice's last sequence goes on
 in the next (`Walk.continued`): then its last production's store is not
 the sequence's last, and its `tail_start` restart is charged where it
-ends.  A whole walk is priced as the one slice of its pass.
+ends.
 
 It prices a run of repeated weight blocks once.  Under reshaped, the
 blocks of one width are translates of each other: each re-reads the same
@@ -60,15 +60,11 @@ wherever it follows a translate, since every continuity test that decides
 a restart, a merge or the open burst comes out the same, and the carry
 hands on the same open burst.  `simulate_layer` prices the first three
 blocks of a run of four or more as above, takes the `Carry` step over the
-third, and adds it for the rest in closed form (`Carry.repeat`): cycles,
-bursts and words k times, each channel's end k of its last transfer's
-steps on.  A channel's histogram takes k more of the block's bursts where
-the block leaves the open burst as it found it; where it makes no restart
-(the forward weight scan), the one open burst grows by k blocks' words
-instead.  If neither holds for some channel, the rest of the run is
-priced block by block, which keeps the result exact.  The walker marks
-no run where blocks do not translate, such as WU loss tiles that are not
-whole M_on blocks of the loss map at a batch over one.
+third, and adds it for the rest in closed form where `Carry.repeat` can;
+where it cannot, the rest of the run is priced block by block, which
+keeps the result exact.  The walker marks no run where blocks do not
+translate, such as WU loss tiles that are not whole M_on blocks of the
+loss map at a batch over one.
 """
 
 from __future__ import annotations
@@ -80,18 +76,11 @@ import numpy as np
 from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div
 from .perf import LatencyReport, ReportRow, network_report
 from .plan import Process, TilePlan
-from .layout import (CHANNELS, LOAD, STORE, WALKERS, Walk, merge_runs, resolve_walk,
-                     slices)
+from .layout import (CHANNELS, LOAD, SLICE_ROWS, STORE, WALKERS, Walk, merge_runs,
+                     resolve_walk, slices)
 
-# the most rows (productions, chunks, transfers and run groups) a slice holds
-SLICE_ROWS = 1 << 15
-
-
-def split_bursts(runs: np.ndarray) -> np.ndarray:
-    """The bursts of a trace's (n, 2) run array, its maximal contiguous
-    runs, as a (k, 2) int64 array; their concatenation reproduces the
-    trace, and an empty trace has none."""
-    return merge_runs(runs)
+# the bursts of a trace's (n, 2) run array are its maximal contiguous runs
+split_bursts = merge_runs
 
 
 def _beats(length: np.ndarray, slot_words: np.ndarray, p: int) -> np.ndarray:

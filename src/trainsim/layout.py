@@ -25,18 +25,17 @@ one group per tile, such as the rows of each channel of a BCHW tile.  No
 run of a group continues the one before it, in its row or from the row
 before, unless its transfer restarts every run anyway (`per_run_start`),
 so a pricer needs only a group's first and last run to see where it joins
-its neighbours.  A layer pass is one columnar trace, a `Walk` of
-sequences, productions, chunks, transfers and their run groups.
-`Walk.runs` expands the groups of some transfers into runs, `trace_layer`
-those of each channel, and `merge_runs` folds runs that continue each
-other into the maximal contiguous ones.
+its neighbours.  A slice of a layer pass is one columnar trace, a `Walk`
+of sequences, productions, chunks, transfers and their run groups;
+`trace_layer` expands each channel's groups into runs, slice by slice,
+and `merge_runs` folds runs that continue each other into maximal ones.
 
 Walkers build a walk by index arithmetic, one weight block at a time, and
 a `_WalkWriter` appends each block's rows in one go.  FP and BP share one
 loop nest on the pass's role-swapped operands; WU has its own.  A nest is
 set up once per pass and writes any range of a block's productions, so a
-walker walks a whole pass or one of the slices that `slices` cuts it into
-(of at most a given number of rows) without walking it.  Where consecutive
+walker walks one of the slices that `slices` cuts the pass into (of at
+most `SLICE_ROWS` rows) without walking the pass.  Where consecutive
 blocks of one width translate, as a nest shows from its geometry and
 descriptor flags (`_Nest`), `slices` marks the run, so that dma.py prices
 it once.  WU reads a block's weights (`WeightGeom.block`) as the run groups
@@ -52,6 +51,7 @@ time.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -467,10 +467,10 @@ def _gather(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Walk:
-    """One layer pass as columns.  Sequences, productions and chunks are in
-    bus order, and so are each channel's transfers; transfers of different
-    channels are grouped by weight block, not interleaved in time, so
-    consumers read them one channel at a time (`on`).
+    """One slice of a layer pass (`slices`) as columns.  Sequences, productions
+    and chunks are in bus order, and so are each channel's transfers; those of
+    different channels are grouped by weight block, not interleaved in time,
+    so consumers read them one channel at a time (`on`).
 
     A sequence is a run of productions sharing one double-buffer pipeline;
     a production is a run of chunks (each one compute step and the loads it
@@ -482,9 +482,6 @@ class Walk:
     group's first run, and its two levels only for a group of more than one
     (`multi`).  No run of a group continues the one before it unless the
     transfer is `per_run_start`, which restarts every run anyway.
-
-    A walk may be one slice of a pass (`slices`): then `continued` says
-    whether its last sequence goes on in the next slice.
     """
 
     tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
@@ -507,7 +504,7 @@ class Walk:
     stride: np.ndarray         # per multi group: words from run to run of a row
     outer: np.ndarray          # per multi group: rows
     outer_stride: np.ndarray   # per multi group: words from row to row
-    continued: bool = False    # its last sequence goes on past the walk
+    continued: bool = False    # its last sequence goes on in the next slice
 
     def on(self, channel: Channel) -> np.ndarray:
         """Indices of the channel's transfers, in bus order."""
@@ -539,11 +536,6 @@ class Walk:
             self.start[idx], self.length[idx], 1, 1
         groups[pos, 2:] = np.column_stack(levels)
         return groups
-
-    def runs(self, transfers: np.ndarray) -> np.ndarray:
-        """The runs of `transfers` in order, as an (n, 2) int64 array of
-        (start, length)."""
-        return expand_groups(self.groups(transfers))
 
 
 class _Column:
@@ -1144,42 +1136,47 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     return out
 
 
-def _walk(ws: WalkSpec, process: Process, part: Slice | None) -> Walk:
-    if part is None:
-        nest = _nest(ws, process)
-        return nest.walk(0, nest.starts[-1])
+# the walkers of FP, BP and WU: each walks slice `part` (`slices`) of pass `ws`
+def walk_fp(ws: WalkSpec, part: Slice) -> Walk:
     return part.nest.walk(part.lo, part.hi)
 
 
-def walk_fp(ws: WalkSpec, part: Slice | None = None) -> Walk:
-    """The forward pass, or its slice `part` (see `slices`)."""
-    return _walk(ws, Process.FP, part)
+def walk_bp(ws: WalkSpec, part: Slice) -> Walk:
+    return part.nest.walk(part.lo, part.hi)
 
 
-def walk_bp(ws: WalkSpec, part: Slice | None = None) -> Walk:
-    """The backward pass, or its slice `part` (see `slices`)."""
-    return _walk(ws, Process.BP, part)
-
-
-def walk_wu(ws: WalkSpec, part: Slice | None = None) -> Walk:
-    """The weight update, or its slice `part` (see `slices`)."""
-    return _walk(ws, Process.WU, part)
+def walk_wu(ws: WalkSpec, part: Slice) -> Walk:
+    return part.nest.walk(part.lo, part.hi)
 
 
 WALKERS = {Process.FP: walk_fp, Process.BP: walk_bp, Process.WU: walk_wu}
 
+# the most rows (productions, chunks, transfers and run groups) a slice holds
+SLICE_ROWS = 1 << 15
+
 
 def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
-                    kind: str, batch: int, idx: int | None = None) -> Walk:
-    return WALKERS[process](resolve_walk(layer, plan, idx, process, kind, batch))
+                    kind: str, batch: int, idx: int | None = None) -> Iterator[Walk]:
+    """The walks of one layer's pass in bus order, one per slice of at most
+    `SLICE_ROWS` rows (`slices`; a run of translates by its `parts`)."""
+    ws = resolve_walk(layer, plan, idx, process, kind, batch)
+    for part in slices(ws, process, SLICE_ROWS):
+        for piece in part.parts():
+            yield WALKERS[process](ws, piece)
 
 
 def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
-                batch: int, idx: int | None = None) -> dict[Channel, np.ndarray]:
-    """Word-address runs per DMA channel for one layer's pass, each an
-    (n, 2) int64 array of (start, length) in bus order."""
-    walk = layer_sequences(process, layer, plan, kind, batch, idx)
-    return {c: walk.runs(walk.on(c)) for c in Channel}
+                batch: int, idx: int | None = None) -> Iterator[dict[Channel, np.ndarray]]:
+    """Each DMA channel's word-address runs in one layer's pass, in bus
+    order, as pieces {channel: (n, 2) int64 (start, length)}: slice by slice
+    (`layer_sequences`), a channel at a time, and `SLICE_ROWS` runs at a time
+    give or take a group, as a slice bounds its groups but not their runs."""
+    for walk in layer_sequences(process, layer, plan, kind, batch, idx):
+        for c in Channel:
+            groups = walk.groups(walk.on(c))
+            piece = np.cumsum(groups[:, 2] * groups[:, 4]) // SLICE_ROWS  # where each group ends
+            for part in np.split(groups, np.flatnonzero(np.diff(piece)) + 1):
+                yield {c: expand_groups(part)}
 
 
 # ------------------------------------------------------- network-level map
@@ -1192,19 +1189,18 @@ def region_table(net: NetworkSpec) -> dict[str, int]:
     first = net.layers[0]
     regions["act_in/0"] = b * first.n * first.r_in * first.c_in
     for i, l in enumerate(net.layers):
-        base = f"{i}"
         if l.weighted:
-            regions[f"wei/{base}"] = l.m * l.n * l.k * l.k
-        regions[f"act/{base}"] = b * l.m * l.r * l.c
+            regions[f"wei/{i}"] = l.m * l.n * l.k * l.k
+        regions[f"act/{i}"] = b * l.m * l.r * l.c
         # loss at each layer's output; loss w.r.t. the network input is
         # never computed, so no region mirrors act_in
-        regions[f"loss/{base}"] = b * l.m * l.r * l.c
+        regions[f"loss/{i}"] = b * l.m * l.r * l.c
         if l.kind is Kind.MAXPOOL:
             code_bits = max(2, (l.k * l.k - 1).bit_length())
-            regions[f"pool_idx/{base}"] = ceil_div(b * l.m * l.r * l.c * code_bits, 32)
+            regions[f"pool_idx/{i}"] = ceil_div(b * l.m * l.r * l.c * code_bits, 32)
         if l.kind is Kind.BATCHNORM:
-            regions[f"bn_par/{base}"] = 5 * l.m  # gamma, beta, lambda, E(X), V(X)
-            regions[f"a_hat/{base}"] = b * l.m * l.r * l.c
+            regions[f"bn_par/{i}"] = 5 * l.m  # gamma, beta, lambda, E(X), V(X)
+            regions[f"a_hat/{i}"] = b * l.m * l.r * l.c
     regions["labels"] = b
     return regions
 
@@ -1279,35 +1275,23 @@ def _operand_geoms(ws: WalkSpec, process: Process):
 
 def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
                          process: Process, batch: int, tensors: dict[Channel, np.ndarray],
-                         idx: int | None = None,
-                         corrupt_word: tuple[Channel, int] | None = None
-                         ) -> dict[Channel, np.ndarray]:
-    """Pack the given operand tensors, walk the pass's trace, and rebuild
-    each operand from exactly the words the trace touches."""
+                         idx: int | None = None) -> dict[Channel, np.ndarray]:
+    """Pack the given operand tensors, walk the pass's trace slice by slice,
+    and rebuild each operand from exactly the words the trace touches."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
     geoms = _operand_geoms(ws, process)
     image = DramImage()
-    inverses: dict[Channel, np.ndarray] = {}
     for chan, (geom, shape) in geoms.items():
         image.add_region(chan.value, geom.words())
-        grid = geom.addr_grid()
-        inv = np.empty(geom.words(), dtype=np.int64)
-        inv[grid] = np.arange(geom.words())
-        inverses[chan] = inv
         pack(tensors[chan].reshape(shape), geom, image, chan.value)
-    if corrupt_word is not None:
-        chan, w = corrupt_word
-        off = image.region(chan.value)[0]
-        image.words[off + w] += 1.0
-    rebuilt = {chan: np.full(geoms[chan][0].words(), np.nan, dtype=np.float32)
-               for chan in geoms}
-    walk = WALKERS[process](ws)
-    for chan in geoms:
-        runs = walk.runs(walk.on(chan))
-        a = _gather(runs[:, 0], runs[:, 1])  # every word read
-        off = image.region(chan.value)[0]
-        rebuilt[chan][inverses[chan][a]] = image.words[off + a]
-    return {chan: rebuilt[chan].reshape(shape) for chan, (_, shape) in geoms.items()}
+    read = {chan: np.zeros(geom.words(), dtype=bool) for chan, (geom, _) in geoms.items()}
+    for trace in trace_layer(process, layer, plan, kind, batch, idx):
+        for chan in geoms.keys() & trace.keys():
+            read[chan][_gather(trace[chan][:, 0], trace[chan][:, 1])] = True  # every word read
+    # the regions lie in the image in the order of `read`
+    words = np.where(np.concatenate([*read.values()]), image.words, np.float32(np.nan))
+    return {chan: words[image.region(chan.value)[0] + geom.addr_grid()].reshape(shape)
+            for chan, (geom, shape) in geoms.items()}
 
 
 def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str,
@@ -1321,23 +1305,16 @@ def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str
     tensors = {chan: rng.standard_normal(shape).astype(np.float32)
                for chan, (_, shape) in _operand_geoms(ws, process).items()}
     report: dict = {"process": process.value, "mismatches": {}}
-    ok = True
     for kind in (kind_a, kind_b):
         rebuilt = reconstruct_operands(layer, plan, kind, process, batch,
                                        tensors, idx=idx)
         for chan, arr in rebuilt.items():
-            ref = tensors[chan].reshape(arr.shape)
             covered = ~np.isnan(arr)
-            need = required_mask(ws, process, chan)
-            missing = int((need & ~covered).sum())
-            if missing:
-                ok = False
-                report["mismatches"][f"{kind}/{chan.value}/missing"] = missing
-            bad = int((arr[covered] != ref[covered]).sum())
-            if bad:
-                ok = False
-                report["mismatches"][f"{kind}/{chan.value}"] = bad
-    return ok, report
+            key = f"{kind}/{chan.value}"
+            wrong = {f"{key}/missing": required_mask(ws, process, chan) & ~covered,
+                     key: arr[covered] != tensors[chan][covered]}
+            report["mismatches"].update((k, int(n.sum())) for k, n in wrong.items() if n.any())
+    return not report["mismatches"], report
 
 
 __all__ = [

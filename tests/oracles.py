@@ -2,7 +2,9 @@
 
 Everything here is brute force in float64: literal nested loops, exhaustive
 enumeration, and central finite differences.  Nothing imports the kernel
-code paths it is used to check.
+code paths it is used to check.  The one exception is the reference a
+sliced pass is checked against: `whole_walk` walks a layer pass whole with
+its own loop nest, and `whole_trace` joins `layout.trace_layer`'s slices.
 """
 
 import numpy as np
@@ -184,12 +186,33 @@ def weight_tile_runs(geom, mt, nt, nt1=None):
     return [(geom.addr(m0, n0, 0, 0), (m1 - m0) * (n1 - n0) * kk)]
 
 
+def whole_walk(process, layer, plan, kind, batch, idx=None):
+    """A layer pass as one `layout.Walk`, given as `layout.layer_sequences`
+    takes it: its loop nest walked over every production, where the library
+    only ever walks it slice by slice."""
+    from trainsim.layout import _nest, resolve_walk
+
+    nest = _nest(resolve_walk(layer, plan, idx, process, kind, batch), process)
+    return nest.walk(0, nest.starts[-1])
+
+
+def whole_trace(process, layer, plan, kind, batch, idx=None):
+    """Each channel's runs over a whole layer pass, as one (n, 2) array:
+    the slices of `layout.trace_layer` joined in order."""
+    from trainsim.layout import trace_layer
+    from trainsim.plan import Channel
+
+    traces = list(trace_layer(process, layer, plan, kind, batch, idx))
+    return {c: np.concatenate([t[c] for t in traces if c in t]) for c in Channel}
+
+
 def transfer_runs(walk):
-    """Every run of a `layout.Walk` in transfer order, as `Walk.runs`
-    expands them, and where each transfer's runs begin (plus the end)."""
-    transfers = np.arange(walk.chan.size)
-    runs = walk.runs(transfers)
-    groups = walk.groups(transfers)
+    """Every run of a `layout.Walk` in transfer order, as `expand_groups`
+    expands its groups, and where each transfer's runs begin (plus the end)."""
+    from trainsim.layout import expand_groups
+
+    groups = walk.groups(np.arange(walk.chan.size))
+    runs = expand_groups(groups)
     off = np.concatenate(([0], np.cumsum(groups[:, 2] * groups[:, 4])))[walk.run_off]
     return runs, off
 
@@ -198,7 +221,7 @@ def price_walk_loops(walk, t_start, p):
     """Scalar reference for `dma.simulate_sequences`: the per-run pricer,
     pricing one run at a time in pipeline order (each production's chunk
     loads, then its stores) and carrying continuity per channel.  Reads a
-    `layout.Walk` row by row, one run at a time as `Walk.runs` expands
+    `layout.Walk` row by row, one run at a time as `transfer_runs` expands
     them.  Returns (cycles, bursts, words, burst-length
     histogram), the last three keyed by channel name."""
     from trainsim.layout import CHANNELS, CHUNK_STORE, LOAD, STORE

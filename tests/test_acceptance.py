@@ -9,9 +9,8 @@ import pytest
 from trainsim import engine
 from trainsim.dma import simulate_layer
 from trainsim.datasets import synthetic_batches
-from trainsim.layout import (STORE, FeatureGeom, LayoutKind, WeightGeom,
-                             equivalence_check, layer_sequences, merge_runs,
-                             trace_layer)
+from trainsim.layout import (STORE, FeatureGeom, LayoutKind, WeightGeom, expand_groups,
+                             equivalence_check, merge_runs)
 from trainsim.model import (Kind, LayerSpec, NetworkSpec, ceil_div,
                             validate_and_infer)
 from trainsim.perf import layer_process_latency, network_report
@@ -268,8 +267,8 @@ def test_criterion_6_training_smoke():
 def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
     # (a) forward weight stream is a single run covering the whole layer
     layer = alexnet.layers[5]
-    tr = trace_layer(Process.FP, layer, alexnet_plan, LayoutKind.RESHAPED, 4,
-                     idx=5)
+    tr = oracles.whole_trace(Process.FP, layer, alexnet_plan, LayoutKind.RESHAPED, 4,
+                             idx=5)
     wei = merge_runs(tr[Channel.WEI])
     a_ok = len(wei) == 1 and wei[0, 1] == 384 * 384 * 9
 
@@ -277,12 +276,12 @@ def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
     # is one contiguous run of m_on * r * c words
     b_ok = True
     blocks_seen = 0
-    walk = layer_sequences(Process.FP, layer, alexnet_plan,
-                           LayoutKind.RESHAPED, 4, idx=5)
+    walk = oracles.whole_walk(Process.FP, layer, alexnet_plan,
+                              LayoutKind.RESHAPED, 4, idx=5)
     store_trs = np.flatnonzero(walk.role == STORE)
     store_seq = walk.prod_seq[walk.owner[store_trs]]
     for seq in range(walk.tail_start.size):
-        stores = walk.runs(store_trs[store_seq == seq])
+        stores = expand_groups(walk.groups(store_trs[store_seq == seq]))
         merged = merge_runs(stores)
         expect = {112 * 13 * 13, 48 * 13 * 13}
         b_ok &= len(merged) == 1 and int(merged[0, 1]) in expect
@@ -292,8 +291,8 @@ def test_criterion_7_burst_closed_forms(alexnet, alexnet_plan, zcu102):
     # (c) baseline feature tiles move one Tc-long row segment per restart
     base_plan = TilePlan(tm=16, tn=16,
                          entries={0: PlanEntry(tr=11, tc=11, m_on=96)})
-    tr = trace_layer(Process.FP, alexnet.layers[0], base_plan,
-                     LayoutKind.BCHW, 1, idx=0)
+    tr = oracles.whole_trace(Process.FP, alexnet.layers[0], base_plan,
+                             LayoutKind.BCHW, 1, idx=0)
     out_lens = set(tr[Channel.OUT][:, 1].tolist())
     c_ok = out_lens == {11}
 

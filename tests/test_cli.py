@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from trainsim import layout
 from trainsim.cli import main
 from trainsim.datasets import load_raw, save_raw, synthetic_batches
 from trainsim.config import load_network, load_plan, plan_to_dict
@@ -234,6 +235,26 @@ def test_layout_dump_schema(tmp_path):
     assert {"layer", "process", "channel", "burst_index", "start_word",
             "length"} <= set(rows[0])
     assert all(int(r["length"]) >= 1 for r in rows)
+
+
+def test_failed_layout_dump_leaves_no_table(tmp_path, monkeypatch, capsys):
+    # a walker that runs out of memory once the first pass is walked: the
+    # dump fails, and leaves neither its table nor a part of it behind
+    passes = set()
+
+    def failing(walker):
+        def walk(ws, part):
+            passes.add(part.nest)
+            if len(passes) > 1:
+                raise MemoryError
+            return walker(ws, part)
+        return walk
+    monkeypatch.setattr(layout, "WALKERS", {p: failing(w) for p, w in layout.WALKERS.items()})
+    rc = run(["layout-dump", "--net", "alexnet_conv", "--plan", "alexnet_conv_zcu102",
+              "--batch", "1", "--layout", "reshaped", "--out", str(tmp_path)])
+    assert rc != 0 and len(passes) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_batch_is_config_error(tmp_path):

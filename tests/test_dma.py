@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -12,14 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trainsim import dma
+from trainsim import dma, layout
+from trainsim.cli import main
 from trainsim.config import load_device, load_network, load_plan
 from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
 from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OUT,
                              STORE, WALKERS, WEI, FeatureGeom, LayoutKind, Walk, _nest,
-                             _WalkWriter, expand_groups, layer_sequences, resolve_walk, slices,
-                             trace_layer)
+                             _WalkWriter, equivalence_check, expand_groups, resolve_walk,
+                             slices)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
@@ -98,9 +101,9 @@ def load_walk(*transfers) -> Walk:
 def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
     """What the pricer charges for one load of `bursts`: a walk of one
     sequence, production and chunk, with no compute and no store, whose
-    runs (`Walk.runs`) are `bursts`."""
+    runs (`expand_groups`) are `bursts`."""
     walk = load_walk(([(*burst, 1, 0) for burst in bursts.tolist()], 0, {}))
-    assert np.array_equal(walk.runs(walk.on(Channel.IFM)), bursts)
+    assert np.array_equal(expand_groups(walk.groups(walk.on(Channel.IFM))), bursts)
     return simulate_sequences(walk, dev).cycles
 
 
@@ -126,7 +129,7 @@ def test_contiguous_reshaped_ifm_matches_closed_form():
     layer = conv_layer(16, 16, 6, 6, 3, 1, pad=1)
     plan = TilePlan(tm=16, tn=16, entries={0: PlanEntry(tr=6, tc=6, m_on=16)})
     dev = DeviceSpec()
-    tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
     bursts = split_bursts(tr[Channel.IFM])
     assert len(bursts) == 1
     # padding is phantom, so the tile covers the stored 6x6 map exactly
@@ -193,7 +196,7 @@ def test_unpadded_tile_cost_equals_closed_form():
     # measured tile cost reproduces t_ifm = t_start + Tn/p * rows * cols
     layer = conv_layer(16, 16, 4, 4, 3, 1, pad=0)
     plan = TilePlan(tm=16, tn=16, entries={0: PlanEntry(tr=4, tc=4, m_on=16)})
-    tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
     bursts = split_bursts(tr[Channel.IFM])
     assert transfer_cycles(bursts, DeviceSpec()) == 400 + 4 * 6 * 6
 
@@ -219,7 +222,7 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
         wu_tr=data.draw(st.one_of(st.none(), st.integers(1, r))))})
     dev = DeviceSpec(stream_width_words=p, t_start=t_start)
     res = simulate_layer(process, layer, plan, kind, dev, batch)
-    walk = layer_sequences(process, layer, plan, kind, batch)
+    walk = oracles.whole_walk(process, layer, plan, kind, batch)
     cycles, bursts, words, hist = oracles.price_walk_loops(walk, t_start, p)
     assert (res.cycles, res.bursts, res.words, res.burst_lengths) == \
         (cycles, bursts, words, hist)
@@ -439,7 +442,7 @@ def test_slice_of_empty_loads():
     dev = DeviceSpec(stream_width_words=1, t_start=1)
     with mock.patch.object(dma, "SLICE_ROWS", 2):
         res = simulate_layer(Process.BP, layer, plan, LayoutKind.RESHAPED, dev, 1)
-    whole = layer_sequences(Process.BP, layer, plan, LayoutKind.RESHAPED, 1)
+    whole = oracles.whole_walk(Process.BP, layer, plan, LayoutKind.RESHAPED, 1)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
 
 
@@ -585,7 +588,7 @@ def counting_walker(process: Process, parts: list):
     """WALKERS[process], noting every slice it walks."""
     walker = WALKERS[process]
 
-    def walk(ws, part=None):
+    def walk(ws, part):
         parts.append(part)
         return walker(ws, part)
     return walk
@@ -596,11 +599,41 @@ def walked(parts: list) -> int:
     return sum(part.hi - part.lo for part in parts)
 
 
-def whole_walk(parts: list) -> Walk:
-    """The whole pass, walked by the nest that the pricer set up for the
-    slices a `counting_walker` walked."""
-    nest = parts[0].nest
-    return nest.walk(0, nest.starts[-1])
+def cut(net, plan, batch, kinds) -> list:
+    """(walk spec, lo, hi) of every slice that `slices` cuts at
+    `layout.SLICE_ROWS`, pass by pass and in each pass layout by layout."""
+    out = []
+    for i in sorted(plan.entries):
+        for process in Process if i else (Process.FP, Process.WU):
+            for kind in kinds:
+                ws = resolve_walk(net.layers[i], plan, i, process, kind, batch)
+                out += [(ws, q.lo, q.hi) for part in slices(ws, process, layout.SLICE_ROWS)
+                        for q in part.parts()]
+    return out
+
+
+def test_dump_and_equivalence_walk_each_slice_once(tmp_path):
+    # layout-dump of alexnet_conv b1 and equivalence_check of cifar6 b2 at
+    # 64 rows a slice walk the slices `slices` cuts, each once and in order
+    parts = []
+    alexnet, alexnet_plan = load_network("alexnet_conv", 1), load_plan("alexnet_conv_zcu102")
+    cifar = load_network("cifar6", 2)
+    cifar_plan, _ = schedule(cifar, load_device("zcu102"), 2)
+    with mock.patch.object(layout, "SLICE_ROWS", 64), \
+            mock.patch.dict(WALKERS, {p: counting_walker(p, parts) for p in Process}):
+        for kind in LayoutKind.ALL:
+            parts.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["layout-dump", "--net", "alexnet_conv", "--batch", "1", "--plan",
+                             "alexnet_conv_zcu102", "--layout", kind, "--out", str(tmp_path)]) == 0
+            assert [(q.nest.ws, q.lo, q.hi) for q in parts] == cut(alexnet, alexnet_plan, 1, [kind])
+        parts.clear()
+        for i in sorted(cifar_plan.entries):
+            for process in Process if i else (Process.FP, Process.WU):
+                equivalence_check(cifar.layers[i], cifar_plan, "reshaped", "bchw", process, 2,
+                                  idx=i)
+        assert [(q.nest.ws, q.lo, q.hi) for q in parts] == \
+            cut(cifar, cifar_plan, 2, ["reshaped", "bchw"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -610,8 +643,7 @@ def test_simulate_layer_folds_runs_exactly(data, process, batch, p, t_start):
     # random reshaped layers with runs of four blocks or more, at the real
     # slice budget or one small enough to cut a block into several slices:
     # folding equals pricing the whole walk, and it walks fewer productions
-    # wherever the pass has a run; the whole walk comes from the pricer's
-    # own nest, so the pass is set up once
+    # wherever the pass has a run
     layer, plan = reshaped_case(data.draw, process)
     budget = data.draw(st.sampled_from([SLICE_ROWS, 2, 17, 60]), label="budget")
     dev = DeviceSpec(stream_width_words=p, t_start=t_start)
@@ -619,7 +651,8 @@ def test_simulate_layer_folds_runs_exactly(data, process, batch, p, t_start):
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
             mock.patch.dict(WALKERS, {process: counting_walker(process, parts)}):
         res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
-    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole_walk(parts), dev))
+    whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch)
+    assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
     nest = parts[0].nest
     assert walked(parts) < nest.starts[-1] if nest.runs() else walked(parts) == nest.starts[-1]
 
@@ -650,7 +683,7 @@ def test_fold_cases(name, process, m, n, batch, m_on, budget):
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
             mock.patch.dict(WALKERS, {process: counting_walker(process, walks)}):
         res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
-    whole = layer_sequences(process, layer, plan, LayoutKind.RESHAPED, batch)
+    whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
     assert walked(walks) < whole.prod_seq.size
     if process is Process.FP:
@@ -667,7 +700,7 @@ def test_fold_engages_on_vgg16_fc7():
     with mock.patch.dict(WALKERS, {Process.FP: counting_walker(Process.FP, walks)}):
         res = simulate_layer(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, dev, 1, idx=19)
     assert walked(walks) <= 4 * 8
-    whole = layer_sequences(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, 1, idx=19)
+    whole = oracles.whole_walk(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, 1, idx=19)
     assert whole.prod_seq.size == 32 * 8
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
 

@@ -1,15 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trainsim import layout
+from trainsim.config import load_device, load_network
 from trainsim.errors import RegionMismatch, ShapeMismatch
 from trainsim.layout import (DramImage, FeatureGeom, LayoutKind, WeightGeom,
                              bp_window, equivalence_check, dma_start_table,
-                             expand_groups, fwd_window, layer_sequences, merge_groups,
-                             merge_runs,
-                             pack, reconstruct_operands, trace_layer, unpack)
+                             expand_groups, fwd_window, merge_groups, merge_runs,
+                             pack, reconstruct_operands, unpack)
 from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
+from trainsim.sched import schedule
 
 import oracles
 
@@ -316,7 +320,7 @@ def test_fp_weight_scan_is_storage_order():
     # single block, single image: the weight trace is one ascending run
     layer = conv_layer(4, 4, 6, 6, 3, 1, pad=1)
     plan = single_plan(tr=6, tc=6, m_on=4)
-    tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
     runs = merge_runs(tr[Channel.WEI])
     assert runs.tolist() == [[0, 4 * 4 * 9]]
 
@@ -325,7 +329,7 @@ def test_fp_weights_loaded_once_per_batch():
     layer = conv_layer(8, 4, 6, 6, 3, 1, pad=1)
     plan = single_plan(tr=3, tc=6, m_on=4)
     for batch in (1, 4):
-        tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
+        tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
         assert tr[Channel.WEI][:, 1].sum() == 8 * 4 * 9
 
 
@@ -334,7 +338,7 @@ def test_fp_ifm_repetition_count():
     layer = conv_layer(8, 4, 4, 4, 1, 1)
     plan = single_plan(tr=4, tc=4, m_on=4)
     batch = 2
-    tr = trace_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
     m_tiles = 4  # ceil(8/2)
     assert tr[Channel.IFM][:, 1].sum() == batch * m_tiles * (4 * 4 * 4)
 
@@ -344,11 +348,11 @@ def test_wu_ofm_repetition_counts():
     loss_words = 4 * 6 * 6
     # rows split across tiles: loss re-read once per input-channel tile
     plan = single_plan(tr=3, tc=6, m_on=4)
-    tr = trace_layer(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
     assert tr[Channel.OFM][:, 1].sum() == 4 * loss_words  # ceil(8/2) tiles
     # all rows resident: each loss element read exactly once
     plan = single_plan(tr=6, tc=6, m_on=4)
-    tr = trace_layer(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
     assert tr[Channel.OFM][:, 1].sum() == loss_words
 
 
@@ -356,7 +360,7 @@ def test_bp_weight_trace_block_runs():
     # one run per loss-channel chunk per output block, all of block width
     layer = conv_layer(8, 6, 5, 5, 3, 1, pad=1)
     plan = single_plan(tr=5, tc=5, m_on=4)
-    tr = trace_layer(Process.BP, layer, plan, LayoutKind.RESHAPED, 2)
+    tr = oracles.whole_trace(Process.BP, layer, plan, LayoutKind.RESHAPED, 2)
     runs = tr[Channel.WEI]
     blocks = 2          # N=6 in blocks of m_on=4 -> 4 + 2
     m_chunks = 4        # ceil(M=8 / tn=2)
@@ -388,6 +392,23 @@ def test_equivalence_small_cnn_third_conv(cifar_small):
         assert ok, (a, b, rep)
 
 
+def test_equivalence_does_not_depend_on_the_slice_budget():
+    # cifar6 b2 on its scheduled plan, walked at the default budget and at
+    # 64 rows a slice, which cuts its passes into more than twice as many
+    # slices: each slice rebuilds the operand words it reads alike
+    net = load_network("cifar6", 2)
+    plan, _ = schedule(net, load_device("zcu102"), 2)
+
+    def reports():
+        return [equivalence_check(net.layers[i], plan, "reshaped", "bchw", proc, 2, idx=i)
+                for i in net.weighted_indices() for proc in Process
+                if not (proc is Process.BP and i == 0)]
+    default = reports()
+    with mock.patch.object(layout, "SLICE_ROWS", 64):
+        assert reports() == default
+    assert all(ok for ok, _ in default)
+
+
 def test_equivalence_detects_corruption():
     layer = conv_layer(4, 4, 4, 4, 3, 1, pad=1)
     plan = single_plan(tr=4, tc=4, m_on=4)
@@ -399,8 +420,15 @@ def test_equivalence_detects_corruption():
     good = reconstruct_operands(layer, plan, LayoutKind.RESHAPED, Process.FP,
                                 2, tensors)
     assert np.array_equal(good[Channel.IFM], tensors[Channel.IFM])
-    bad = reconstruct_operands(layer, plan, LayoutKind.RESHAPED, Process.FP,
-                               2, tensors, corrupt_word=(Channel.IFM, 5))
+
+    def pack_corrupt(tensor, geom, image, region):
+        # one packed input word is off by one
+        pack(tensor, geom, image, region)
+        if region == Channel.IFM.value:
+            image.words[image.region(region)[0] + 5] += 1.0
+
+    with mock.patch.object(layout, "pack", pack_corrupt):
+        bad = reconstruct_operands(layer, plan, LayoutKind.RESHAPED, Process.FP, 2, tensors)
     assert not np.array_equal(bad[Channel.IFM], tensors[Channel.IFM])
 
 

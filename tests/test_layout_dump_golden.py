@@ -17,10 +17,12 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 if __name__ == "__main__":  # run as a script: use the package in this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from trainsim import layout  # noqa: E402
 from trainsim.cli import main  # noqa: E402
 from trainsim.config import load_device, load_network, plan_to_dict  # noqa: E402
 from trainsim.layout import LayoutKind  # noqa: E402
@@ -58,6 +60,14 @@ def test_layout_dumps_match_golden(tmp_path):
     assert sorted(got) == sorted(golden)
     moved = sorted(k for k in got if got[k] != golden[k])
     assert not moved, f"{len(moved)} dumps changed: {moved}"
+
+
+def test_layout_dumps_do_not_depend_on_the_slice_budget(tmp_path):
+    # at 64 rows a slice the passes are cut into many slices, and bursts
+    # run on across the cuts: the dumps are still the golden bytes
+    golden = json.loads(GOLDEN.read_text())
+    with mock.patch.object(layout, "SLICE_ROWS", 64):
+        assert dump_digests(tmp_path) == golden
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Golden digests of the loop-nest walks.
 
-Each case hashes the full `layer_sequences` output of one (layer, pass,
-layout): sequence, production and chunk boundaries, `tail_start`, every
-`comp`, and per transfer its channel, runs, slot width and the three
-pricing flags.  The digests in golden/walks.json were captured from the
-walkers as they stood before FP and BP shared one loop nest; regenerate
-them only for a change that is meant to move a walk:
+Each case hashes the whole walk of one (layer, pass, layout), as
+`oracles.whole_walk` gives it: sequence, production and chunk boundaries,
+`tail_start`, every `comp`, and per transfer its channel, runs, slot width
+and the three pricing flags.  The digests in golden/walks.json were
+captured from the walkers as they stood before FP and BP shared one loop
+nest; regenerate them only for a change that is meant to move a walk:
 
     python tests/test_walk_golden.py > tests/golden/walks.json
 """
@@ -25,8 +25,7 @@ if __name__ == "__main__":  # run as a script: use the package in this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from trainsim.config import load_device, load_network, load_plan  # noqa: E402
-from trainsim.layout import (CHUNK_STORE, LOAD, NO_STORE, LayoutKind,  # noqa: E402
-                             layer_sequences)
+from trainsim.layout import CHUNK_STORE, LOAD, NO_STORE, LayoutKind  # noqa: E402
 from trainsim.model import Kind, LayerSpec, NetworkSpec, validate_and_infer  # noqa: E402
 from trainsim.plan import PlanEntry, Process, TilePlan  # noqa: E402
 from trainsim.sched import schedule  # noqa: E402
@@ -126,7 +125,7 @@ def walks():
             for proc in Process:
                 for kind in LayoutKind.ALL:
                     yield (f"{case}/{idx}/{proc.value}/{kind}",
-                           layer_sequences(proc, layer, plan, kind, batch, idx=idx))
+                           oracles.whole_walk(proc, layer, plan, kind, batch, idx=idx))
 
 
 @functools.cache
@@ -155,7 +154,7 @@ def test_walks_match_golden(golden):
 def test_digest_sees_pricing_flags():
     net = _one_conv(4, 4, 4, 4, 3, 1, 1)
     plan = _plan(2, tr=4, tc=4, m_on=4)
-    walk = layer_sequences(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
+    walk = oracles.whole_walk(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
     before = walk_digest(walk)
     # the last load of the first chunk
     t = np.flatnonzero((walk.role == LOAD) & (walk.owner == 0))[-1]
