@@ -218,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="trainsim")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, plan=False, device=False, lay=False):
+    def common(p, plan=False, device=False, lay=False, report=False):
         p.add_argument("--net", required=True, help="network config path or preset")
         p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--format", nargs="+", default=["json", "csv"],
-                       choices=["json", "csv"])
+        if report:
+            p.add_argument("--format", nargs="+", default=["json", "csv"],
+                           choices=["json", "csv"])
         if device:
             p.add_argument("--device", required=True, help="device config path or preset")
         if plan:
@@ -238,17 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_schedule)
 
     p = sub.add_parser("estimate", help="closed-form latency report")
-    common(p, plan=True, device=True)
+    common(p, plan=True, device=True, report=True)
     p.add_argument("--audit", action="store_true",
                    help="include per-tile intermediate values")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("simulate", help="trace-driven latency and burst report")
-    common(p, plan=True, device=True, lay=True)
+    common(p, plan=True, device=True, lay=True, report=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("train", help="run the reference training engine")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--data", default="synthetic", help="'synthetic' or raw file path")
     p.add_argument("--log-every", type=int, default=0)

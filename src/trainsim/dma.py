@@ -13,25 +13,22 @@ production pipeline the analytic model assumes, with every transfer priced
 from the bursts its runs actually produce.  It works in numpy, one channel
 at a time, in two steps:
 
-- `_price_channel` prices each transfer of one channel in bus order.  Runs
-  merge where contiguous inside a transfer that is not `per_run_start`.  A
+- `_price_channel` prices each transfer of one channel in bus order.  A
+  transfer's runs are one run group (`layout.Walk`), such as a tile's
+  channel x row lattice: `outer` rows of `count` runs of one length, the
+  last starting at start + (outer-1)*outer_stride + (count-1)*stride.  A
   run restarts if its transfer is `per_run_start`, if it is the first run
   of a `fresh_start` transfer, or if it does not continue the channel's
   previous run, so streams that genuinely continue across loop steps (the
   forward weight scan, block-sized output slabs) pay no second restart.
-  Beats follow the slot rule of `_beats`; bursts are the runs between
-  restarts.  The walk keeps runs as groups (`layout.Walk`), such as a
-  tile's channel x row lattice: `outer` rows of `count` runs, the last
-  starting at start + (outer-1)*outer_stride + (count-1)*stride.  No run
-  of a group continues the one before it, at either level, unless its
-  transfer is `per_run_start`.  So only the runs whose price depends on a
-  neighbour go through these rules, in one run list: the first and last
-  run of each group of a transfer that is not `per_run_start`, and the
-  last run of each `per_run_start` transfer, which hands the next transfer
-  the channel's end address and open burst.  Every other run is a burst of
-  its own, costing `_beats(length) + t_start`; each group adds its number
-  of them in closed form, to its transfer's cycles and restarts and to the
-  histogram.
+  No run of a transfer continues the one before it, at either level,
+  unless it is `per_run_start`, so every run of a transfer but its
+  first restarts, and only the first can continue the channel's last run.
+  A transfer then costs its runs' beats (the slot rule of `_beats`) and
+  t_start per restart, in closed form.  Bursts are the runs between
+  restarts: a burst can go on only through a transfer's first run and
+  into the next transfer from its last, so the histogram takes those runs
+  in one run list and counts every other run as a burst of its own.
 - `simulate_sequences` folds transfer cycles into the pipeline: a chunk's
   load is the max over its non-overlapped loads, a production costs
   load_0 + sum(max(load_k, comp_(k-1))) plus its last compute (the tail),
@@ -57,7 +54,7 @@ Wherever two consecutive transfers of a channel move by different steps,
 such as BP's block loads over m-tiles of two widths, the later one
 restarts at its head whatever its address.  A block then prices alike
 wherever it follows a translate, since every continuity test that decides
-a restart, a merge or the open burst comes out the same, and the carry
+a restart or the open burst comes out the same, and the carry
 hands on the same open burst.  `simulate_layer` prices the first three
 blocks of a run of four or more as above, takes the `Carry` step over the
 third, and adds it for the rest in closed form where `Carry.repeat` can;
@@ -103,14 +100,6 @@ class SimResult:
         return sum(self.bursts.values())
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive segments of `values`, `counts` long each."""
-    ends = np.cumsum(counts)
-    sums = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=sums[1:])
-    return sums[ends] - sums[ends - counts]
-
-
 @dataclass
 class _Stream:
     """One channel's bursts so far, carried from slice to slice of a pass:
@@ -136,94 +125,42 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
     order), whose bursts continue the channel's stream `s`."""
-    idx, many, count, stride, outer, o_stride = walk.repeats(trs)  # many: two runs or more
-    if not idx.size:  # a slice may hold only empty loads, such as BP windows a stride skips
-        return np.zeros((2, trs.size), dtype=np.int64)
-    start, length = walk.start[idx], walk.length[idx]
-    offset = (count - 1) * stride + (outer - 1) * o_stride  # from a group's first run to its last
-    count *= outer  # its runs
-    del idx, stride, outer, o_stride
-    n = walk.run_off[trs + 1] - walk.run_off[trs]  # groups per transfer
-    tr = np.repeat(np.arange(trs.size), n)  # position in trs, per group
-    slot = walk.slot_words[trs]
-    head = np.zeros(tr.size, dtype=bool)
-    head[(np.cumsum(n) - n)[n > 0]] = True
-    prs = walk.per_run_start[trs]
-    # runs whose price depends on no neighbour are bursts of their own:
-    # n_lone runs each of the groups `lone`, priced in closed form below
-    if prs.any():
-        # every run of a per_run_start transfer restarts, so only its last,
-        # whose end and open burst the next transfer may continue, stays
-        own = prs[tr]
-        last = np.zeros(tr.size, dtype=bool)
-        last[np.cumsum(n)[n > 0] - 1] = True
-        runs = np.ones(tr.size, dtype=np.int64)
-        runs[many] = count
-        alone = runs - np.where(own, last, np.minimum(runs, 2))
-        lone = np.flatnonzero(alone)
-        n_lone, lone_len, lone_tr = alone[lone], length[lone], tr[lone]
-        tip = own[many] & last[many]  # the multi-run groups whose last run stays
-        start[many[tip]] += offset[tip]
-        keep = ~own | last
-        rest = ~own[many]
-        many, count, offset = (np.cumsum(keep) - 1)[many[rest]], count[rest], offset[rest]
-        start, length, tr, head = start[keep], length[keep], tr[keep], head[keep]
-        del own, last, runs, alone, tip, keep, rest
-    else:
-        # no run of a group continues the one before it, so every run between
-        # its first and last is a burst of its own
-        inner = count > 2
-        lone, n_lone = many[inner], count[inner] - 2
-        lone_len, lone_tr = length[lone], tr[lone]
-    del n, lone
-    if many.size:
-        # the rest are boundary runs: each group's first, then its last
-        g = np.repeat(np.arange(tr.size), 1 + np.bincount(many, minlength=tr.size))
-        many = many + np.arange(1, many.size + 1)  # now where the last runs go
-        start = start[g]
-        start[many] += offset
-        length, tr, head = length[g], tr[g], head[g]
-        del g
-    cont = np.empty(tr.size, dtype=bool)
+    many, count, stride, outer, o_stride = walk.repeats(trs)  # many: two runs or more
+    start, length = walk.start[trs], walk.length[trs]
+    runs = np.ones(trs.size, dtype=np.int64)
+    runs[many] = count * outer
+    end = start + length  # after its last run
+    end[many] += (count - 1) * stride + (outer - 1) * o_stride
+    cont = np.empty(trs.size, dtype=bool)  # its first run continues the stream
     cont[0] = start[0] == s.end
-    cont[1:] = start[1:] == start[:-1] + length[:-1]
-    cont[many] = False  # a group's last run never continues the one before it
-    s.end = int(start[-1] + length[-1])
-    prs = prs[tr]
-    # merge runs that continue their predecessor inside a transfer
-    keep = np.flatnonzero(~cont | head | prs)
-    length = np.add.reduceat(length, keep)
-    tr = tr[keep]
-    restart = ~cont[keep] | prs[keep] | (head[keep] & walk.fresh_start[trs][tr])
-    del start, head, cont, prs, keep
-    cycles = _beats(length, slot[tr], dev.p)
-    cycles += restart * dev.t_start
-    per_tr = np.bincount(tr, minlength=trs.size)
-    s.words += int(length.sum())
-    # bursts begin at restarts; runs before the first continue the open one
+    cont[1:] = start[1:] == end[:-1]
+    s.end = int(end[-1])
+    del start, end
+    # whether a transfer's first run restarts; every run after it does
+    head = ~cont | walk.per_run_start[trs] | walk.fresh_start[trs]
+    restarts = runs - 1 + head
+    cycles = runs * _beats(length, walk.slot_words[trs], dev.p) + restarts * dev.t_start
+    s.words += int(runs @ length)
+    s.bursts += int(restarts.sum())
+    # a burst may go on through each transfer's first run, unless a restart
+    # both begins and ends it, and each multi-run transfer's last; every
+    # other run is a burst of its own
+    alone = head[many]
+    lone_len, lone = length[many], runs[many] - 2 + alone
+    n = np.ones(trs.size, dtype=np.int64)
+    n[many] = 2 - alone
+    length, restart = np.repeat(length, n), np.repeat(head, n)
+    restart[(np.cumsum(n) - 1)[many]] = True
     first = np.flatnonzero(restart)
-    lead = not restart[0]
+    lead = not restart[0]  # runs before the first restart continue the open burst
     bursts = np.add.reduceat(length, np.append(0, first) if lead else first)
     if lead:
         s.hist[s.open] -= 1
         bursts[0] += s.open
     s.open = int(bursts[-1])
     s.count(*np.unique(bursts, return_counts=True))
-    del length, tr
-    cycles, restarts = _segment_sums(cycles, per_tr), _segment_sums(restart, per_tr)
-    if n_lone.size:
-        # price each distinct (length, slot) of the lone runs once; they come
-        # in transfer order, so they sum per transfer as segments
-        wide = int(slot.max()) + 1
-        pairs, at = np.unique(lone_len * wide + slot[lone_tr], return_inverse=True)
-        lengths = pairs // wide
-        cost = n_lone * (_beats(lengths, pairs % wide, dev.p)[at] + dev.t_start)
-        per_tr = np.bincount(lone_tr, minlength=trs.size)
-        cycles += _segment_sums(cost, per_tr)
-        restarts += _segment_sums(n_lone, per_tr)
-        s.count(lengths, np.bincount(at, n_lone).astype(np.int64))
-        s.words += int(lone_len @ n_lone)
-    s.bursts += int(restarts.sum())
+    lengths, at = np.unique(lone_len, return_inverse=True)
+    s.count(lengths, np.bincount(at, lone, lengths.size).astype(np.int64))
     return cycles, restarts
 
 

@@ -21,14 +21,15 @@ int64 array of (start, length) rows; a run group is a lattice of runs of
 apart, an (n, 6) row of (start, length, count, stride, outer,
 outer_stride) (`expand_groups` turns groups into runs).  `FeatureGeom.tiles`
 and `WeightGeom.tiles` give many tiles' groups in one call (`_strided`),
-one group per tile, such as the rows of each channel of a BCHW tile.  No
+one group per tile, such as the channel x row lattice of a BCHW tile.  No
 run of a group continues the one before it, in its row or from the row
 before, unless its transfer restarts every run anyway (`per_run_start`),
 so a pricer needs only a group's first and last run to see where it joins
 its neighbours.  A slice of a layer pass is one columnar trace, a `Walk`
-of sequences, productions, chunks, transfers and their run groups;
-`trace_layer` expands each channel's groups into runs, slice by slice,
-and `merge_runs` folds runs that continue each other into maximal ones.
+of sequences, productions, chunks and transfers, each transfer one run
+group; `trace_layer` expands each channel's groups into runs, slice by
+slice, and `merge_runs` folds runs that continue each other into maximal
+ones.
 
 Walkers build a walk by index arithmetic, one weight block at a time, and
 a `_WalkWriter` appends each block's rows in one go.  FP and BP share one
@@ -38,8 +39,8 @@ walker walks one of the slices that `slices` cuts the pass into (of at
 most `SLICE_ROWS` rows) without walking the pass.  Where consecutive
 blocks of one width translate, as a nest shows from its geometry and
 descriptor flags (`_Nest`), `slices` marks the run, so that dma.py prices
-it once.  WU reads a block's weights (`WeightGeom.block`) as the run groups
-of `merge_groups`, the maximal contiguous runs of its tiles.
+it once.  WU reads a block's weights (`WeightGeom.block`) as one transfer
+per run group of `merge_groups`, the maximal contiguous runs of its tiles.
 
 Descriptor policy lives where transfers are made: every feature load is
 its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
@@ -458,13 +459,6 @@ CHANNELS = (Channel.IFM, Channel.OFM, Channel.WEI, Channel.OUT)
 IFM, OFM, WEI, OUT = range(len(CHANNELS))
 
 
-def _gather(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(lo[i], lo[i] + n[i]) over i, in one pass."""
-    ends = np.cumsum(n)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total, dtype=np.int64) + np.repeat(lo - ends + n, n)
-
-
 @dataclass(frozen=True, eq=False)
 class Walk:
     """One slice of a layer pass (`slices`) as columns.  Sequences, productions
@@ -476,12 +470,12 @@ class Walk:
     a production is a run of chunks (each one compute step and the loads it
     waits for) plus what it stores.  Rows point at their parent: a chunk at
     its production, a production at its sequence, a load at its chunk and
-    a store at its production.  A transfer's runs are those of its run
-    groups run_off[t]:run_off[t + 1] (`groups`, `expand_groups`), each at
-    least one word.  Many groups are one run, so the columns keep every
-    group's first run, and its two levels only for a group of more than one
-    (`multi`).  No run of a group continues the one before it unless the
-    transfer is `per_run_start`, which restarts every run anyway.
+    a store at its production.  A transfer's runs are one run group
+    (`groups`, `expand_groups`), each run at least one word.  Many
+    transfers are one run, so the columns keep every transfer's first run,
+    and its two levels only for a transfer of more than one (`multi`).  No
+    run of a transfer continues the one before it unless the transfer is
+    `per_run_start`, which restarts every run anyway.
     """
 
     tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
@@ -496,14 +490,13 @@ class Walk:
     overlapped: np.ndarray     # per transfer: on the bus, hidden by the pipeline
     per_run_start: np.ndarray  # per transfer: one descriptor (restart) per run
     fresh_start: np.ndarray    # per transfer: own descriptor, restarts anyway
-    run_off: np.ndarray        # per transfer, plus one: first run group
-    start: np.ndarray          # per group: first word of its first run
-    length: np.ndarray         # per group: words per run
-    multi: np.ndarray          # ascending: the groups of more than one run
-    count: np.ndarray          # per multi group: runs per row
-    stride: np.ndarray         # per multi group: words from run to run of a row
-    outer: np.ndarray          # per multi group: rows
-    outer_stride: np.ndarray   # per multi group: words from row to row
+    start: np.ndarray          # per transfer: first word of its first run
+    length: np.ndarray         # per transfer: words per run
+    multi: np.ndarray          # ascending: the transfers of more than one run
+    count: np.ndarray          # per multi transfer: runs per row
+    stride: np.ndarray         # per multi transfer: words from run to run of a row
+    outer: np.ndarray          # per multi transfer: rows
+    outer_stride: np.ndarray   # per multi transfer: words from row to row
     continued: bool = False    # its last sequence goes on in the next slice
 
     def on(self, channel: Channel) -> np.ndarray:
@@ -512,28 +505,25 @@ class Walk:
 
     @cached_property
     def _rank(self) -> np.ndarray:
-        """Per group: its index into `multi`, or -1 for a group of one run."""
+        """Per transfer: its index into `multi`, or -1 for one of one run."""
         rank = np.full(self.start.size, -1, dtype=np.intp)
         rank[self.multi] = np.arange(self.multi.size)
         return rank
 
     def repeats(self, transfers: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The indices of the run groups of `transfers`, in order, and the
-        groups of more than one run among them: their positions, and their
-        count, stride, outer and outer_stride."""
-        lo = self.run_off[transfers]
-        idx = _gather(lo, self.run_off[transfers + 1] - lo)
-        pos = np.flatnonzero(self._rank[idx] >= 0)
-        r = self._rank[idx[pos]]
-        return idx, pos, self.count[r], self.stride[r], self.outer[r], self.outer_stride[r]
+        """The transfers of more than one run among `transfers`: their
+        positions in it, and their count, stride, outer and outer_stride."""
+        pos = np.flatnonzero(self._rank[transfers] >= 0)
+        r = self._rank[transfers[pos]]
+        return pos, self.count[r], self.stride[r], self.outer[r], self.outer_stride[r]
 
     def groups(self, transfers: np.ndarray) -> np.ndarray:
         """The run groups of `transfers` in order, as an (n, 6) int64 array
         of (start, length, count, stride, outer, outer_stride)."""
-        idx, pos, *levels = self.repeats(transfers)
-        groups = np.zeros((idx.size, 6), dtype=np.int64)
+        pos, *levels = self.repeats(transfers)
+        groups = np.zeros((transfers.size, 6), dtype=np.int64)
         groups[:, 0], groups[:, 1], groups[:, 2], groups[:, 4] = \
-            self.start[idx], self.length[idx], 1, 1
+            self.start[transfers], self.length[transfers], 1, 1
         groups[pos, 2:] = np.column_stack(levels)
         return groups
 
@@ -543,8 +533,8 @@ class _Column:
     a copy of each piece, so that the arrays a piece comes from, such as
     the columns of a tile's run groups, are freed as the walk goes."""
 
-    def __init__(self, dtype, *first):
-        self.dtype, self.parts, self.size = dtype, [np.array(first, dtype=dtype)], len(first)
+    def __init__(self, dtype):
+        self.dtype, self.parts, self.size = dtype, [np.empty(0, dtype=dtype)], 0
 
     def add(self, values, n: int) -> int:
         """Append n values, an array of n or one value n times; returns
@@ -577,7 +567,6 @@ class _WalkWriter:
         self.cols = {f: _Column(np.bool_) for f in self.FLAGS}
         self.cols.update({f: _Column(np.int8) for f in self.CODES})
         self.cols.update({f: _Column(np.int64) for f in self.INTS})
-        self.cols["run_off"] = _Column(np.int64, 0)
 
     def sequences(self, n: int, tail_start: bool) -> int:
         return self.cols["tail_start"].add(tail_start, n)
@@ -593,27 +582,29 @@ class _WalkWriter:
                   tiles: tuple[np.ndarray, np.ndarray, np.ndarray],
                   overlapped=False, per_run_start=False, fresh_start=False) -> None:
         """One transfer per owner (its chunk for a load, its production for
-        a store), with the run groups, group counts and slot widths of
-        `tiles`; the flags are per transfer or one for all."""
-        groups, counts, slot = tiles
+        a store) whose tile has a run group, with the groups and slot widths
+        of `tiles`; the flags are per owner or one for all."""
+        groups, has, slot = tiles
+        flags = {"overlapped": overlapped, "per_run_start": per_run_start,
+                 "fresh_start": fresh_start}
+        if len(groups) < owners.size:  # an empty tile moves nothing
+            keep = np.flatnonzero(has)
+            owners, slot = owners[keep], _at(slot, keep)
+            flags = {f: _at(v, keep) for f, v in flags.items()}
         n, cols = owners.size, self.cols
-        first = cols["start"].add(groups[:, 0], len(groups))
-        cols["length"].add(groups[:, 1], len(groups))
+        first = cols["start"].add(groups[:, 0], n)
+        cols["length"].add(groups[:, 1], n)
         if groups[:, 2:5:2].max(initial=1) > 1:  # a group of more than one run
             many = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
             _, length, count, stride, outer, o_stride = groups[many].T
-            restarts = np.repeat(per_run_start, counts)[many] if np.ndim(per_run_start) \
-                else per_run_start
             assert np.all(((count == 1) | (stride != length)) & (
-                (outer == 1) | (o_stride != (count - 1) * stride + length)) | restarts), \
-                "a run group continues its own runs"
+                (outer == 1) | (o_stride != (count - 1) * stride + length))
+                | _at(flags["per_run_start"], many)), "a run group continues its own runs"
             for f, values in zip(("multi", "count", "stride", "outer", "outer_stride"),
                                  (first + many, count, stride, outer, o_stride)):
                 cols[f].add(values, many.size)
         for f, values in (("chan", channel), ("role", role), ("owner", owners),
-                          ("slot_words", slot), ("overlapped", overlapped),
-                          ("per_run_start", per_run_start), ("fresh_start", fresh_start),
-                          ("run_off", first + np.cumsum(counts))):
+                          ("slot_words", slot), *flags.items()):
             cols[f].add(values, n)
 
     def finish(self, continued: bool = False) -> Walk:
@@ -723,7 +714,7 @@ class _Nest:
     productions `prods`, productions per sequence `seq_len` and `rows`),
     the rows of productions [q0, q1) (`rows`), and `write`, which appends
     those productions to a `_WalkWriter`.  A production's rows are itself,
-    its chunks, and its transfers and their run groups.
+    its chunks and its transfers.
 
     `translates` says whether consecutive blocks of one width are
     translates of each other (`runs`): one shape, each transfer one step of
@@ -841,19 +832,19 @@ class _ConvNest(_Nest):
             reload, every_image = sp_all == 0, True
         k = SimpleNamespace(p_w=p_w, every_image=every_image)
         o = g0 + p_o
-        stores = 1 + self.dst.tile_groups(o * tm, np.minimum(self.out_ch, (o + p_w) * tm),
-                                          r0[p_sp], r1[p_sp], c0[p_sp], c1[p_sp])
+        stores = self.dst.tile_groups(o * tm, np.minimum(self.out_ch, (o + p_w) * tm),
+                                      r0[p_sp], r1[p_sp], c0[p_sp], c1[p_sp])
         chunks = np.full(p_o.size, p_w * n_acc)
         if self.preload:
             # which come after a production of one chunk that loads the map
             k.p_o, k.p_sp = np.append(0, p_o), np.append(0, p_sp)
             k.reload, k.chunks = np.append(False, reload), np.append(1, chunks)
-            k.rows_base = np.append(3 + self.ifm.counts[0], 1 + chunks + stores)
+            k.rows_base = np.append(2 + self.ifm.counts[0], 1 + chunks + stores)
         else:
             k.p_o, k.p_sp, k.reload, k.chunks = p_o, p_sp, reload, chunks
-            ifm = n_acc + self.ifm.counts.reshape(n_acc, -1).sum(axis=0)
+            ifm = self.ifm.counts.reshape(n_acc, -1).sum(axis=0)
             k.rows_base = 1 + chunks + p_w * ifm[p_sp] + stores
-        k.rows_wei = 2 * k.chunks * k.reload  # each weight load is one group
+        k.rows_wei = k.chunks * k.reload  # each weight load is one transfer
         k.seq_len = k.chunks.size
         k.prods = ws.batch * k.seq_len
         k.rows = int(ws.batch * k.rows_base.sum()
@@ -909,8 +900,8 @@ class _WuNest(_Nest):
     """Weight update: gradients accumulate over the batch per weight tile;
     updated weights stream out once per block after the last image.  A
     block's weights are read once, as few runs as storage allows
-    (`merge_groups`), under the first chunk of the last image's first
-    production that computes."""
+    (`merge_groups`), one transfer per run group, all under the first chunk
+    of the last image's first production that computes."""
 
     def __init__(self, ws: WalkSpec):
         l, t, tm = ws.layer, ws.tile, ws.tm
@@ -950,38 +941,36 @@ class _WuNest(_Nest):
         r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
         k, (m0, m1) = SimpleNamespace(n_m=n_m), self._m_range(np.arange(g0, g1))
         # the block's weight load, merged, from its origin: a block of this
-        # shape reads it moved to its own
+        # shape reads it moved to its own, one transfer per group
         k.wei = merge_groups(self.wei.block(g0, g1))
         k.wei[:, 0] -= self._origin(g0)
-        load = 1 + len(k.wei)
         last = batch - 1
         if self.reuse:
             # one sequence; an image is one loading production, then one per
             # m-tile of n-tile chunks, which the last image stores
             maps = (self.act.tile_groups(0, l.n, 0, l.r_in, 0, l.c_in)
                     + self.loss.tile_groups(0, l.m, 0, l.r, 0, l.c))
-            k.rows_img = np.append(4 + maps, np.full(n_m, 1 + n_n))
-            k.rows_last = np.append(0, np.full(n_m, 2 * n_n))
+            k.rows_img = np.append(2 + maps, np.full(n_m, 1 + n_n))
+            k.rows_last = np.append(0, np.full(n_m, n_n))
             k.seq_len = k.prods = batch * (1 + n_m)
             k.wei_at = last * (1 + n_m) + 1
             rows = batch * k.rows_img.sum() + k.rows_last.sum()
         elif self.resident:
             # a sequence per m-tile, a production per image, a chunk per n-tile
-            ifm = n_n + self.act.tile_groups(self.n0, self.n1, 0, l.r_in, 0, l.c_in).sum()
-            k.rows_m = 2 + n_n + ifm + self.loss.tile_groups(m0, m1, 0, l.r, 0, l.c)
+            ifm = self.act.tile_groups(self.n0, self.n1, 0, l.r_in, 0, l.c_in).sum()
+            k.rows_m = 1 + n_n + ifm + self.loss.tile_groups(m0, m1, 0, l.r, 0, l.c)
             k.seq_len, k.prods, k.wei_at = batch, n_m * batch, last
-            rows = batch * k.rows_m.sum() + n_m * 2 * n_n
+            rows = batch * k.rows_m.sum() + n_m * n_n
         else:
             # one sequence; a production per (image, m-tile, n-tile), a chunk
             # per spatial tile
-            k.rows_n = 1 + 2 * comp.size + self.act.tile_groups(
+            k.rows_n = 1 + comp.size + self.act.tile_groups(
                 self.n0[:, None], self.n1[:, None], i0, i1, j0, j1).sum(axis=1)
-            k.rows_m = comp.size + self.loss.tile_groups(
-                m0[:, None], m1[:, None], r0, r1, c0, c1).sum(axis=1)
+            k.rows_m = self.loss.tile_groups(m0[:, None], m1[:, None], r0, r1, c0, c1).sum(axis=1)
             k.seq_len = k.prods = batch * n_m * n_n
             k.wei_at = last * n_m * n_n
-            rows = batch * (n_m * k.rows_n.sum() + n_n * k.rows_m.sum()) + n_m * n_n * 2
-        k.load, k.rows = load, int(rows + load)
+            rows = batch * (n_m * k.rows_n.sum() + n_n * k.rows_m.sum()) + n_m * n_n
+        k.rows = int(rows + len(k.wei))
         return k
 
     def _split(self, k: SimpleNamespace, prod: np.ndarray):
@@ -1004,10 +993,10 @@ class _WuNest(_Nest):
             q = m + 1
             rows = k.rows_img[q] + (b == last) * k.rows_last[q]
         elif self.resident:
-            rows = k.rows_m[m] + (b == last) * 2 * self.n0.size
+            rows = k.rows_m[m] + (b == last) * self.n0.size
         else:
-            rows = k.rows_n[n] + k.rows_m[m] + (b == last) * 2
-        return rows + (prod == k.wei_at) * k.load
+            rows = k.rows_n[n] + k.rows_m[m] + (b == last)
+        return rows + (prod == k.wei_at) * len(k.wei)
 
     def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
         l, k, (g0, g1, _) = self.ws.layer, self.shape(g), self.blocks[g]
@@ -1057,7 +1046,8 @@ class _WuNest(_Nest):
         at = np.flatnonzero(prod == k.wei_at)
         if at.size:
             load = k.wei + np.array([self._origin(g0), 0, 0, 0, 0, 0])
-            w.transfers(WEI, LOAD, first[at], (load, np.array([len(load)]), np.zeros(1, np.int64)),
+            w.transfers(WEI, LOAD, np.repeat(first[at], len(load)),
+                        (load, np.ones(len(load), np.int64), 0),
                         overlapped=True, per_run_start=bchw)
         st = np.flatnonzero(stores & (b == self.ws.batch - 1))
         if n is None:  # every n-tile of the m-tile, one chunk store each
@@ -1096,7 +1086,7 @@ class Slice:
 
 def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     """The pass cut into slices of at most `budget` rows (productions,
-    chunks, transfers and run groups) each, every one ending on a
+    chunks and transfers) each, every one ending on a
     production boundary: between weight blocks where the next block does
     not fit, else, inside a block over the budget, between its sequences,
     else between its productions.  A production over the budget is a slice
@@ -1151,7 +1141,7 @@ def walk_wu(ws: WalkSpec, part: Slice) -> Walk:
 
 WALKERS = {Process.FP: walk_fp, Process.BP: walk_bp, Process.WU: walk_wu}
 
-# the most rows (productions, chunks, transfers and run groups) a slice holds
+# the most rows (productions, chunks and transfers) a slice holds
 SLICE_ROWS = 1 << 15
 
 
@@ -1169,14 +1159,21 @@ def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
                 batch: int, idx: int | None = None) -> Iterator[dict[Channel, np.ndarray]]:
     """Each DMA channel's word-address runs in one layer's pass, in bus
     order, as pieces {channel: (n, 2) int64 (start, length)}: slice by slice
-    (`layer_sequences`), a channel at a time, and `SLICE_ROWS` runs at a time
-    give or take a group, as a slice bounds its groups but not their runs."""
+    (`layer_sequences`), a channel at a time (`_channel_runs`)."""
     for walk in layer_sequences(process, layer, plan, kind, batch, idx):
         for c in Channel:
-            groups = walk.groups(walk.on(c))
-            piece = np.cumsum(groups[:, 2] * groups[:, 4]) // SLICE_ROWS  # where each group ends
-            for part in np.split(groups, np.flatnonzero(np.diff(piece)) + 1):
-                yield {c: expand_groups(part)}
+            for runs in _channel_runs(walk, c):
+                yield {c: runs}
+
+
+def _channel_runs(walk: Walk, channel: Channel) -> Iterator[np.ndarray]:
+    """The channel's runs in a walk, in bus order, `SLICE_ROWS` runs at a
+    time give or take a transfer, as a slice bounds its transfers but not
+    their runs."""
+    groups = walk.groups(walk.on(channel))
+    piece = np.cumsum(groups[:, 2] * groups[:, 4]) // SLICE_ROWS  # where each transfer ends
+    for part in np.split(groups, np.flatnonzero(np.diff(piece)) + 1):
+        yield expand_groups(part)
 
 
 # ------------------------------------------------------- network-level map
@@ -1273,11 +1270,18 @@ def _operand_geoms(ws: WalkSpec, process: Process):
     return {Channel.IFM: loss if process is Process.BP else act, Channel.WEI: wei}
 
 
+def _gather(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(lo[i], lo[i] + n[i]) over i, in one pass."""
+    ends = np.cumsum(n)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(lo - ends + n, n)
+
+
 def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
                          process: Process, batch: int, tensors: dict[Channel, np.ndarray],
                          idx: int | None = None) -> dict[Channel, np.ndarray]:
-    """Pack the given operand tensors, walk the pass's trace slice by slice,
-    and rebuild each operand from exactly the words the trace touches."""
+    """Pack the given operand tensors, walk the pass slice by slice, and
+    rebuild each operand from exactly the words its loads touch."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
     geoms = _operand_geoms(ws, process)
     image = DramImage()
@@ -1285,9 +1289,10 @@ def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
         image.add_region(chan.value, geom.words())
         pack(tensors[chan].reshape(shape), geom, image, chan.value)
     read = {chan: np.zeros(geom.words(), dtype=bool) for chan, (geom, _) in geoms.items()}
-    for trace in trace_layer(process, layer, plan, kind, batch, idx):
-        for chan in geoms.keys() & trace.keys():
-            read[chan][_gather(trace[chan][:, 0], trace[chan][:, 1])] = True  # every word read
+    for walk in layer_sequences(process, layer, plan, kind, batch, idx):
+        for chan, mask in read.items():
+            for runs in _channel_runs(walk, chan):
+                mask[_gather(runs[:, 0], runs[:, 1])] = True  # every word read
     # the regions lie in the image in the order of `read`
     words = np.where(np.concatenate([*read.values()]), image.words, np.float32(np.nan))
     return {chan: words[image.region(chan.value)[0] + geom.addr_grid()].reshape(shape)

@@ -212,9 +212,7 @@ def transfer_runs(walk):
     from trainsim.layout import expand_groups
 
     groups = walk.groups(np.arange(walk.chan.size))
-    runs = expand_groups(groups)
-    off = np.concatenate(([0], np.cumsum(groups[:, 2] * groups[:, 4])))[walk.run_off]
-    return runs, off
+    return expand_groups(groups), np.concatenate(([0], np.cumsum(groups[:, 2] * groups[:, 4])))
 
 
 def price_walk_loops(walk, t_start, p):

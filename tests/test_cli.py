@@ -106,6 +106,20 @@ def test_simulate_unknown_layout(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd, flag", [("simulate", "--seed"), ("schedule", "--seed"),
+                                       ("train", "--format"), ("layout-dump", "--format")])
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, cmd, flag):
+    # --seed is read only by train, --format only by estimate and simulate
+    argv = {"simulate": ["--device", "zcu102", "--plan", "alexnet_conv_zcu102"],
+            "schedule": ["--device", "zcu102"], "train": [],
+            "layout-dump": ["--plan", "alexnet_conv_zcu102"]}[cmd]
+    with pytest.raises(SystemExit) as stop:
+        run([cmd, "--net", "alexnet_conv", *argv, "--out", str(tmp_path),
+             flag, "1" if flag == "--seed" else "json"])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_simulate_deviation_within_bound(tmp_path):
     rc = run(["simulate", "--net", "alexnet_conv", "--device", "zcu102",
               "--plan", "alexnet_conv_zcu102", "--batch", "4",

@@ -21,8 +21,8 @@ from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences,
                           stream_estimate)
 from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OUT,
                              STORE, WALKERS, WEI, FeatureGeom, LayoutKind, Walk, _nest,
-                             _WalkWriter, equivalence_check, expand_groups, resolve_walk,
-                             slices)
+                             _WalkWriter, equivalence_check, expand_groups, merge_groups,
+                             resolve_walk, slices)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
                             ceil_div, validate_and_infer)
 from trainsim.plan import Channel, PlanEntry, Process, TilePlan
@@ -87,22 +87,21 @@ def as_groups(rows) -> np.ndarray:
 
 def load_walk(*transfers) -> Walk:
     """A walk of one sequence whose productions each load one transfer of
-    `transfers` on the IFM channel.  A transfer is its run groups (rows of
+    `transfers` on the IFM channel.  A transfer is its run group (a row of
     `as_groups`), its slot width and its pricing flags."""
     w = _WalkWriter()
     seq = w.sequences(1, False)
-    for groups, slot, flags in transfers:
+    for group, slot, flags in transfers:
         chunk = w.chunks(np.array([w.productions(np.array([seq]))]), 0)
-        w.transfers(IFM, LOAD, np.array([chunk]),
-                    (as_groups(groups), np.array([len(groups)]), slot), **flags)
+        w.transfers(IFM, LOAD, np.array([chunk]), (as_groups([group]), np.ones(1), slot), **flags)
     return w.finish()
 
 
 def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
-    """What the pricer charges for one load of `bursts`: a walk of one
-    sequence, production and chunk, with no compute and no store, whose
-    runs (`expand_groups`) are `bursts`."""
-    walk = load_walk(([(*burst, 1, 0) for burst in bursts.tolist()], 0, {}))
+    """What the pricer charges to load `bursts`, maximal bursts of a
+    trace: a walk of one sequence, with no compute and no store, of one
+    production per burst, whose runs (`expand_groups`) are `bursts`."""
+    walk = load_walk(*(((*burst, 1, 0), 0, {}) for burst in bursts.tolist()))
     assert np.array_equal(expand_groups(walk.groups(walk.on(Channel.IFM))), bursts)
     return simulate_sequences(walk, dev).cycles
 
@@ -231,11 +230,10 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
 # what `synthetic_walk` draws, built once: a strategy made afresh for every
 # draw is validated afresh, which costs more than the draw
 SYNTHETIC = SimpleNamespace(
-    # a transfer's run groups: length, count, stride, rows, row stride,
-    # whether the first continues the channel's last run, and start
-    groups=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11),
-                              st.integers(1, 3), st.integers(0, 40), st.booleans(),
-                              st.integers(0, 100)), min_size=1, max_size=3),
+    # a transfer's run group: length, count, stride, rows, row stride,
+    # whether it continues the channel's last run, and start
+    group=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11), st.integers(1, 3),
+                    st.integers(0, 40), st.booleans(), st.integers(0, 100)),
     flags=st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans()),
     sequences=st.lists(st.booleans(), min_size=1, max_size=2),
     productions=st.lists(st.tuples(st.sampled_from([NO_STORE, STORE, CHUNK_STORE]),
@@ -245,25 +243,24 @@ SYNTHETIC = SimpleNamespace(
 
 
 def synthetic_walk(draw) -> Walk:
-    """A walk of random two-level run groups through `_WalkWriter`, whose
-    heads may continue the channel's previous run, with random pricing
-    flags.  Only the groups of `per_run_start` transfers may hold runs that
-    continue the one before them, in a row or from the row before."""
+    """A walk of random two-level run groups through `_WalkWriter`, one per
+    transfer, whose heads may continue the channel's previous run, with
+    random pricing flags.  Only the groups of `per_run_start` transfers may
+    hold runs that continue the one before them, in a row or from the row
+    before."""
     w = _WalkWriter()
     ends = {}  # per channel, the end of its last run
 
     def transfer(channel, role, owner):
         slot, overlapped, per_run_start, fresh_start = draw(SYNTHETIC.flags)
-        groups = []
-        for length, count, stride, outer, o_stride, go_on, start in draw(SYNTHETIC.groups):
-            if not per_run_start:  # any stride but the one that continues
-                stride += stride >= length
-                o_stride += o_stride >= (count - 1) * stride + length
-            start = ends[channel] if go_on and channel in ends else start
-            groups.append((start, length, count, stride, outer, o_stride))
-            ends[channel] = start + (outer - 1) * o_stride + (count - 1) * stride + length
-        w.transfers(channel, role, np.array([owner]),
-                    (as_groups(groups), np.array([len(groups)]), slot),
+        length, count, stride, outer, o_stride, go_on, start = draw(SYNTHETIC.group)
+        if not per_run_start:  # any stride but the one that continues
+            stride += stride >= length
+            o_stride += o_stride >= (count - 1) * stride + length
+        start = ends[channel] if go_on and channel in ends else start
+        ends[channel] = start + (outer - 1) * o_stride + (count - 1) * stride + length
+        group = as_groups([(start, length, count, stride, outer, o_stride)])
+        w.transfers(channel, role, np.array([owner]), (group, np.ones(1), slot),
                     overlapped=role == LOAD and overlapped,
                     per_run_start=per_run_start, fresh_start=fresh_start)
 
@@ -297,18 +294,19 @@ PRS, FRESH = {"per_run_start": True}, {"fresh_start": True}
 @pytest.mark.parametrize("transfers, hist", [
     # the head of a transfer that is neither per_run_start nor fresh_start
     # continues the last run of a per_run_start one: one burst of 4 + 6
-    ([([(0, 4, 3, 10)], 0, PRS), ([(24, 6, 1, 0), (40, 2, 1, 0)], 0, {})], {2: 1, 4: 2, 10: 1}),
+    ([((0, 4, 3, 10), 0, PRS), ((24, 6, 1, 0), 0, {}), ((40, 2, 1, 0), 0, {})],
+     {2: 1, 4: 2, 10: 1}),
     # a per_run_start group whose stride equals its length: every run restarts
-    ([([(0, 4, 5, 4)], 0, PRS)], {4: 5}),
+    ([((0, 4, 5, 4), 0, PRS)], {4: 5}),
     # the same, its last run continued by the next transfer, or not if that
     # one is fresh_start
-    ([([(0, 4, 5, 4)], 0, PRS), ([(20, 3, 1, 0)], 0, {})], {4: 4, 7: 1}),
-    ([([(0, 4, 5, 4)], 0, PRS), ([(20, 3, 1, 0)], 0, FRESH)], {3: 1, 4: 5}),
+    ([((0, 4, 5, 4), 0, PRS), ((20, 3, 1, 0), 0, {})], {4: 4, 7: 1}),
+    ([((0, 4, 5, 4), 0, PRS), ((20, 3, 1, 0), 0, FRESH)], {3: 1, 4: 5}),
     # a per_run_start transfer whose first run continues the one before it
-    # restarts anyway; its multi-run group is not its last
-    ([([(0, 4, 1, 0)], 0, {}), ([(4, 4, 2, 8), (30, 5, 1, 0)], 0, PRS)], {4: 3, 5: 1}),
+    # restarts anyway, and so does the one after it
+    ([((0, 4, 1, 0), 0, {}), ((4, 4, 2, 8), 0, PRS), ((30, 5, 1, 0), 0, PRS)], {4: 3, 5: 1}),
     # runs of one length under two slot widths price apart
-    ([([(0, 6, 3, 10)], 3, PRS), ([(100, 6, 3, 10)], 0, PRS), ([(200, 6, 2, 7)], 3, {})],
+    ([((0, 6, 3, 10), 3, PRS), ((100, 6, 3, 10), 0, PRS), ((200, 6, 2, 7), 3, {})],
      {6: 8}),
 ], ids=["continued last run", "stride equals length", "stride equals length, continued",
         "stride equals length, fresh next", "continuing head", "two slot widths"])
@@ -349,15 +347,13 @@ def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
     groups = walk.groups(trs)
     multi = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
     count, stride, outer, outer_stride = groups[multi, 2:].T
-    per_tr = walk.run_off[trs + 1] - walk.run_off[trs]
     cols = {f: getattr(walk, f)[trs] for f in (
         "chan", "role", "slot_words", "overlapped", "per_run_start", "fresh_start")}
     return Walk(tail_start=walk.tail_start[seq[0]:seq[-1] + 1], prod_seq=seq - seq[0],
                 prod_store=walk.prod_store[lo:hi], chunk_prod=walk.chunk_prod[chunks] - lo,
                 comp=walk.comp[chunks],
                 owner=walk.owner[trs] - np.where(load[trs], chunks[0], lo),
-                run_off=np.append(0, np.cumsum(per_tr)), start=groups[:, 0],
-                length=groups[:, 1], multi=multi, count=count, stride=stride, outer=outer,
+                start=groups[:, 0], length=groups[:, 1], multi=multi, count=count, stride=stride, outer=outer,
                 outer_stride=outer_stride,
                 continued=hi < walk.prod_seq.size and walk.prod_seq[hi] == seq[-1], **cols)
 
@@ -386,8 +382,8 @@ def test_slices_fold_to_whole_walk(data, p, t_start):
 
 
 def walk_rows(walk: Walk) -> int:
-    """Productions, chunks, transfers and run groups: what a slice budgets."""
-    return walk.prod_seq.size + walk.comp.size + walk.chan.size + walk.start.size
+    """Productions, chunks and transfers: what a slice budgets."""
+    return walk.prod_seq.size + walk.comp.size + walk.chan.size
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,20 +414,62 @@ def test_walker_slices_fold_to_whole_pass(data):
 
 def test_bchw_tiles_are_one_group_each():
     # alexnet_conv b4 under bchw, walked in the pricer's slices: a tile's
-    # channel x row lattice is one run group, so its 39,971 transfers hold
-    # 40,275 groups (418,211 when each channel of a tile was a group)
+    # channel x row lattice is one run group, and a transfer is one group,
+    # so its passes are 40,275 transfers (418,211 groups when each channel
+    # of a tile was a group)
     net, plan = load_network("alexnet_conv", 4), load_plan("alexnet_conv_zcu102")
-    transfers = groups = 0
+    transfers = 0
     for idx in sorted(plan.entries):
         for process in Process:
             if process is Process.BP and idx == 0:
                 continue  # loss is never propagated past the first layer
             ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.BCHW, 4)
             for part in slices(ws, process, SLICE_ROWS):
-                walk = WALKERS[process](ws, part)
-                transfers, groups = transfers + walk.chan.size, groups + walk.start.size
-    assert transfers == 39_971
-    assert groups <= 41_483
+                transfers += WALKERS[process](ws, part).chan.size
+    assert transfers == 40_275
+
+
+def one_load_per_channel(walk: Walk) -> bool:
+    """Whether every chunk holds at most one non-overlapped load per
+    channel, as the pipeline's max over a chunk's loads assumes: loads on
+    different channels run side by side, loads on one would queue."""
+    loads = (walk.role == LOAD) & ~walk.overlapped
+    keys = walk.owner[loads] * len(CHANNELS) + walk.chan[loads]
+    return np.unique(keys).size == keys.size
+
+
+def test_golden_chunks_load_each_channel_once():
+    assert all(one_load_per_channel(walk) for walk in walk_table().values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), process=st.sampled_from(list(Process)), batch=st.integers(1, 3))
+def test_reshaped_chunks_load_each_channel_once(data, process, batch):
+    layer, plan = reshaped_case(data.draw, process)
+    walk = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch)
+    assert one_load_per_channel(walk)
+
+
+def test_bchw_wu_weight_loads_are_the_merged_block():
+    # each bchw WU golden pass, one weight block, reads it in one chunk as
+    # one overlapped per_run_start transfer per group of `merge_groups`;
+    # 15 of the 22 are more than one group
+    checked, split = 0, 0
+    for key in GOLDEN_KEYS:
+        case, idx, proc, kind = key.split("/")
+        if (proc, kind) != (Process.WU.value, LayoutKind.BCHW):
+            continue
+        _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
+        ws = resolve_walk(net.layers[int(idx)], plan, int(idx), Process.WU, kind, batch)
+        (g0, g1, _), = _nest(ws, Process.WU).blocks
+        walk = walk_table()[key]
+        wei = walk.on(Channel.WEI)
+        assert np.unique(walk.owner[wei]).size == 1
+        assert walk.overlapped[wei].all() and walk.per_run_start[wei].all()
+        assert np.array_equal(expand_groups(walk.groups(wei)),
+                              expand_groups(merge_groups(ws.weight_geom().block(g0, g1))))
+        checked, split = checked + 1, split + (wei.size > 1)
+    assert (checked, split) == (22, 15)
 
 
 def test_slice_of_empty_loads():
@@ -501,17 +539,12 @@ WALK_COLUMNS = [f.name for f in dataclasses.fields(Walk) if f.name not in ("star
 
 
 def transfer_steps(a: Walk, b: Walk) -> np.ndarray | None:
-    """How far each transfer's run groups move from walk a to walk b, if b
-    is a with each transfer's groups moved by one step of its own and
-    nothing else changed; None if it is not.  A transfer without runs
-    moves by 0."""
+    """How far each transfer's run group moves from walk a to walk b, if b
+    is a with each transfer's group moved and nothing else changed; None
+    if it is not."""
     if not all(np.array_equal(getattr(a, f), getattr(b, f)) for f in WALK_COLUMNS):
         return None
-    tr = np.repeat(np.arange(a.chan.size), np.diff(a.run_off))  # per run group
-    moved = b.start - a.start
-    step = np.zeros(a.chan.size, dtype=np.int64)
-    step[tr] = moved
-    return step if np.array_equal(step[tr], moved) else None
+    return b.start - a.start
 
 
 def translate(nest) -> bool:
@@ -533,8 +566,8 @@ def translate(nest) -> bool:
             return False
         restarts = walk.fresh_start | walk.per_run_start
         for c in range(len(CHANNELS)):
-            # the channel's transfers with runs, each after the one before it
-            trs = np.flatnonzero((walk.chan == c) & (np.diff(walk.run_off) > 0))
+            # the channel's transfers, each after the one before it
+            trs = np.flatnonzero(walk.chan == c)
             step = moves[0][trs]
             if not np.all((step == np.roll(step, 1)) | restarts[trs]):
                 return False
