@@ -229,7 +229,7 @@ def price_walk_loops(walk, t_start, p):
         "role", "owner", "slot_words", "overlapped", "per_run_start",
         "fresh_start")}
     runs, off = transfer_runs(walk)
-    col["run_off"], col["start"], col["length"] = off.tolist(), *runs.T.tolist()
+    col["first_run"], col["start"], col["length"] = off.tolist(), *runs.T.tolist()
     loads, stores, chunks, prods = {}, {}, {}, {}
     for t, (role, owner) in enumerate(zip(col["role"], col["owner"])):
         (loads if role == LOAD else stores).setdefault(owner, []).append(t)
@@ -249,7 +249,7 @@ def price_walk_loops(walk, t_start, p):
     def price(t):
         ch, slot = col["chan"][t], col["slot_words"][t]
         runs = []
-        for i in range(col["run_off"][t], col["run_off"][t + 1]):
+        for i in range(col["first_run"][t], col["first_run"][t + 1]):
             s, n = col["start"][i], col["length"][i]
             if runs and not col["per_run_start"][t] and sum(runs[-1]) == s:
                 runs[-1] = (runs[-1][0], runs[-1][1] + n)

@@ -353,8 +353,8 @@ def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
                 prod_store=walk.prod_store[lo:hi], chunk_prod=walk.chunk_prod[chunks] - lo,
                 comp=walk.comp[chunks],
                 owner=walk.owner[trs] - np.where(load[trs], chunks[0], lo),
-                start=groups[:, 0], length=groups[:, 1], multi=multi, count=count, stride=stride, outer=outer,
-                outer_stride=outer_stride,
+                start=groups[:, 0], length=groups[:, 1], multi=multi, count=count,
+                stride=stride, outer=outer, outer_stride=outer_stride,
                 continued=hi < walk.prod_seq.size and walk.prod_seq[hi] == seq[-1], **cols)
 
 
