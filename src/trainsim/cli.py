@@ -13,8 +13,10 @@ import csv
 import io
 import json
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,25 @@ def _dump_pass(w, traces, key: tuple, bases: dict, spools: dict) -> None:
         f.truncate(f.seek(0))  # empty for the next pass
 
 
+@contextlib.contextmanager
+def _exit_on_sigterm():
+    """For its body, if run on the main thread, SIGTERM raises
+    SystemExit(143): the process exits with the status a shell gives a
+    terminated one, but unwinds first, so `finally` clauses run.  The
+    previous handler comes back after."""
+    if threading.current_thread() is not threading.main_thread():
+        yield  # only the main thread may set a handler
+        return
+
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_layout_dump(args) -> int:
     net = config.load_network(args.net, args.batch)
     plan = config.load_plan(args.plan)
@@ -192,24 +213,26 @@ def cmd_layout_dump(args) -> int:
     table, entries = layout.dma_start_table(net, plan, kind)
     bases = {(e.layer, e.process, e.channel): e.start for e in entries}
     out = _out_dir(args)
-    # written aside and renamed into place, so that a failed dump leaves none
+    # written aside and renamed into place, so that a failed or terminated
+    # dump leaves none
     part = out / f"layout_{kind}.csv.part"
-    try:
-        with open(part, "w", newline="") as f, contextlib.ExitStack() as stack:
-            spools = {c: stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=out))
-                      for c in Channel}
-            csv.writer(f).writerow(["layer", "process", "channel", "burst_index",
-                                    "start_word", "length"])
-            for i in sorted(plan.entries):
-                for proc in Process:
-                    if proc is Process.BP and i == 0:
-                        continue
-                    traces = layout.trace_layer(proc, net.layers[i], plan, kind,
-                                                net.batch, idx=i)
-                    _dump_pass(f, traces, (i, proc.value), bases, spools)
-        part.replace(out / f"layout_{kind}.csv")
-    finally:
-        part.unlink(missing_ok=True)
+    with _exit_on_sigterm():
+        try:
+            with open(part, "w", newline="") as f, contextlib.ExitStack() as stack:
+                spools = {c: stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=out))
+                          for c in Channel}
+                csv.writer(f).writerow(["layer", "process", "channel", "burst_index",
+                                        "start_word", "length"])
+                for i in sorted(plan.entries):
+                    for proc in Process:
+                        if proc is Process.BP and i == 0:
+                            continue
+                        traces = layout.trace_layer(proc, net.layers[i], plan, kind,
+                                                    net.batch, idx=i)
+                        _dump_pass(f, traces, (i, proc.value), bases, spools)
+            part.replace(out / f"layout_{kind}.csv")
+        finally:
+            part.unlink(missing_ok=True)
     print(f"wrote layout_{kind}.csv ({len(table)} regions)")
     return EXIT_OK
 

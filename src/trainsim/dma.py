@@ -4,9 +4,9 @@ A burst is a maximal run of consecutive word addresses; the DMA restarts
 (t_start cycles) at every discontinuity and otherwise streams p words per
 cycle.  `split_bursts` merges a trace (an (n, 2) run array, as
 `layout.trace_layer` gives one per channel and slice) into its bursts,
-which `layout-dump` lists.  The pricer charges more restarts than that: a
-transfer's descriptor policy (`per_run_start`, `fresh_start`) restarts
-runs that would continue their predecessor.
+which `layout-dump` lists.  The pricer charges more restarts than that:
+the pass's descriptor policy (`layout.Walk.restarts`) restarts runs that
+would continue their predecessor.
 
 The layer simulator prices a columnar `layout.Walk`: the exact
 production pipeline the analytic model assumes, with every transfer priced
@@ -17,12 +17,12 @@ at a time, in two steps:
   transfer's runs are one run group (`layout.Walk`), such as a tile's
   channel x row lattice: `outer` rows of `count` runs of one length, the
   last starting at start + (outer-1)*outer_stride + (count-1)*stride.  A
-  run restarts if its transfer is `per_run_start`, if it is the first run
-  of a `fresh_start` transfer, or if it does not continue the channel's
+  run restarts if the walk is `per_run_start`, if it is a transfer's first
+  on a `fresh_start` channel, or if it does not continue the channel's
   previous run, so streams that genuinely continue across loop steps (the
   forward weight scan, block-sized output slabs) pay no second restart.
   No run of a transfer continues the one before it, at either level,
-  unless it is `per_run_start`, so every run of a transfer but its
+  unless the walk is `per_run_start`, so every run of a transfer but its
   first restarts, and only the first can continue the channel's last run.
   A transfer then costs its runs' beats (the slot rule of `_beats`) and
   t_start per restart, in closed form.  Bursts are the runs between
@@ -51,10 +51,10 @@ source tiles, each of its weight and output transfers sits one fixed step
 of its own past the previous block's, and its rows, flags and run lengths
 are the same (`layout._Nest`; bchw and bhwc have one block per pass).
 Wherever two consecutive transfers of a channel move by different steps,
-such as BP's block loads over m-tiles of two widths, the later one
-restarts at its head whatever its address.  A block then prices alike
-wherever it follows a translate, since every continuity test that decides
-a restart or the open burst comes out the same, and the carry
+such as BP's block loads over m-tiles of two widths, the pass's policy
+restarts every transfer of that channel at its head.  A block then prices
+alike wherever it follows a translate, since every continuity test that
+decides a restart or the open burst comes out the same, and the carry
 hands on the same open burst.  `simulate_layer` prices the first three
 blocks of a run of four or more as above, takes the `Carry` step over the
 third, and adds it for the rest in closed form where `Carry.repeat` can;
@@ -121,10 +121,10 @@ class _Stream:
         return replace(self, hist=dict(self.hist))
 
 
-def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream,
+                   fresh: bool) -> tuple[np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
-    order), whose bursts continue the channel's stream `s`."""
+    order), continuing its stream `s`; if `fresh`, each restarts at its head."""
     many, count, stride, outer, o_stride = walk.repeats(trs)  # many: two runs or more
     start, length = walk.start[trs], walk.length[trs]
     runs = np.ones(trs.size, dtype=np.int64)
@@ -137,7 +137,7 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream
     s.end = int(end[-1])
     del start, end
     # whether a transfer's first run restarts; every run after it does
-    head = ~cont | walk.per_run_start[trs] | walk.fresh_start[trs]
+    head = ~cont | fresh
     restarts = runs - 1 + head
     cycles = runs * _beats(length, walk.slot_words[trs], dev.p) + restarts * dev.t_start
     s.words += int(runs @ length)
@@ -237,7 +237,7 @@ def simulate_sequences(walk: Walk, dev: DeviceSpec, carry: Carry | None = None) 
     for chan, s in zip(CHANNELS, carry.streams):
         trs = walk.on(chan)
         if trs.size:
-            cost[trs], restarts[trs] = _price_channel(walk, trs, dev, s)
+            cost[trs], restarts[trs] = _price_channel(walk, trs, dev, s, walk.restarts(chan))
 
     loads = (walk.role == LOAD) & ~walk.overlapped
     load = np.zeros(walk.comp.size, dtype=np.int64)

@@ -23,7 +23,7 @@ outer_stride) (`expand_groups` turns groups into runs).  `FeatureGeom.tiles`
 and `WeightGeom.tiles` give many tiles' groups in one call (`_strided`),
 one group per tile, such as the channel x row lattice of a BCHW tile.  No
 run of a group continues the one before it, in its row or from the row
-before, unless its transfer restarts every run anyway (`per_run_start`),
+before, unless its pass restarts every run anyway (`per_run_start`),
 so a pricer needs only a group's first and last run to see where it joins
 its neighbours.  A slice of a layer pass is one columnar trace, a `Walk`
 of sequences, productions, chunks and transfers, each transfer one run
@@ -42,18 +42,18 @@ descriptor flags (`_Nest`), `slices` marks the run, so that dma.py prices
 it once.  WU reads a block's weights (`WeightGeom.block`) as one transfer
 per run group of `merge_groups`, the maximal contiguous runs of its tiles.
 
-Descriptor policy lives where transfers are made: every feature load is
-its own descriptor (`fresh_start`), every BCHW transfer is one descriptor
-per run (`per_run_start`), and `_ConvNest.write` builds the reshaped BP
-weight block.  dma.py prices the flags and the pipeline, one channel at a
-time.
+Descriptor policy is the pass's, stated once by its nest (`_Nest`): under
+BCHW every run is its own descriptor (`per_run_start`), every feature load
+and reshaped BP weight-block load is its own (`fresh_start`, per channel),
+and FP and BP end each sequence on a restart (`tail_start`).  dma.py
+prices the policy and the pipeline, one channel at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby
 from types import SimpleNamespace
@@ -474,8 +474,9 @@ class Walk:
     (`groups`, `expand_groups`), each run at least one word.  Many
     transfers are one run, so the columns keep every transfer's first run,
     and its two levels only for a transfer of more than one (`multi`).  No
-    run of a transfer continues the one before it unless the transfer is
-    `per_run_start`, which restarts every run anyway.
+    run of a transfer continues the one before it unless the walk is
+    `per_run_start`, which restarts every run anyway.  Its descriptor policy
+    is its pass's (`_Nest`, `restarts`).
     """
 
     tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
@@ -488,8 +489,6 @@ class Walk:
     owner: np.ndarray          # per transfer: its chunk (loads) or production
     slot_words: np.ndarray     # per transfer: consumer slot width, 0 for none
     overlapped: np.ndarray     # per transfer: on the bus, hidden by the pipeline
-    per_run_start: np.ndarray  # per transfer: one descriptor (restart) per run
-    fresh_start: np.ndarray    # per transfer: own descriptor, restarts anyway
     start: np.ndarray          # per transfer: first word of its first run
     length: np.ndarray         # per transfer: words per run
     multi: np.ndarray          # ascending: the transfers of more than one run
@@ -497,11 +496,17 @@ class Walk:
     stride: np.ndarray         # per multi transfer: words from run to run of a row
     outer: np.ndarray          # per multi transfer: rows
     outer_stride: np.ndarray   # per multi transfer: words from row to row
+    per_run_start: bool        # every run is its own descriptor (restart)
+    fresh_start: np.ndarray    # per channel code: every transfer its own descriptor
     continued: bool = False    # its last sequence goes on in the next slice
 
     def on(self, channel: Channel) -> np.ndarray:
         """Indices of the channel's transfers, in bus order."""
         return np.flatnonzero(self.chan == CHANNELS.index(channel))
+
+    def restarts(self, channel: Channel) -> bool:
+        """Whether every transfer of the channel restarts at its head."""
+        return self.per_run_start or bool(self.fresh_start[CHANNELS.index(channel)])
 
     @cached_property
     def _rank(self) -> np.ndarray:
@@ -556,20 +561,20 @@ class _WalkWriter:
     """Appends a walk's rows a block at a time; `finish` hands out the
     columns.  Each call returns the index of the first row it appended, so
     walkers point rows at their parents by offset.  Sequences, productions
-    and chunks go in bus order; so do each channel's transfers."""
+    and chunks go in bus order; so do each channel's transfers.  It takes
+    the walk's descriptor policy (`_Nest`) once."""
 
-    FLAGS = ("tail_start", "overlapped", "per_run_start", "fresh_start")
-    CODES = ("chan", "role")
-    INTS = ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "start", "length",
-            "multi", "count", "stride", "outer", "outer_stride")
+    COLUMNS = {np.bool_: ("tail_start", "overlapped"), np.int8: ("chan", "role"),
+               np.int64: ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "start",
+                          "length", "multi", "count", "stride", "outer", "outer_stride")}
 
-    def __init__(self):
-        self.cols = {f: _Column(np.bool_) for f in self.FLAGS}
-        self.cols.update({f: _Column(np.int8) for f in self.CODES})
-        self.cols.update({f: _Column(np.int64) for f in self.INTS})
+    def __init__(self, per_run_start=False, fresh: tuple[int, ...] = (), tail_start=False):
+        self.per_run_start, self.tail_start = per_run_start, tail_start
+        self.fresh_start = np.isin(np.arange(len(CHANNELS)), fresh)
+        self.cols = {f: _Column(dtype) for dtype, fs in self.COLUMNS.items() for f in fs}
 
-    def sequences(self, n: int, tail_start: bool) -> int:
-        return self.cols["tail_start"].add(tail_start, n)
+    def sequences(self, n: int) -> int:
+        return self.cols["tail_start"].add(self.tail_start, n)
 
     def productions(self, seq: np.ndarray) -> int:
         return self.cols["prod_seq"].add(seq, seq.size)
@@ -580,31 +585,28 @@ class _WalkWriter:
 
     def transfers(self, channel: int, role: int, owners: np.ndarray,
                   tiles: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  overlapped=False, per_run_start=False, fresh_start=False) -> None:
+                  overlapped=False) -> None:
         """One transfer per owner (its chunk for a load, its production for
         a store) whose tile has a run group, with the groups and slot widths
-        of `tiles`; the flags are per owner or one for all."""
+        of `tiles`; `overlapped` is per owner or one for all."""
         groups, has, slot = tiles
-        flags = {"overlapped": overlapped, "per_run_start": per_run_start,
-                 "fresh_start": fresh_start}
         if len(groups) < owners.size:  # an empty tile moves nothing
             keep = np.flatnonzero(has)
-            owners, slot = owners[keep], _at(slot, keep)
-            flags = {f: _at(v, keep) for f, v in flags.items()}
+            owners, slot, overlapped = owners[keep], _at(slot, keep), _at(overlapped, keep)
         n, cols = owners.size, self.cols
         first = cols["start"].add(groups[:, 0], n)
         cols["length"].add(groups[:, 1], n)
         if groups[:, 2:5:2].max(initial=1) > 1:  # a group of more than one run
             many = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
             _, length, count, stride, outer, o_stride = groups[many].T
-            assert np.all(((count == 1) | (stride != length)) & (
-                (outer == 1) | (o_stride != (count - 1) * stride + length))
-                | _at(flags["per_run_start"], many)), "a run group continues its own runs"
+            assert self.per_run_start or np.all(((count == 1) | (stride != length)) & (
+                (outer == 1) | (o_stride != (count - 1) * stride + length))), \
+                "a run group continues its own runs"
             for f, values in zip(("multi", "count", "stride", "outer", "outer_stride"),
                                  (first + many, count, stride, outer, o_stride)):
                 cols[f].add(values, many.size)
         for f, values in (("chan", channel), ("role", role), ("owner", owners),
-                          ("slot_words", slot), *flags.items()):
+                          ("slot_words", slot), ("overlapped", overlapped)):
             cols[f].add(values, n)
 
     def finish(self, continued: bool = False) -> Walk:
@@ -612,7 +614,8 @@ class _WalkWriter:
         stores = cols["role"] != LOAD
         prod_store = np.full(cols["prod_seq"].size, NO_STORE, dtype=np.int8)
         prod_store[cols["owner"][stores]] = cols["role"][stores]
-        return Walk(**cols, prod_store=prod_store, continued=continued)
+        return Walk(**cols, prod_store=prod_store, per_run_start=self.per_run_start,
+                    fresh_start=self.fresh_start, continued=continued)
 
 
 @dataclass(frozen=True)
@@ -622,7 +625,7 @@ class WalkSpec:
     layer: LayerSpec
     tm: int
     tn: int
-    tile: LayerTile      # resolved for the process being walked
+    tile: LayerTile      # resolved for the process being walked (`resolve_walk`)
     fp_m_on: int         # weight storage block size (forward-side)
     kind: str
     batch: int
@@ -634,21 +637,23 @@ class WalkSpec:
 
     def weight_geom(self) -> WeightGeom:
         l = self.layer
-        m_on = min(self.fp_m_on, ceil_div(l.m, self.tm) * self.tm)
-        if self.kind == LayoutKind.BHWC_REUSE:
-            m_on = ceil_div(l.m, self.tm) * self.tm  # pre-allocated, no blocking
-        return WeightGeom(self.kind, l.m, l.n, l.k, self.tm, self.tn, m_on)
+        return WeightGeom(self.kind, l.m, l.n, l.k, self.tm, self.tn, self.fp_m_on)
 
 
 def resolve_walk(layer: LayerSpec, plan: TilePlan, idx: int | None, process: Process,
                  kind: str, batch: int) -> WalkSpec:
     """What the walkers need for `layer`, which is plan entry `idx`; only a
-    one-layer plan may leave `idx` out (None)."""
+    one-layer plan may leave `idx` out (None).  Only reshaped blocks a
+    pass's weights by the plan's M_on: under BCHW and BHWC the tile's M_on
+    covers every output channel, so the pass is one weight block."""
     if idx is None:
         if len(plan.entries) != 1:
             raise ValueError("idx required for multi-layer plans")
         idx = next(iter(plan.entries))
     tile = plan.tile_for(idx, layer, process)
+    if kind != LayoutKind.RESHAPED:
+        side = layer.n if process is Process.BP else layer.m
+        tile = replace(tile, m_on=ceil_div(side, plan.tm) * plan.tm)
     fp_m_on = plan.tile_for(idx, layer, Process.FP).m_on
     return WalkSpec(layer=layer, tm=plan.tm, tn=plan.tn, tile=tile,
                     fp_m_on=fp_m_on, kind=kind, batch=batch)
@@ -716,18 +721,26 @@ class _Nest:
     those productions to a `_WalkWriter`.  A production's rows are itself,
     its chunks and its transfers.
 
+    A subclass states its pass's descriptor policy once (`policy`, as
+    `_WalkWriter` takes it): whether every sequence ends on a restart, and
+    the channels whose every transfer is its own descriptor besides the
+    feature loads (`fresh`); under BCHW every run is.
+
     `translates` says whether consecutive blocks of one width are
     translates of each other (`runs`): one shape, each transfer one step of
     its own further on per block (`FeatureGeom.shifts`), and wherever two
     consecutive transfers of a channel move by different steps, the later
     one restarting at its head whatever its address.  So each channel of
-    `moves` (the steps from the first block's tile origins to the second's,
-    and whether it restarts at every head) restarts or moves by one step."""
+    `moves` (the steps from the first block's tile origins to the second's)
+    moves by one step, or the policy restarts each of its transfers."""
 
-    def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]],
-                 shifts: bool, moves: list[tuple[np.ndarray, bool]]):
+    def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]], shifts: bool,
+                 moves: dict[int, np.ndarray], tail_start: bool, fresh: tuple[int, ...] = ()):
         self.ws, self.blocks = ws, tile_blocks
-        self.translates = shifts and all(restart or np.ptp(step) == 0 for step, restart in moves)
+        per_run_start, fresh = ws.kind == LayoutKind.BCHW, (IFM, OFM, *fresh)
+        self.policy = per_run_start, fresh, tail_start
+        self.translates = shifts and all(per_run_start or c in fresh or np.ptp(step) == 0
+                                         for c, step in moves.items())
         self._shapes: dict[tuple[int, int], SimpleNamespace] = {}
         self.starts = [0, *accumulate(self.shape(g).prods for g in range(len(tile_blocks)))]
 
@@ -753,7 +766,7 @@ class _Nest:
 
     def walk(self, lo: int, hi: int) -> Walk:
         """Productions [lo, hi) of the pass."""
-        w = _WalkWriter()
+        w = _WalkWriter(*self.policy)
         g = bisect_right(self.starts, lo) - 1
         while g < len(self.blocks) and self.starts[g] < hi:
             first = self.starts[g]
@@ -788,7 +801,6 @@ class _ConvNest(_Nest):
         self.sp = _spatial_tiles(ws, rows, cols, window, src_rows, src_cols).T
         self.a0 = np.arange(0, acc_ch, ws.tn)
         self.a1 = np.minimum(acc_ch, self.a0 + ws.tn)
-        self.bchw = kind == LayoutKind.BCHW
         self.preload = int(kind == LayoutKind.BHWC_REUSE)
         # the source tiles: the whole map, or one per (accumulation, spatial) tile
         if self.preload:
@@ -798,15 +810,15 @@ class _ConvNest(_Nest):
             _, _, i0, i1, _, _, j0, j1, _ = self.sp[:, sp]
             self.ifm = _TileTable(src, self.a0[a], self.a1[a], i0, i1, j0, j1)
         self.bp_block = kind == LayoutKind.RESHAPED and not self.fp
-        m_on = t.m_on if kind == LayoutKind.RESHAPED else ceil_div(out_ch, ws.tm) * ws.tm
         # a block moves its output and weight tiles m_on channels on, and its
         # source tiles not at all: the tile origins of the first two blocks
-        # give the steps.  BP's block loads restart, as every bchw transfer does
-        ch = (np.arange(0, min(m_on, out_ch), ws.tm) + np.array([[0], [m_on]]))[..., None]
+        # give the steps.  BP's block load is a descriptor of its own
+        ch = (np.arange(0, min(t.m_on, out_ch), ws.tm) + np.array([[0], [t.m_on]]))[..., None]
         wei = self.wei._addr(*((ch, self.a0) if self.fp else (self.a0, ch)), 0, 0)
         out = self.dst._addr(np.arange(ws.batch), ch, 0, 0)
-        moves = [(wei[1] - wei[0], self.bp_block or self.bchw), (out[1] - out[0], self.bchw)]
-        super().__init__(ws, _tile_blocks(out_ch, m_on, ws.tm), self.dst.shifts(m_on), moves)
+        super().__init__(ws, _tile_blocks(out_ch, t.m_on, ws.tm), self.dst.shifts(t.m_on),
+                         {WEI: wei[1] - wei[0], OUT: out[1] - out[0]}, True,
+                         (WEI,) if self.bp_block else ())
 
     def _shape(self, g0: int, g1: int) -> SimpleNamespace:
         ws, kind, tm, n_o, n_acc = self.ws, self.ws.kind, self.ws.tm, g1 - g0, self.a0.size
@@ -820,7 +832,7 @@ class _ConvNest(_Nest):
             # spatial tile, BP the whole block in its first production
             p_o, p_sp, p_w = np.repeat(np.arange(n_o), r0.size), np.tile(sp_all, n_o), 1
             reload, every_image = (p_sp == 0 if self.fp else np.arange(p_o.size) == 0), False
-        elif self.bchw:
+        elif kind == LayoutKind.BCHW:
             # baseline: channel tiles innermost, weights refetched every chunk
             p_o, p_sp, p_w = np.tile(np.arange(n_o), r0.size), np.repeat(sp_all, n_o), 1
             reload, every_image = np.ones(p_o.size, dtype=bool), True
@@ -858,10 +870,10 @@ class _ConvNest(_Nest):
 
     def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
         k, (g0, g1, width) = self.shape(g), self.blocks[g]
-        tm, tn, bchw = self.ws.tm, self.ws.tn, self.bchw
+        tm, tn = self.ws.tm, self.ws.tn
         r0, r1, _, _, c0, c1, _, _, comp = self.sp
         b, q = np.divmod(np.arange(q0, q1), k.seq_len)
-        s = w.sequences(int(b[-1] - b[0]) + 1, True)
+        s = w.sequences(int(b[-1] - b[0]) + 1)
         p = w.productions(s + b - b[0])
         # each chunk's production (in this range), image, output and
         # accumulation tile, and spatial tile
@@ -872,28 +884,24 @@ class _ConvNest(_Nest):
         c = w.chunks(p + cp, np.where(loads, comp[sp], 0))
         if self.preload:
             pre = np.flatnonzero(~loads)
-            w.transfers(IFM, LOAD, c + pre, self.ifm.take(bc[pre], np.zeros_like(pre)),
-                        fresh_start=True)
+            w.transfers(IFM, LOAD, c + pre, self.ifm.take(bc[pre], np.zeros_like(pre)))
         else:
-            w.transfers(IFM, LOAD, c + np.arange(cp.size), self.ifm.take(bc, a * r0.size + sp),
-                        per_run_start=bchw, fresh_start=True)
+            w.transfers(IFM, LOAD, c + np.arange(cp.size), self.ifm.take(bc, a * r0.size + sp))
         ld = np.flatnonzero(k.reload[qc] & (k.every_image | (bc == 0)))
         if self.bp_block:
             # one descriptor per block; its first chunk does not wait for it
             groups, counts, _ = self.wei.tiles(a[ld], g0, g1)
             w.transfers(WEI, LOAD, c + ld, (groups, counts, width * min(tn, self.acc_ch)),
-                        overlapped=a[ld] == 0, fresh_start=True)
+                        overlapped=a[ld] == 0)
         else:
             ow = g0 + o[ld]
             w.transfers(WEI, LOAD, c + ld,
-                        self.wei.tiles(ow, a[ld]) if self.fp else self.wei.tiles(a[ld], ow),
-                        per_run_start=bchw)
+                        self.wei.tiles(ow, a[ld]) if self.fp else self.wei.tiles(a[ld], ow))
         st = np.flatnonzero(q >= self.preload)
         o, sp = g0 + k.p_o[q[st]], k.p_sp[q[st]]
         w.transfers(OUT, STORE, p + st,
                     self.dst.tiles(b[st], o * tm, np.minimum(self.out_ch, (o + k.p_w) * tm),
-                                   r0[sp], r1[sp], c0[sp], c1[sp]),
-                    per_run_start=bchw)
+                                   r0[sp], r1[sp], c0[sp], c1[sp]))
 
 
 class _WuNest(_Nest):
@@ -911,21 +919,19 @@ class _WuNest(_Nest):
         self.map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
         self.n0 = np.arange(0, l.n, ws.tn)
         self.n1 = np.minimum(l.n, self.n0 + ws.tn)
-        self.bchw = ws.kind == LayoutKind.BCHW
-        resident = l.r <= t.tr and not self.bchw
+        resident = l.r <= t.tr and ws.kind != LayoutKind.BCHW
         # channel-last reuse streams both maps in whole; otherwise a resident
         # loss map is one chunk per n-tile, and a tiled one a chunk per
         # spatial tile
         self.reuse = resident and ws.kind == LayoutKind.BHWC_REUSE
         self.resident = resident and not self.reuse
         self.sp = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
-        m_on = t.m_on if ws.kind == LayoutKind.RESHAPED else ceil_div(l.m, tm) * tm
         # a block moves its loss and weight tiles m_on channels on, and its
         # activation tiles not at all; every loss load restarts
-        ch = (np.arange(0, min(m_on, l.m), tm) + np.array([[0], [m_on]]))[..., None]
+        ch = (np.arange(0, min(t.m_on, l.m), tm) + np.array([[0], [t.m_on]]))[..., None]
         wei = self.wei._addr(ch, self.n0, 0, 0)
-        moves = [(wei[1] - wei[0], self.bchw)]
-        super().__init__(ws, _tile_blocks(l.m, m_on, tm), self.loss.shifts(m_on), moves)
+        super().__init__(ws, _tile_blocks(l.m, t.m_on, tm), self.loss.shifts(t.m_on),
+                         {WEI: wei[1] - wei[0]}, False)
 
     def _m_range(self, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The loss channels [m0, m1) of m-tiles `mt`."""
@@ -1000,62 +1006,56 @@ class _WuNest(_Nest):
 
     def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
         l, k, (g0, g1, _) = self.ws.layer, self.shape(g), self.blocks[g]
-        n_n, bchw = self.n0.size, self.bchw
+        n_n = self.n0.size
         prod = np.arange(q0, q1)
         b, m, n, loading = self._split(k, prod)
         if self.reuse:
-            s = w.sequences(1, False)
+            s = w.sequences(1)
             p = w.productions(np.full(prod.size, s))
             chunks = np.where(loading, 1, n_n)
             cp, _ = _nested(chunks)
             c = w.chunks(p + cp, np.where(loading[cp], 0, self.map_comp))
             first = c + np.cumsum(chunks) - chunks  # each production's first chunk
             ld = np.flatnonzero(loading)
-            w.transfers(IFM, LOAD, first[ld], self.act.tiles(b[ld], 0, l.n, 0, l.r_in, 0, l.c_in),
-                        fresh_start=True)
-            w.transfers(OFM, LOAD, first[ld], self.loss.tiles(b[ld], 0, l.m, 0, l.r, 0, l.c),
-                        fresh_start=True)
+            w.transfers(IFM, LOAD, first[ld], self.act.tiles(b[ld], 0, l.n, 0, l.r_in, 0, l.c_in))
+            w.transfers(OFM, LOAD, first[ld], self.loss.tiles(b[ld], 0, l.m, 0, l.r, 0, l.c))
             stores = ~loading
         elif self.resident:
-            s = w.sequences(int(m[-1] - m[0]) + 1, False)
+            s = w.sequences(int(m[-1] - m[0]) + 1)
             p = w.productions(s + m - m[0])
             c = w.chunks(p + np.repeat(np.arange(prod.size), n_n), self.map_comp)
             first = c + np.arange(prod.size) * n_n
             nt = np.tile(np.arange(n_n), prod.size)
             w.transfers(IFM, LOAD, c + np.arange(nt.size), self.act.tiles(
-                np.repeat(b, n_n), self.n0[nt], self.n1[nt], 0, l.r_in, 0, l.c_in), fresh_start=True)
+                np.repeat(b, n_n), self.n0[nt], self.n1[nt], 0, l.r_in, 0, l.c_in))
             # the m-tile's loss map, with each production's first chunk
-            w.transfers(OFM, LOAD, first, self.loss.tiles(b, *self._m_range(g0 + m), 0, l.r, 0, l.c),
-                        fresh_start=True)
+            w.transfers(OFM, LOAD, first, self.loss.tiles(b, *self._m_range(g0 + m), 0, l.r, 0, l.c))
             stores = True
         else:
             r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
-            s = w.sequences(1, False)
+            s = w.sequences(1)
             p = w.productions(np.full(prod.size, s))
             c = w.chunks(p + np.repeat(np.arange(prod.size), comp.size), np.tile(comp, prod.size))
             first = c + np.arange(prod.size) * comp.size
             bc, mc, nc = (np.repeat(x, comp.size) for x in (b, m, n))
             sp = np.tile(np.arange(comp.size), prod.size)
             w.transfers(IFM, LOAD, c + np.arange(sp.size),
-                        self.act.tiles(bc, self.n0[nc], self.n1[nc], i0[sp], i1[sp], j0[sp], j1[sp]),
-                        per_run_start=bchw, fresh_start=True)
+                        self.act.tiles(bc, self.n0[nc], self.n1[nc], i0[sp], i1[sp], j0[sp], j1[sp]))
             w.transfers(OFM, LOAD, c + np.arange(sp.size),
-                        self.loss.tiles(bc, *self._m_range(g0 + mc), r0[sp], r1[sp], c0[sp], c1[sp]),
-                        per_run_start=bchw, fresh_start=True)
+                        self.loss.tiles(bc, *self._m_range(g0 + mc), r0[sp], r1[sp], c0[sp], c1[sp]))
             stores = True
         at = np.flatnonzero(prod == k.wei_at)
         if at.size:
             load = k.wei + np.array([self._origin(g0), 0, 0, 0, 0, 0])
             w.transfers(WEI, LOAD, np.repeat(first[at], len(load)),
-                        (load, np.ones(len(load), np.int64), 0),
-                        overlapped=True, per_run_start=bchw)
+                        (load, np.ones(len(load), np.int64), 0), overlapped=True)
         st = np.flatnonzero(stores & (b == self.ws.batch - 1))
         if n is None:  # every n-tile of the m-tile, one chunk store each
             st = np.repeat(st, n_n)
             w.transfers(OUT, CHUNK_STORE, p + st,
                         self.wei.tiles(g0 + m[st], np.tile(np.arange(n_n), st.size // n_n)))
         else:
-            w.transfers(OUT, STORE, p + st, self.wei.tiles(g0 + m[st], n[st]), per_run_start=bchw)
+            w.transfers(OUT, STORE, p + st, self.wei.tiles(g0 + m[st], n[st]))
 
 
 def _nest(ws: WalkSpec, process: Process) -> _Nest:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Infeasible, InvalidPlan
+from .errors import Infeasible
 from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div, in_extent
 from .plan import PlanEntry, Process, TilePlan
 from . import perf
@@ -64,8 +64,6 @@ def resource_usage(plan: TilePlan, net: NetworkSpec, dev: DeviceSpec) -> Resourc
     for i in net.weighted_indices():
         layer = net.layers[i]
         e = plan.entry(i)
-        if e.m_on % plan.tm:
-            raise InvalidPlan("m_on must be a multiple of tm")
         b_ifm = max(b_ifm, _ifm_banks(layer, plan.tn, e.tr, e.tc, bw))
         b_ofm = max(b_ofm, _ofm_banks(plan.tm, e.tr, e.tc, bw))
         m_on = min(e.m_on, ceil_div(layer.m, plan.tm) * plan.tm)

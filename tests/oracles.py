@@ -226,8 +226,8 @@ def price_walk_loops(walk, t_start, p):
 
     col = {f: getattr(walk, f).tolist() for f in (
         "tail_start", "prod_seq", "prod_store", "chunk_prod", "comp", "chan",
-        "role", "owner", "slot_words", "overlapped", "per_run_start",
-        "fresh_start")}
+        "role", "owner", "slot_words", "overlapped")}
+    per_run_start, fresh_start = walk.per_run_start, walk.fresh_start.tolist()
     runs, off = transfer_runs(walk)
     col["first_run"], col["start"], col["length"] = off.tolist(), *runs.T.tolist()
     loads, stores, chunks, prods = {}, {}, {}, {}
@@ -251,14 +251,13 @@ def price_walk_loops(walk, t_start, p):
         runs = []
         for i in range(col["first_run"][t], col["first_run"][t + 1]):
             s, n = col["start"][i], col["length"][i]
-            if runs and not col["per_run_start"][t] and sum(runs[-1]) == s:
+            if runs and not per_run_start and sum(runs[-1]) == s:
                 runs[-1] = (runs[-1][0], runs[-1][1] + n)
             else:
                 runs.append((s, n))
         cycles = 0
         for j, (s, n) in enumerate(runs):
-            if col["per_run_start"][t] or (j == 0 and col["fresh_start"][t]) \
-                    or s != next_addr.get(ch):
+            if per_run_start or (j == 0 and fresh_start[ch]) or s != next_addr.get(ch):
                 close(ch)
                 bursts[ch] = bursts.get(ch, 0) + 1
                 cycles += t_start

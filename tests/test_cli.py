@@ -2,6 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +275,30 @@ def test_failed_layout_dump_leaves_no_table(tmp_path, monkeypatch, capsys):
     assert rc != 0 and len(passes) == 2
     assert "does not fit in memory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_terminated_layout_dump_leaves_no_table(tmp_path):
+    # SIGTERM to a dump that runs for a second or more, once its table is
+    # begun: it exits 143, as a terminated process does, and leaves neither
+    # its table nor a part of it behind
+    out, part = tmp_path / "out", tmp_path / "out" / "layout_bchw.csv.part"
+    env = dict(os.environ, PYTHONPATH=str(Path(layout.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "trainsim.cli", "layout-dump", "--net", "alexnet_conv",
+         "--batch", "4", "--plan", "alexnet_conv_zcu102", "--layout", "bchw", "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not part.exists() and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert part.exists(), "the dump never began its table"
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 128 + signal.SIGTERM, err
+    finally:
+        child.kill()
+        child.communicate()
+    assert list(out.iterdir()) == []
 
 
 def test_bad_batch_is_config_error(tmp_path):

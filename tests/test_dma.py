@@ -85,15 +85,15 @@ def as_groups(rows) -> np.ndarray:
     return np.array([(*row, 1, 0)[:6] for row in rows], dtype=np.int64).reshape(-1, 6)
 
 
-def load_walk(*transfers) -> Walk:
+def load_walk(*transfers, per_run_start=False, fresh=()) -> Walk:
     """A walk of one sequence whose productions each load one transfer of
-    `transfers` on the IFM channel.  A transfer is its run group (a row of
-    `as_groups`), its slot width and its pricing flags."""
-    w = _WalkWriter()
-    seq = w.sequences(1, False)
-    for group, slot, flags in transfers:
+    `transfers` on the IFM channel, under the descriptor policy given.  A
+    transfer is its run group (a row of `as_groups`) and its slot width."""
+    w = _WalkWriter(per_run_start, fresh)
+    seq = w.sequences(1)
+    for group, slot in transfers:
         chunk = w.chunks(np.array([w.productions(np.array([seq]))]), 0)
-        w.transfers(IFM, LOAD, np.array([chunk]), (as_groups([group]), np.ones(1), slot), **flags)
+        w.transfers(IFM, LOAD, np.array([chunk]), (as_groups([group]), np.ones(1), slot))
     return w.finish()
 
 
@@ -101,7 +101,7 @@ def transfer_cycles(bursts: np.ndarray, dev: DeviceSpec) -> int:
     """What the pricer charges to load `bursts`, maximal bursts of a
     trace: a walk of one sequence, with no compute and no store, of one
     production per burst, whose runs (`expand_groups`) are `bursts`."""
-    walk = load_walk(*(((*burst, 1, 0), 0, {}) for burst in bursts.tolist()))
+    walk = load_walk(*(((*burst, 1, 0), 0) for burst in bursts.tolist()))
     assert np.array_equal(expand_groups(walk.groups(walk.on(Channel.IFM))), bursts)
     return simulate_sequences(walk, dev).cycles
 
@@ -230,12 +230,16 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
 # what `synthetic_walk` draws, built once: a strategy made afresh for every
 # draw is validated afresh, which costs more than the draw
 SYNTHETIC = SimpleNamespace(
+    # the walk's descriptor policy: per_run_start, fresh_start per channel
+    # code and tail_start
+    policy=st.tuples(st.booleans(), st.tuples(*[st.booleans()] * len(CHANNELS)), st.booleans()),
     # a transfer's run group: length, count, stride, rows, row stride,
     # whether it continues the channel's last run, and start
     group=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(0, 11), st.integers(1, 3),
                     st.integers(0, 40), st.booleans(), st.integers(0, 100)),
-    flags=st.tuples(st.integers(0, 4), st.booleans(), st.booleans(), st.booleans()),
-    sequences=st.lists(st.booleans(), min_size=1, max_size=2),
+    # a transfer's slot width and whether it is overlapped
+    flags=st.tuples(st.integers(0, 4), st.booleans()),
+    sequences=st.integers(1, 2),
     productions=st.lists(st.tuples(st.sampled_from([NO_STORE, STORE, CHUNK_STORE]),
                                    st.integers(1, 2)), min_size=1, max_size=3),
     chunks=st.lists(st.tuples(st.integers(0, 40), st.lists(st.sampled_from([IFM, WEI]),
@@ -244,15 +248,16 @@ SYNTHETIC = SimpleNamespace(
 
 def synthetic_walk(draw) -> Walk:
     """A walk of random two-level run groups through `_WalkWriter`, one per
-    transfer, whose heads may continue the channel's previous run, with
-    random pricing flags.  Only the groups of `per_run_start` transfers may
+    transfer, whose heads may continue the channel's previous run, under a
+    random descriptor policy.  Only the groups of a `per_run_start` walk may
     hold runs that continue the one before them, in a row or from the row
     before."""
-    w = _WalkWriter()
+    per_run_start, fresh, tail_start = draw(SYNTHETIC.policy)
+    w = _WalkWriter(per_run_start, tuple(np.flatnonzero(fresh)), tail_start)
     ends = {}  # per channel, the end of its last run
 
     def transfer(channel, role, owner):
-        slot, overlapped, per_run_start, fresh_start = draw(SYNTHETIC.flags)
+        slot, overlapped = draw(SYNTHETIC.flags)
         length, count, stride, outer, o_stride, go_on, start = draw(SYNTHETIC.group)
         if not per_run_start:  # any stride but the one that continues
             stride += stride >= length
@@ -261,11 +266,10 @@ def synthetic_walk(draw) -> Walk:
         ends[channel] = start + (outer - 1) * o_stride + (count - 1) * stride + length
         group = as_groups([(start, length, count, stride, outer, o_stride)])
         w.transfers(channel, role, np.array([owner]), (group, np.ones(1), slot),
-                    overlapped=role == LOAD and overlapped,
-                    per_run_start=per_run_start, fresh_start=fresh_start)
+                    overlapped=role == LOAD and overlapped)
 
-    for tail_start in draw(SYNTHETIC.sequences):
-        seq = w.sequences(1, tail_start)
+    for _ in range(draw(SYNTHETIC.sequences)):
+        seq = w.sequences(1)
         for store, n_stores in draw(SYNTHETIC.productions):
             prod = w.productions(np.array([seq]))
             for comp, loads in draw(SYNTHETIC.chunks):
@@ -288,31 +292,28 @@ def test_group_pricer_matches_scalar_oracle(data, p, t_start):
         oracles.price_walk_loops(walk, t_start, p)
 
 
-PRS, FRESH = {"per_run_start": True}, {"fresh_start": True}
+PRS = {"per_run_start": True}
 
 
-@pytest.mark.parametrize("transfers, hist", [
-    # the head of a transfer that is neither per_run_start nor fresh_start
-    # continues the last run of a per_run_start one: one burst of 4 + 6
-    ([((0, 4, 3, 10), 0, PRS), ((24, 6, 1, 0), 0, {}), ((40, 2, 1, 0), 0, {})],
-     {2: 1, 4: 2, 10: 1}),
+@pytest.mark.parametrize("transfers, policy, hist", [
+    # the head of a transfer continues the last run of a group of three
+    # before it: one burst of 4 + 6
+    ([((0, 4, 3, 10), 0), ((24, 6, 1, 0), 0), ((40, 2, 1, 0), 0)], {}, {2: 1, 4: 2, 10: 1}),
     # a per_run_start group whose stride equals its length: every run restarts
-    ([((0, 4, 5, 4), 0, PRS)], {4: 5}),
-    # the same, its last run continued by the next transfer, or not if that
-    # one is fresh_start
-    ([((0, 4, 5, 4), 0, PRS), ((20, 3, 1, 0), 0, {})], {4: 4, 7: 1}),
-    ([((0, 4, 5, 4), 0, PRS), ((20, 3, 1, 0), 0, FRESH)], {3: 1, 4: 5}),
+    ([((0, 4, 5, 4), 0)], PRS, {4: 5}),
+    # the same, its last run followed by the next transfer's head, which
+    # restarts, fresh_start or not
+    ([((0, 4, 5, 4), 0), ((20, 3, 1, 0), 0)], {**PRS, "fresh": (IFM,)}, {3: 1, 4: 5}),
     # a per_run_start transfer whose first run continues the one before it
     # restarts anyway, and so does the one after it
-    ([((0, 4, 1, 0), 0, {}), ((4, 4, 2, 8), 0, PRS), ((30, 5, 1, 0), 0, PRS)], {4: 3, 5: 1}),
+    ([((0, 4, 1, 0), 0), ((4, 4, 2, 8), 0), ((30, 5, 1, 0), 0)], PRS, {4: 3, 5: 1}),
     # runs of one length under two slot widths price apart
-    ([((0, 6, 3, 10), 3, PRS), ((100, 6, 3, 10), 0, PRS), ((200, 6, 2, 7), 3, {})],
-     {6: 8}),
-], ids=["continued last run", "stride equals length", "stride equals length, continued",
-        "stride equals length, fresh next", "continuing head", "two slot widths"])
-def test_per_run_start_edges(transfers, hist):
+    ([((0, 6, 3, 10), 3), ((100, 6, 3, 10), 0), ((200, 6, 2, 7), 3)], PRS, {6: 8}),
+], ids=["continued last run", "stride equals length", "stride equals length, fresh next",
+        "continuing head", "two slot widths"])
+def test_per_run_start_edges(transfers, policy, hist):
     # priced whole and cut before every transfer, against the scalar oracle
-    walk = load_walk(*transfers)
+    walk = load_walk(*transfers, **policy)
     dev = DeviceSpec(stream_width_words=2, t_start=7)
     want = oracles.price_walk_loops(walk, dev.t_start, dev.p)
     assert want[3] == {Channel.IFM.value: hist}
@@ -347,14 +348,14 @@ def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
     groups = walk.groups(trs)
     multi = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
     count, stride, outer, outer_stride = groups[multi, 2:].T
-    cols = {f: getattr(walk, f)[trs] for f in (
-        "chan", "role", "slot_words", "overlapped", "per_run_start", "fresh_start")}
+    cols = {f: getattr(walk, f)[trs] for f in ("chan", "role", "slot_words", "overlapped")}
     return Walk(tail_start=walk.tail_start[seq[0]:seq[-1] + 1], prod_seq=seq - seq[0],
                 prod_store=walk.prod_store[lo:hi], chunk_prod=walk.chunk_prod[chunks] - lo,
                 comp=walk.comp[chunks],
                 owner=walk.owner[trs] - np.where(load[trs], chunks[0], lo),
                 start=groups[:, 0], length=groups[:, 1], multi=multi, count=count,
                 stride=stride, outer=outer, outer_stride=outer_stride,
+                per_run_start=walk.per_run_start, fresh_start=walk.fresh_start,
                 continued=hi < walk.prod_seq.size and walk.prod_seq[hi] == seq[-1], **cols)
 
 
@@ -412,6 +413,25 @@ def test_walker_slices_fold_to_whole_pass(data):
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
 
 
+def test_nest_rows_are_the_rows_it_writes():
+    # `slices` budgets by a nest's `rows` and its block shapes' `rows`: on
+    # every golden pass and block they are, production by production and in
+    # sum, the rows `write` emits (the production, its chunks, its transfers)
+    for key, whole in walk_table().items():
+        case, idx, proc, kind = key.split("/")
+        _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
+        process = Process(proc)
+        nest = _nest(resolve_walk(net.layers[int(idx)], plan, int(idx), process, kind, batch),
+                     process)
+        n, load = whole.prod_seq.size, whole.role == LOAD
+        prod = np.where(load, whole.chunk_prod[np.where(load, whole.owner, 0)], whole.owner)
+        written = 1 + np.bincount(whole.chunk_prod, minlength=n) + np.bincount(prod, minlength=n)
+        for g in range(len(nest.blocks)):
+            rows = written[nest.starts[g]:nest.starts[g + 1]]
+            assert np.array_equal(nest.rows(g, 0, rows.size), rows), (key, g)
+            assert nest.shape(g).rows == rows.sum(), (key, g)
+
+
 def test_bchw_tiles_are_one_group_each():
     # alexnet_conv b4 under bchw, walked in the pricer's slices: a tile's
     # channel x row lattice is one run group, and a transfer is one group,
@@ -465,7 +485,7 @@ def test_bchw_wu_weight_loads_are_the_merged_block():
         walk = walk_table()[key]
         wei = walk.on(Channel.WEI)
         assert np.unique(walk.owner[wei]).size == 1
-        assert walk.overlapped[wei].all() and walk.per_run_start[wei].all()
+        assert walk.overlapped[wei].all() and walk.per_run_start
         assert np.array_equal(expand_groups(walk.groups(wei)),
                               expand_groups(merge_groups(ws.weight_geom().block(g0, g1))))
         checked, split = checked + 1, split + (wei.size > 1)
@@ -564,12 +584,10 @@ def translate(nest) -> bool:
     for walk, moves in steps.values():
         if any(step is None or not np.array_equal(step, moves[0]) for step in moves):
             return False
-        restarts = walk.fresh_start | walk.per_run_start
-        for c in range(len(CHANNELS)):
+        for c, channel in enumerate(CHANNELS):
             # the channel's transfers, each after the one before it
-            trs = np.flatnonzero(walk.chan == c)
-            step = moves[0][trs]
-            if not np.all((step == np.roll(step, 1)) | restarts[trs]):
+            step = moves[0][walk.chan == c]
+            if not (walk.restarts(channel) or np.all(step == np.roll(step, 1))):
                 return False
     return True
 

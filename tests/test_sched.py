@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from trainsim.errors import Infeasible
+from trainsim.errors import Infeasible, InvalidPlan
 from trainsim.model import DeviceSpec, Kind, LayerSpec, NetworkSpec, validate_and_infer
 from trainsim.perf import network_report
 from trainsim.plan import PlanEntry, TilePlan
@@ -26,6 +26,15 @@ def test_single_bank_suffices_for_tiny_layer():
     plan = TilePlan(tm=1, tn=1, entries={0: PlanEntry(tr=1, tc=1, m_on=1)})
     usage = resource_usage(plan, net, DeviceSpec())
     assert usage.b_ifm == 1 and usage.b_ofm == 1
+
+
+def test_resource_usage_rejects_m_on_off_the_channel_tile():
+    # the plan's own check rejects an M_on that is not a multiple of Tm
+    net = validate_and_infer(NetworkSpec(
+        layers=(LayerSpec(Kind.CONV, m=8, n=8, r=2, c=2, k=1, s=1),)))
+    plan = TilePlan(tm=4, tn=4, entries={0: PlanEntry(tr=2, tc=2, m_on=6)})
+    with pytest.raises(InvalidPlan, match="not a multiple"):
+        resource_usage(plan, net, DeviceSpec())
 
 
 def test_schedule_alexnet_matches_reference_design(alexnet, zcu102, alexnet_plan):

@@ -40,12 +40,14 @@ def walk_digest(walk) -> str:
     sequences (-1), productions (-2), chunks (-3), per-chunk stores (-4),
     the production store (-5) and each transfer (-6) begin.  A transfer
     is its channel code, run count, runs, slot width (-1 for none) and the
-    three pricing flags."""
+    three pricing flags: its own `overlapped`, and the `per_run_start` and
+    its channel's `fresh_start` of the walk's descriptor policy."""
     runs, off = oracles.transfer_runs(walk)
     runs, off = runs.ravel().tolist(), off.tolist()
     chan, slot = walk.chan.tolist(), walk.slot_words.tolist()
-    flags = list(zip(walk.overlapped.tolist(), walk.per_run_start.tolist(),
-                     walk.fresh_start.tolist()))
+    # the pass's descriptor policy, as each transfer sees it
+    fresh = walk.fresh_start[walk.chan].tolist()
+    flags = [(over, walk.per_run_start, f) for over, f in zip(walk.overlapped.tolist(), fresh)]
     loads, stores = defaultdict(list), defaultdict(list)
     for t, (role, owner) in enumerate(zip(walk.role.tolist(), walk.owner.tolist())):
         (loads if role == LOAD else stores)[owner].append(t)
@@ -90,8 +92,11 @@ def _plan(tm, **entry):
     return TilePlan(tm=tm, tn=tm, entries={0: PlanEntry(**entry)})
 
 
+@functools.cache
 def cases():
-    """(case id, network, plan, batch) for every golden walk family."""
+    """(case id, network, plan, batch) for every golden walk family, made
+    once per process (scheduling two networks is most of it); callers must
+    not modify them."""
     dev = load_device("zcu102")
     out = []
     for name in ("lenet10", "cifar6"):
@@ -156,9 +161,9 @@ def test_digest_sees_pricing_flags():
     plan = _plan(2, tr=4, tc=4, m_on=4)
     walk = oracles.whole_walk(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
     before = walk_digest(walk)
-    # the last load of the first chunk
+    # the channel of the last load of the first chunk
     t = np.flatnonzero((walk.role == LOAD) & (walk.owner == 0))[-1]
-    walk.fresh_start[t] ^= True
+    walk.fresh_start[walk.chan[t]] ^= True
     assert walk_digest(walk) != before
 
 
