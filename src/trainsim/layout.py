@@ -568,7 +568,7 @@ class _WalkWriter:
                np.int64: ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "start",
                           "length", "multi", "count", "stride", "outer", "outer_stride")}
 
-    def __init__(self, per_run_start=False, fresh: tuple[int, ...] = (), tail_start=False):
+    def __init__(self, per_run_start: bool, fresh: tuple[int, ...], tail_start: bool):
         self.per_run_start, self.tail_start = per_run_start, tail_start
         self.fresh_start = np.isin(np.arange(len(CHANNELS)), fresh)
         self.cols = {f: _Column(dtype) for dtype, fs in self.COLUMNS.items() for f in fs}

@@ -89,7 +89,7 @@ def load_walk(*transfers, per_run_start=False, fresh=()) -> Walk:
     """A walk of one sequence whose productions each load one transfer of
     `transfers` on the IFM channel, under the descriptor policy given.  A
     transfer is its run group (a row of `as_groups`) and its slot width."""
-    w = _WalkWriter(per_run_start, fresh)
+    w = _WalkWriter(per_run_start, fresh, False)
     seq = w.sequences(1)
     for group, slot in transfers:
         chunk = w.chunks(np.array([w.productions(np.array([seq]))]), 0)
