@@ -55,13 +55,15 @@ such as BP's block loads over m-tiles of two widths, the pass's policy
 restarts every transfer of that channel at its head.  A block then prices
 alike wherever it follows a translate, since every continuity test that
 decides a restart or the open burst comes out the same, and the carry
-hands on the same open burst.  `simulate_layer` prices the first three
-blocks of a run of four or more as above, takes the `Carry` step over the
-third, and adds it for the rest in closed form where `Carry.repeat` can;
-where it cannot, the rest of the run is priced block by block, which
-keeps the result exact.  The walker marks no run where blocks do not
-translate, such as WU loss tiles that are not whole M_on blocks of the
-loss map at a batch over one.
+hands on the same open burst.  Of a run of four blocks or more,
+`simulate_layer` prices the first two as above, as one slice where they
+fit: the first primes the carry, and `simulate_sequences` hands back the
+carry at the second's head (its `mark`), so that the `Carry` step over
+the second is measured without a slice of its own.  It adds that step for
+the rest in closed form where `Carry.repeat` can; where it cannot, the
+rest of the run is priced block by block, which keeps the result exact.
+The walker marks no run where blocks do not translate, such as WU loss
+tiles that are not whole M_on blocks of the loss map at a batch over one.
 """
 
 from __future__ import annotations
@@ -122,9 +124,12 @@ class _Stream:
 
 
 def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream,
-                   fresh: bool) -> tuple[np.ndarray, np.ndarray]:
+                   fresh: bool, at: int = 0, base: _Stream | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Cycles and restarts of each of one channel's transfers `trs` (in bus
-    order), continuing its stream `s`; if `fresh`, each restarts at its head."""
+    order), continuing its stream `s`; if `fresh`, each restarts at its head.
+    Given `at`, it also takes `base`, a copy of `s` as it was, on through the
+    first `at` transfers."""
     many, count, stride, outer, o_stride = walk.repeats(trs)  # many: two runs or more
     start, length = walk.start[trs], walk.length[trs]
     runs = np.ones(trs.size, dtype=np.int64)
@@ -135,6 +140,8 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream,
     cont[0] = start[0] == s.end
     cont[1:] = start[1:] == end[:-1]
     s.end = int(end[-1])
+    if at:
+        base.end = int(end[at - 1])
     del start, end
     # whether a transfer's first run restarts; every run after it does
     head = ~cont | fresh
@@ -142,6 +149,9 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream,
     cycles = runs * _beats(length, walk.slot_words[trs], dev.p) + restarts * dev.t_start
     s.words += int(runs @ length)
     s.bursts += int(restarts.sum())
+    if at:
+        base.words += int(runs[:at] @ length[:at])
+        base.bursts += int(restarts[:at].sum())
     # a burst may go on through each transfer's first run, unless a restart
     # both begins and ends it, and each multi-run transfer's last; every
     # other run is a burst of its own
@@ -153,14 +163,29 @@ def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream,
     restart[(np.cumsum(n) - 1)[many]] = True
     first = np.flatnonzero(restart)
     lead = not restart[0]  # runs before the first restart continue the open burst
-    bursts = np.add.reduceat(length, np.append(0, first) if lead else first)
+    if lead:
+        first = np.append(0, first)
+    bursts = np.add.reduceat(length, first)
     if lead:
         s.hist[s.open] -= 1
         bursts[0] += s.open
     s.open = int(bursts[-1])
     s.count(*np.unique(bursts, return_counts=True))
-    lengths, at = np.unique(lone_len, return_inverse=True)
-    s.count(lengths, np.bincount(at, lone, lengths.size).astype(np.int64))
+    if at:
+        # of the bursts that begin before the mark, all but the last are
+        # closed; that one is open there, at the length of its runs so far
+        e = int(n[:at].sum())
+        j = int(np.searchsorted(first, e)) - 1
+        if lead:
+            base.hist[base.open] -= 1
+        base.open = int(length[first[j]:e].sum()) + (base.open if lead and j == 0 else 0)
+        base.count(*np.unique(np.append(bursts[:j], base.open), return_counts=True))
+    lengths, of = np.unique(lone_len, return_inverse=True)
+    s.count(lengths, np.bincount(of, lone, lengths.size).astype(np.int64))
+    if at:
+        before = np.searchsorted(many, at)  # the multi-run transfers before the mark
+        counts = np.bincount(of[:before], lone[:before], lengths.size)
+        base.count(lengths, counts.astype(np.int64))
     return cycles, restarts
 
 
@@ -192,13 +217,15 @@ class Carry:
 
     def repeat(self, base: Carry, k: int) -> bool:
         """Take in k more blocks, each a translate of the block priced since
-        `base`, whose carry was itself left by a translate: add k times what
-        that block added.  Each channel's end moves by k of its steps.  Its
-        histogram takes k more of the block's bursts where the block leaves
-        the open burst as it found it; where the block makes no restart, its
-        one open burst grows by k blocks' words instead.  If neither holds
-        for some channel, nothing changes, and False says to price the
-        blocks."""
+        `base`, whose carry was itself left by a translate (a run's second
+        block, after its first): add k times what that block added.  Each
+        channel's end moves by k of its steps.  Its histogram takes k more
+        of the block's bursts where the block leaves the open burst as it
+        found it; where the block makes no restart, its one open burst grows
+        by k blocks' words instead.  If neither holds for some channel, such
+        as one whose first block went on with a burst from before the run
+        that the second does not, nothing changes, and False says to price
+        the blocks."""
         grows = [s.open != b.open for s, b in zip(self.streams, base.streams)]
         if any(g and s.bursts != b.bursts for g, s, b in zip(grows, self.streams, base.streams)):
             return False
@@ -226,18 +253,29 @@ class Carry:
         return res
 
 
-def simulate_sequences(walk: Walk, dev: DeviceSpec, carry: Carry | None = None) -> SimResult:
+def simulate_sequences(walk: Walk, dev: DeviceSpec, carry: Carry | None = None,
+                       mark: int | None = None) -> SimResult | Carry:
     """Cycles of one layer pass, with its bursts, words and burst-length
     histogram per channel.  Given the `carry` of the slices before it, the
     walk is the next slice of a pass, which `carry` takes in; the result is
-    then the pass's so far."""
+    then the pass's so far.  Given a `mark`, a production of the walk that
+    begins a sequence, it returns instead the carry as it stood there: as
+    if the walk had ended at the mark."""
     carry = carry or Carry()
+    if mark is not None:
+        assert 0 < mark < walk.prod_seq.size and \
+            walk.prod_seq[mark] != walk.prod_seq[mark - 1], "a mark begins a sequence"
+        chunks = int(np.searchsorted(walk.chunk_prod, mark))  # the chunks before it
+        before = walk.owner < np.where(walk.role == LOAD, chunks, mark)
+        base = carry.copy()
     cost = np.zeros(walk.chan.size, dtype=np.int64)
     restarts = np.zeros(walk.chan.size, dtype=np.int64)
-    for chan, s in zip(CHANNELS, carry.streams):
+    for c, (chan, s) in enumerate(zip(CHANNELS, carry.streams)):
         trs = walk.on(chan)
         if trs.size:
-            cost[trs], restarts[trs] = _price_channel(walk, trs, dev, s, walk.restarts(chan))
+            at = 0 if mark is None else int(np.count_nonzero(before[trs]))
+            cost[trs], restarts[trs] = _price_channel(walk, trs, dev, s, walk.restarts(chan),
+                                                      at, base.streams[c] if at else None)
 
     loads = (walk.role == LOAD) & ~walk.overlapped
     load = np.zeros(walk.comp.size, dtype=np.int64)
@@ -255,7 +293,12 @@ def simulate_sequences(walk: Walk, dev: DeviceSpec, carry: Carry | None = None) 
     # a sequence's tail restart is charged in the slice where it ends
     tails = np.count_nonzero(walk.tail_start) - (walk.continued and walk.tail_start[-1])
     carry.cycles += int(load.sum() + terms.sum() + dev.t_start * tails)
-    return carry.result()
+    if mark is None:
+        return carry.result()
+    # every sequence before the mark ends before it
+    tails = np.count_nonzero(walk.tail_start[:walk.prod_seq[mark]])
+    base.cycles += int(load[:chunks].sum() + terms[:mark].sum() + dev.t_start * tails)
+    return base
 
 
 def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
@@ -264,14 +307,20 @@ def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
     """Trace-driven cycles for one layer pass under one layout, walked and
     priced one slice at a time (`layout.slices`), so that memory stays
     bounded however large the pass.  Of a run of repeated blocks, only the
-    first three are walked; the rest are added in closed form."""
+    first two are walked, as one slice where they fit; the rest are added
+    in closed form."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
     carry = Carry()
     for part in slices(ws, process, SLICE_ROWS):
-        base = carry.copy() if part.period else None
+        mark = part.lo + part.period  # where a run's measured block begins
         for piece in part.parts():
-            simulate_sequences(WALKERS[process](ws, piece), dev, carry)
-            if piece.hi == part.lo + part.period and \
+            at = mark - piece.lo if piece.lo < mark < piece.hi else None
+            priced = simulate_sequences(WALKERS[process](ws, piece), dev, carry, at)
+            if at is not None:
+                base = priced
+            if piece.hi == mark:
+                base = carry.copy()
+            elif piece.hi == mark + part.period and \
                     carry.repeat(base, (part.hi - piece.hi) // part.period):
                 break
     return carry.result()

@@ -706,8 +706,9 @@ class _TileTable:
         return groups, counts, self.slot[t]
 
 
-# the fewest blocks in a run of translates that `slices` marks: two that set
-# the pricer's carry, one whose step it measures, and one or more it adds
+# the fewest blocks in a run of translates that `slices` marks: three are
+# exact (one primes the pricer's carry, one it measures, one it adds),
+# but a fold pays for the extra slices it cuts only from four
 FOLD_BLOCKS = 4
 
 
@@ -1068,10 +1069,10 @@ class Slice:
     its weight blocks; `nest` is the pass's loop nest, set up once for all
     the slices `slices` cuts it into.
 
-    A slice with a `period` covers a run of translates (`_Nest.runs`) from
-    its third block on: whole blocks of `period` productions each, each a
-    translate of the one before.  Its `parts` are the slices of the budget
-    that cover it, cut at `cuts`."""
+    A slice with a `period` covers a run of translates (`_Nest.runs`):
+    whole blocks of `period` productions each, each a translate of the one
+    before.  Its `parts` are the slices of the budget that cover it, cut at
+    `cuts`."""
 
     nest: _Nest
     lo: int
@@ -1090,12 +1091,12 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     production boundary: between weight blocks where the next block does
     not fit, else, inside a block over the budget, between its sequences,
     else between its productions.  A production over the budget is a slice
-    of its own.  A run of translates (`_Nest.runs`) is also cut after its
-    first two blocks, after its third and where it ends; from its third
-    block on it is one slice, whose `parts` are slices of the budget."""
+    of its own.  A run of translates (`_Nest.runs`) is also cut where it
+    begins, after its first two blocks and where it ends; it is one slice,
+    whose `parts` are slices of the budget."""
     nest = _nest(ws, process)
     runs = nest.runs()
-    own = {g for a, b in runs for g in (a + 2, a + 3, b)}  # blocks that begin a slice
+    own = {g for a, b in runs for g in (a, a + 2, b)}  # blocks that begin a slice
     cuts, filled = [0], 0
     for g in range(len(nest.blocks)):
         first, k = nest.starts[g], nest.shape(g)
@@ -1120,8 +1121,8 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
         cuts.append(nest.starts[-1])
     out = [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     for a, b in reversed(runs):
-        i, j = cuts.index(nest.starts[a + 2]), cuts.index(nest.starts[b])
-        out[i:j] = [Slice(nest, cuts[i], cuts[j], nest.starts[a + 3] - cuts[i],
+        i, j = cuts.index(nest.starts[a]), cuts.index(nest.starts[b])
+        out[i:j] = [Slice(nest, cuts[i], cuts[j], nest.starts[a + 1] - cuts[i],
                           tuple(cuts[i + 1:j]))]
     return out
 

@@ -246,12 +246,12 @@ SYNTHETIC = SimpleNamespace(
                                                            max_size=2)), min_size=1, max_size=3))
 
 
-def synthetic_walk(draw) -> Walk:
+def synthetic_walk(draw, sequences=SYNTHETIC.sequences) -> Walk:
     """A walk of random two-level run groups through `_WalkWriter`, one per
     transfer, whose heads may continue the channel's previous run, under a
-    random descriptor policy.  Only the groups of a `per_run_start` walk may
-    hold runs that continue the one before them, in a row or from the row
-    before."""
+    random descriptor policy, of as many sequences as `sequences` draws.
+    Only the groups of a `per_run_start` walk may hold runs that continue
+    the one before them, in a row or from the row before."""
     per_run_start, fresh, tail_start = draw(SYNTHETIC.policy)
     w = _WalkWriter(per_run_start, tuple(np.flatnonzero(fresh)), tail_start)
     ends = {}  # per channel, the end of its last run
@@ -268,7 +268,7 @@ def synthetic_walk(draw) -> Walk:
         w.transfers(channel, role, np.array([owner]), (group, np.ones(1), slot),
                     overlapped=role == LOAD and overlapped)
 
-    for _ in range(draw(SYNTHETIC.sequences)):
+    for _ in range(draw(sequences)):
         seq = w.sequences(1)
         for store, n_stores in draw(SYNTHETIC.productions):
             prod = w.productions(np.array([seq]))
@@ -363,15 +363,18 @@ def sim_tuple(res):
     return res.cycles, res.bursts, res.words, res.burst_lengths
 
 
+def golden_or_synthetic(data, sequences=SYNTHETIC.sequences) -> Walk:
+    if data.draw(st.booleans(), label="golden"):
+        return walk_table()[data.draw(st.sampled_from(GOLDEN_KEYS), label="case")]
+    return synthetic_walk(data.draw, sequences)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
 def test_slices_fold_to_whole_walk(data, p, t_start):
     # a golden or synthetic walk cut at random production boundaries, often
     # inside a sequence, and priced slice by slice through one carry
-    if data.draw(st.booleans(), label="golden"):
-        walk = walk_table()[data.draw(st.sampled_from(GOLDEN_KEYS), label="case")]
-    else:
-        walk = synthetic_walk(data.draw)
+    walk = golden_or_synthetic(data)
     n = walk.prod_seq.size
     cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=8), label="cuts"))
     bounds = [0, *(c for c in cuts if c < n), n]
@@ -380,6 +383,37 @@ def test_slices_fold_to_whole_walk(data, p, t_start):
     for lo, hi in zip(bounds, bounds[1:]):
         part = simulate_sequences(cut_walk(walk, lo, hi), dev, carry)
     assert sim_tuple(part) == sim_tuple(simulate_sequences(walk, dev))
+
+
+def carry_state(carry: Carry) -> tuple:
+    """All that a carry hands the next slice, its histograms without the
+    lengths they count no burst of."""
+    return carry.cycles, [(s.end, s.open, s.bursts, s.words,
+                           {length: n for length, n in s.hist.items() if n})
+                          for s in carry.streams]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
+def test_carry_at_a_mark(data, p, t_start):
+    # a golden or synthetic walk, priced on from the carry that a random
+    # first cut of it leaves, hands back the carry at a random sequence
+    # boundary: the carry of pricing the walk up to there; and the carry it
+    # goes on with is the whole walk's
+    walk = golden_or_synthetic(data, st.just(2))
+    heads = np.flatnonzero(np.diff(walk.prod_seq)) + 1
+    assume(heads.size)
+    mark = data.draw(st.sampled_from(heads.tolist()), label="mark")
+    lo = data.draw(st.integers(0, mark - 1), label="first cut")
+    dev = DeviceSpec(stream_width_words=p, t_start=t_start)
+    carry = Carry()
+    if lo:
+        simulate_sequences(cut_walk(walk, 0, lo), dev, carry)
+    rest = cut_walk(walk, lo, walk.prod_seq.size)
+    want = carry.copy()
+    simulate_sequences(cut_walk(rest, 0, mark - lo), dev, want)
+    assert carry_state(simulate_sequences(rest, dev, carry, mark - lo)) == carry_state(want)
+    assert sim_tuple(carry.result()) == sim_tuple(simulate_sequences(walk, dev))
 
 
 def walk_rows(walk: Walk) -> int:
@@ -724,9 +758,10 @@ def test_fold_cases(name, process, m, n, batch, m_on, budget):
     ws = resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch)
     parts = slices(ws, process, budget)
     run = next(part for part in parts if part.period)
-    assert (run.hi - run.lo) // run.period >= 2  # one block priced, one or more folded
+    # two blocks priced, one priming the carry and one measured, and two or more folded
+    assert (run.hi - run.lo) // run.period >= FOLD_BLOCKS
     if budget < SLICE_ROWS:
-        assert run.cuts[0] < run.lo + run.period  # the priced block is several slices
+        assert run.cuts[0] < run.lo + run.period  # the first block is several slices
     if name == "partial last block":
         assert parts[-1].lo == run.hi
     dev = load_device("zcu102")
@@ -744,13 +779,14 @@ def test_fold_cases(name, process, m, n, batch, m_on, budget):
 
 def test_fold_engages_on_vgg16_fc7():
     # fc7 FP at batch 1 is 32 blocks of 128 channels, 8 productions each;
-    # the pricer walks the first three and adds the other 29 in closed form
+    # the pricer walks the first two in one slice and adds the other 30 in
+    # closed form
     net, dev = load_network("vgg16", 1), load_device("zcu102")
     plan = TilePlan(tm=16, tn=16, entries={19: PlanEntry(tr=1, tc=1, m_on=128)})
     walks = []
     with mock.patch.dict(WALKERS, {Process.FP: counting_walker(Process.FP, walks)}):
         res = simulate_layer(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, dev, 1, idx=19)
-    assert walked(walks) <= 4 * 8
+    assert [(part.lo, part.hi) for part in walks] == [(0, 2 * 8)]
     whole = oracles.whole_walk(Process.FP, net.layers[19], plan, LayoutKind.RESHAPED, 1, idx=19)
     assert whole.prod_seq.size == 32 * 8
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
@@ -758,8 +794,10 @@ def test_fold_engages_on_vgg16_fc7():
 
 def test_fold_engages_on_every_vgg_fc_head_pass():
     # vgg16 fc7 and fc8 at batch 2 with their `sched.schedule` plan: the
-    # pricer walks fewer productions than each of the six passes has, fc8
-    # BP over m-tiles of two widths included
+    # pricer walks the first two blocks of each of the six passes in one
+    # slice, fc8 BP over m-tiles of two widths included.  fc8 FP and WU
+    # block its 1000 channels as 7 of 128 and a partial one, which no run
+    # takes and which is walked on its own
     net, dev = load_network("vgg16", 2), load_device("zcu102")
     plan, _ = schedule(net, dev, 2)
     for idx in (19, 20):
@@ -767,7 +805,44 @@ def test_fold_engages_on_every_vgg_fc_head_pass():
             walks = []
             with mock.patch.dict(WALKERS, {process: counting_walker(process, walks)}):
                 simulate_layer(process, net.layers[idx], plan, LayoutKind.RESHAPED, dev, 2, idx=idx)
-            assert walked(walks) < walks[0].nest.starts[-1], (idx, process)
+            starts = walks[0].nest.starts
+            partial = idx == 20 and process is not Process.BP
+            assert [(part.lo, part.hi) for part in walks] == \
+                [(0, starts[2])] + [(starts[-2], starts[-1])] * partial, (idx, process)
+
+
+def test_every_run_folds():
+    # `Carry.repeat` refuses a run where a channel's open burst changes over
+    # its measured block, though that block restarts on the channel; the
+    # result stays exact, so only the count of refusals shows the slower
+    # path.  Every run of the golden passes (the zcu102 plans of lenet10 and
+    # cifar6 at b2 among them) and of the zcu102 plans of vgg16 b1/b2/b16,
+    # cifar6 b4/b16 and lenet10 b10 under reshaped is offered once and folds
+    dev = load_device("zcu102")
+    cases = list(golden_cases())
+    for name, batches in (("vgg16", (1, 2, 16)), ("cifar6", (4, 16)), ("lenet10", (10,))):
+        for batch in batches:
+            net = load_network(name, batch)
+            cases.append((f"{name}-b{batch}", net, schedule(net, dev, batch)[0], batch))
+    offered, runs = [], 0
+    repeat = Carry.repeat
+
+    def record(self, base, k):
+        offered.append(repeat(self, base, k))
+        return offered[-1]
+    with mock.patch.object(Carry, "repeat", record):
+        for _, net, plan, batch in cases:
+            for idx in sorted(plan.entries):
+                for process in Process:
+                    ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED,
+                                      batch)
+                    n = len(_nest(ws, process).runs())
+                    runs += n
+                    if n:
+                        simulate_layer(process, net.layers[idx], plan, LayoutKind.RESHAPED, dev,
+                                       batch, idx=idx)
+    assert len(offered) == runs and all(offered), (runs, offered.count(False))
+    assert runs == 79  # a pass whose blocks stop translating shows here too
 
 
 def test_carry_repeat_refuses_what_it_cannot_add():
