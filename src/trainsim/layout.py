@@ -36,16 +36,17 @@ a `_WalkWriter` appends each block's rows in one go.  FP and BP share one
 loop nest on the pass's role-swapped operands; WU has its own.  A nest is
 set up once per pass and writes any range of a block's productions, so a
 walker walks one of the slices that `slices` cuts the pass into (of at
-most `SLICE_ROWS` rows) without walking the pass.  Where consecutive
-blocks of one width translate, as a nest shows from its geometry and
-descriptor flags (`_Nest`), `slices` marks the run, so that dma.py prices
-it once.  WU reads a block's weights (`WeightGeom.block`) as one transfer
-per run group of `merge_groups`, the maximal contiguous runs of its tiles.
+most `SLICE_ROWS` rows) without walking the pass.  A pass is full M_on
+blocks, then at most one partial one; where the full blocks translate, as
+a nest shows from its geometry and descriptor flags (`_Nest`), `slices`
+marks them, so that dma.py prices them once.  WU reads a block's weights
+(`WeightGeom.block`) as one transfer per run group of `merge_groups`, the
+maximal contiguous runs of its tiles.
 
 Descriptor policy is the pass's, stated once by its nest (`_Nest`): under
 BCHW every run is its own descriptor (`per_run_start`), every feature load
 and reshaped BP weight-block load is its own (`fresh_start`, per channel),
-and FP and BP end each sequence on a restart (`tail_start`).  dma.py
+and FP and BP end every sequence on a restart (`tail_start`).  dma.py
 prices the policy and the pipeline, one channel at a time.
 """
 
@@ -55,7 +56,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,11 +323,6 @@ class WeightGeom:
     k: int
     tm: int
     tn: int
-    m_on: int
-
-    def __post_init__(self):
-        if self.kind != LayoutKind.BCHW and self.m_on % self.tm:
-            raise ValueError("m_on must be a multiple of tm")
 
     def words(self) -> int:
         return self.m * self.n * self.k * self.k
@@ -476,10 +472,10 @@ class Walk:
     and its two levels only for a transfer of more than one (`multi`).  No
     run of a transfer continues the one before it unless the walk is
     `per_run_start`, which restarts every run anyway.  Its descriptor policy
-    is its pass's (`_Nest`, `restarts`).
+    is its pass's (`_Nest`, `restarts`).  Every sequence holds a
+    production, so `prod_seq[-1] + 1` counts them.
     """
 
-    tail_start: np.ndarray     # per sequence: ends on a restart (t_start)
     prod_seq: np.ndarray       # per production: sequence
     prod_store: np.ndarray     # per production: NO_STORE, CHUNK_STORE or STORE
     chunk_prod: np.ndarray     # per chunk: production
@@ -491,6 +487,7 @@ class Walk:
     overlapped: np.ndarray     # per transfer: on the bus, hidden by the pipeline
     start: np.ndarray          # per transfer: first word of its first run
     length: np.ndarray         # per transfer: words per run
+    # sparse levels: dense ones for every transfer make vgg-fc-head 8-10 % slower
     multi: np.ndarray          # ascending: the transfers of more than one run
     count: np.ndarray          # per multi transfer: runs per row
     stride: np.ndarray         # per multi transfer: words from run to run of a row
@@ -498,6 +495,7 @@ class Walk:
     outer_stride: np.ndarray   # per multi transfer: words from row to row
     per_run_start: bool        # every run is its own descriptor (restart)
     fresh_start: np.ndarray    # per channel code: every transfer its own descriptor
+    tail_start: bool           # every sequence ends on a restart (t_start)
     continued: bool = False    # its last sequence goes on in the next slice
 
     def on(self, channel: Channel) -> np.ndarray:
@@ -564,17 +562,18 @@ class _WalkWriter:
     and chunks go in bus order; so do each channel's transfers.  It takes
     the walk's descriptor policy (`_Nest`) once."""
 
-    COLUMNS = {np.bool_: ("tail_start", "overlapped"), np.int8: ("chan", "role"),
+    COLUMNS = {np.bool_: ("overlapped",), np.int8: ("chan", "role"),
                np.int64: ("prod_seq", "chunk_prod", "comp", "owner", "slot_words", "start",
                           "length", "multi", "count", "stride", "outer", "outer_stride")}
 
     def __init__(self, per_run_start: bool, fresh: tuple[int, ...], tail_start: bool):
-        self.per_run_start, self.tail_start = per_run_start, tail_start
+        self.per_run_start, self.tail_start, self.seqs = per_run_start, tail_start, 0
         self.fresh_start = np.isin(np.arange(len(CHANNELS)), fresh)
         self.cols = {f: _Column(dtype) for dtype, fs in self.COLUMNS.items() for f in fs}
 
     def sequences(self, n: int) -> int:
-        return self.cols["tail_start"].add(self.tail_start, n)
+        self.seqs += n
+        return self.seqs - n
 
     def productions(self, seq: np.ndarray) -> int:
         return self.cols["prod_seq"].add(seq, seq.size)
@@ -615,7 +614,8 @@ class _WalkWriter:
         prod_store = np.full(cols["prod_seq"].size, NO_STORE, dtype=np.int8)
         prod_store[cols["owner"][stores]] = cols["role"][stores]
         return Walk(**cols, prod_store=prod_store, per_run_start=self.per_run_start,
-                    fresh_start=self.fresh_start, continued=continued)
+                    fresh_start=self.fresh_start, tail_start=self.tail_start,
+                    continued=continued)
 
 
 @dataclass(frozen=True)
@@ -637,19 +637,15 @@ class WalkSpec:
 
     def weight_geom(self) -> WeightGeom:
         l = self.layer
-        return WeightGeom(self.kind, l.m, l.n, l.k, self.tm, self.tn, self.fp_m_on)
+        return WeightGeom(self.kind, l.m, l.n, l.k, self.tm, self.tn)
 
 
-def resolve_walk(layer: LayerSpec, plan: TilePlan, idx: int | None, process: Process,
+def resolve_walk(layer: LayerSpec, plan: TilePlan, idx: int, process: Process,
                  kind: str, batch: int) -> WalkSpec:
-    """What the walkers need for `layer`, which is plan entry `idx`; only a
-    one-layer plan may leave `idx` out (None).  Only reshaped blocks a
-    pass's weights by the plan's M_on: under BCHW and BHWC the tile's M_on
-    covers every output channel, so the pass is one weight block."""
-    if idx is None:
-        if len(plan.entries) != 1:
-            raise ValueError("idx required for multi-layer plans")
-        idx = next(iter(plan.entries))
+    """What the walkers need for `layer`, which is plan entry `idx`.  Only
+    reshaped blocks a pass's weights by the plan's M_on: under BCHW and BHWC
+    the tile's M_on covers every output channel, so the pass is one weight
+    block."""
     tile = plan.tile_for(idx, layer, process)
     if kind != LayoutKind.RESHAPED:
         side = layer.n if process is Process.BP else layer.m
@@ -690,7 +686,8 @@ def _spatial_tiles(ws: WalkSpec, rows: int, cols: int, window,
 
 class _TileTable:
     """`FeatureGeom.tiles` of a fixed list of tiles, made once, for image 0:
-    any image's groups are the same, shifted by a per-tile address step."""
+    any image's groups are the same, shifted by a per-tile address step.
+    Calling `tiles` for every slice instead makes vgg-fc-head 3.5 % slower."""
 
     def __init__(self, geom: FeatureGeom, ch0, ch1, r0, r1, c0, c1):
         self.groups, self.counts, self.slot = geom.tiles(0, ch0, ch1, r0, r1, c0, c1)
@@ -706,15 +703,16 @@ class _TileTable:
         return groups, counts, self.slot[t]
 
 
-# the fewest blocks in a run of translates that `slices` marks: three are
-# exact (one primes the pricer's carry, one it measures, one it adds),
+# the fewest full blocks that `slices` marks as a run of translates: three
+# are exact (one primes the pricer's carry, one it measures, one it adds),
 # but a fold pays for the extra slices it cuts only from four
 FOLD_BLOCKS = 4
 
 
 class _Nest:
     """One pass's loop nest, set up once for all its slices: its weight
-    blocks and, per block shape, what each production holds.  A block's
+    blocks, full M_on blocks and at most one partial one after them, and,
+    per block shape, what each production holds.  A block's
     productions are numbered in bus order from 0 and a pass's across its
     blocks (`starts`).  A subclass gives, for block g, its shape (`shape`:
     productions `prods`, productions per sequence `seq_len` and `rows`),
@@ -727,11 +725,11 @@ class _Nest:
     the channels whose every transfer is its own descriptor besides the
     feature loads (`fresh`); under BCHW every run is.
 
-    `translates` says whether consecutive blocks of one width are
-    translates of each other (`runs`): one shape, each transfer one step of
-    its own further on per block (`FeatureGeom.shifts`), and wherever two
-    consecutive transfers of a channel move by different steps, the later
-    one restarting at its head whatever its address.  So each channel of
+    `translates` says whether the full blocks are translates of each
+    other (`runs`): one shape, each transfer one step of its own further on
+    per block (`FeatureGeom.shifts`), and wherever two consecutive
+    transfers of a channel move by different steps, the later one
+    restarting at its head whatever its address.  So each channel of
     `moves` (the steps from the first block's tile origins to the second's)
     moves by one step, or the policy restarts each of its transfers."""
 
@@ -753,17 +751,10 @@ class _Nest:
         return self._shapes[g1 - g0, width]
 
     def runs(self) -> list[tuple[int, int]]:
-        """Blocks [a, b) of each run of at least `FOLD_BLOCKS` consecutive
-        blocks of one width that are translates of each other."""
-        if not self.translates:
-            return []
-        out, a = [], 0
-        for _, run in groupby(self.blocks, key=lambda b: (b[1] - b[0], b[2])):
-            n = len(list(run))
-            if n >= FOLD_BLOCKS:
-                out.append((a, a + n))
-            a += n
-        return out
+        """The pass's one run of translates, if any: its full blocks [0, n),
+        if they translate and are at least `FOLD_BLOCKS`."""
+        n = len(self.blocks) - (self.blocks[-1][2] < self.blocks[0][2])  # a partial last one
+        return [(0, n)] if self.translates and n >= FOLD_BLOCKS else []
 
     def walk(self, lo: int, hi: int) -> Walk:
         """Productions [lo, hi) of the pass."""
@@ -1091,9 +1082,9 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     production boundary: between weight blocks where the next block does
     not fit, else, inside a block over the budget, between its sequences,
     else between its productions.  A production over the budget is a slice
-    of its own.  A run of translates (`_Nest.runs`) is also cut where it
-    begins, after its first two blocks and where it ends; it is one slice,
-    whose `parts` are slices of the budget."""
+    of its own.  The pass's run of translates (`_Nest.runs`), if it has
+    one, is also cut after its first two blocks and where it ends; it is
+    one slice, whose `parts` are slices of the budget."""
     nest = _nest(ws, process)
     runs = nest.runs()
     own = {g for a, b in runs for g in (a, a + 2, b)}  # blocks that begin a slice
@@ -1108,7 +1099,8 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
             continue
         q = 0
         while q < k.prods:
-            # every production is two rows or more
+            # a window, every production two rows or more: a whole block is
+            # 6.4 M productions for vgg16 fc6 WU under bchw at b16
             fit = np.cumsum(nest.rows(g, q, min(k.prods, q + budget // 2 + 1)))
             n = int(np.searchsorted(fit, budget, "right"))  # productions from q that fit
             if q + n == k.prods:  # the rest of the block begins the next slice
@@ -1120,7 +1112,7 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     if cuts[-1] < nest.starts[-1]:
         cuts.append(nest.starts[-1])
     out = [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    for a, b in reversed(runs):
+    for a, b in runs:
         i, j = cuts.index(nest.starts[a]), cuts.index(nest.starts[b])
         out[i:j] = [Slice(nest, cuts[i], cuts[j], nest.starts[a + 1] - cuts[i],
                           tuple(cuts[i + 1:j]))]
@@ -1147,7 +1139,7 @@ SLICE_ROWS = 1 << 15
 
 
 def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
-                    kind: str, batch: int, idx: int | None = None) -> Iterator[Walk]:
+                    kind: str, batch: int, idx: int) -> Iterator[Walk]:
     """The walks of one layer's pass in bus order, one per slice of at most
     `SLICE_ROWS` rows (`slices`; a run of translates by its `parts`)."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
@@ -1157,7 +1149,7 @@ def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
 
 
 def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
-                batch: int, idx: int | None = None) -> Iterator[dict[Channel, np.ndarray]]:
+                batch: int, idx: int) -> Iterator[dict[Channel, np.ndarray]]:
     """Each DMA channel's word-address runs in one layer's pass, in bus
     order, as pieces {channel: (n, 2) int64 (start, length)}: slice by slice
     (`layer_sequences`), a channel at a time (`_channel_runs`)."""
@@ -1280,7 +1272,7 @@ def _gather(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
                          process: Process, batch: int, tensors: dict[Channel, np.ndarray],
-                         idx: int | None = None) -> dict[Channel, np.ndarray]:
+                         idx: int) -> dict[Channel, np.ndarray]:
     """Pack the given operand tensors, walk the pass slice by slice, and
     rebuild each operand from exactly the words its loads touch."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
@@ -1301,8 +1293,8 @@ def reconstruct_operands(layer: LayerSpec, plan: TilePlan, kind: str,
 
 
 def equivalence_check(layer: LayerSpec, plan: TilePlan, kind_a: str, kind_b: str,
-                      process: Process, batch: int, seed: int = 0,
-                      idx: int | None = None) -> tuple[bool, dict]:
+                      process: Process, batch: int, idx: int,
+                      seed: int = 0) -> tuple[bool, dict]:
     """True iff tile reads under both layouts reconstruct identical operand
     contents: every element the loop nest requires is read and matches the
     packed original, and nothing required is missed under either layout."""

@@ -63,11 +63,10 @@ def resource_usage(plan: TilePlan, net: NetworkSpec, dev: DeviceSpec) -> Resourc
     b_ifm = b_ofm = b_wei = 0
     for i in net.weighted_indices():
         layer = net.layers[i]
-        e = plan.entry(i)
-        b_ifm = max(b_ifm, _ifm_banks(layer, plan.tn, e.tr, e.tc, bw))
-        b_ofm = max(b_ofm, _ofm_banks(plan.tm, e.tr, e.tc, bw))
-        m_on = min(e.m_on, ceil_div(layer.m, plan.tm) * plan.tm)
-        b_wei = max(b_wei, _wei_banks(layer, plan.tm, plan.tn, m_on, bw))
+        t = plan.tile_for(i, layer, Process.FP)
+        b_ifm = max(b_ifm, _ifm_banks(layer, plan.tn, t.tr, t.tc, bw))
+        b_ofm = max(b_ofm, _ofm_banks(plan.tm, t.tr, t.tc, bw))
+        b_wei = max(b_wei, _wei_banks(layer, plan.tm, plan.tn, t.m_on, bw))
     return ResourceUsage(dev.dsps_per_mac * plan.tm * plan.tn, b_ifm, b_ofm, b_wei)
 
 

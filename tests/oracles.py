@@ -186,7 +186,7 @@ def weight_tile_runs(geom, mt, nt, nt1=None):
     return [(geom.addr(m0, n0, 0, 0), (m1 - m0) * (n1 - n0) * kk)]
 
 
-def whole_walk(process, layer, plan, kind, batch, idx=None):
+def whole_walk(process, layer, plan, kind, batch, idx):
     """A layer pass as one `layout.Walk`, given as `layout.layer_sequences`
     takes it: its loop nest walked over every production, where the library
     only ever walks it slice by slice."""
@@ -196,7 +196,7 @@ def whole_walk(process, layer, plan, kind, batch, idx=None):
     return nest.walk(0, nest.starts[-1])
 
 
-def whole_trace(process, layer, plan, kind, batch, idx=None):
+def whole_trace(process, layer, plan, kind, batch, idx):
     """Each channel's runs over a whole layer pass, as one (n, 2) array:
     the slices of `layout.trace_layer` joined in order."""
     from trainsim.layout import trace_layer
@@ -225,7 +225,7 @@ def price_walk_loops(walk, t_start, p):
     from trainsim.layout import CHANNELS, CHUNK_STORE, LOAD, STORE
 
     col = {f: getattr(walk, f).tolist() for f in (
-        "tail_start", "prod_seq", "prod_store", "chunk_prod", "comp", "chan",
+        "prod_seq", "prod_store", "chunk_prod", "comp", "chan",
         "role", "owner", "slot_words", "overlapped")}
     per_run_start, fresh_start = walk.per_run_start, walk.fresh_start.tolist()
     runs, off = transfer_runs(walk)
@@ -271,7 +271,8 @@ def price_walk_loops(walk, t_start, p):
         return cycles
 
     total = 0
-    for seq, tail_start in enumerate(col["tail_start"]):
+    tail_start = walk.tail_start
+    for seq in range(col["prod_seq"][-1] + 1):
         seq_prods = prods.get(seq, [])
         for prod in seq_prods:
             load = []

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from trainsim import layout
 from trainsim.layout import WalkSpec
+from trainsim.plan import Process
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -50,6 +52,13 @@ def test_entry_points_keep_traced_parameters(entry_points):
     for name, fn in entry_points.items():
         params = set(inspect.signature(fn).parameters) & READ
         assert TRACED_PARAMS.get(name, set()) <= params, name
+
+
+def test_walkers_table_maps_each_pass_to_its_walker():
+    # `instrument` also rewraps the walkers in `layout.WALKERS`, the table
+    # dma calls them through, so that walking is timed however it is reached
+    assert layout.WALKERS == {Process.FP: layout.walk_fp, Process.BP: layout.walk_bp,
+                              Process.WU: layout.walk_wu}
 
 
 def workload_calls():

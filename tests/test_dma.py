@@ -128,7 +128,7 @@ def test_contiguous_reshaped_ifm_matches_closed_form():
     layer = conv_layer(16, 16, 6, 6, 3, 1, pad=1)
     plan = TilePlan(tm=16, tn=16, entries={0: PlanEntry(tr=6, tc=6, m_on=16)})
     dev = DeviceSpec()
-    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1, idx=0)
     bursts = split_bursts(tr[Channel.IFM])
     assert len(bursts) == 1
     # padding is phantom, so the tile covers the stored 6x6 map exactly
@@ -146,7 +146,7 @@ def degenerate_case():
 
 def test_simulate_degenerate_single_tile():
     layer, plan, dev = degenerate_case()
-    res = simulate_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, dev, 1)
+    res = simulate_layer(Process.FP, layer, plan, LayoutKind.RESHAPED, dev, 1, idx=0)
     # hand chain: serialized load (404) + compute (4) + store (4) + restart
     assert res.cycles == 812
 
@@ -177,7 +177,7 @@ def test_simulate_batch_monotone():
     prev = 0
     for batch in (1, 2, 4):
         cyc = simulate_layer(Process.FP, layer, plan, LayoutKind.RESHAPED,
-                             dev, batch).cycles
+                             dev, batch, idx=0).cycles
         assert cyc > prev
         prev = cyc
 
@@ -195,7 +195,7 @@ def test_unpadded_tile_cost_equals_closed_form():
     # measured tile cost reproduces t_ifm = t_start + Tn/p * rows * cols
     layer = conv_layer(16, 16, 4, 4, 3, 1, pad=0)
     plan = TilePlan(tm=16, tn=16, entries={0: PlanEntry(tr=4, tc=4, m_on=16)})
-    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1, idx=0)
     bursts = split_bursts(tr[Channel.IFM])
     assert transfer_cycles(bursts, DeviceSpec()) == 400 + 4 * 6 * 6
 
@@ -220,8 +220,8 @@ def test_pricer_matches_scalar_oracle(data, kind, process, batch, p, t_start):
         m_on=tm * data.draw(st.integers(1, 3)),
         wu_tr=data.draw(st.one_of(st.none(), st.integers(1, r))))})
     dev = DeviceSpec(stream_width_words=p, t_start=t_start)
-    res = simulate_layer(process, layer, plan, kind, dev, batch)
-    walk = oracles.whole_walk(process, layer, plan, kind, batch)
+    res = simulate_layer(process, layer, plan, kind, dev, batch, idx=0)
+    walk = oracles.whole_walk(process, layer, plan, kind, batch, idx=0)
     cycles, bursts, words, hist = oracles.price_walk_loops(walk, t_start, p)
     assert (res.cycles, res.bursts, res.words, res.burst_lengths) == \
         (cycles, bursts, words, hist)
@@ -349,7 +349,7 @@ def cut_walk(walk: Walk, lo: int, hi: int) -> Walk:
     multi = np.flatnonzero(groups[:, 2] * groups[:, 4] > 1)
     count, stride, outer, outer_stride = groups[multi, 2:].T
     cols = {f: getattr(walk, f)[trs] for f in ("chan", "role", "slot_words", "overlapped")}
-    return Walk(tail_start=walk.tail_start[seq[0]:seq[-1] + 1], prod_seq=seq - seq[0],
+    return Walk(tail_start=walk.tail_start, prod_seq=seq - seq[0],
                 prod_store=walk.prod_store[lo:hi], chunk_prod=walk.chunk_prod[chunks] - lo,
                 comp=walk.comp[chunks],
                 owner=walk.owner[trs] - np.where(load[trs], chunks[0], lo),
@@ -500,7 +500,7 @@ def test_golden_chunks_load_each_channel_once():
 @given(data=st.data(), process=st.sampled_from(list(Process)), batch=st.integers(1, 3))
 def test_reshaped_chunks_load_each_channel_once(data, process, batch):
     layer, plan = reshaped_case(data.draw, process)
-    walk = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch)
+    walk = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch, idx=0)
     assert one_load_per_channel(walk)
 
 
@@ -533,8 +533,8 @@ def test_slice_of_empty_loads():
     plan = TilePlan(tm=1, tn=1, entries={0: PlanEntry(tr=1, tc=1, m_on=1)})
     dev = DeviceSpec(stream_width_words=1, t_start=1)
     with mock.patch.object(dma, "SLICE_ROWS", 2):
-        res = simulate_layer(Process.BP, layer, plan, LayoutKind.RESHAPED, dev, 1)
-    whole = oracles.whole_walk(Process.BP, layer, plan, LayoutKind.RESHAPED, 1)
+        res = simulate_layer(Process.BP, layer, plan, LayoutKind.RESHAPED, dev, 1, idx=0)
+    whole = oracles.whole_walk(Process.BP, layer, plan, LayoutKind.RESHAPED, 1, idx=0)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
 
 
@@ -735,8 +735,8 @@ def test_simulate_layer_folds_runs_exactly(data, process, batch, p, t_start):
     parts = []
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
             mock.patch.dict(WALKERS, {process: counting_walker(process, parts)}):
-        res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
-    whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch)
+        res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch, idx=0)
+    whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch, idx=0)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
     nest = parts[0].nest
     assert walked(parts) < nest.starts[-1] if nest.runs() else walked(parts) == nest.starts[-1]
@@ -768,8 +768,8 @@ def test_fold_cases(name, process, m, n, batch, m_on, budget):
     walks = []
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
             mock.patch.dict(WALKERS, {process: counting_walker(process, walks)}):
-        res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch)
-    whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch)
+        res = simulate_layer(process, layer, plan, LayoutKind.RESHAPED, dev, batch, idx=0)
+    whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch, idx=0)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
     assert walked(walks) < whole.prod_seq.size
     if process is Process.FP:

@@ -44,7 +44,7 @@ def test_bchw_feature_addresses():
 
 
 def test_weight_single_tile_order():
-    g = WeightGeom(LayoutKind.RESHAPED, 2, 2, 1, 2, 2, 2)
+    g = WeightGeom(LayoutKind.RESHAPED, 2, 2, 1, 2, 2)
     assert [g.addr(0, 0, 0, 0), g.addr(1, 0, 0, 0),
             g.addr(0, 1, 0, 0), g.addr(1, 1, 0, 0)] == [0, 1, 2, 3]
 
@@ -57,7 +57,7 @@ def test_reshaped_feature_bijectivity_reference_dims():
 
 
 def test_weight_bijectivity_reference_dims():
-    g = WeightGeom(LayoutKind.RESHAPED, 8, 8, 3, 4, 4, 8)
+    g = WeightGeom(LayoutKind.RESHAPED, 8, 8, 3, 4, 4)
     grid = g.addr_grid()
     assert np.array_equal(np.sort(grid), np.arange(g.words()))
 
@@ -74,10 +74,9 @@ def test_feature_map_is_bijection(kind, b, ch, rows, cols, tm, groups):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(LayoutKind.ALL), m=st.integers(1, 9),
-       n=st.integers(1, 9), k=st.integers(1, 3), tm=st.sampled_from([1, 2, 4]),
-       groups=st.integers(1, 3))
-def test_weight_map_is_bijection(kind, m, n, k, tm, groups):
-    g = WeightGeom(kind, m, n, k, tm, tm, tm * groups)
+       n=st.integers(1, 9), k=st.integers(1, 3), tm=st.sampled_from([1, 2, 4]))
+def test_weight_map_is_bijection(kind, m, n, k, tm):
+    g = WeightGeom(kind, m, n, k, tm, tm)
     grid = g.addr_grid()
     assert np.array_equal(np.sort(grid), np.arange(g.words()))
 
@@ -233,7 +232,7 @@ def test_feature_tiles_expand_to_addresses(data, kind, batch, ch, rows, cols, tm
        n=st.integers(1, 11), k=st.integers(1, 3), tm=st.sampled_from([1, 2, 3, 4]),
        tn=st.sampled_from([1, 2, 3, 4]), block=st.booleans())
 def test_weight_tiles_expand_to_addresses(data, kind, m, n, k, tm, tn, block):
-    geom = WeightGeom(kind, m, n, k, tm, tn, 2 * tm)
+    geom = WeightGeom(kind, m, n, k, tm, tn)
     n_tiles = -(-n // tn)
     tiles = []
     for _ in range(data.draw(st.integers(1, 6))):
@@ -263,7 +262,7 @@ def test_weight_tiles_expand_to_addresses(data, kind, m, n, k, tm, tn, block):
        tn=st.sampled_from([1, 2, 3, 4]))
 def test_merged_weight_block_expands_to_merged_runs(data, kind, m, n, k, tm, tn):
     # a weight block's (m-tile, n-tile) tiles, m-tile major, as WU reads them
-    geom = WeightGeom(kind, m, n, k, tm, tn, 2 * tm)
+    geom = WeightGeom(kind, m, n, k, tm, tn)
     m_tiles, n_tiles = -(-m // tm), -(-n // tn)
     g0 = data.draw(st.integers(0, m_tiles - 1))
     g1 = data.draw(st.integers(g0 + 1, m_tiles))
@@ -320,7 +319,7 @@ def test_fp_weight_scan_is_storage_order():
     # single block, single image: the weight trace is one ascending run
     layer = conv_layer(4, 4, 6, 6, 3, 1, pad=1)
     plan = single_plan(tr=6, tc=6, m_on=4)
-    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, 1, idx=0)
     runs = merge_runs(tr[Channel.WEI])
     assert runs.tolist() == [[0, 4 * 4 * 9]]
 
@@ -329,7 +328,7 @@ def test_fp_weights_loaded_once_per_batch():
     layer = conv_layer(8, 4, 6, 6, 3, 1, pad=1)
     plan = single_plan(tr=3, tc=6, m_on=4)
     for batch in (1, 4):
-        tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
+        tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, batch, idx=0)
         assert tr[Channel.WEI][:, 1].sum() == 8 * 4 * 9
 
 
@@ -338,7 +337,7 @@ def test_fp_ifm_repetition_count():
     layer = conv_layer(8, 4, 4, 4, 1, 1)
     plan = single_plan(tr=4, tc=4, m_on=4)
     batch = 2
-    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, batch)
+    tr = oracles.whole_trace(Process.FP, layer, plan, LayoutKind.RESHAPED, batch, idx=0)
     m_tiles = 4  # ceil(8/2)
     assert tr[Channel.IFM][:, 1].sum() == batch * m_tiles * (4 * 4 * 4)
 
@@ -348,11 +347,11 @@ def test_wu_ofm_repetition_counts():
     loss_words = 4 * 6 * 6
     # rows split across tiles: loss re-read once per input-channel tile
     plan = single_plan(tr=3, tc=6, m_on=4)
-    tr = oracles.whole_trace(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.WU, layer, plan, LayoutKind.RESHAPED, 1, idx=0)
     assert tr[Channel.OFM][:, 1].sum() == 4 * loss_words  # ceil(8/2) tiles
     # all rows resident: each loss element read exactly once
     plan = single_plan(tr=6, tc=6, m_on=4)
-    tr = oracles.whole_trace(Process.WU, layer, plan, LayoutKind.RESHAPED, 1)
+    tr = oracles.whole_trace(Process.WU, layer, plan, LayoutKind.RESHAPED, 1, idx=0)
     assert tr[Channel.OFM][:, 1].sum() == loss_words
 
 
@@ -360,7 +359,7 @@ def test_bp_weight_trace_block_runs():
     # one run per loss-channel chunk per output block, all of block width
     layer = conv_layer(8, 6, 5, 5, 3, 1, pad=1)
     plan = single_plan(tr=5, tc=5, m_on=4)
-    tr = oracles.whole_trace(Process.BP, layer, plan, LayoutKind.RESHAPED, 2)
+    tr = oracles.whole_trace(Process.BP, layer, plan, LayoutKind.RESHAPED, 2, idx=0)
     runs = tr[Channel.WEI]
     blocks = 2          # N=6 in blocks of m_on=4 -> 4 + 2
     m_chunks = 4        # ceil(M=8 / tn=2)
@@ -375,7 +374,7 @@ def test_equivalence_all_layout_pairs():
     for proc in Process:
         for a in LayoutKind.ALL:
             for b in LayoutKind.ALL:
-                ok, report = equivalence_check(layer, plan, a, b, proc, batch=2)
+                ok, report = equivalence_check(layer, plan, a, b, proc, batch=2, idx=0)
                 assert ok, (proc, a, b, report)
 
 
@@ -418,7 +417,7 @@ def test_equivalence_detects_corruption():
         Channel.WEI: rng.standard_normal((4, 4, 3, 3)).astype(np.float32),
     }
     good = reconstruct_operands(layer, plan, LayoutKind.RESHAPED, Process.FP,
-                                2, tensors)
+                                2, tensors, idx=0)
     assert np.array_equal(good[Channel.IFM], tensors[Channel.IFM])
 
     def pack_corrupt(tensor, geom, image, region):
@@ -428,19 +427,14 @@ def test_equivalence_detects_corruption():
             image.words[image.region(region)[0] + 5] += 1.0
 
     with mock.patch.object(layout, "pack", pack_corrupt):
-        bad = reconstruct_operands(layer, plan, LayoutKind.RESHAPED, Process.FP, 2, tensors)
+        bad = reconstruct_operands(layer, plan, LayoutKind.RESHAPED, Process.FP, 2, tensors, idx=0)
     assert not np.array_equal(bad[Channel.IFM], tensors[Channel.IFM])
 
 
 def test_idx_required_for_multi_layer_plans(alexnet, alexnet_plan):
-    # without idx a multi-layer plan has no one tile for the layer; taking
-    # its first entry would walk layer 4 with layer 0's 2x55 tile
+    # a multi-layer plan has no one tile for the layer: idx names its entry,
+    # where layer 0's would walk layer 4 with a 2x55 tile
     layer = alexnet.layers[4]
-    with pytest.raises(ValueError, match="idx required"):
-        equivalence_check(layer, alexnet_plan, LayoutKind.RESHAPED, LayoutKind.BCHW,
-                          Process.FP, 1)
-    with pytest.raises(ValueError, match="idx required"):
-        reconstruct_operands(layer, alexnet_plan, LayoutKind.RESHAPED, Process.FP, 1, {})
     ok, report = equivalence_check(layer, alexnet_plan, LayoutKind.RESHAPED,
                                    LayoutKind.BCHW, Process.FP, 1, idx=4)
     assert ok, report
@@ -487,7 +481,7 @@ def test_equivalence_with_stride_gaps():
     plan = TilePlan(tm=2, tn=2, entries={0: PlanEntry(tr=1, tc=1, m_on=4)})
     for proc in Process:
         for kind in LayoutKind.ALL:
-            ok, rep = equivalence_check(layer, plan, kind, kind, proc, batch=2)
+            ok, rep = equivalence_check(layer, plan, kind, kind, proc, batch=2, idx=0)
             assert ok, (proc, kind, rep)
 
 

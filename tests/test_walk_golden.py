@@ -65,8 +65,8 @@ def walk_digest(walk) -> str:
         out.extend(runs[2 * off[t]:2 * off[t + 1]])
         out.extend((slot[t] or -1, *flags[t]))
 
-    for s, tail_start in enumerate(walk.tail_start.tolist()):
-        out.extend((-1, tail_start))
+    for s in range(walk.prod_seq[-1] + 1):
+        out.extend((-1, walk.tail_start))
         for p in prods[s]:
             out.append(-2)
             for c in chunks[p]:
@@ -159,7 +159,7 @@ def test_walks_match_golden(golden):
 def test_digest_sees_pricing_flags():
     net = _one_conv(4, 4, 4, 4, 3, 1, 1)
     plan = _plan(2, tr=4, tc=4, m_on=4)
-    walk = oracles.whole_walk(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1)
+    walk = oracles.whole_walk(Process.BP, net.layers[0], plan, LayoutKind.RESHAPED, 1, idx=0)
     before = walk_digest(walk)
     # the channel of the last load of the first chunk
     t = np.flatnonzero((walk.role == LOAD) & (walk.owner == 0))[-1]
