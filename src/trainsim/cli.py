@@ -17,6 +17,7 @@ import signal
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,8 @@ def cmd_simulate(args) -> int:
         versus = f"worst deviation vs analytic {worst * 100:.2f}%"
     else:
         versus = "the analytic model describes the reshaped layout only"
-    print(f"layout {kind}: simulated total {rep.total_simulated} cycles, {versus}")
+    print(f"layout {kind}: simulated total {rep.total_simulated} cycles "
+          f"({rep.gflops_simulated:.2f} GFLOPS), {versus}")
     return EXIT_OK
 
 
@@ -144,8 +146,12 @@ def cmd_train(args) -> int:
         batches = datasets.file_batches(args.data, net, args.steps, args.seed)
     out = _out_dir(args)
     losses = []
+    images, busy = 0, 0.0  # host seconds spent in train_minibatch
     for step, (x, y) in enumerate(batches):
+        t0 = time.perf_counter()
         loss, engine_params = engine.train_minibatch(net, engine_params, x, y)
+        busy += time.perf_counter() - t0
+        images += len(y)
         losses.append(loss)
         if args.log_every and step % args.log_every == 0:
             print(f"step {step}: loss {loss:.6f}")
@@ -156,7 +162,8 @@ def cmd_train(args) -> int:
             w.writerow([i, f"{v:.8f}"])
     engine.save_checkpoint(out / "checkpoint.bin", engine_params)
     print(f"trained {len(losses)} steps: first loss {losses[0]:.4f}, "
-          f"last loss {losses[-1]:.4f}")
+          f"last loss {losses[-1]:.4f}, {images / busy:.1f} images/s, "
+          f"{perf.train_gflops(net, images, busy):.3f} GFLOPS on the host")
     return EXIT_OK
 
 

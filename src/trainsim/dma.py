@@ -73,7 +73,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div
-from .perf import LatencyReport, ReportRow, network_report
+from .perf import LatencyReport, ReportRow, network_report, train_gflops
 from .plan import Process, TilePlan
 from .layout import (CHANNELS, LOAD, SLICE_ROWS, STORE, WALKERS, Walk, merge_runs,
                      resolve_walk, slices)
@@ -334,7 +334,8 @@ def simulate_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec, batch: in
     under one layout, plus the burst-length histogram as rows of (layer,
     pass, channel, burst length, count).  Layers without a tiled kernel get
     a row of their `stream_estimate`, flagged as estimated and left out of
-    the simulated total."""
+    the simulated total.  `gflops_simulated` is the training GFLOPS at the
+    device clock over that total."""
     rep = network_report(net, plan, dev, batch)
     hist_rows = []
     for row in rep.rows:
@@ -358,6 +359,8 @@ def simulate_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec, batch: in
     rep.rows.sort(key=lambda r: (r.layer, r.process))
     rep.total_simulated = sum(r.simulated for r in rep.rows
                               if r.simulated and not r.estimated)
+    if rep.total_simulated:
+        rep.gflops_simulated = train_gflops(net, batch, rep.total_simulated / rep.clock_hz)
     return rep, hist_rows
 
 

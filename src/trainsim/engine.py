@@ -6,12 +6,14 @@ argmax codes.  The training pipeline runs in float32; kernels keep the
 dtype of their inputs so the same code serves float64 gradient checking.
 
 `forward` and `train_minibatch` carry activations channels-last, as
-(B, R, C, CH) arrays, from the input transpose to the logits.  Each conv
-pass is one tall GEMM over pixel-major im2col columns: FP multiplies the
-columns by the kernel matrix, WU multiplies the loss by the columns FP
-built, and BP is the full correlation of the stride-dilated loss with the
-flipped, transposed kernel.  Pooling is one strided-slice pass per window
-cell, and BN reduces over every axis but the channel axis.
+(B, R, C, CH) arrays, from the input transpose to the logits.  A conv pass
+lowers its input by row windows (MEC, Cho & Brand 2017), one copy of the
+k*N-wide window at each padded row and output column, k times smaller than
+k*k im2col columns, and then runs k GEMMs per image, one per kernel row,
+summed: FP multiplies kernel row kr's windows by w[:, :, kr, :], WU the
+loss by the windows FP lowered, and BP is FP at stride 1 of the dilated
+loss with the flipped, transposed kernel.  Pooling is one strided-slice
+pass per window cell, and BN reduces over every axis but the channel axis.
 
 The public kernels (`conv_fp`, `pool_bp`, `bn_fp`, ...) take and return
 (B, CH, R, C) arrays; each is a transpose around the same channels-last
@@ -48,48 +50,53 @@ def _nchw(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 3, 1, 2)
 
 
-def _im2col(a: np.ndarray, k: int, s: int, pad: int) -> np.ndarray:
-    """Pixel-major columns of a channels-last map: (B, R, C, k*k*N).
+def _lower(a: np.ndarray, k: int, s: int, pad: int) -> list[np.ndarray]:
+    """Row-window (MEC) lowering of a channels-last map: per kernel row kr,
+    the (B, R*C, k*N) windows it reads, each a view of one copy.
 
-    Row (b, r, c) holds the stride-s window at output pixel (r, c) in
-    (kr, kc, n) order.  The windows are read from a zero-padded NHWC
-    buffer, in which each (kr, kc, n) row segment of a window is one
-    contiguous run of k*N values.
+    The copy is (P, B, Hq, C, k*N): [p, b, q, c] is the k*N-wide window, in
+    (kc, n) order, at output column c of padded row s*q + p of image b, and
+    kernel row kr of output row r reads [kr % s, b, r + kr // s].  Rows are
+    zero-padded to Hq*s; only the P = min(s, k) phases some kr reads are copied.
     """
     b, h, w, n = a.shape
-    if pad:
-        ap = np.zeros((b, h + 2 * pad, w + 2 * pad, n), dtype=a.dtype)
+    hq, wp = -(-(h + 2 * pad) // s), w + 2 * pad
+    if pad or hq * s != h:
+        ap = np.zeros((b, hq * s, wp, n), dtype=a.dtype)
         ap[:, pad:pad + h, pad:pad + w] = a
     else:
         ap = np.ascontiguousarray(a)
-    _, hp, wp, _ = ap.shape
-    r, c = (hp - k) // s + 1, (wp - k) // s + 1
     sn = ap.itemsize  # C-contiguous strides; numpy's may differ on size-1 axes
-    sw, sh = n * sn, wp * n * sn
-    win = as_strided(ap, (b, r, c, k, k * n), (hp * sh, s * sh, s * sw, sh, sn),
-                     writeable=False)
-    return win.reshape(b, r, c, k * k * n)
-
-
-def _gemm(cols: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """One tall GEMM of (B, R, C, K) columns with a (K, M) matrix."""
-    b, r, c, kk = cols.shape
-    return (cols.reshape(b * r * c, kk) @ wmat).reshape(b, r, c, wmat.shape[1])
+    row = wp * n * sn
+    low = np.ascontiguousarray(as_strided(
+        ap, (min(s, k), b, hq, (wp - k) // s + 1, k * n),
+        (row, hq * s * row, s * row, s * n * sn, sn), writeable=False))
+    r = (h + 2 * pad - k) // s + 1
+    return [low[kr % s, :, kr // s:kr // s + r].reshape(b, -1, k * n) for kr in range(k)]
 
 
 def _conv_fp(a: np.ndarray, w: np.ndarray, s: int,
-             pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channels-last conv_fp; also returns the columns for _conv_wu."""
+             pad: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Channels-last conv_fp: per kernel row kr, one GEMM per image of its
+    windows with w[:, :, kr, :], summed; also returns the windows for _conv_wu."""
     m, n, k, _ = w.shape
-    cols = _im2col(a, k, s, pad)
-    return _gemm(cols, w.transpose(2, 3, 1, 0).reshape(k * k * n, m)), cols
+    rows = _lower(a, k, s, pad)
+    out = np.empty((*rows[0].shape[:2], m), dtype=np.result_type(a, w))
+    part = np.empty_like(out)
+    wk = w.transpose(2, 3, 1, 0).reshape(k, k * n, m)
+    np.matmul(rows[0], wk[0], out=out)
+    for kr in range(1, k):
+        out += np.matmul(rows[kr], wk[kr], out=part)
+    return out.reshape(len(a), (a.shape[1] + 2 * pad - k) // s + 1, -1, m), rows
 
 
-def _conv_wu(cols: np.ndarray, l_next: np.ndarray, k: int) -> np.ndarray:
-    """dW from conv_fp's columns and the channels-last loss, summed over the batch."""
-    m = l_next.shape[-1]
-    dw = l_next.reshape(-1, m).T @ cols.reshape(-1, cols.shape[-1])
-    return np.ascontiguousarray(dw.reshape(m, k, k, -1).transpose(0, 3, 1, 2))
+def _conv_wu(rows: list[np.ndarray], l_next: np.ndarray) -> np.ndarray:
+    """dW from conv_fp's windows and the channels-last loss: per kernel row,
+    the loss times its windows, one GEMM per image, summed over the batch."""
+    b, r, c, m = l_next.shape
+    k, lt = len(rows), l_next.reshape(b, r * c, m).transpose(0, 2, 1)
+    dw = np.stack([np.matmul(lt, x).sum(axis=0) for x in rows])
+    return np.ascontiguousarray(dw.reshape(k, m, k, -1).transpose(1, 3, 0, 2))
 
 
 def _placed(o: int, s: int, count: int, size: int) -> tuple[slice, slice]:
@@ -102,8 +109,8 @@ def _placed(o: int, s: int, count: int, size: int) -> tuple[slice, slice]:
 
 def _conv_bp(l_next: np.ndarray, w: np.ndarray, s: int, pad: int,
              in_hw: tuple[int, int]) -> np.ndarray:
-    """Channels-last conv_bp: the full correlation of the stride-dilated
-    loss with the flipped, transposed kernel, as one im2col GEMM.
+    """Channels-last conv_bp: conv_fp at stride 1 of the stride-dilated
+    loss with the flipped, transposed kernel (the full correlation).
 
     Loss pixel (r, c) lands at (k-1-pad + s*r, k-1-pad + s*c) of a zero
     buffer of (hi + k-1, wi + k-1) pixels, whose k x k windows are the
@@ -112,14 +119,13 @@ def _conv_bp(l_next: np.ndarray, w: np.ndarray, s: int, pad: int,
     the buffer's zero border.
     """
     b, r, c, m = l_next.shape
-    _, n, k, _ = w.shape
+    k = w.shape[2]
     hi, wi = in_hw
     buf = np.zeros((b, hi + k - 1, wi + k - 1, m), dtype=l_next.dtype)
     r_src, r_dst = _placed(k - 1 - pad, s, r, hi + k - 1)
     c_src, c_dst = _placed(k - 1 - pad, s, c, wi + k - 1)
     buf[:, r_dst, c_dst] = l_next[:, r_src, c_src]
-    flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * m, n)
-    return _gemm(_im2col(buf, k, 1, 0), flipped)
+    return _conv_fp(buf, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, 0)[0]
 
 
 def conv_fp(a: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -140,8 +146,7 @@ def conv_bp(l_next: np.ndarray, w: np.ndarray, stride: int = 1, pad: int = 0,
     """
     _check(l_next.ndim == 4 and w.ndim == 4, "conv_bp expects 4-d tensors")
     _check(l_next.shape[1] == w.shape[0], f"loss channels {l_next.shape[1]} != m {w.shape[0]}")
-    _, _, r, c = l_next.shape
-    k = w.shape[2]
+    (r, c), k = l_next.shape[2:], w.shape[2]
     reach = ((r - 1) * stride + k - 2 * pad, (c - 1) * stride + k - 2 * pad)
     in_hw = reach if in_hw is None else in_hw
     _check(in_hw[0] >= reach[0] and in_hw[1] >= reach[1],
@@ -157,10 +162,10 @@ def conv_wu(a: np.ndarray, l_next: np.ndarray, k: int, stride: int = 1,
     """
     _check(a.ndim == 4 and l_next.ndim == 4, "conv_wu expects 4-d tensors")
     _check(a.shape[0] == l_next.shape[0], "batch sizes differ")
-    cols = _im2col(_nhwc(a), k, stride, pad)
-    _check(cols.shape[1:3] == l_next.shape[2:4],
-           f"loss map {l_next.shape[2:4]} inconsistent with windows {cols.shape[1:3]}")
-    return _conv_wu(cols, _nhwc(l_next), k)
+    windows = tuple((d + 2 * pad - k) // stride + 1 for d in a.shape[2:])
+    _check(windows == l_next.shape[2:4],
+           f"loss map {l_next.shape[2:4]} inconsistent with windows {windows}")
+    return _conv_wu(_lower(_nhwc(a), k, stride, pad), _nhwc(l_next))
 
 
 def sgd_apply(w: np.ndarray, dw: np.ndarray, lr: float) -> np.ndarray:
@@ -344,11 +349,9 @@ class Params:
     bn: dict[int, BnState] = field(default_factory=dict)
 
     def copy(self) -> "Params":
-        out = Params()
-        out.weights = {i: w.copy() for i, w in self.weights.items()}
-        for i, st in self.bn.items():
-            out.bn[i] = BnState(gamma=st.gamma.copy(), beta=st.beta.copy(), eps=st.eps)
-        return out
+        return Params({i: w.copy() for i, w in self.weights.items()},
+                      {i: BnState(gamma=st.gamma.copy(), beta=st.beta.copy(), eps=st.eps)
+                       for i, st in self.bn.items()})
 
 
 def init_params(net: NetworkSpec, seed: int = 0, dtype=np.float32) -> Params:
@@ -373,22 +376,22 @@ def _forward(net: NetworkSpec, params: Params, x: np.ndarray, keep: bool):
     """forward over channels-last activations, from the (B, CH, R, C) input x.
 
     Returns the output, every layer's input and the max-pool codes, all
-    channels-last, and with keep=True each weighted layer's im2col columns.
+    channels-last, and with keep=True each weighted layer's row windows.
     """
     first = net.layers[0]
     _check(x.ndim == 4 and x.shape[1:] == (first.n, first.r_in, first.c_in),
            f"input {x.shape} != (B, {first.n}, {first.r_in}, {first.c_in})")
     acts: list[np.ndarray] = []
     pool_idx: dict[int, np.ndarray] = {}
-    cols: dict[int, np.ndarray] = {}
+    lowered: dict[int, list[np.ndarray]] = {}
     a = _nhwc(x)
     for i, l in enumerate(net.layers):
         acts.append(a)
         if l.weighted:
-            a, col = _conv_fp(_flat(a) if l.flatten_input else a,
+            a, low = _conv_fp(_flat(a) if l.flatten_input else a,
                               params.weights[i], l.s, l.pad)
             if keep:
-                cols[i] = col
+                lowered[i] = low
         elif l.is_pool:
             a, idx = _pool_fp(a, l.k, l.s, l.kind)
             if idx is not None:
@@ -399,7 +402,7 @@ def _forward(net: NetworkSpec, params: Params, x: np.ndarray, keep: bool):
             a = _bn_fp(a, params.bn[i])
         elif l.kind is Kind.SOFTMAX_XENT:
             break
-    return a, acts, pool_idx, cols
+    return a, acts, pool_idx, lowered
 
 
 def forward(net: NetworkSpec, params: Params, x: np.ndarray,
@@ -422,7 +425,7 @@ def train_minibatch(net: NetworkSpec, params: Params, x: np.ndarray,
                     labels: np.ndarray) -> tuple[float, Params]:
     """One full FP -> loss -> BP -> WU -> SGD pass over a mini-batch."""
     require_trainable(net)
-    logits, acts, pool_idx, cols = _forward(net, params, x, keep=True)
+    logits, acts, pool_idx, lowered = _forward(net, params, x, keep=True)
     loss, l_back = softmax_xent(_nchw(logits), labels)
     l_back = _nhwc(l_back)
     lr = net.learning_rate
@@ -430,7 +433,7 @@ def train_minibatch(net: NetworkSpec, params: Params, x: np.ndarray,
     for i in range(len(net.layers) - 2, -1, -1):
         l = net.layers[i]
         if l.weighted:
-            grads[i] = _conv_wu(cols.pop(i), l_back, l.k)
+            grads[i] = _conv_wu(lowered.pop(i), l_back)
             if i == 0:
                 break  # loss is never propagated past the first layer
             l_back = _conv_bp(l_back, params.weights[i], l.s, l.pad,
@@ -455,12 +458,9 @@ CHECKPOINT_MAGIC = b"TSCKPT01"
 
 
 def save_checkpoint(path, params: Params) -> None:
-    items: list[tuple[str, np.ndarray]] = []
-    for i, w in sorted(params.weights.items()):
-        items.append((f"w{i}", w))
+    items = [(f"w{i}", w) for i, w in sorted(params.weights.items())]
     for i, st in sorted(params.bn.items()):
-        items.append((f"bn{i}.gamma", st.gamma))
-        items.append((f"bn{i}.beta", st.beta))
+        items += [(f"bn{i}.gamma", st.gamma), (f"bn{i}.beta", st.beta)]
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(items)))

@@ -182,18 +182,27 @@ class LatencyReport:
     total_analytic: int = 0
     total_simulated: int | None = None
     gflops: float | None = None
+    gflops_simulated: float | None = None  # set by dma.simulate_report
     batch: int = 1
     clock_hz: float = 100e6
 
     def to_dict(self) -> dict:
+        simulated = ({} if self.gflops_simulated is None
+                     else {"gflops_simulated": self.gflops_simulated})
         return {
             "batch": self.batch,
             "clock_hz": self.clock_hz,
             "total_analytic": self.total_analytic,
             "total_simulated": self.total_simulated,
             "gflops": self.gflops,
+            **simulated,
             "rows": [vars(r) for r in self.rows],
         }
+
+
+def train_gflops(net: NetworkSpec, images: int, seconds: float) -> float:
+    """GFLOPS of training `images` images in `seconds`, by count_train_ops."""
+    return count_train_ops(net) * images / seconds / 1e9
 
 
 def network_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec,
@@ -217,8 +226,7 @@ def network_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec,
             rep.rows.append(ReportRow(i, layer.label(), proc.value, cyc))
     rep.total_analytic = sum(r.analytic for r in rep.rows if r.analytic is not None)
     if rep.total_analytic:
-        ops = count_train_ops(net) * b
-        rep.gflops = ops / (rep.total_analytic / clk) / 1e9
+        rep.gflops = train_gflops(net, b, rep.total_analytic / clk)
     return rep
 
 
@@ -231,6 +239,6 @@ def audit_values(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
 
 __all__ = [
     "TileCosts", "tile_costs", "fp_bp_latency", "wu_latency",
-    "layer_process_latency", "network_report", "LatencyReport", "ReportRow",
+    "layer_process_latency", "network_report", "train_gflops", "LatencyReport", "ReportRow",
     "audit_values",
 ]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -68,6 +69,7 @@ def test_estimate_reference_totals(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "estimate.json").read_text())
     assert doc["total_analytic"] == 69_295_691
+    assert f"{doc['gflops']:.3f}" == "36.071" and "gflops_simulated" not in doc
     assert doc["audit"]["0/fp"]["t_comp"] == 2 * 55 * 121
     # csv rows agree with the json field-for-field
     with open(tmp_path / "estimate.csv") as f:
@@ -126,6 +128,20 @@ def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, cmd, fl
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_simulate_reports_simulated_gflops(tmp_path, capsys):
+    # training ops at the device clock over each layout's simulated total;
+    # the analytic figure is the same under every layout
+    want = {"reshaped": "36.418", "bhwc": "28.860", "bchw": "1.492"}
+    for kind, gflops in want.items():
+        assert run(["simulate", "--net", "alexnet_conv", "--device", "zcu102",
+                    "--plan", "alexnet_conv_zcu102", "--batch", "4",
+                    "--layout", kind, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / f"simulate_{kind}.json").read_text())
+        assert f"{doc['gflops_simulated']:.3f}" == gflops
+        assert f"{doc['gflops']:.3f}" == "36.071"
+        assert f"cycles ({doc['gflops_simulated']:.2f} GFLOPS), " in capsys.readouterr().out
+
+
 def test_simulate_deviation_within_bound(tmp_path):
     rc = run(["simulate", "--net", "alexnet_conv", "--device", "zcu102",
               "--plan", "alexnet_conv_zcu102", "--batch", "4",
@@ -148,12 +164,16 @@ SMOKE_NET = {
         {"kind": "softmax_xent"}]}
 
 
-def test_train_synthetic_loss_falls(tmp_path):
+def test_train_synthetic_loss_falls(tmp_path, capsys):
     p = tmp_path / "smoke.json"
     p.write_text(json.dumps(SMOKE_NET))
     rc = run(["train", "--net", str(p), "--steps", "40", "--seed", "3",
               "--out", str(tmp_path)])
     assert rc == 0
+    # the summary line's form only: its throughput figures depend on the host
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"trained 40 steps: first loss \d+\.\d{4}, last loss \d+\.\d{4}, "
+                        r"\d+\.\d images/s, \d+\.\d{3} GFLOPS on the host", last), last
     with open(tmp_path / "loss.csv") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 40
