@@ -137,6 +137,8 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.log_every < 0:
+        raise ConfigError(f"--log-every must be >= 0, got {args.log_every}")
     net = config.load_network(args.net, args.batch)
     engine.require_trainable(net)  # before allocating weights and data
     engine_params = engine.init_params(net, seed=args.seed)

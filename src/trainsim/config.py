@@ -91,7 +91,10 @@ def load_plan(path_or_name: str | Path) -> TilePlan:
                 raise ValueError(f"plan layer entry {e!r} is not an object")
             overrides = {k: None if e.get(k) is None else _integral(e, k)
                          for k in _OVERRIDE_KEYS}
-            entries[_integral(e, "layer")] = PlanEntry(
+            idx = _integral(e, "layer")
+            if idx in entries:
+                raise ValueError(f"layer {idx} is listed twice")
+            entries[idx] = PlanEntry(
                 tr=_integral(e, "tr"), tc=_integral(e, "tc"), m_on=_integral(e, "m_on"),
                 **overrides)
         return TilePlan(tm=_integral(doc, "tm"), tn=_integral(doc, "tn"), entries=entries)

@@ -45,25 +45,23 @@ in the next (`Walk.continued`): then its last production's store is not
 the sequence's last, and its tail restart, under a `tail_start` policy,
 is charged where it ends.
 
-It prices a run of repeated weight blocks once.  Under reshaped, a
-pass's full M_on blocks are translates of each other: each re-reads the same
+It prices repeated weight blocks once.  Under reshaped, a pass's full
+M_on blocks can be translates of each other: each re-reads the same
 source tiles, each of its weight and output transfers sits one fixed step
 of its own past the previous block's, and its rows, flags and run lengths
-are the same (`layout._Nest`; bchw and bhwc have one block per pass).
-Wherever two consecutive transfers of a channel move by different steps,
-such as BP's block loads over m-tiles of two widths, the pass's policy
-restarts every transfer of that channel at its head.  A block then prices
-alike wherever it follows a translate, since every continuity test that
-decides a restart or the open burst comes out the same, and the carry
-hands on the same open burst.  Of a run of four blocks or more,
-`simulate_layer` prices the first two as above, as one slice where they
-fit: the first primes the carry, and `simulate_sequences` hands back the
-carry at the second's head (its `mark`), so that the `Carry` step over
-the second is measured without a slice of its own.  It adds that step for
-the rest in closed form where `Carry.repeat` can; where it cannot, the
-rest of the run is priced block by block, which keeps the result exact.
-The walker marks no run where blocks do not translate, such as WU loss
-tiles that are not whole M_on blocks of the loss map at a batch over one.
+are the same (bchw and bhwc have one block per pass).  Wherever two
+consecutive transfers of a channel move by different steps, such as BP's
+block loads over m-tiles of two widths, the pass's policy restarts every
+transfer of that channel at its head.  A block then prices alike wherever
+it follows a translate, since every continuity test that decides a
+restart or the open burst comes out the same, and the carry hands on the
+same open burst.  The nest counts the blocks that fold once, as
+`layout._Nest.fold`.  `simulate_layer` walks the first two in the slices
+that end at block 2: block 0 primes the carry, and `simulate_sequences`
+hands back the carry at block 1's head (its `mark`), so that the `Carry`
+step over block 1 is measured without a slice of its own.  `Carry.repeat`
+adds that step for the rest in closed form where it can; where it cannot,
+they are priced slice by slice, which keeps the result exact.
 """
 
 from __future__ import annotations
@@ -218,15 +216,13 @@ class Carry:
 
     def repeat(self, base: Carry, k: int) -> bool:
         """Take in k more blocks, each a translate of the block priced since
-        `base`, whose carry was itself left by a translate (a run's second
-        block, after its first): add k times what that block added.  Each
+        `base`, whose carry was itself left by a translate (block 1 of a
+        fold, after block 0): add k times what that block added.  Each
         channel's end moves by k of its steps.  Its histogram takes k more
         of the block's bursts where the block leaves the open burst as it
         found it; where the block makes no restart, its one open burst grows
-        by k blocks' words instead.  If neither holds for some channel, such
-        as one whose first block went on with a burst from before the run
-        that the second does not, nothing changes, and False says to price
-        the blocks."""
+        by k blocks' words instead.  If neither holds for some channel,
+        nothing changes, and False says to price the blocks."""
         grows = [s.open != b.open for s, b in zip(self.streams, base.streams)]
         if any(g and s.bursts != b.bursts for g, s, b in zip(grows, self.streams, base.streams)):
             return False
@@ -308,23 +304,25 @@ def simulate_layer(process: Process, layer: LayerSpec, plan: TilePlan,
                    idx: int) -> SimResult:
     """Trace-driven cycles for one layer pass under one layout, walked and
     priced one slice at a time (`layout.slices`), so that memory stays
-    bounded however large the pass.  Of a run of repeated blocks, only the
-    first two are walked, as one slice where they fit; the rest are added
+    bounded however large the pass.  Of a pass that folds, only the first
+    two blocks are walked, as one slice where they fit; the rest are added
     in closed form."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
-    carry = Carry()
-    for part in slices(ws, process, SLICE_ROWS):
-        mark = part.lo + part.period  # where a run's measured block begins
-        for piece in part.parts():
-            at = mark - piece.lo if piece.lo < mark < piece.hi else None
-            priced = simulate_sequences(WALKERS[process](ws, piece), dev, carry, at)
-            if at is not None:
-                base = priced
-            if piece.hi == mark:
-                base = carry.copy()
-            elif piece.hi == mark + part.period and \
-                    carry.repeat(base, (part.hi - piece.hi) // part.period):
-                break
+    parts = slices(ws, process, SLICE_ROWS)
+    fold, starts = parts[0].nest.fold, parts[0].nest.starts
+    mark = starts[1] if fold else 0  # where the measured block begins
+    carry, done = Carry(), 0
+    for part in parts:
+        if part.hi <= done:
+            continue  # folded
+        at = mark - part.lo if part.lo < mark < part.hi else None
+        priced = simulate_sequences(WALKERS[process](ws, part), dev, carry, at)
+        if at is not None:
+            base = priced
+        if part.hi == mark:
+            base = carry.copy()
+        elif fold and part.hi == starts[2] and carry.repeat(base, fold - 2):
+            done = starts[fold]
     return carry.result()
 
 

@@ -38,10 +38,10 @@ set up once per pass and writes any range of a block's productions, so a
 walker walks one of the slices that `slices` cuts the pass into (of at
 most `SLICE_ROWS` rows) without walking the pass.  A pass is full M_on
 blocks, then at most one partial one; where the full blocks translate, as
-a nest shows from its geometry and descriptor flags (`_Nest`), `slices`
-marks them, so that dma.py prices them once.  WU reads a block's weights
-(`WeightGeom.block`) as one transfer per run group of `merge_groups`, the
-maximal contiguous runs of its tiles.
+a nest shows from its geometry and descriptor flags, its `fold` counts
+them, so that dma.py walks two and adds the rest in closed form.  WU
+reads a block's weights (`WeightGeom.block`) as one transfer per run
+group of `merge_groups`, the maximal contiguous runs of its tiles.
 
 Descriptor policy is the pass's, stated once by its nest (`_Nest`): under
 BCHW every run is its own descriptor (`per_run_start`), every feature load
@@ -703,9 +703,9 @@ class _TileTable:
         return groups, counts, self.slot[t]
 
 
-# the fewest full blocks that `slices` marks as a run of translates: three
-# are exact (one primes the pricer's carry, one it measures, one it adds),
-# but a fold pays for the extra slices it cuts only from four
+# the fewest translating full blocks a pass folds: three are exact (one
+# primes the pricer's carry, one it measures, one it adds), but a fold pays
+# for the extra slices it cuts only from four
 FOLD_BLOCKS = 4
 
 
@@ -726,12 +726,13 @@ class _Nest:
     feature loads (`fresh`); under BCHW every run is.
 
     `translates` says whether the full blocks are translates of each
-    other (`runs`): one shape, each transfer one step of its own further on
-    per block (`FeatureGeom.shifts`), and wherever two consecutive
-    transfers of a channel move by different steps, the later one
-    restarting at its head whatever its address.  So each channel of
-    `moves` (the steps from the first block's tile origins to the second's)
-    moves by one step, or the policy restarts each of its transfers."""
+    other: one shape, each transfer one step of its own further on per
+    block (`FeatureGeom.shifts`), and wherever two consecutive transfers of
+    a channel move by different steps, the later one restarting at its head
+    whatever its address.  So each channel of `moves` (the steps from the
+    first block's tile origins to the second's) moves by one step, or the
+    policy restarts each of its transfers.  `fold` counts the full blocks
+    if they translate and are at least `FOLD_BLOCKS`, else it is 0."""
 
     def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]], shifts: bool,
                  moves: dict[int, np.ndarray], tail_start: bool, fresh: tuple[int, ...] = ()):
@@ -740,6 +741,8 @@ class _Nest:
         self.policy = per_run_start, fresh, tail_start
         self.translates = shifts and all(per_run_start or c in fresh or np.ptp(step) == 0
                                          for c, step in moves.items())
+        full = len(tile_blocks) - (tile_blocks[-1][2] < tile_blocks[0][2])  # a partial last one
+        self.fold = full if self.translates and full >= FOLD_BLOCKS else 0
         self._shapes: dict[tuple[int, int], SimpleNamespace] = {}
         self.starts = [0, *accumulate(self.shape(g).prods for g in range(len(tile_blocks)))]
 
@@ -749,12 +752,6 @@ class _Nest:
         if (g1 - g0, width) not in self._shapes:
             self._shapes[g1 - g0, width] = self._shape(g0, g1)
         return self._shapes[g1 - g0, width]
-
-    def runs(self) -> list[tuple[int, int]]:
-        """The pass's one run of translates, if any: its full blocks [0, n),
-        if they translate and are at least `FOLD_BLOCKS`."""
-        n = len(self.blocks) - (self.blocks[-1][2] < self.blocks[0][2])  # a partial last one
-        return [(0, n)] if self.translates and n >= FOLD_BLOCKS else []
 
     def walk(self, lo: int, hi: int) -> Walk:
         """Productions [lo, hi) of the pass."""
@@ -1058,22 +1055,11 @@ def _nest(ws: WalkSpec, process: Process) -> _Nest:
 class Slice:
     """Productions [lo, hi) of a layer pass, numbered in bus order across
     its weight blocks; `nest` is the pass's loop nest, set up once for all
-    the slices `slices` cuts it into.
-
-    A slice with a `period` covers a run of translates (`_Nest.runs`):
-    whole blocks of `period` productions each, each a translate of the one
-    before.  Its `parts` are the slices of the budget that cover it, cut at
-    `cuts`."""
+    the slices `slices` cuts it into."""
 
     nest: _Nest
     lo: int
     hi: int
-    period: int = 0
-    cuts: tuple[int, ...] = ()
-
-    def parts(self) -> list[Slice]:
-        bounds = (self.lo, *self.cuts, self.hi)
-        return [Slice(self.nest, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
@@ -1082,12 +1068,11 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     production boundary: between weight blocks where the next block does
     not fit, else, inside a block over the budget, between its sequences,
     else between its productions.  A production over the budget is a slice
-    of its own.  The pass's run of translates (`_Nest.runs`), if it has
-    one, is also cut after its first two blocks and where it ends; it is
-    one slice, whose `parts` are slices of the budget."""
+    of its own.  A pass that folds (`_Nest.fold`) is also cut before its
+    blocks 2 and `fold`, so that its first two blocks end a slice and the
+    folded blocks after them are whole slices."""
     nest = _nest(ws, process)
-    runs = nest.runs()
-    own = {g for a, b in runs for g in (a, a + 2, b)}  # blocks that begin a slice
+    own = {2, nest.fold} if nest.fold else set()  # blocks that begin a slice
     cuts, filled = [0], 0
     for g in range(len(nest.blocks)):
         first, k = nest.starts[g], nest.shape(g)
@@ -1111,12 +1096,7 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
             cuts.append(first + q)
     if cuts[-1] < nest.starts[-1]:
         cuts.append(nest.starts[-1])
-    out = [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    for a, b in runs:
-        i, j = cuts.index(nest.starts[a]), cuts.index(nest.starts[b])
-        out[i:j] = [Slice(nest, cuts[i], cuts[j], nest.starts[a + 1] - cuts[i],
-                          tuple(cuts[i + 1:j]))]
-    return out
+    return [Slice(nest, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 # the walkers of FP, BP and WU: each walks slice `part` (`slices`) of pass `ws`
@@ -1141,11 +1121,10 @@ SLICE_ROWS = 1 << 15
 def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
                     kind: str, batch: int, idx: int) -> Iterator[Walk]:
     """The walks of one layer's pass in bus order, one per slice of at most
-    `SLICE_ROWS` rows (`slices`; a run of translates by its `parts`)."""
+    `SLICE_ROWS` rows (`slices`)."""
     ws = resolve_walk(layer, plan, idx, process, kind, batch)
     for part in slices(ws, process, SLICE_ROWS):
-        for piece in part.parts():
-            yield WALKERS[process](ws, piece)
+        yield WALKERS[process](ws, part)
 
 
 def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,

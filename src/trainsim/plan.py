@@ -36,8 +36,6 @@ class LayerTile:
             raise InvalidPlan(f"layer {layer.label()}: k,s must be >= 1")
         if not 1 <= self.tr <= layer.r or not 1 <= self.tc <= layer.c:
             raise InvalidPlan(f"tile {self.tr}x{self.tc} outside {layer.r}x{layer.c}")
-        if self.m_on < 1:
-            raise InvalidPlan("m_on must be >= 1")
         return self
 
 
@@ -93,6 +91,8 @@ class TilePlan:
                 tc = e.wu_tc if e.wu_tc is not None else tc
                 m_on = e.wu_m_on if e.wu_m_on is not None else m_on
             side = layer.m
+        if m_on < 1:
+            raise InvalidPlan(f"{process.value} m_on={m_on} must be >= 1")
         if m_on % self.tm:
             raise InvalidPlan(f"m_on={m_on} not a multiple of tm={self.tm}")
         m_on = min(m_on, ceil_div(side, self.tm) * self.tm)

@@ -391,6 +391,38 @@ def test_train_zero_steps_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "loss.csv").exists()
 
 
+def test_train_negative_log_every_is_config_error(tmp_path, capsys):
+    rc = run(["train", "--net", "cifar6", "--batch", "2", "--steps", "1",
+              "--log-every", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--log-every" in capsys.readouterr().err
+    assert not (tmp_path / "loss.csv").exists()
+
+
+@pytest.mark.parametrize("bp_m_on", [0, -16])
+def test_plan_bp_m_on_below_one_is_config_error(tmp_path, capsys, bp_m_on):
+    # a zero or negative BP weight block on layer 2 is rejected up front
+    plan = _alexnet_plan(tmp_path, pos=1, bp_m_on=bp_m_on)
+    for argv in (["estimate", "--device", "zcu102"],
+                 ["simulate", "--device", "zcu102", "--layout", "reshaped"],
+                 ["layout-dump", "--layout", "reshaped"]):
+        rc = run([*argv, "--net", "alexnet_conv", "--plan", plan,
+                  "--batch", "4", "--out", str(tmp_path)])
+        assert rc == 2, argv
+        assert "m_on" in capsys.readouterr().err
+
+
+def test_plan_listing_a_layer_twice_is_config_error(tmp_path, capsys):
+    # a second entry for layer 2 must not silently replace the first
+    doc = plan_to_dict(load_plan("alexnet_conv_zcu102"))
+    doc["layers"].append({**doc["layers"][1], "m_on": 16})
+    rc = run(["estimate", "--net", "alexnet_conv", "--device", "zcu102",
+              "--plan", _write(tmp_path, "plan.json", doc), "--batch", "4",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
 def test_plan_override_given_as_string(tmp_path):
     # the reference plan's layer-2 bp_m_on of 48, written as a JSON string
     plan = _alexnet_plan(tmp_path, pos=1, bp_m_on="48")

@@ -424,9 +424,9 @@ def walk_rows(walk: Walk) -> int:
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_walker_slices_fold_to_whole_pass(data):
-    # the walkers' own slices of a golden pass, at a random budget (a run of
-    # translates in its parts): each holds at most that many rows unless it
-    # is one production, and their prices fold to the whole walk's
+    # the walkers' own slices of a golden pass, at a random budget: each
+    # holds at most that many rows unless it is one production, and their
+    # prices fold to the whole walk's
     key = data.draw(st.sampled_from(GOLDEN_KEYS), label="case")
     case, idx, proc, kind = key.split("/")
     _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
@@ -435,7 +435,7 @@ def test_walker_slices_fold_to_whole_pass(data):
     whole = walk_table()[key]
     total = walk_rows(whole)
     budget = data.draw(st.integers(max(2, total // 16), total), label="budget")
-    parts = [p for s in slices(ws, process, budget) for p in s.parts()]
+    parts = slices(ws, process, budget)
     assert parts[0].lo == 0 and all(a.hi == b.lo for a, b in zip(parts, parts[1:]))
     dev = DeviceSpec()
     carry = Carry()
@@ -637,7 +637,7 @@ def test_golden_blocks_of_one_width_are_translates():
                                           LayoutKind.RESHAPED, batch), process)
                 if nest.translates:
                     assert translate(nest), (case, idx, process)
-                    folded += len(nest.runs())
+                    folded += bool(nest.fold)
     assert folded >= 3  # lenet10 BP of layers 6 and 7, cifar6 BP of layer 9
 
 
@@ -665,8 +665,10 @@ def test_blocks_that_do_not_translate_are_not_folded():
     for idx, process, folds in ((19, Process.WU, False), (20, Process.BP, True)):
         ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED, 2)
         nest = _nest(ws, process)
-        assert nest.translates == bool(nest.runs()) == translate(nest) == folds
-        assert any(part.period for part in slices(ws, process, SLICE_ROWS)) == folds
+        assert nest.translates == bool(nest.fold) == translate(nest) == folds
+        # a fold's slices end at its block 2 and at its last block's end
+        ends = {part.hi for part in slices(ws, process, SLICE_ROWS)}
+        assert not folds or {nest.starts[2], nest.starts[nest.fold]} <= ends
 
 
 def counting_walker(process: Process, parts: list):
@@ -692,8 +694,7 @@ def cut(net, plan, batch, kinds) -> list:
         for process in Process if i else (Process.FP, Process.WU):
             for kind in kinds:
                 ws = resolve_walk(net.layers[i], plan, i, process, kind, batch)
-                out += [(ws, q.lo, q.hi) for part in slices(ws, process, layout.SLICE_ROWS)
-                        for q in part.parts()]
+                out += [(ws, q.lo, q.hi) for q in slices(ws, process, layout.SLICE_ROWS)]
     return out
 
 
@@ -739,7 +740,7 @@ def test_simulate_layer_folds_runs_exactly(data, process, batch, p, t_start):
     whole = oracles.whole_walk(process, layer, plan, LayoutKind.RESHAPED, batch, idx=0)
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
     nest = parts[0].nest
-    assert walked(parts) < nest.starts[-1] if nest.runs() else walked(parts) == nest.starts[-1]
+    assert walked(parts) < nest.starts[-1] if nest.fold else walked(parts) == nest.starts[-1]
 
 
 @pytest.mark.parametrize("name, process, m, n, batch, m_on, budget", [
@@ -757,13 +758,13 @@ def test_fold_cases(name, process, m, n, batch, m_on, budget):
     plan = TilePlan(tm=4, tn=4, entries={0: PlanEntry(tr=1, tc=1, m_on=m_on)})
     ws = resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch)
     parts = slices(ws, process, budget)
-    run = next(part for part in parts if part.period)
+    nest = parts[0].nest
     # two blocks priced, one priming the carry and one measured, and two or more folded
-    assert (run.hi - run.lo) // run.period >= FOLD_BLOCKS
+    assert nest.fold >= FOLD_BLOCKS and nest.starts[nest.fold] == nest.fold * nest.starts[1]
     if budget < SLICE_ROWS:
-        assert run.cuts[0] < run.lo + run.period  # the first block is several slices
+        assert parts[0].hi < nest.starts[1]  # the first block is several slices
     if name == "partial last block":
-        assert parts[-1].lo == run.hi
+        assert parts[-1].lo == nest.starts[nest.fold]
     dev = load_device("zcu102")
     walks = []
     with mock.patch.object(dma, "SLICE_ROWS", budget), \
@@ -836,7 +837,7 @@ def test_every_run_folds():
                 for process in Process:
                     ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED,
                                       batch)
-                    n = len(_nest(ws, process).runs())
+                    n = bool(_nest(ws, process).fold)
                     runs += n
                     if n:
                         simulate_layer(process, net.layers[idx], plan, LayoutKind.RESHAPED, dev,

@@ -5,7 +5,7 @@ import pytest
 from trainsim.errors import Infeasible, InvalidPlan
 from trainsim.model import DeviceSpec, Kind, LayerSpec, NetworkSpec, validate_and_infer
 from trainsim.perf import network_report
-from trainsim.plan import PlanEntry, TilePlan
+from trainsim.plan import PlanEntry, Process, TilePlan
 from trainsim.sched import resource_usage, schedule
 
 
@@ -35,6 +35,17 @@ def test_resource_usage_rejects_m_on_off_the_channel_tile():
     plan = TilePlan(tm=4, tn=4, entries={0: PlanEntry(tr=2, tc=2, m_on=6)})
     with pytest.raises(InvalidPlan, match="not a multiple"):
         resource_usage(plan, net, DeviceSpec())
+
+
+@pytest.mark.parametrize("m_on", [0, -16])
+def test_bp_m_on_below_one_is_invalid(m_on):
+    # a BP override is held to M_on >= 1 as FP's M_on is: a zero-width
+    # block would never cover the layer's channels
+    layer = validate_and_infer(NetworkSpec(
+        layers=(LayerSpec(Kind.CONV, m=8, n=8, r=2, c=2, k=1, s=1),))).layers[0]
+    plan = TilePlan(tm=4, tn=4, entries={0: PlanEntry(tr=2, tc=2, m_on=4, bp_m_on=m_on)})
+    with pytest.raises(InvalidPlan, match="m_on"):
+        plan.tile_for(0, layer, Process.BP)
 
 
 def test_schedule_alexnet_matches_reference_design(alexnet, zcu102, alexnet_plan):
