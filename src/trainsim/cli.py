@@ -94,6 +94,7 @@ def cmd_estimate(args) -> int:
     net = config.load_network(args.net, args.batch)
     dev = config.load_device(args.device)
     plan = config.load_plan(args.plan)
+    sched.check_fit(plan, net, dev)
     rep = perf.network_report(net, plan, dev, args.batch)
     out = _out_dir(args)
     doc = rep.to_dict()
@@ -116,6 +117,7 @@ def cmd_simulate(args) -> int:
     dev = config.load_device(args.device)
     plan = config.load_plan(args.plan)
     kind = layout.LayoutKind.parse(args.layout)
+    sched.check_fit(plan, net, dev)
     rep, hist_rows = dma.simulate_report(net, plan, dev, args.batch or net.batch, kind)
     out = _out_dir(args)
     _write_report(rep.to_dict(), out, f"simulate_{kind}", args.format)

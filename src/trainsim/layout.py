@@ -31,33 +31,33 @@ group; `trace_layer` expands each channel's groups into runs, slice by
 slice, and `merge_runs` folds runs that continue each other into maximal
 ones.
 
-Walkers build a walk by index arithmetic, one weight block at a time, and
-a `_WalkWriter` appends each block's rows in one go.  FP and BP share one
-loop nest on the pass's role-swapped operands; WU has its own.  A nest is
-set up once per pass and writes any range of a block's productions, so a
-walker walks one of the slices that `slices` cuts the pass into (of at
-most `SLICE_ROWS` rows) without walking the pass.  A pass is full M_on
-blocks, then at most one partial one; where the full blocks translate, as
-a nest shows from its geometry and descriptor flags, its `fold` counts
-them, so that dma.py walks two and adds the rest in closed form.  WU
-reads a block's weights (`WeightGeom.block`) as one transfer per run
-group of `merge_groups`, the maximal contiguous runs of its tiles.
+Every pass, FP, BP or WU under any layout, is one loop nest (`_Nest`) made
+from the table of loop levels that `_loops` alone writes, so the three
+layouts are three loop orders over their address maps.  A nest is set up
+once per pass and writes any range of a block's productions into a
+`_WalkWriter` by index arithmetic, so a walker walks one of the slices
+that `slices` cuts the pass into (of at most `SLICE_ROWS` rows) without
+walking the pass.  A pass is full M_on blocks, then at most one partial
+one; where the full blocks translate, as each channel's rule shows, the
+nest's `fold` counts them, so that dma.py walks two and adds the rest in
+closed form.
 
-Descriptor policy is the pass's, stated once by its nest (`_Nest`): under
-BCHW every run is its own descriptor (`per_run_start`), every feature load
-and reshaped BP weight-block load is its own (`fresh_start`, per channel),
-and FP and BP end every sequence on a restart (`tail_start`).  dma.py
-prices the policy and the pipeline, one channel at a time.
+The descriptor policy is the pass's: under BCHW every run is its own
+descriptor (`per_run_start`), every feature load and reshaped BP
+weight-block load is its own (`fresh_start`, per channel), and FP and BP
+end every sequence on a restart (`tail_start`).  dma.py prices the
+policy and the pipeline, one channel at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from types import SimpleNamespace
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -585,12 +585,12 @@ class _WalkWriter:
     def transfers(self, channel: int, role: int, owners: np.ndarray,
                   tiles: tuple[np.ndarray, np.ndarray, np.ndarray],
                   overlapped=False) -> None:
-        """One transfer per owner (its chunk for a load, its production for
-        a store) whose tile has a run group, with the groups and slot widths
-        of `tiles`; `overlapped` is per owner or one for all."""
+        """One transfer per run group of each owner's tile (its chunk for a
+        load, its production for a store), with the groups, group counts and
+        slot widths of `tiles`; `overlapped` is per owner or one for all."""
         groups, has, slot = tiles
-        if len(groups) < owners.size:  # an empty tile moves nothing
-            keep = np.flatnonzero(has)
+        if len(groups) != owners.size:  # an empty tile moves nothing
+            keep = np.repeat(np.arange(owners.size), has)
             owners, slot, overlapped = owners[keep], _at(slot, keep), _at(overlapped, keep)
         n, cols = owners.size, self.cols
         first = cols["start"].add(groups[:, 0], n)
@@ -709,49 +709,326 @@ class _TileTable:
 FOLD_BLOCKS = 4
 
 
+class _Rule(NamedTuple):
+    """How a pass moves one channel, as `_Nest` reads it."""
+
+    chan: int
+    depth: int
+    at: dict
+    tiles: Callable
+    groups: Callable
+    origin: Callable | None = None  # not needed for a channel whose transfers all restart
+    over: dict | None = None
+
+
+def _holds(at: dict, i: dict, lead: str | None = None):
+    """Where the level indices `i` are those of `at`, the `lead` level's
+    -1 only where `at` names it."""
+    on = True if lead is None or lead in at else i[lead] >= 0
+    for name, index in at.items():
+        on = on & (i[name] == index)
+    return on
+
+
+def _feature(geom: FeatureGeom, rect: Callable) -> tuple[Callable, ...]:
+    """A rule's `tiles`, `groups` and `origin` for tiles of feature map
+    `geom`, rect(i) giving each one's (ch0, ch1, r0, r1, c0, c1) in image i["b"]."""
+    return (lambda i: geom.tiles(i["b"], *rect(i)), lambda i: geom.tile_groups(*rect(i)),
+            lambda i: geom._addr(i["b"], *rect(i)[::2]))
+
+
+def _weights(wei: WeightGeom, tile: Callable) -> tuple[Callable, ...]:
+    """A rule's `tiles`, `groups` and `origin` for weight tile tile(i), (m-tile, n-tile)."""
+    return (lambda i: wei.tiles(*tile(i)), lambda i: 1,
+            lambda i: wei._addr(tile(i)[0] * wei.tm, tile(i)[1] * wei.tn, 0, 0))
+
+
+def _loops(ws: WalkSpec, process: Process) -> tuple:
+    """The loop nest of one pass, the one place that orders a pass's loops:
+    the levels, seq, prod, lead, comp, rules, blocks, shifts and policy of
+    its `_Nest`.
+
+    FP and BP are one nest on the pass's role-swapped operands (as
+    `perf._dims_for` sees them): BP writes the input-side loss map from the
+    M loss channels through the transposed weights.  A sequence is one
+    weight block of one image (b); a production stores one output tile
+    (o, sp), accumulating over chunks of Tn accumulation channels (a).
+
+    WU reads FP's operands and accumulates gradients over the batch per
+    weight tile (m, n): the last image stores the updated weights, and its
+    first production reads the block's weights once, as few runs as storage
+    allows (`merge_groups`), one transfer per run group."""
+    l, t, kind, tm, batch, last = ws.layer, ws.tile, ws.kind, ws.tm, ws.batch, ws.batch - 1
+    wei, fp = ws.weight_geom(), process is not Process.BP  # FP's operands, as WU reads them
+    out_ch, acc_ch, rows, cols, src_rows, src_cols, window = (
+        (l.m, l.n, l.r, l.c, l.r_in, l.c_in, fwd_window) if fp
+        else (l.n, l.m, l.r_in, l.c_in, l.r, l.c, bp_window))
+    src = ws.feature_geom(acc_ch, src_rows, src_cols, ws.fp_m_on)
+    r0, r1, i0, i1, c0, c1, j0, j1, comp = _spatial_tiles(ws, rows, cols, window,
+                                                          src_rows, src_cols).T
+    a0 = np.arange(0, acc_ch, ws.tn)
+    a1 = np.minimum(acc_ch, a0 + ws.tn)
+    n_sp, n_acc = comp.size, a0.size
+    if process is Process.WU:
+        loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
+        merged = {}  # per block shape: its weights, merged, from its origin
+
+        def block(i):  # the block's weights, merged, as its one iteration's
+            key, origin = (i["g1"] - i["g0"], i["width"]), wei._addr(i["g0"] * tm, 0, 0, 0)
+            if key not in merged:
+                merged[key] = merge_groups(wei.block(i["g0"], i["g1"])) - [origin, 0, 0, 0, 0, 0]
+            return merged[key] + [origin, 0, 0, 0, 0, 0], np.array([len(merged[key])]), 0
+
+        resident = l.r <= t.tr and kind != LayoutKind.BCHW
+        whole = (0, l.r_in, 0, l.c_in), (0, l.r, 0, l.c)  # the activation and loss maps
+        map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
+
+        def window(i):  # a chunk's activation window and loss tile, whole maps if resident
+            if resident:
+                return whole
+            sp = i["sp"]
+            return (i0[sp], i1[sp], j0[sp], j1[sp]), (r0[sp], r1[sp], c0[sp], c1[sp])
+        if resident and kind == LayoutKind.BHWC_REUSE:
+            # channel-last reuse: an image loads both maps whole in a
+            # production of its own, then makes one per m-tile
+            levels, seq, prod, lead = (("b", batch), ("m", 0), ("n", n_acc)), 0, 2, "m"
+            maps = (_Rule(IFM, 2, {"m": -1}, *_feature(src, lambda i: (0, l.n, *whole[0]))),
+                    _Rule(OFM, 2, {"m": -1}, *_feature(loss, lambda i: (0, l.m, *whole[1]))))
+        else:
+            # resident: a sequence per m-tile and a production per image;
+            # else one sequence, a production per (image, m-tile, n-tile)
+            # and a chunk per spatial tile
+            levels, seq, prod, lead = ((("m", 0), ("b", batch), ("n", n_acc)), 1, 2, None) \
+                if resident else ((("b", batch), ("m", 0), ("n", n_acc), ("sp", n_sp)), 0, 3, None)
+            maps = (_Rule(IFM, len(levels), {}, *_feature(
+                        src, lambda i: (a0[i["n"]], a1[i["n"]], *window(i)[0]))),
+                    _Rule(OFM, prod if resident else len(levels), {}, *_feature(loss, lambda i: (
+                        (i["g0"] + i["m"]) * tm, np.minimum(l.m, (i["g0"] + i["m"] + 1) * tm),
+                        *window(i)[1]))))
+        # the last image's first production loads the weights; it stores each n-tile (level 3)
+        rules = (*maps,
+                 _Rule(WEI, prod, {name: last if name == "b" else 0 for name, _ in levels[:prod]},
+                       block, lambda i: len(block(i)[0]),
+                       lambda i: wei._addr(i["g0"] * tm, 0, 0, 0), over={}),
+                 _Rule(OUT, 3, {"b": last}, *_weights(wei, lambda i: (i["g0"] + i["m"], i["n"]))))
+        return (levels, seq, prod, lead,
+                      (lambda i: map_comp) if resident else (lambda i: comp[i["sp"]]), rules,
+                      _tile_blocks(l.m, t.m_on, tm), loss.shifts(t.m_on),
+                      (kind == LayoutKind.BCHW, (IFM, OFM), False))
+
+    dst = ws.feature_geom(out_ch, rows, cols, t.m_on)
+
+    def weight_tile(i):  # (m-tile, n-tile) of output tile o and accumulation tile a
+        o = i["g0"] + i["o"]
+        return (o, i["a"]) if fp else (i["a"], o)
+
+    def out(o_tiles):  # the output tile over Tm tiles [o0, o1) = o_tiles(i)
+        def rect(i):
+            (o0, o1), sp = o_tiles(i), i["sp"]
+            return o0 * tm, np.minimum(out_ch, o1 * tm), r0[sp], r1[sp], c0[sp], c1[sp]
+        return _feature(dst, rect)
+
+    fresh = (IFM, OFM)
+    if kind == LayoutKind.BHWC_REUSE:
+        # the source map is preloaded whole per image by a production of its
+        # own; each production covers every output channel, and weights
+        # stream once per image in storage order
+        levels, prod, lead = (("b", batch), ("sp", n_sp), ("o", 0), ("a", n_acc)), 2, "sp"
+        ifm = _TileTable(src, 0, acc_ch, 0, src_rows, 0, src_cols)
+        load = _Rule(IFM, 2, {"sp": -1}, lambda i: ifm.take(i["b"], 0 * i["b"]),
+                     lambda i: ifm.counts[0])
+        wei_load = _Rule(WEI, 4, {"sp": 0}, *_weights(wei, weight_tile))
+        store = out(lambda i: (i["g0"], i["g1"]))
+    else:
+        # one source tile per (accumulation, spatial) tile, accumulation-major
+        a, sp = np.divmod(np.arange(n_acc * n_sp), n_sp)
+        ifm = _TileTable(src, a0[a], a1[a], i0[sp], i1[sp], j0[sp], j1[sp])
+        load = _Rule(IFM, 4, {}, lambda i: ifm.take(i["b"], i["a"] * n_sp + i["sp"]),
+                     lambda i: ifm.counts[i["a"] * n_sp + i["sp"]])
+        store = out(lambda i: (i["g0"] + i["o"], i["g0"] + i["o"] + 1))
+        prod, lead = 3, None
+        if kind == LayoutKind.BCHW:
+            # baseline: channel tiles innermost, weights refetched every chunk
+            levels = (("b", batch), ("sp", n_sp), ("o", 0), ("a", n_acc))
+            wei_load = _Rule(WEI, 4, {}, *_weights(wei, weight_tile))
+        else:
+            # the M_on weight block stays resident over the batch, so channel
+            # tiles are outermost; FP loads a tile's weights with its first
+            # spatial tile, BP the whole block in its first production
+            levels = (("b", batch), ("o", 0), ("sp", n_sp), ("a", n_acc))
+            if fp:
+                wei_load = _Rule(WEI, 4, {"b": 0, "sp": 0}, *_weights(wei, weight_tile))
+            else:  # one descriptor per block; its first chunk does not wait for it
+                fresh += (WEI,)
+                wei_load = _Rule(WEI, 4, {"b": 0, "o": 0, "sp": 0}, lambda i: (
+                    *wei.tiles(i["a"], i["g0"], i["g1"])[:2], i["width"] * min(ws.tn, acc_ch)),
+                    lambda i: 1, over={"a": 0})
+    return (levels, 1, prod, lead, lambda i: comp[i["sp"]],
+                  (load, wei_load, _Rule(OUT, prod, {}, *store)),
+                  _tile_blocks(out_ch, t.m_on, tm), dst.shifts(t.m_on),
+                  (kind == LayoutKind.BCHW, fresh, True))
+
+
+def _pick(grid: np.ndarray, idx: list[np.ndarray], n: int) -> np.ndarray:
+    """The n values of `grid` at level indices `idx`, one array per level
+    from the outermost; the levels after them read index 0."""
+    at = tuple(x if s > 1 else 0 for x, s in zip(idx, grid.shape))
+    values = grid[at + (0,) * (grid.ndim - len(at))]
+    return values if values.ndim else np.full(n, values)
+
+
+class _Grid(NamedTuple):
+    """The loop nest of a block of one width as arrays with an axis per
+    level, of length one where they do not vary (`_Nest`)."""
+
+    span: tuple[int, ...]
+    prods: int
+    seq_len: int
+    comp: np.ndarray
+    terms: tuple[tuple[np.ndarray, dict], ...]  # per production: rows, where `at` holds
+    rows: int
+
+
 class _Nest:
-    """One pass's loop nest, set up once for all its slices: its weight
-    blocks, full M_on blocks and at most one partial one after them, and,
-    per block shape, what each production holds.  A block's
-    productions are numbered in bus order from 0 and a pass's across its
-    blocks (`starts`).  A subclass gives, for block g, its shape (`shape`:
-    productions `prods`, productions per sequence `seq_len` and `rows`),
-    the rows of productions [q0, q1) (`rows`), and `write`, which appends
-    those productions to a `_WalkWriter`.  A production's rows are itself,
-    its chunks and its transfers.
+    """One pass's loop nest, set up once for all its slices from the table
+    of loop levels that `_loops` gives.  A pass is full M_on weight blocks,
+    then at most one partial one (`blocks`).  Inside a block the nest runs
+    its `levels`, outermost first, each a name and a trip count (0 for the
+    block's Tm tiles, whose count the block gives).  The
+    first `seq` levels number a sequence, the first `prod` a production,
+    and the levels below its chunks, of `comp` cycles each; a `lead` level
+    first runs an iteration -1, a production of one chunk that only loads.
+    A block's productions are the mixed-radix numbers of their levels'
+    indices, in bus order, and a pass's run on across blocks (`starts`).
 
-    A subclass states its pass's descriptor policy once (`policy`, as
-    `_WalkWriter` takes it): whether every sequence ends on a restart, and
-    the channels whose every transfer is its own descriptor besides the
-    feature loads (`fresh`); under BCHW every run is.
+    A channel moves by its `_Rule`: a transfer at each iteration of a
+    production's levels (a load with its first chunk) or of all levels
+    (`depth`) whose indices are those of `at`, a dict over a production's
+    levels (the lead level's index is -1 only where `at` says so).  `tiles`
+    gives their tiles as `FeatureGeom.tiles` does, `groups` their group
+    counts and `origin` their first words, from the indices by name and the
+    block's g0, g1 and width; the pipeline hides loads whose indices are
+    those of `over`.  Each block width's `_Grid` holds, as arrays over the
+    levels, what each production's rows sum (itself, its chunks, each
+    rule's transfers): `write` appends any range of a block's productions
+    to a `_WalkWriter`, and `rows` counts from the same arrays what each of
+    them writes.
 
-    `translates` says whether the full blocks are translates of each
-    other: one shape, each transfer one step of its own further on per
-    block (`FeatureGeom.shifts`), and wherever two consecutive transfers of
-    a channel move by different steps, the later one restarting at its head
-    whatever its address.  So each channel of `moves` (the steps from the
-    first block's tile origins to the second's) moves by one step, or the
-    policy restarts each of its transfers.  `fold` counts the full blocks
-    if they translate and are at least `FOLD_BLOCKS`, else it is 0."""
+    `translates` says whether the full blocks are translates of each other:
+    one shape, each transfer one step of its own further on per block, and
+    where two consecutive transfers of a channel move by different steps,
+    the later one restarting at its head whatever its address.  So the map
+    the blocks walk `shifts` by a block (`FeatureGeom.shifts`), and each
+    rule's tiles (`origin`) move by one step from the first block to the
+    next, or the policy restarts each of its transfers.  `fold` counts the
+    full blocks if they translate and are at least `FOLD_BLOCKS`, else 0."""
 
-    def __init__(self, ws: WalkSpec, tile_blocks: list[tuple[int, int, int]], shifts: bool,
-                 moves: dict[int, np.ndarray], tail_start: bool, fresh: tuple[int, ...] = ()):
-        self.ws, self.blocks = ws, tile_blocks
-        per_run_start, fresh = ws.kind == LayoutKind.BCHW, (IFM, OFM, *fresh)
-        self.policy = per_run_start, fresh, tail_start
-        self.translates = shifts and all(per_run_start or c in fresh or np.ptp(step) == 0
-                                         for c, step in moves.items())
-        full = len(tile_blocks) - (tile_blocks[-1][2] < tile_blocks[0][2])  # a partial last one
-        self.fold = full if self.translates and full >= FOLD_BLOCKS else 0
-        self._shapes: dict[tuple[int, int], SimpleNamespace] = {}
-        self.starts = [0, *accumulate(self.shape(g).prods for g in range(len(tile_blocks)))]
+    def __init__(self, ws: WalkSpec, process: Process):
+        self.ws = ws
+        (self.levels, self.seq, self.prod, self.lead, self.comp, self.rules, self.blocks,
+         self.shifts, self.policy) = _loops(ws, process)
+        self._grids = {}
+        full = len(self.blocks) - (self.blocks[-1][2] < self.blocks[0][2])  # a partial last one
+        size = self.grid(0).prods
+        self.starts = [*range(0, (full + 1) * size, size)]
+        if full < len(self.blocks):
+            self.starts.append(self.starts[-1] + self.grid(-1).prods)
+        self.fold = full if full >= FOLD_BLOCKS and self.translates else 0
 
-    def shape(self, g: int) -> SimpleNamespace:
-        """Block g's shape; blocks of one width share one."""
+    def grid(self, g: int) -> _Grid:
+        """Block g's grid; blocks of one width share one."""
         g0, g1, width = self.blocks[g]
-        if (g1 - g0, width) not in self._shapes:
-            self._shapes[g1 - g0, width] = self._shape(g0, g1)
-        return self._shapes[g1 - g0, width]
+        if (g1 - g0, width) not in self._grids:
+            self._grids[g1 - g0, width] = self._grid(self.blocks[g])
+        return self._grids[g1 - g0, width]
+
+    def _named(self, idx: list, blk: tuple[int, int, int]) -> dict:
+        """The indices `idx` of the outermost levels by name, and the block."""
+        i = dict(zip(("g0", "g1", "width"), blk))
+        for (name, _), x in zip(self.levels, idx):
+            i[name] = x - 1 if name == self.lead else x
+        return i
+
+    def _ogrid(self, span: tuple[int, ...], blk: tuple[int, int, int]) -> dict:
+        """Every level's indices, each along an axis of its own, and the block."""
+        return self._named([np.arange(s).reshape([-1 if a == b else 1 for b in range(len(span))])
+                            for a, s in enumerate(span)], blk)
+
+    def _restrict(self, at: dict, x: np.ndarray) -> np.ndarray:
+        """x, with an axis per level, where the level indices are those of `at`."""
+        lead = self.lead
+        return x[tuple(slice(at[name] + (name == lead), at[name] + (name == lead) + 1)
+                       if name in at and size > 1 else slice(None)
+                       for (name, _), size in zip(self.levels, x.shape))]
+
+    def _grid(self, blk: tuple[int, int, int]) -> _Grid:
+        n, p, one = len(self.levels), self.prod, np.ones((1,) * len(self.levels), dtype=np.int64)
+        span = tuple((trip or blk[1] - blk[0]) + (name == self.lead) for name, trip in self.levels)
+        i = self._ogrid(span, blk)
+        solo = i[self.lead] < 0 if self.lead else np.zeros((1,) * n, dtype=bool)
+        terms = [(one, {}), (np.where(solo, 1, math.prod(span[p:])), {})]
+        for rule in self.rules:  # where the lead level says it moves; `rows` checks `at`
+            own = {name: index for name, index in rule.at.items() if name == self.lead}
+            count = one * _holds(own, i, self.lead) * rule.groups(i)
+            for a in range(p, rule.depth):  # its transfers per production
+                count = count.sum(axis=a, keepdims=True) if count.shape[a] > 1 else count * span[a]
+            terms.append((count, rule.at))
+        # a term over the block: where `at` holds, times the levels it does not vary on
+        rows = sum(int(self._restrict(at, x).sum()) * math.prod(
+            s for (name, _), s, m in zip(self.levels, span[:p], x.shape)
+            if m == 1 and name not in at) for x, at in terms)
+        return _Grid(span, math.prod(span[:p]), math.prod(span[self.seq:p]),
+                     np.where(solo, 0, self.comp(i)), tuple(terms), rows)
+
+    @cached_property
+    def translates(self) -> bool:
+        per_run_start, fresh, _ = self.policy
+        g0, g1, width = self.blocks[0]
+        grid, two = self.grid(0), (2,) + (1,) * len(self.levels)
+        # the first block and the one after it, along an axis before the levels'
+        i = self._ogrid(grid.span, (np.reshape([g0, g1], two), np.reshape([g1, 2 * g1 - g0], two),
+                                    width))
+        steps = [self._restrict(rule.at, np.diff(rule.origin(i), axis=0)[0])  # where `at` holds
+                 for rule in self.rules if not (per_run_start or rule.chan in fresh)]
+        return self.shifts and all(np.all(step == step.flat[0]) for step in steps)
+
+    def rows(self, g: int, q0: int, q1: int) -> np.ndarray:
+        """The rows of block g's productions [q0, q1), one per production."""
+        grid, q = self.grid(g), np.arange(q0, q1)
+        idx = np.unravel_index(q, grid.span[:self.prod])  # each production's level indices
+        i = self._named(idx, self.blocks[g])
+        return sum(_pick(x, idx, q.size) * _holds(at, i) for x, at in grid.terms)
+
+    def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
+        """Append block g's productions [q0, q1) to `w`."""
+        blk, grid, p = self.blocks[g], self.grid(g), self.prod
+        q = np.arange(q0, q1)
+        idx = np.unravel_index(q, grid.span[:p])
+        seq = q // grid.seq_len
+        s = w.sequences(int(seq[-1] - seq[0]) + 1)
+        prods = w.productions(s + seq - seq[0])
+        n_chunks = _pick(grid.terms[1][0], idx, q.size)  # the chunks term of its rows
+        cp, rank = _nested(n_chunks)
+        each = [*(x[cp] for x in idx), *np.unravel_index(rank, grid.span[p:])]  # a chunk's
+        chunks = w.chunks(prods + cp, _pick(grid.comp, each, cp.size))
+        first = chunks + np.cumsum(n_chunks) - n_chunks  # each production's first chunk
+        per_prod, per_chunk = self._named(idx, blk), self._named(each, blk)
+        for rule in self.rules:
+            chunky = rule.depth > p
+            i = per_chunk if chunky else per_prod
+            on = _holds(rule.at, per_prod, self.lead)  # at its productions
+            it = np.arange(cp.size if chunky else q.size)
+            if np.ndim(on):
+                it = it[on[cp] if chunky else on]
+                if not it.size:
+                    continue
+                i = {name: x[it] if np.ndim(x) else x for name, x in i.items()}
+            if rule.chan != OUT:
+                role, owners = LOAD, chunks + it if chunky else first[it]
+            else:
+                role, owners = (CHUNK_STORE, prods + cp[it]) if chunky else (STORE, prods + it)
+            w.transfers(rule.chan, role, owners, rule.tiles(i),
+                        rule.over is not None and _holds(rule.over, i))
 
     def walk(self, lo: int, hi: int) -> Walk:
         """Productions [lo, hi) of the pass."""
@@ -761,294 +1038,7 @@ class _Nest:
             first = self.starts[g]
             self.write(w, g, max(lo, first) - first, min(hi, self.starts[g + 1]) - first)
             g += 1
-        return w.finish(continued=(hi - self.starts[g - 1]) % self.shape(g - 1).seq_len != 0)
-
-
-class _ConvNest(_Nest):
-    """FP and BP as one loop nest over the pass's role-swapped operands (as
-    `perf._dims_for` sees them): BP writes the input-side loss map from the
-    M loss channels through the transposed weights.
-
-    A sequence is one weight block of one image; each production stores one
-    output tile, accumulating over the chunks of the accumulation channels.
-    A block's productions are image-major, and every image's are alike but
-    for their addresses and whether they reload weights, so a block shape
-    is one image's productions, and `write` makes any run of a block's
-    productions from it by index arithmetic."""
-
-    def __init__(self, ws: WalkSpec, process: Process):
-        l, t, kind = ws.layer, ws.tile, ws.kind
-        self.fp = process is Process.FP
-        out_ch, acc_ch, rows, cols, src_rows, src_cols, window = (
-            (l.m, l.n, l.r, l.c, l.r_in, l.c_in, fwd_window) if self.fp
-            else (l.n, l.m, l.r_in, l.c_in, l.r, l.c, bp_window))
-        self.out_ch, self.acc_ch = out_ch, acc_ch
-        src = ws.feature_geom(acc_ch, src_rows, src_cols, ws.fp_m_on)
-        self.dst = ws.feature_geom(out_ch, rows, cols, t.m_on)
-        self.wei = ws.weight_geom()
-        # r0, r1, i0, i1, c0, c1, j0, j1, comp of each spatial tile
-        self.sp = _spatial_tiles(ws, rows, cols, window, src_rows, src_cols).T
-        self.a0 = np.arange(0, acc_ch, ws.tn)
-        self.a1 = np.minimum(acc_ch, self.a0 + ws.tn)
-        self.preload = int(kind == LayoutKind.BHWC_REUSE)
-        # the source tiles: the whole map, or one per (accumulation, spatial) tile
-        if self.preload:
-            self.ifm = _TileTable(src, 0, acc_ch, 0, src_rows, 0, src_cols)
-        else:
-            a, sp = np.divmod(np.arange(self.a0.size * self.sp.shape[1]), self.sp.shape[1])
-            _, _, i0, i1, _, _, j0, j1, _ = self.sp[:, sp]
-            self.ifm = _TileTable(src, self.a0[a], self.a1[a], i0, i1, j0, j1)
-        self.bp_block = kind == LayoutKind.RESHAPED and not self.fp
-        # a block moves its output and weight tiles m_on channels on, and its
-        # source tiles not at all: the tile origins of the first two blocks
-        # give the steps.  BP's block load is a descriptor of its own
-        ch = (np.arange(0, min(t.m_on, out_ch), ws.tm) + np.array([[0], [t.m_on]]))[..., None]
-        wei = self.wei._addr(*((ch, self.a0) if self.fp else (self.a0, ch)), 0, 0)
-        out = self.dst._addr(np.arange(ws.batch), ch, 0, 0)
-        super().__init__(ws, _tile_blocks(out_ch, t.m_on, ws.tm), self.dst.shifts(t.m_on),
-                         {WEI: wei[1] - wei[0], OUT: out[1] - out[0]}, True,
-                         (WEI,) if self.bp_block else ())
-
-    def _shape(self, g0: int, g1: int) -> SimpleNamespace:
-        ws, kind, tm, n_o, n_acc = self.ws, self.ws.kind, self.ws.tm, g1 - g0, self.a0.size
-        r0, r1, _, _, c0, c1, _, _, _ = self.sp
-        sp_all = np.arange(r0.size)
-        # one image's productions: first output tile (p_o), output tiles
-        # (p_w) and spatial tile (p_sp); which reload weights, in which images
-        if kind == LayoutKind.RESHAPED:
-            # the M_on weight block stays resident over the batch, so channel
-            # tiles are outermost; FP loads a tile's weights with its first
-            # spatial tile, BP the whole block in its first production
-            p_o, p_sp, p_w = np.repeat(np.arange(n_o), r0.size), np.tile(sp_all, n_o), 1
-            reload, every_image = (p_sp == 0 if self.fp else np.arange(p_o.size) == 0), False
-        elif kind == LayoutKind.BCHW:
-            # baseline: channel tiles innermost, weights refetched every chunk
-            p_o, p_sp, p_w = np.tile(np.arange(n_o), r0.size), np.repeat(sp_all, n_o), 1
-            reload, every_image = np.ones(p_o.size, dtype=bool), True
-        else:
-            # BHWC reuse: the source map is preloaded whole per image, each
-            # production covers every output channel, weights stream once per
-            # image in storage order
-            p_o, p_sp, p_w = np.zeros(r0.size, dtype=np.int64), sp_all, n_o
-            reload, every_image = sp_all == 0, True
-        k = SimpleNamespace(p_w=p_w, every_image=every_image)
-        o = g0 + p_o
-        stores = self.dst.tile_groups(o * tm, np.minimum(self.out_ch, (o + p_w) * tm),
-                                      r0[p_sp], r1[p_sp], c0[p_sp], c1[p_sp])
-        chunks = np.full(p_o.size, p_w * n_acc)
-        if self.preload:
-            # which come after a production of one chunk that loads the map
-            k.p_o, k.p_sp = np.append(0, p_o), np.append(0, p_sp)
-            k.reload, k.chunks = np.append(False, reload), np.append(1, chunks)
-            k.rows_base = np.append(2 + self.ifm.counts[0], 1 + chunks + stores)
-        else:
-            k.p_o, k.p_sp, k.reload, k.chunks = p_o, p_sp, reload, chunks
-            ifm = self.ifm.counts.reshape(n_acc, -1).sum(axis=0)
-            k.rows_base = 1 + chunks + p_w * ifm[p_sp] + stores
-        k.rows_wei = k.chunks * k.reload  # each weight load is one transfer
-        k.seq_len = k.chunks.size
-        k.prods = ws.batch * k.seq_len
-        k.rows = int(ws.batch * k.rows_base.sum()
-                     + (ws.batch if every_image else 1) * k.rows_wei.sum())
-        return k
-
-    def rows(self, g: int, q0: int, q1: int) -> np.ndarray:
-        k, prod = self.shape(g), np.arange(q0, q1)
-        q = prod % k.seq_len
-        return k.rows_base[q] + k.rows_wei[q] * (k.every_image | (prod < k.seq_len))
-
-    def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
-        k, (g0, g1, width) = self.shape(g), self.blocks[g]
-        tm, tn = self.ws.tm, self.ws.tn
-        r0, r1, _, _, c0, c1, _, _, comp = self.sp
-        b, q = np.divmod(np.arange(q0, q1), k.seq_len)
-        s = w.sequences(int(b[-1] - b[0]) + 1)
-        p = w.productions(s + b - b[0])
-        # each chunk's production (in this range), image, output and
-        # accumulation tile, and spatial tile
-        cp, rank = _nested(k.chunks[q])
-        qc, bc = q[cp], b[cp]
-        o, a, sp = k.p_o[qc] + rank // self.a0.size, rank % self.a0.size, k.p_sp[qc]
-        loads = qc >= self.preload
-        c = w.chunks(p + cp, np.where(loads, comp[sp], 0))
-        if self.preload:
-            pre = np.flatnonzero(~loads)
-            w.transfers(IFM, LOAD, c + pre, self.ifm.take(bc[pre], np.zeros_like(pre)))
-        else:
-            w.transfers(IFM, LOAD, c + np.arange(cp.size), self.ifm.take(bc, a * r0.size + sp))
-        ld = np.flatnonzero(k.reload[qc] & (k.every_image | (bc == 0)))
-        if self.bp_block:
-            # one descriptor per block; its first chunk does not wait for it
-            groups, counts, _ = self.wei.tiles(a[ld], g0, g1)
-            w.transfers(WEI, LOAD, c + ld, (groups, counts, width * min(tn, self.acc_ch)),
-                        overlapped=a[ld] == 0)
-        else:
-            ow = g0 + o[ld]
-            w.transfers(WEI, LOAD, c + ld,
-                        self.wei.tiles(ow, a[ld]) if self.fp else self.wei.tiles(a[ld], ow))
-        st = np.flatnonzero(q >= self.preload)
-        o, sp = g0 + k.p_o[q[st]], k.p_sp[q[st]]
-        w.transfers(OUT, STORE, p + st,
-                    self.dst.tiles(b[st], o * tm, np.minimum(self.out_ch, (o + k.p_w) * tm),
-                                   r0[sp], r1[sp], c0[sp], c1[sp]))
-
-
-class _WuNest(_Nest):
-    """Weight update: gradients accumulate over the batch per weight tile;
-    updated weights stream out once per block after the last image.  A
-    block's weights are read once, as few runs as storage allows
-    (`merge_groups`), one transfer per run group, all under the first chunk
-    of the last image's first production that computes."""
-
-    def __init__(self, ws: WalkSpec):
-        l, t, tm = ws.layer, ws.tile, ws.tm
-        self.act = ws.feature_geom(l.n, l.r_in, l.c_in, ws.fp_m_on)
-        self.loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
-        self.wei = ws.weight_geom()
-        self.map_comp = l.r * l.c * l.k * l.k  # one chunk over the whole map
-        self.n0 = np.arange(0, l.n, ws.tn)
-        self.n1 = np.minimum(l.n, self.n0 + ws.tn)
-        resident = l.r <= t.tr and ws.kind != LayoutKind.BCHW
-        # channel-last reuse streams both maps in whole; otherwise a resident
-        # loss map is one chunk per n-tile, and a tiled one a chunk per
-        # spatial tile
-        self.reuse = resident and ws.kind == LayoutKind.BHWC_REUSE
-        self.resident = resident and not self.reuse
-        self.sp = _spatial_tiles(ws, l.r, l.c, fwd_window, l.r_in, l.c_in).T
-        # a block moves its loss and weight tiles m_on channels on, and its
-        # activation tiles not at all; every loss load restarts
-        ch = (np.arange(0, min(t.m_on, l.m), tm) + np.array([[0], [t.m_on]]))[..., None]
-        wei = self.wei._addr(ch, self.n0, 0, 0)
-        super().__init__(ws, _tile_blocks(l.m, t.m_on, tm), self.loss.shifts(t.m_on),
-                         {WEI: wei[1] - wei[0]}, False)
-
-    def _m_range(self, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The loss channels [m0, m1) of m-tiles `mt`."""
-        m0 = mt * self.ws.tm
-        return m0, np.minimum(self.ws.layer.m, m0 + self.ws.tm)
-
-    def _origin(self, g0: int) -> int:
-        """The first weight word of the block from m-tile g0 on."""
-        return self.wei._addr(g0 * self.ws.tm, 0, 0, 0)
-
-    def _shape(self, g0: int, g1: int) -> SimpleNamespace:
-        l, batch, n_m, n_n = self.ws.layer, self.ws.batch, g1 - g0, self.n0.size
-        r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
-        k, (m0, m1) = SimpleNamespace(n_m=n_m), self._m_range(np.arange(g0, g1))
-        # the block's weight load, merged, from its origin: a block of this
-        # shape reads it moved to its own, one transfer per group
-        k.wei = merge_groups(self.wei.block(g0, g1))
-        k.wei[:, 0] -= self._origin(g0)
-        last = batch - 1
-        if self.reuse:
-            # one sequence; an image is one loading production, then one per
-            # m-tile of n-tile chunks, which the last image stores
-            maps = (self.act.tile_groups(0, l.n, 0, l.r_in, 0, l.c_in)
-                    + self.loss.tile_groups(0, l.m, 0, l.r, 0, l.c))
-            k.rows_img = np.append(2 + maps, np.full(n_m, 1 + n_n))
-            k.rows_last = np.append(0, np.full(n_m, n_n))
-            k.seq_len = k.prods = batch * (1 + n_m)
-            k.wei_at = last * (1 + n_m) + 1
-            rows = batch * k.rows_img.sum() + k.rows_last.sum()
-        elif self.resident:
-            # a sequence per m-tile, a production per image, a chunk per n-tile
-            ifm = self.act.tile_groups(self.n0, self.n1, 0, l.r_in, 0, l.c_in).sum()
-            k.rows_m = 1 + n_n + ifm + self.loss.tile_groups(m0, m1, 0, l.r, 0, l.c)
-            k.seq_len, k.prods, k.wei_at = batch, n_m * batch, last
-            rows = batch * k.rows_m.sum() + n_m * n_n
-        else:
-            # one sequence; a production per (image, m-tile, n-tile), a chunk
-            # per spatial tile
-            k.rows_n = 1 + comp.size + self.act.tile_groups(
-                self.n0[:, None], self.n1[:, None], i0, i1, j0, j1).sum(axis=1)
-            k.rows_m = self.loss.tile_groups(m0[:, None], m1[:, None], r0, r1, c0, c1).sum(axis=1)
-            k.seq_len = k.prods = batch * n_m * n_n
-            k.wei_at = last * n_m * n_n
-            rows = batch * (n_m * k.rows_n.sum() + n_n * k.rows_m.sum()) + n_m * n_n
-        k.rows = int(rows + len(k.wei))
-        return k
-
-    def _split(self, k: SimpleNamespace, prod: np.ndarray):
-        """Image, m-tile and n-tile (None for all) of each production, and
-        whether it is a loading production (reuse only)."""
-        n_m, n_n = k.n_m, self.n0.size
-        if self.reuse:
-            b, q = np.divmod(prod, 1 + n_m)
-            return b, q - 1, None, q == 0
-        if self.resident:
-            m, b = np.divmod(prod, self.ws.batch)
-            return b, m, None, None
-        b, mn = np.divmod(prod, n_m * n_n)
-        return (b, *np.divmod(mn, n_n), None)
-
-    def rows(self, g: int, q0: int, q1: int) -> np.ndarray:
-        k, prod, last = self.shape(g), np.arange(q0, q1), self.ws.batch - 1
-        b, m, n, _ = self._split(k, prod)
-        if self.reuse:
-            q = m + 1
-            rows = k.rows_img[q] + (b == last) * k.rows_last[q]
-        elif self.resident:
-            rows = k.rows_m[m] + (b == last) * self.n0.size
-        else:
-            rows = k.rows_n[n] + k.rows_m[m] + (b == last)
-        return rows + (prod == k.wei_at) * len(k.wei)
-
-    def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
-        l, k, (g0, g1, _) = self.ws.layer, self.shape(g), self.blocks[g]
-        n_n = self.n0.size
-        prod = np.arange(q0, q1)
-        b, m, n, loading = self._split(k, prod)
-        if self.reuse:
-            s = w.sequences(1)
-            p = w.productions(np.full(prod.size, s))
-            chunks = np.where(loading, 1, n_n)
-            cp, _ = _nested(chunks)
-            c = w.chunks(p + cp, np.where(loading[cp], 0, self.map_comp))
-            first = c + np.cumsum(chunks) - chunks  # each production's first chunk
-            ld = np.flatnonzero(loading)
-            w.transfers(IFM, LOAD, first[ld], self.act.tiles(b[ld], 0, l.n, 0, l.r_in, 0, l.c_in))
-            w.transfers(OFM, LOAD, first[ld], self.loss.tiles(b[ld], 0, l.m, 0, l.r, 0, l.c))
-            stores = ~loading
-        elif self.resident:
-            s = w.sequences(int(m[-1] - m[0]) + 1)
-            p = w.productions(s + m - m[0])
-            c = w.chunks(p + np.repeat(np.arange(prod.size), n_n), self.map_comp)
-            first = c + np.arange(prod.size) * n_n
-            nt = np.tile(np.arange(n_n), prod.size)
-            w.transfers(IFM, LOAD, c + np.arange(nt.size), self.act.tiles(
-                np.repeat(b, n_n), self.n0[nt], self.n1[nt], 0, l.r_in, 0, l.c_in))
-            # the m-tile's loss map, with each production's first chunk
-            w.transfers(OFM, LOAD, first, self.loss.tiles(b, *self._m_range(g0 + m), 0, l.r, 0, l.c))
-            stores = True
-        else:
-            r0, r1, i0, i1, c0, c1, j0, j1, comp = self.sp
-            s = w.sequences(1)
-            p = w.productions(np.full(prod.size, s))
-            c = w.chunks(p + np.repeat(np.arange(prod.size), comp.size), np.tile(comp, prod.size))
-            first = c + np.arange(prod.size) * comp.size
-            bc, mc, nc = (np.repeat(x, comp.size) for x in (b, m, n))
-            sp = np.tile(np.arange(comp.size), prod.size)
-            w.transfers(IFM, LOAD, c + np.arange(sp.size),
-                        self.act.tiles(bc, self.n0[nc], self.n1[nc], i0[sp], i1[sp], j0[sp], j1[sp]))
-            w.transfers(OFM, LOAD, c + np.arange(sp.size),
-                        self.loss.tiles(bc, *self._m_range(g0 + mc), r0[sp], r1[sp], c0[sp], c1[sp]))
-            stores = True
-        at = np.flatnonzero(prod == k.wei_at)
-        if at.size:
-            load = k.wei + np.array([self._origin(g0), 0, 0, 0, 0, 0])
-            w.transfers(WEI, LOAD, np.repeat(first[at], len(load)),
-                        (load, np.ones(len(load), np.int64), 0), overlapped=True)
-        st = np.flatnonzero(stores & (b == self.ws.batch - 1))
-        if n is None:  # every n-tile of the m-tile, one chunk store each
-            st = np.repeat(st, n_n)
-            w.transfers(OUT, CHUNK_STORE, p + st,
-                        self.wei.tiles(g0 + m[st], np.tile(np.arange(n_n), st.size // n_n)))
-        else:
-            w.transfers(OUT, STORE, p + st, self.wei.tiles(g0 + m[st], n[st]))
-
-
-def _nest(ws: WalkSpec, process: Process) -> _Nest:
-    return _WuNest(ws) if process is Process.WU else _ConvNest(ws, process)
+        return w.finish(continued=(hi - self.starts[g - 1]) % self.grid(g - 1).seq_len != 0)
 
 
 @dataclass(frozen=True)
@@ -1071,11 +1061,11 @@ def slices(ws: WalkSpec, process: Process, budget: int) -> list[Slice]:
     of its own.  A pass that folds (`_Nest.fold`) is also cut before its
     blocks 2 and `fold`, so that its first two blocks end a slice and the
     folded blocks after them are whole slices."""
-    nest = _nest(ws, process)
+    nest = _Nest(ws, process)
     own = {2, nest.fold} if nest.fold else set()  # blocks that begin a slice
     cuts, filled = [0], 0
     for g in range(len(nest.blocks)):
-        first, k = nest.starts[g], nest.shape(g)
+        first, k = nest.starts[g], nest.grid(g)
         if filled and (filled + k.rows > budget or g in own):
             cuts.append(first)
             filled = 0

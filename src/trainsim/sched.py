@@ -70,6 +70,22 @@ def resource_usage(plan: TilePlan, net: NetworkSpec, dev: DeviceSpec) -> Resourc
     return ResourceUsage(dev.dsps_per_mac * plan.tm * plan.tn, b_ifm, b_ofm, b_wei)
 
 
+def budgets(dev: DeviceSpec) -> tuple[int, int]:
+    """The DSPs and block-RAM banks a plan may use on `dev`."""
+    return int(dev.dsp_budget_frac * dev.total_dsps), int(dev.bram_budget_frac * dev.total_brams)
+
+
+def check_fit(plan: TilePlan, net: NetworkSpec, dev: DeviceSpec) -> None:
+    """Raise Infeasible if the plan's resource usage exceeds a budget of `dev`."""
+    usage = resource_usage(plan, net, dev)
+    over = [f"{used} {what} against a budget of {budget}"
+            for what, used, budget in zip(("DSPs", "block-RAM banks"),
+                                          (usage.d_conv, usage.b_conv), budgets(dev))
+            if used > budget]
+    if over:
+        raise Infeasible(f"on {dev.name} the plan needs {' and '.join(over)}")
+
+
 def _score(net: NetworkSpec, idx: int, plan: TilePlan, dev: DeviceSpec,
            batch: int) -> int:
     total = 0
@@ -87,8 +103,7 @@ def schedule(net: NetworkSpec, dev: DeviceSpec,
     Raises Infeasible when not even the smallest configuration fits.
     """
     b = batch if batch is not None else net.batch
-    dsp_budget = int(dev.dsp_budget_frac * dev.total_dsps)
-    bram_budget = int(dev.bram_budget_frac * dev.total_brams)
+    dsp_budget, bram_budget = budgets(dev)
     bw = dev.bank_words()
 
     tm = 1
@@ -146,4 +161,4 @@ def schedule(net: NetworkSpec, dev: DeviceSpec,
     return plan, resource_usage(plan, net, dev)
 
 
-__all__ = ["ResourceUsage", "resource_usage", "schedule"]
+__all__ = ["ResourceUsage", "resource_usage", "budgets", "check_fit", "schedule"]

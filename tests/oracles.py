@@ -190,9 +190,9 @@ def whole_walk(process, layer, plan, kind, batch, idx):
     """A layer pass as one `layout.Walk`, given as `layout.layer_sequences`
     takes it: its loop nest walked over every production, where the library
     only ever walks it slice by slice."""
-    from trainsim.layout import _nest, resolve_walk
+    from trainsim.layout import _Nest, resolve_walk
 
-    nest = _nest(resolve_walk(layer, plan, idx, process, kind, batch), process)
+    nest = _Nest(resolve_walk(layer, plan, idx, process, kind, batch), process)
     return nest.walk(0, nest.starts[-1])
 
 

@@ -50,6 +50,19 @@ def test_schedule_infeasible_exit_code(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cmd", ["estimate", "simulate"])
+def test_plan_over_device_budget_is_infeasible(tmp_path, capsys, cmd):
+    # the reference plan needs 1280 DSPs and 672 banks: it fits zcu102's
+    # budgets of 2016 and 684, and exceeds pynq_z1's of 176 and 105
+    argv = [cmd, "--net", "alexnet_conv", "--batch", "4", "--plan", "alexnet_conv_zcu102"]
+    argv += ["--layout", "reshaped"] if cmd == "simulate" else []
+    assert run(argv + ["--device", "pynq_z1", "--out", str(tmp_path / "pynq")]) == 3
+    assert "1280 DSPs against a budget of 176 and 672 block-RAM banks against a budget " \
+           "of 105" in capsys.readouterr().err
+    assert not (tmp_path / "pynq").exists() or not any((tmp_path / "pynq").iterdir())
+    assert run(argv + ["--device", "zcu102", "--out", str(tmp_path / "zcu")]) == 0
+
+
 def test_missing_config_exit_code(tmp_path):
     rc = run(["estimate", "--net", "no_such_net", "--device", "zcu102",
               "--plan", "alexnet_conv_zcu102", "--out", str(tmp_path)])

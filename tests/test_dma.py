@@ -20,7 +20,7 @@ from trainsim.config import load_device, load_network, load_plan
 from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
 from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OUT,
-                             STORE, WALKERS, WEI, FeatureGeom, LayoutKind, Walk, _nest,
+                             STORE, WALKERS, WEI, FeatureGeom, LayoutKind, Walk, _Nest,
                              _WalkWriter, equivalence_check, expand_groups, merge_groups,
                              resolve_walk, slices)
 from trainsim.model import (DeviceSpec, Kind, LayerSpec, NetworkSpec,
@@ -447,23 +447,83 @@ def test_walker_slices_fold_to_whole_pass(data):
     assert sim_tuple(res) == sim_tuple(simulate_sequences(whole, dev))
 
 
+def assert_rows_are_written(nest, whole: Walk, key) -> None:
+    """`slices` budgets by a nest's `rows` and its blocks' `rows`: on every
+    block they are, production by production and in sum, the rows `write`
+    emits in `whole`, the pass's walk (the production, its chunks, its
+    transfers), and `starts` ends on the walk's production count."""
+    n, load = whole.prod_seq.size, whole.role == LOAD
+    prod = np.where(load, whole.chunk_prod[np.where(load, whole.owner, 0)], whole.owner)
+    written = 1 + np.bincount(whole.chunk_prod, minlength=n) + np.bincount(prod, minlength=n)
+    assert nest.starts[-1] == n, key
+    for g in range(len(nest.blocks)):
+        rows = written[nest.starts[g]:nest.starts[g + 1]]
+        assert np.array_equal(nest.rows(g, 0, rows.size), rows), (key, g)
+        assert nest.grid(g).rows == rows.sum(), (key, g)
+
+
 def test_nest_rows_are_the_rows_it_writes():
-    # `slices` budgets by a nest's `rows` and its block shapes' `rows`: on
-    # every golden pass and block they are, production by production and in
-    # sum, the rows `write` emits (the production, its chunks, its transfers)
     for key, whole in walk_table().items():
         case, idx, proc, kind = key.split("/")
         _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
         process = Process(proc)
-        nest = _nest(resolve_walk(net.layers[int(idx)], plan, int(idx), process, kind, batch),
+        nest = _Nest(resolve_walk(net.layers[int(idx)], plan, int(idx), process, kind, batch),
                      process)
-        n, load = whole.prod_seq.size, whole.role == LOAD
-        prod = np.where(load, whole.chunk_prod[np.where(load, whole.owner, 0)], whole.owner)
-        written = 1 + np.bincount(whole.chunk_prod, minlength=n) + np.bincount(prod, minlength=n)
-        for g in range(len(nest.blocks)):
-            rows = written[nest.starts[g]:nest.starts[g + 1]]
-            assert np.array_equal(nest.rows(g, 0, rows.size), rows), (key, g)
-            assert nest.shape(g).rows == rows.sum(), (key, g)
+        assert_rows_are_written(nest, whole, key)
+
+
+@st.composite
+def nest_case(draw):
+    """A random conv or FC layer and plan: weight blocks whose last one and
+    last m-tile may be partial, and a WU row tile (`wu_tr`) that may hold
+    the whole loss map or not, so that WU meets its reuse (bhwc), resident
+    (reshaped) and tiled loop orders."""
+    tm = draw(st.sampled_from([1, 2, 4]), label="tm")
+    m, n = draw(st.integers(1, 5 * tm), label="m"), draw(st.integers(1, 5 * tm), label="n")
+    entry = {"m_on": tm * draw(st.integers(1, 3), label="m_on / tm")}
+    if draw(st.booleans(), label="fc"):
+        return fc_layer(m, n), TilePlan(tm=tm, tn=tm, entries={0: PlanEntry(tr=1, tc=1, **entry)})
+    k, s = draw(st.integers(1, 3), label="k"), draw(st.integers(1, 2), label="s")
+    pad = draw(st.integers(0, k - 1), label="pad")
+    r, c = draw(st.integers(1, 4), label="r"), draw(st.integers(1, 4), label="c")
+    assume((min(r, c) - 1) * s + k - 2 * pad >= 1)  # a non-empty input map
+    return conv_layer(m, n, r, c, k, s, pad), TilePlan(tm=tm, tn=tm, entries={0: PlanEntry(
+        tr=draw(st.integers(1, r), label="tr"), tc=draw(st.integers(1, c), label="tc"),
+        wu_tr=draw(st.one_of(st.none(), st.integers(1, r)), label="wu_tr"), **entry)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=nest_case(), batch=st.integers(1, 3))
+def test_random_nest_rows_are_the_rows_it_writes(case, batch):
+    # the same on random layers, under every layout and pass
+    layer, plan = case
+    for kind in LayoutKind.ALL:
+        for process in Process:
+            nest = _Nest(resolve_walk(layer, plan, 0, process, kind, batch), process)
+            assert_rows_are_written(nest, nest.walk(0, nest.starts[-1]), (kind, process))
+
+
+@pytest.mark.parametrize("process, kind, wu_tr, order", [
+    # FP and BP: image, then output, spatial and accumulation tiles in the
+    # layout's order; bhwc preloads the map in a production of its own
+    (Process.FP, LayoutKind.RESHAPED, None, "b o sp | a"),
+    (Process.BP, LayoutKind.BCHW, None, "b sp o | a"),
+    (Process.FP, LayoutKind.BHWC_REUSE, None, "b sp! | o a"),
+    # WU: tiled, and where one row tile holds the loss map, resident
+    # (reshaped) or reuse (bhwc)
+    (Process.WU, LayoutKind.RESHAPED, 2, "b m n | sp"),
+    (Process.WU, LayoutKind.RESHAPED, 4, "m b | n"),
+    (Process.WU, LayoutKind.BHWC_REUSE, 4, "b m! | n"),
+])
+def test_loop_orders(process, kind, wu_tr, order):
+    # each pass's loop levels, outermost first, a production's before the
+    # bar and its chunks' after it; "!" marks the level whose iteration -1
+    # is a load production
+    layer = conv_layer(8, 8, 4, 4, 3, 1, pad=1)
+    plan = TilePlan(tm=4, tn=4, entries={0: PlanEntry(tr=2, tc=4, m_on=4, wu_tr=wu_tr)})
+    nest = _Nest(resolve_walk(layer, plan, 0, process, kind, 2), process)
+    names = [name + "!" * (name == nest.lead) for name, _ in nest.levels]
+    assert " ".join(names[:nest.prod] + ["|"] + names[nest.prod:]) == order
 
 
 def test_bchw_tiles_are_one_group_each():
@@ -515,7 +575,7 @@ def test_bchw_wu_weight_loads_are_the_merged_block():
             continue
         _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
         ws = resolve_walk(net.layers[int(idx)], plan, int(idx), Process.WU, kind, batch)
-        (g0, g1, _), = _nest(ws, Process.WU).blocks
+        (g0, g1, _), = _Nest(ws, Process.WU).blocks
         walk = walk_table()[key]
         wei = walk.on(Channel.WEI)
         assert np.unique(walk.owner[wei]).size == 1
@@ -633,7 +693,7 @@ def test_golden_blocks_of_one_width_are_translates():
     for case, net, plan, batch in golden_cases():
         for idx in sorted(plan.entries):
             for process in Process:
-                nest = _nest(resolve_walk(net.layers[idx], plan, idx, process,
+                nest = _Nest(resolve_walk(net.layers[idx], plan, idx, process,
                                           LayoutKind.RESHAPED, batch), process)
                 if nest.translates:
                     assert translate(nest), (case, idx, process)
@@ -648,7 +708,7 @@ def test_blocks_of_one_width_are_translates(data, process, batch):
     # blocks translate, consecutive blocks of one width do, each transfer by
     # a step of its own, restarting where its channel's step changes
     layer, plan = reshaped_case(data.draw, process)
-    nest = _nest(resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch), process)
+    nest = _Nest(resolve_walk(layer, plan, 0, process, LayoutKind.RESHAPED, batch), process)
     if nest.translates:
         assert translate(nest)
 
@@ -664,7 +724,7 @@ def test_blocks_that_do_not_translate_are_not_folded():
                                            20: PlanEntry(tr=1, tc=1, m_on=128)})
     for idx, process, folds in ((19, Process.WU, False), (20, Process.BP, True)):
         ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED, 2)
-        nest = _nest(ws, process)
+        nest = _Nest(ws, process)
         assert nest.translates == bool(nest.fold) == translate(nest) == folds
         # a fold's slices end at its block 2 and at its last block's end
         ends = {part.hi for part in slices(ws, process, SLICE_ROWS)}
@@ -837,7 +897,7 @@ def test_every_run_folds():
                 for process in Process:
                     ws = resolve_walk(net.layers[idx], plan, idx, process, LayoutKind.RESHAPED,
                                       batch)
-                    n = bool(_nest(ws, process).fold)
+                    n = bool(_Nest(ws, process).fold)
                     runs += n
                     if n:
                         simulate_layer(process, net.layers[idx], plan, LayoutKind.RESHAPED, dev,
