@@ -10,21 +10,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
-import shutil
 import signal
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import config, datasets, dma, engine, layout, perf, sched
 from .errors import ConfigError, Infeasible, InvalidLayer, InvalidPlan, PlanMismatch
-from .plan import Channel, Process
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,7 +28,10 @@ EXIT_INTERNAL = 4
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file, or under one, or not writable
+        raise ConfigError(f"cannot make output directory {out}: {e.strerror}") from None
     return out
 
 
@@ -99,13 +96,7 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     doc = rep.to_dict()
     if args.audit:
-        audit = {}
-        for i in sorted(plan.entries):
-            for proc in Process:
-                tile = plan.tile_for(i, net.layers[i], proc)
-                audit[f"{i}/{proc.value}"] = perf.audit_values(
-                    net.layers[i], tile, plan, dev, proc)
-        doc["audit"] = audit
+        doc["audit"] = perf.audit_values(net, plan, dev)
     _write_report(doc, out, "estimate", args.format)
     print(f"total analytic cycles: {rep.total_analytic}  "
           f"throughput: {rep.gflops:.2f} GFLOPS")
@@ -171,32 +162,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _dump_pass(w, traces, key: tuple, bases: dict, spools: dict) -> None:
-    """Write one pass's bursts channel-major, walking it once: each channel's
-    spool takes its bursts as they close; the one still open is held back."""
-    held = {c: np.empty((0, 2), dtype=np.int64) for c in Channel}  # the open burst
-    done = dict.fromkeys(Channel, 0)
-
-    def spool(chan, bursts):
-        head = (*key, chan.value)  # in `bases` if the pass has the channel
-        rows = (bursts + (bases[head] if len(bursts) else 0, 0)).tolist()
-        text = io.StringIO()  # one write: a read-write text file resets its decoder per write
-        csv.writer(text).writerows([*head, bi, *row] for bi, row in enumerate(rows, done[chan]))
-        spools[chan].write(text.getvalue())
-        done[chan] += len(rows)
-
-    for trace in traces:
-        for chan, runs in trace.items():
-            bursts = dma.split_bursts(np.concatenate([held[chan], runs]))
-            spool(chan, bursts[:-1])
-            held[chan] = bursts[-1:]
-    for chan, f in spools.items():
-        spool(chan, held[chan])
-        f.seek(0)
-        shutil.copyfileobj(f, w)
-        f.truncate(f.seek(0))  # empty for the next pass
-
-
 @contextlib.contextmanager
 def _exit_on_sigterm():
     """For its body, if run on the main thread, SIGTERM raises
@@ -221,26 +186,14 @@ def cmd_layout_dump(args) -> int:
     plan = config.load_plan(args.plan)
     plan.check_against(net)
     kind = layout.LayoutKind.parse(args.layout)
-    table, entries = layout.dma_start_table(net, plan, kind)
-    bases = {(e.layer, e.process, e.channel): e.start for e in entries}
     out = _out_dir(args)
     # written aside and renamed into place, so that a failed or terminated
     # dump leaves none
     part = out / f"layout_{kind}.csv.part"
     with _exit_on_sigterm():
         try:
-            with open(part, "w", newline="") as f, contextlib.ExitStack() as stack:
-                spools = {c: stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=out))
-                          for c in Channel}
-                csv.writer(f).writerow(["layer", "process", "channel", "burst_index",
-                                        "start_word", "length"])
-                for i in sorted(plan.entries):
-                    for proc in Process:
-                        if proc is Process.BP and i == 0:
-                            continue
-                        traces = layout.trace_layer(proc, net.layers[i], plan, kind,
-                                                    net.batch, idx=i)
-                        _dump_pass(f, traces, (i, proc.value), bases, spools)
+            with open(part, "w", newline="") as f:
+                table = dma.write_burst_table(f, net, plan, kind, out)
             part.replace(out / f"layout_{kind}.csv")
         finally:
             part.unlink(missing_ok=True)

@@ -7,6 +7,7 @@ under trainsim/presets/ and can be referenced anywhere a path is accepted.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -35,6 +36,10 @@ def _read_json(path_or_name: str | Path, preset_kind: str | None = None) -> dict
         raise ConfigError(f"config file not found: {p}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"bad JSON in {p}: {e}") from None
+    except OSError as e:  # a directory, or not readable
+        raise ConfigError(f"cannot read config file {p}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from None
 
 
 def _integral(doc: dict, key: str) -> int:
@@ -44,6 +49,17 @@ def _integral(doc: dict, key: str) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key}={value} is not an integer")
     return int(value)
+
+
+def _learning_rate(doc: dict) -> float:
+    """doc's learning_rate, 0.01 if absent: a finite number >= 0 (0 trains
+    nothing).  A boolean, NaN, an infinity (or a literal that overflows to
+    one) or a negative rate is an error."""
+    value = doc.get("learning_rate", 0.01)
+    rate = float(value)
+    if isinstance(value, bool) or not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"learning_rate={value} is not a finite number >= 0")
+    return rate
 
 
 def load_network(path_or_name: str | Path, batch: int | None = None) -> NetworkSpec:
@@ -63,7 +79,7 @@ def load_network(path_or_name: str | Path, batch: int | None = None) -> NetworkS
         net = NetworkSpec(
             layers=tuple(layers),
             batch=int(batch),
-            learning_rate=float(doc.get("learning_rate", 0.01)),
+            learning_rate=_learning_rate(doc),
             name=str(doc.get("name", Path(str(path_or_name)).stem)),
         )
     except (KeyError, ValueError, TypeError) as e:

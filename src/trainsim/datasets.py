@@ -47,7 +47,11 @@ def load_raw(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a `save_raw` container.  A file that is not one whole container
     (bad magic, a short header, or a payload of another size than the
     header says) raises ConfigError."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read raw dataset {path}: {e.strerror}") from None
+    with f:
         size = os.fstat(f.fileno()).st_size
         if f.read(8) != RAW_MAGIC:
             raise ConfigError(f"{path}: not a raw tensor file")

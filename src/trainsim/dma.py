@@ -4,9 +4,9 @@ A burst is a maximal run of consecutive word addresses; the DMA restarts
 (t_start cycles) at every discontinuity and otherwise streams p words per
 cycle.  `split_bursts` merges a trace (an (n, 2) run array, as
 `layout.trace_layer` gives one per channel and slice) into its bursts,
-which `layout-dump` lists.  The pricer charges more restarts than that:
-the pass's descriptor policy (`layout.Walk.restarts`) restarts runs that
-would continue their predecessor.
+which `layout-dump` lists (`write_burst_table`).  The pricer charges more
+restarts than that: the pass's descriptor policy (`layout.Walk.restarts`)
+restarts runs that would continue their predecessor.
 
 The layer simulator prices a columnar `layout.Walk`: the exact
 production pipeline the analytic model assumes, with every transfer priced
@@ -66,15 +66,18 @@ they are priced slice by slice, which keeps the result exact.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
+import shutil
+import tempfile
 
 import numpy as np
 
 from .model import DeviceSpec, LayerSpec, NetworkSpec, ceil_div
 from .perf import LatencyReport, ReportRow, network_report, train_gflops
 from .plan import Process, TilePlan
-from .layout import (CHANNELS, LOAD, SLICE_ROWS, STORE, WALKERS, Walk, merge_runs,
-                     resolve_walk, slices)
+from .layout import (CHANNELS, LOAD, SLICE_ROWS, STORE, WALKERS, Walk, dma_start_table,
+                     merge_runs, resolve_walk, slices, trace_layer)
 
 # the bursts of a trace's (n, 2) run array are its maximal contiguous runs
 split_bursts = merge_runs
@@ -376,5 +379,48 @@ def stream_estimate(layer: LayerSpec, process: Process, dev: DeviceSpec,
     return 2 * dev.t_start + ceil_div(words_in, dev.p) + ceil_div(words_out, dev.p)
 
 
-__all__ = ["split_bursts", "SimResult",
+def write_burst_table(f, net: NetworkSpec, plan: TilePlan, kind: str,
+                      spool_dir) -> dict[str, tuple[int, int]]:
+    """Write `layout-dump`'s table to the text file `f` (opened with
+    newline=""): a CSV header, then a row (layer, pass, channel, burst
+    index, start word, length) per burst, channel-major within each pass,
+    its region's base (`layout.dma_start_table`) added to its start.  Each
+    pass is walked once (`layout.trace_layer`), each channel's open burst
+    held back from piece to piece and its rows spooled to a temporary file
+    in the directory `spool_dir`.  Returns the region table."""
+    table, entries = dma_start_table(net, plan, kind)
+    bases = {(e.layer, e.process, e.channel): e.start for e in entries}
+    done: dict[tuple, int] = {}  # rows written per (layer, pass, channel)
+    f.write("layer,process,channel,burst_index,start_word,length\r\n")
+    with contextlib.ExitStack() as stack:
+        spools = {c: stack.enter_context(
+            tempfile.TemporaryFile("w+", newline="", dir=spool_dir)) for c in CHANNELS}
+
+        def spool(i, proc, chan, bursts):
+            key = (i, proc.value, chan.value)  # in `bases` if the pass uses the channel
+            if len(bursts):
+                head = "{},{},{},".format(*key)
+                first = done.get(key, 0)
+                rows = (bursts + (bases[key], 0)).tolist()
+                # one write: a read-write text file resets its decoder per write
+                spools[chan].write("".join(f"{head}{n},{start},{length}\r\n"
+                                           for n, (start, length) in enumerate(rows, first)))
+                done[key] = first + len(rows)
+
+        for i in sorted(plan.entries):
+            for proc in Process if i else (Process.FP, Process.WU):
+                held = dict.fromkeys(CHANNELS, np.empty((0, 2), dtype=np.int64))  # open bursts
+                for chan, runs in trace_layer(proc, net.layers[i], plan, kind, net.batch, idx=i):
+                    bursts = split_bursts(np.concatenate([held[chan], runs]))
+                    spool(i, proc, chan, bursts[:-1])
+                    held[chan] = bursts[-1:]
+                for chan, s in spools.items():
+                    spool(i, proc, chan, held[chan])
+                    s.seek(0)
+                    shutil.copyfileobj(s, f)
+                    s.truncate(s.seek(0))  # empty for the next pass
+    return table
+
+
+__all__ = ["split_bursts", "write_burst_table", "SimResult",
            "simulate_sequences", "simulate_layer", "simulate_report", "stream_estimate"]

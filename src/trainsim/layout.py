@@ -1118,14 +1118,14 @@ def layer_sequences(process: Process, layer: LayerSpec, plan: TilePlan,
 
 
 def trace_layer(process: Process, layer: LayerSpec, plan: TilePlan, kind: str,
-                batch: int, idx: int) -> Iterator[dict[Channel, np.ndarray]]:
+                batch: int, idx: int) -> Iterator[tuple[Channel, np.ndarray]]:
     """Each DMA channel's word-address runs in one layer's pass, in bus
-    order, as pieces {channel: (n, 2) int64 (start, length)}: slice by slice
-    (`layer_sequences`), a channel at a time (`_channel_runs`)."""
+    order, as (channel, (n, 2) int64 (start, length)) pieces, one or more,
+    maybe empty, per channel and slice (`layer_sequences`, `_channel_runs`)."""
     for walk in layer_sequences(process, layer, plan, kind, batch, idx):
         for c in Channel:
             for runs in _channel_runs(walk, c):
-                yield {c: runs}
+                yield c, runs
 
 
 def _channel_runs(walk: Walk, channel: Channel) -> Iterator[np.ndarray]:

@@ -24,7 +24,7 @@ plus one partial block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidPlan
 from .model import (DeviceSpec, LayerSpec, NetworkSpec, ceil_div,
@@ -206,8 +206,7 @@ def train_gflops(net: NetworkSpec, images: int, seconds: float) -> float:
 
 
 def network_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec,
-                   batch: int | None = None,
-                   clock_hz: float | None = None) -> LatencyReport:
+                   batch: int | None = None) -> LatencyReport:
     """Per-layer, per-process analytic cycles plus network totals.
 
     Only weighted layers carry analytic numbers; others are left to the
@@ -216,8 +215,7 @@ def network_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec,
     """
     plan.check_against(net)
     b = batch if batch is not None else net.batch
-    clk = clock_hz if clock_hz is not None else dev.clock_hz
-    rep = LatencyReport(batch=b, clock_hz=clk)
+    rep = LatencyReport(batch=b, clock_hz=dev.clock_hz)
     for i, layer in enumerate(net.layers):
         if not layer.weighted:
             continue
@@ -226,15 +224,19 @@ def network_report(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec,
             rep.rows.append(ReportRow(i, layer.label(), proc.value, cyc))
     rep.total_analytic = sum(r.analytic for r in rep.rows if r.analytic is not None)
     if rep.total_analytic:
-        rep.gflops = train_gflops(net, b, rep.total_analytic / clk)
+        rep.gflops = train_gflops(net, b, rep.total_analytic / dev.clock_hz)
     return rep
 
 
-def audit_values(layer: LayerSpec, tile: LayerTile, plan: TilePlan,
-                 dev: DeviceSpec, process: Process) -> dict:
-    """Intermediate per-tile values for report audit output."""
-    c = tile_costs(layer, tile, plan, dev, process)
-    return {k: getattr(c, k) for k in TileCosts.__dataclass_fields__}
+def audit_values(net: NetworkSpec, plan: TilePlan, dev: DeviceSpec) -> dict[str, dict]:
+    """Intermediate per-tile values (`TileCosts`) of every planned layer in
+    every pass, keyed "<layer>/<pass>", for report audit output."""
+    audit = {}
+    for i in sorted(plan.entries):
+        for proc in Process:
+            tile = plan.tile_for(i, net.layers[i], proc)
+            audit[f"{i}/{proc.value}"] = asdict(tile_costs(net.layers[i], tile, plan, dev, proc))
+    return audit
 
 
 __all__ = [

@@ -203,7 +203,7 @@ def whole_trace(process, layer, plan, kind, batch, idx):
     from trainsim.plan import Channel
 
     traces = list(trace_layer(process, layer, plan, kind, batch, idx))
-    return {c: np.concatenate([t[c] for t in traces if c in t]) for c in Channel}
+    return {c: np.concatenate([runs for chan, runs in traces if chan is c]) for c in Channel}
 
 
 def transfer_runs(walk):

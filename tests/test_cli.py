@@ -510,6 +510,44 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys):
     assert "does not fit in memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["net is a directory", "plan is a directory",
+                                  "net is not UTF-8", "data is a directory",
+                                  "out is a file", "out is under a file"])
+def test_path_that_cannot_be_read_or_written_is_config_error(tmp_path, capsys, case):
+    # once an IsADirectoryError, UnicodeDecodeError, FileExistsError or
+    # NotADirectoryError, and so an internal error
+    folder, blob = tmp_path / "folder", tmp_path / "blob.json"
+    folder.mkdir()
+    blob.write_bytes(b'{"name": "\xff"}')
+    estimate = {"--net": "alexnet_conv", "--device": "zcu102", "--plan": "alexnet_conv_zcu102",
+                "--out": tmp_path / "out"}
+    train = {"--net": "cifar6", "--steps": 1, "--out": tmp_path / "out"}
+    cmd, flags, flag, path = {"net is a directory": ("estimate", estimate, "--net", folder),
+                              "plan is a directory": ("estimate", estimate, "--plan", folder),
+                              "net is not UTF-8": ("estimate", estimate, "--net", blob),
+                              "data is a directory": ("train", train, "--data", folder),
+                              "out is a file": ("estimate", estimate, "--out", blob),
+                              "out is under a file": ("estimate", estimate, "--out", blob / "out"),
+                              }[case]
+    rc = run([cmd, *(str(v) for kv in {**flags, flag: path}.items() for v in kv)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("rate", ["NaN", "Infinity", "1e400", "-0.5", "true"])
+def test_learning_rate_not_finite_and_at_least_zero_is_config_error(tmp_path, capsys, rate):
+    # each once trained to exit 0: NaN, inf (1e400 overflows to it) and a
+    # negative rate with a nan or climbing loss, true as a rate of 1.0
+    text = json.dumps({**SMOKE_NET, "learning_rate": "RATE"}).replace('"RATE"', rate)
+    p = tmp_path / "net.json"
+    p.write_text(text)
+    rc = run(["train", "--net", str(p), "--steps", "2", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_layout_dump_plan_for_missing_layer_is_config_error(tmp_path, capsys):
     plan = _alexnet_plan(tmp_path, layer=9)
     rc = run(["layout-dump", "--net", "alexnet_conv", "--plan", plan,

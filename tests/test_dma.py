@@ -782,6 +782,45 @@ def test_dump_and_equivalence_walk_each_slice_once(tmp_path):
             cut(cifar, cifar_plan, 2, ["reshaped", "bchw"])
 
 
+@pytest.mark.parametrize("name, batch, i, kind", [
+    ("alexnet_conv", 1, 2, LayoutKind.BCHW), ("alexnet_conv", 1, 4, LayoutKind.RESHAPED),
+    ("cifar6", 2, 3, LayoutKind.BHWC_REUSE)])
+def test_burst_table_is_each_channels_merged_whole_trace(tmp_path, name, batch, i, kind):
+    # every pass of one layer (not the first, which has no BP), at the slice
+    # budget and at 64 rows a slice: the rows of each (layer, pass, channel)
+    # come together, in pass and channel order, number its bursts from 0,
+    # and are the maximal runs of its whole trace from its region's base,
+    # so that a burst running on across a cut is one row
+    net = load_network(name, batch)
+    plan = load_plan("alexnet_conv_zcu102") if name == "alexnet_conv" else \
+        schedule(net, load_device("zcu102"), batch)[0]
+    plan = TilePlan(plan.tm, plan.tn, {i: plan.entries[i]})
+    bases = {(e.layer, e.process, e.channel): e.start
+             for e in layout.dma_start_table(net, plan, kind)[1]}
+    want = {}
+    for process in Process:
+        trace = oracles.whole_trace(process, net.layers[i], plan, kind, batch, idx=i)
+        for c in CHANNELS:
+            if trace[c].size:
+                want[i, process.value, c.value] = split_bursts(trace[c]).tolist()
+    for budget in (SLICE_ROWS, 64):
+        table = io.StringIO()
+        with mock.patch.object(layout, "SLICE_ROWS", budget):
+            dma.write_burst_table(table, net, plan, kind, tmp_path)
+        header, *rows = table.getvalue().split("\r\n")[:-1]
+        assert header == "layer,process,channel,burst_index,start_word,length"
+        got, key = {}, None
+        for row in rows:
+            layer, proc, chan, n, start, length = row.split(",")
+            if (int(layer), proc, chan) != key:
+                key = (int(layer), proc, chan)
+                assert key not in got, f"{key}'s rows are apart"
+                got[key] = []
+            assert int(n) == len(got[key])
+            got[key].append([int(start) - bases[key], int(length)])
+        assert list(got) == list(want) and got == want, budget
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), process=st.sampled_from(list(Process)), batch=st.integers(1, 3),
        p=st.integers(1, 5), t_start=st.sampled_from([1, 7, 400]))
