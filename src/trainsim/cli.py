@@ -35,6 +35,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """For its body, an OSError (a directory in path's place, no permission,
+    a full disk) is a ConfigError that names path."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _writing(path):
+        path.write_text(text)
+
+
 def _validate_report(doc: dict) -> None:
     # hard failure on malformed internal state, never a silent partial report
     for key in ("batch", "total_analytic", "rows"):
@@ -52,9 +67,10 @@ def _validate_report(doc: dict) -> None:
 def _write_report(doc: dict, out: Path, stem: str, formats: list[str]) -> None:
     _validate_report(doc)
     if "json" in formats:
-        (out / f"{stem}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        _write_text(out / f"{stem}.json", json.dumps(doc, indent=2) + "\n")
     if "csv" in formats:
-        with open(out / f"{stem}.csv", "w", newline="") as f:
+        path = out / f"{stem}.csv"
+        with _writing(path), open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["layer", "label", "process", "analytic", "simulated",
                         "deviation", "estimated"])
@@ -74,7 +90,7 @@ def cmd_schedule(args) -> int:
         "banks": usage.to_dict(),
         "start_table": [vars(e) for e in entries],
     })
-    (out / "plan.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write_text(out / "plan.json", json.dumps(doc, indent=2) + "\n")
     rep = perf.network_report(net, plan, dev, args.batch)
     lines = [f"network {net.name}: Tm=Tn={plan.tm}",
              f"resources: {usage.to_dict()}",
@@ -82,7 +98,7 @@ def cmd_schedule(args) -> int:
     for i in sorted(plan.entries):
         e = plan.entries[i]
         lines.append(f"  layer {i} {net.layers[i].label()}: [Tr,Tc,M_on]=[{e.tr},{e.tc},{e.m_on}]")
-    (out / "schedule_summary.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out / "schedule_summary.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -112,7 +128,8 @@ def cmd_simulate(args) -> int:
     rep, hist_rows = dma.simulate_report(net, plan, dev, args.batch or net.batch, kind)
     out = _out_dir(args)
     _write_report(rep.to_dict(), out, f"simulate_{kind}", args.format)
-    with open(out / f"bursts_{kind}.csv", "w", newline="") as f:
+    bursts = out / f"bursts_{kind}.csv"
+    with _writing(bursts), open(bursts, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "process", "channel", "burst_length", "count"])
         w.writerows(hist_rows)
@@ -150,12 +167,14 @@ def cmd_train(args) -> int:
         losses.append(loss)
         if args.log_every and step % args.log_every == 0:
             print(f"step {step}: loss {loss:.6f}")
-    with open(out / "loss.csv", "w", newline="") as f:
+    loss_csv, checkpoint = out / "loss.csv", out / "checkpoint.bin"
+    with _writing(loss_csv), open(loss_csv, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "loss"])
         for i, v in enumerate(losses):
             w.writerow([i, f"{v:.8f}"])
-    engine.save_checkpoint(out / "checkpoint.bin", engine_params)
+    with _writing(checkpoint):
+        engine.save_checkpoint(checkpoint, engine_params)
     print(f"trained {len(losses)} steps: first loss {losses[0]:.4f}, "
           f"last loss {losses[-1]:.4f}, {images / busy:.1f} images/s, "
           f"{perf.train_gflops(net, images, busy):.3f} GFLOPS on the host")
@@ -189,12 +208,14 @@ def cmd_layout_dump(args) -> int:
     out = _out_dir(args)
     # written aside and renamed into place, so that a failed or terminated
     # dump leaves none
-    part = out / f"layout_{kind}.csv.part"
-    with _exit_on_sigterm():
+    part, done = out / f"layout_{kind}.csv.part", out / f"layout_{kind}.csv"
+    with _exit_on_sigterm(), _writing(part):
+        f = open(part, "w", newline="")  # a directory in its way is not ours to remove
         try:
-            with open(part, "w", newline="") as f:
+            with f:
                 table = dma.write_burst_table(f, net, plan, kind, out)
-            part.replace(out / f"layout_{kind}.csv")
+            with _writing(done):
+                part.replace(done)
         finally:
             part.unlink(missing_ok=True)
     print(f"wrote layout_{kind}.csv ({len(table)} regions)")

@@ -13,7 +13,11 @@ k*k im2col columns, and then runs k GEMMs per image, one per kernel row,
 summed: FP multiplies kernel row kr's windows by w[:, :, kr, :], WU the
 loss by the windows FP lowered, and BP is FP at stride 1 of the dilated
 loss with the flipped, transposed kernel.  Pooling is one strided-slice
-pass per window cell, and BN reduces over every axis but the channel axis.
+pass per window cell: max-pool FP keeps its argmax code by arithmetic, not
+by a masked copy, and BP writes each input cell once where no two windows
+overlap.  The weight update runs one GEMM over the batch wherever an
+image's loss map is one pixel, as in an FC layer.  BN reduces over every
+axis but the channel axis.
 
 The public kernels (`conv_fp`, `pool_bp`, `bn_fp`, ...) take and return
 (B, CH, R, C) arrays; each is a transpose around the same channels-last
@@ -92,10 +96,20 @@ def _conv_fp(a: np.ndarray, w: np.ndarray, s: int,
 
 def _conv_wu(rows: list[np.ndarray], l_next: np.ndarray) -> np.ndarray:
     """dW from conv_fp's windows and the channels-last loss: per kernel row,
-    the loss times its windows, one GEMM per image, summed over the batch."""
+    the loss times its windows, one GEMM per image, summed over the batch.
+
+    Where an image's loss map is one pixel (an FC layer, or a kernel as
+    large as its unpadded input), each per-image product is an outer
+    product, and one (B, M)^T @ (B, k*N) GEMM over the batch does them all.
+    """
     b, r, c, m = l_next.shape
-    k, lt = len(rows), l_next.reshape(b, r * c, m).transpose(0, 2, 1)
-    dw = np.stack([np.matmul(lt, x).sum(axis=0) for x in rows])
+    k = len(rows)
+    if r * c == 1:
+        lt = l_next.reshape(b, m).T
+        dw = np.stack([lt @ x.reshape(b, -1) for x in rows])
+    else:
+        lt = l_next.reshape(b, r * c, m).transpose(0, 2, 1)
+        dw = np.stack([np.matmul(lt, x).sum(axis=0) for x in rows])
     return np.ascontiguousarray(dw.reshape(k, m, k, -1).transpose(1, 3, 0, 2))
 
 
@@ -178,13 +192,24 @@ def relu_fp(a: np.ndarray) -> np.ndarray:
 
 
 def relu_bp(l_next: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """l_next where a > 0, else 0, as l_next * (a > 0) with no branch.
+
+    A zero may come out as -0.0, and a non-finite l_next where a <= 0
+    comes out NaN (inf * 0), not 0.
+    """
     _check(l_next.shape == a.shape, "relu_bp shapes differ")
-    return np.where(a > 0, l_next, 0)
+    return l_next * (a > 0)
 
 
 def _pool_fp(a: np.ndarray, k: int, s: int,
              mode: Kind) -> tuple[np.ndarray, np.ndarray | None]:
-    """Channels-last pool_fp, one strided-slice pass per window cell."""
+    """Channels-last pool_fp, one strided-slice pass per window cell.
+
+    Max-pool scans the cells in row-major order and takes a cell only where
+    it is strictly greater, so ties keep the first maximum.  The code is
+    recorded without a branch, code += more * (j - code): in the scan
+    j > code, so j - code >= 1 never wraps the code's unsigned type.
+    """
     _, h, w, _ = a.shape
     r, c = (h - k) // s + 1, (w - k) // s + 1
 
@@ -200,7 +225,7 @@ def _pool_fp(a: np.ndarray, k: int, s: int,
             v = cell(j)
             np.greater(v, out, out=more)  # strict: ties keep the first maximum
             np.maximum(out, v, out=out)
-            np.copyto(code, j, where=more)
+            code += more * (j - code)
         return out, code
     if mode is Kind.AVGPOOL:
         for j in range(1, k * k):
@@ -212,7 +237,13 @@ def _pool_fp(a: np.ndarray, k: int, s: int,
 
 def _pool_bp(l_next: np.ndarray, code: np.ndarray | None, k: int, s: int,
              mode: Kind, in_hw: tuple[int, int]) -> np.ndarray:
-    """Channels-last pool_bp, one strided-slice pass per window cell."""
+    """Channels-last pool_bp, one strided-slice pass per window cell.
+
+    Where windows do not overlap (k <= s), each input cell lies in at most
+    one window, so max-pool writes each of its cells once; cells that no
+    window covers keep their zeros.  Overlapping windows, and average
+    pooling, add into their cells.
+    """
     b, r, c, ch = l_next.shape
     out = np.zeros((b, *in_hw, ch), dtype=l_next.dtype)
     if mode is Kind.MAXPOOL:
@@ -225,8 +256,13 @@ def _pool_bp(l_next: np.ndarray, code: np.ndarray | None, k: int, s: int,
         raise ShapeMismatch(f"not a pooling kind: {mode}")
     for j in range(k * k):
         kr, kc = divmod(j, k)
-        part = l_next * (code == j) if mode is Kind.MAXPOOL else spread
-        out[:, kr:kr + s * r:s, kc:kc + s * c:s] += part
+        cell = out[:, kr:kr + s * r:s, kc:kc + s * c:s]
+        if mode is Kind.AVGPOOL:
+            cell += spread
+        elif k <= s:
+            np.multiply(l_next, code == j, out=cell)
+        else:
+            cell += l_next * (code == j)
     return out
 
 

@@ -113,6 +113,27 @@ def pool_bp_loops(l_next, a, k, stride, maximum, in_hw):
     return out
 
 
+def pool_code_loops(a, k, stride):
+    """The max-pool code: the row-major position inside each window of its
+    first maximum (a scan that moves only on a strict >)."""
+    b, ch, hi, wi = a.shape
+    r = (hi - k) // stride + 1
+    c = (wi - k) // stride + 1
+    out = np.zeros((b, ch, r, c), dtype=np.int64)
+    for bb in range(b):
+        for mm in range(ch):
+            for rr in range(r):
+                for cc in range(c):
+                    win = a[bb, mm, stride * rr:stride * rr + k,
+                            stride * cc:stride * cc + k]
+                    best = 0
+                    for j in range(1, k * k):
+                        if win[j // k, j % k] > win[best // k, best % k]:
+                            best = j
+                    out[bb, mm, rr, cc] = best
+    return out
+
+
 def bn_fp_loops(a, gamma, beta, eps):
     """Literal per-channel batch statistics and normalization."""
     a = a.astype(np.float64)

@@ -535,6 +535,35 @@ def test_path_that_cannot_be_read_or_written_is_config_error(tmp_path, capsys, c
     assert "config error" in err and str(path) in err
 
 
+@pytest.mark.parametrize("cmd,name", [
+    ("estimate", "estimate.json"), ("estimate", "estimate.csv"),
+    ("schedule", "plan.json"), ("schedule", "schedule_summary.txt"),
+    ("simulate", "bursts_reshaped.csv"),
+    ("train", "loss.csv"), ("train", "checkpoint.bin"),
+    ("layout-dump", "layout_reshaped.csv.part"), ("layout-dump", "layout_reshaped.csv"),
+])
+def test_output_that_cannot_be_written_is_config_error(tmp_path, capsys, cmd, name):
+    # a directory where an output file goes: once an internal error
+    # (IsADirectoryError); the directory stays, and the dump leaves no
+    # table or part of one beside it
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    alexnet = ["--net", "alexnet_conv", "--device", "zcu102", "--batch", "1"]
+    flags = {"estimate": [*alexnet, "--plan", "alexnet_conv_zcu102"],
+             "schedule": alexnet,
+             "simulate": [*alexnet, "--plan", "alexnet_conv_zcu102"],
+             "train": ["--net", "cifar6", "--batch", "2", "--steps", "1"],
+             "layout-dump": ["--net", "alexnet_conv", "--batch", "1",
+                             "--plan", "alexnet_conv_zcu102"]}[cmd]
+    rc = run([cmd, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "config error: cannot write" in err and str(out / name) in err
+    if cmd == "layout-dump":
+        assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).is_dir()
+
+
 @pytest.mark.parametrize("rate", ["NaN", "Infinity", "1e400", "-0.5", "true"])
 def test_learning_rate_not_finite_and_at_least_zero_is_config_error(tmp_path, capsys, rate):
     # each once trained to exit 0: NaN, inf (1e400 overflows to it) and a

@@ -165,6 +165,23 @@ def test_conv_wu_batch_additivity():
     assert np.allclose(whole, parts, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("case", ["fc flatten", "k3 on 3x3", "k3 s2 on 3x3", "k3 p1 on 1x1"])
+def test_conv_wu_one_pixel_loss_map_matches_loop_oracle(b, case):
+    # a loss map of one pixel per image makes each per-image product an
+    # outer product, which conv_wu runs as one GEMM over the batch
+    rng = np.random.default_rng(b)
+    a = rng.standard_normal((b, 4, 3, 3))
+    a, k, s, pad = {"fc flatten": (a.reshape(b, -1, 1, 1), 1, 1, 0),
+                    "k3 on 3x3": (a, 3, 1, 0),
+                    "k3 s2 on 3x3": (a, 3, 2, 0),
+                    "k3 p1 on 1x1": (a[:, :, :1, :1], 3, 1, 1)}[case]
+    l = rng.standard_normal((b, 5, 1, 1))
+    ref = oracles.conv_wu_loops(a, l, k, s, pad)
+    np.testing.assert_allclose(engine.conv_wu(a, l, k, s, pad), ref,
+                               rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
 # --------------------------------------------------------------------- sgd
 
 def test_sgd_zero_lr_identity():
@@ -203,12 +220,27 @@ def test_relu_all_positive_passthrough():
 
 def test_relu_elementwise_oracle():
     a = RNG.standard_normal((2, 3, 4, 4))
-    l = RNG.standard_normal(a.shape)
-    fp = engine.relu_fp(a)
-    bp = engine.relu_bp(l, a)
-    for idx in np.ndindex(a.shape):
-        assert fp[idx] == max(0.0, a[idx])
-        assert bp[idx] == (l[idx] if a[idx] > 0 else 0.0)
+    cases = [(a, RNG.standard_normal(a.shape))]
+    # and a half-integer grid in both dtypes, so that a == 0 and l == 0 occur
+    rng = np.random.default_rng(6)
+    grid, mask = rng.integers(-4, 5, size=a.shape) / 2, rng.integers(0, 2, size=a.shape)
+    cases += [(grid.astype(dt), (rng.standard_normal(a.shape) * mask).astype(dt))
+              for dt in (np.float32, np.float64)]
+    for a, l in cases:
+        fp = engine.relu_fp(a)
+        bp = engine.relu_bp(l, a)
+        assert fp.dtype == bp.dtype == a.dtype
+        for idx in np.ndindex(a.shape):
+            assert fp[idx] == max(0.0, a[idx])
+            assert bp[idx] == (l[idx] if a[idx] > 0 else 0.0)
+
+
+def test_relu_bp_non_finite_loss_where_inactive_is_nan():
+    a = np.array([1.0, 0.0, -1.0, -1.0]).reshape(1, 1, 1, 4)
+    l = np.array([np.inf, np.inf, -np.inf, np.nan]).reshape(a.shape)
+    with np.errstate(invalid="ignore"):
+        got = engine.relu_bp(l, a).ravel()
+    assert got[0] == np.inf and np.isnan(got[1:]).all()
 
 
 # ------------------------------------------------------------------- pooling
@@ -241,13 +273,16 @@ def test_pool_matches_loop_oracle():
         assert np.abs(out - ref).max() <= 1e-12
 
 
-@pytest.mark.parametrize("k,s,hi,wi", [
+POOL_CASES = [
     (2, 2, 4, 4),  # tiling
     (3, 2, 7, 6),  # overlapping, last column unreached
     (2, 2, 5, 7),  # non-divisible
     (3, 1, 5, 4),  # stride 1, heavy overlap
     (2, 3, 8, 7),  # stride > kernel
-])
+]
+
+
+@pytest.mark.parametrize("k,s,hi,wi", POOL_CASES)
 def test_pool_fp_bp_match_loop_oracles(k, s, hi, wi):
     rng = np.random.default_rng(k * 100 + s * 10 + hi)
     for a in (rng.standard_normal((2, 3, hi, wi)),
@@ -261,6 +296,70 @@ def test_pool_fp_bp_match_loop_oracles(k, s, hi, wi):
                 engine.pool_bp(l, idx, k, s, kind, (hi, wi)),
                 oracles.pool_bp_loops(l, a, k, s, maximum, (hi, wi)),
                 rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,s,hi,wi", [*POOL_CASES, (17, 17, 34, 35)])
+def test_maxpool_codes_are_first_maximum(k, s, hi, wi):
+    # values 0-2, so most windows tie on their maximum; in the 17x17
+    # windows the first 15 rows are 0, so each first maximum lies past
+    # cell 254 and its code needs a uint16
+    rng = np.random.default_rng(k * 100 + s * 10 + wi)
+    a = rng.integers(0, 3, size=(2, 3, hi, wi))
+    if k == 17:
+        a[:, :, np.arange(hi) % k < 15] = 0
+    for dt in (np.float32, np.float64):
+        _, code = engine.pool_fp(a.astype(dt), k, s, Kind.MAXPOOL)
+        assert code.dtype == np.min_scalar_type(k * k - 1)
+        assert np.array_equal(code, oracles.pool_code_loops(a, k, s))
+    if k == 17:
+        assert code.min() >= 255 and code.max() > 255
+
+
+def _pool_fp_masked_copy(a, k, s, mode):
+    """Channels-last max-pool FP whose code is set by a masked copy of j:
+    the reference the engine's arithmetic code must match bit for bit."""
+    _, h, w, _ = a.shape
+    r, c = (h - k) // s + 1, (w - k) // s + 1
+    cells = [a[:, kr:kr + s * r:s, kc:kc + s * c:s] for kr in range(k) for kc in range(k)]
+    out = cells[0].copy()
+    code = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+    more = np.empty(out.shape, dtype=bool)
+    for j in range(1, k * k):
+        np.greater(cells[j], out, out=more)
+        np.maximum(out, cells[j], out=out)
+        np.copyto(code, j, where=more)
+    return out, code
+
+
+def _pool_bp_added(l_next, code, k, s, mode, in_hw):
+    """Channels-last max-pool BP in which every cell adds its routed loss
+    into zeros: the reference the engine's write-once cells must match bit
+    for bit."""
+    b, r, c, ch = l_next.shape
+    out = np.zeros((b, *in_hw, ch), dtype=l_next.dtype)
+    for j in range(k * k):
+        kr, kc = divmod(j, k)
+        out[:, kr:kr + s * r:s, kc:kc + s * c:s] += l_next * (code == j)
+    return out
+
+
+def test_branch_free_pool_keeps_cifar6_step_bits(monkeypatch):
+    # the branch-free codes and the write-once BP change no bit of a
+    # float32 cifar6 step: pool outputs, codes and trained weights
+    net = load_network("cifar6", 16)
+    x, y = next(synthetic_batches(net, 1, seed=4))
+
+    def step():
+        params = engine.init_params(net, seed=4)
+        _, acts, codes = engine.forward(net, params, x, keep=True)
+        _, params = engine.train_minibatch(net, params, x, y)
+        pools = [v for i, code in sorted(codes.items()) for v in (acts[i + 1], code)]
+        return [v.tobytes() for v in (*pools, *params.weights.values())]
+
+    got = step()
+    monkeypatch.setattr(engine, "_pool_fp", _pool_fp_masked_copy)
+    monkeypatch.setattr(engine, "_pool_bp", _pool_bp_added)
+    assert got == step()
 
 
 def test_maxpool_tie_routes_to_first_cell():
