@@ -157,22 +157,29 @@ def cmd_train(args) -> int:
     else:
         batches = datasets.file_batches(args.data, net, args.steps, args.seed)
     out = _out_dir(args)
-    losses = []
-    images, busy = 0, 0.0  # host seconds spent in train_minibatch
-    for step, (x, y) in enumerate(batches):
-        t0 = time.perf_counter()
-        loss, engine_params = engine.train_minibatch(net, engine_params, x, y)
-        busy += time.perf_counter() - t0
-        images += len(y)
-        losses.append(loss)
-        if args.log_every and step % args.log_every == 0:
-            print(f"step {step}: loss {loss:.6f}")
     loss_csv, checkpoint = out / "loss.csv", out / "checkpoint.bin"
-    with _writing(loss_csv), open(loss_csv, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "loss"])
-        for i, v in enumerate(losses):
-            w.writerow([i, f"{v:.8f}"])
+    # both outputs are opened before the first step, so that one that
+    # cannot be written fails fast; the checkpoint is not truncated yet
+    with _writing(loss_csv):
+        log = open(loss_csv, "w", newline="")
+    with log:
+        with _writing(checkpoint), open(checkpoint, "ab"):
+            pass
+        losses = []
+        images, busy = 0, 0.0  # host seconds spent in train_minibatch
+        for step, (x, y) in enumerate(batches):
+            t0 = time.perf_counter()
+            loss, engine_params = engine.train_minibatch(net, engine_params, x, y)
+            busy += time.perf_counter() - t0
+            images += len(y)
+            losses.append(loss)
+            if args.log_every and step % args.log_every == 0:
+                print(f"step {step}: loss {loss:.6f}")
+        with _writing(loss_csv):
+            w = csv.writer(log)
+            w.writerow(["step", "loss"])
+            for i, v in enumerate(losses):
+                w.writerow([i, f"{v:.8f}"])
     with _writing(checkpoint):
         engine.save_checkpoint(checkpoint, engine_params)
     print(f"trained {len(losses)} steps: first loss {losses[0]:.4f}, "

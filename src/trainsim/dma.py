@@ -10,12 +10,15 @@ restarts runs that would continue their predecessor.
 
 The layer simulator prices a columnar `layout.Walk`: the exact
 production pipeline the analytic model assumes, with every transfer priced
-from the bursts its runs actually produce.  It works in numpy, one channel
-at a time, in two steps:
+from the bursts its runs actually produce.  It works in numpy, in two
+steps over each slice:
 
-- `_price_channel` prices each transfer of one channel in bus order.  A
-  transfer's runs are one run group (`layout.Walk`), such as a tile's
-  channel x row lattice: `outer` rows of `count` runs of one length, the
+- `_price` prices every transfer of the slice in one pass.  Sorted by
+  channel, stably, each channel's transfers are a segment in bus order,
+  which continues that channel's stream; no burst spans two segments, and
+  the histograms of every channel are counted at once.  A transfer's runs
+  are one run group (`layout.Walk`), such as a tile's channel x row
+  lattice: `outer` rows of `count` runs of one length, the
   last starting at start + (outer-1)*outer_stride + (count-1)*stride.  A
   run restarts if the walk is `per_run_start`, if it is a transfer's first
   on a `fresh_start` channel, or if it does not continue the channel's
@@ -85,10 +88,15 @@ split_bursts = merge_runs
 
 def _beats(length: np.ndarray, slot_words: np.ndarray, p: int) -> np.ndarray:
     # channel-interleaved streams hand the consumer one slot (e.g. the Tn
-    # words of a pixel) per whole number of bus beats; slot 0 means none
-    slot = np.maximum(slot_words, 1)
-    whole = (slot_words > 0) & (length % slot == 0)
-    return np.where(whole, length // slot * -(-slot // p), -(-length // p))
+    # words of a pixel) per whole number of bus beats; slot 0 means none.
+    # A slot of whole beats changes nothing, so only the others are looked at
+    beats = -(-length // p)
+    odd = np.flatnonzero(slot_words % p)
+    if odd.size:
+        slot, length = slot_words[odd], length[odd]
+        whole = length % slot == 0
+        beats[odd[whole]] = length[whole] // slot[whole] * -(-slot[whole] // p)
+    return beats
 
 
 @dataclass
@@ -116,78 +124,124 @@ class _Stream:
     words: int = 0
     hist: dict[int, int] = field(default_factory=dict)
 
-    def count(self, lengths: np.ndarray, counts: np.ndarray) -> None:
-        for length, n in zip(lengths.tolist(), counts.tolist()):
-            self.hist[length] = self.hist.get(length, 0) + n
-
     def copy(self) -> _Stream:
         return replace(self, hist=dict(self.hist))
 
 
-def _price_channel(walk: Walk, trs: np.ndarray, dev: DeviceSpec, s: _Stream,
-                   fresh: bool, at: int = 0, base: _Stream | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Cycles and restarts of each of one channel's transfers `trs` (in bus
-    order), continuing its stream `s`; if `fresh`, each restarts at its head.
-    Given `at`, it also takes `base`, a copy of `s` as it was, on through the
-    first `at` transfers."""
-    many, count, stride, outer, o_stride = walk.repeats(trs)  # many: two runs or more
-    start, length = walk.start[trs], walk.length[trs]
-    runs = np.ones(trs.size, dtype=np.int64)
+def _price(walk: Walk, dev: DeviceSpec, streams: list[_Stream],
+           before: np.ndarray | None = None, bases: list[_Stream] | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Cycles and restarts of each of the walk's transfers, priced in one
+    pass over all its channels.  Sorted by channel, stably, the transfers
+    are one segment per channel, in bus order, that continues the channel's
+    stream in `streams`; no burst spans two segments.  Given `before`, per
+    transfer whether it lies before a mark (a prefix of each segment), it
+    also takes `bases`, copies of the streams as they were, on through
+    those transfers."""
+    n = walk.chan.size
+    if not n:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = None if np.all(walk.chan[1:] >= walk.chan[:-1]) else \
+        np.argsort(walk.chan, kind="stable")
+    pick = (lambda x: x) if order is None else (lambda x: x[order])
+    C = len(CHANNELS)
+    bounds = np.searchsorted(pick(walk.chan), np.arange(C + 1)).tolist()
+    segs = [(c, a, b) for c, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
+    heads = [a for _, a, _ in segs]
+    many, count, stride, outer, o_stride = walk.repeats(order)  # many: two runs or more
+    start, length = pick(walk.start), pick(walk.length)
+    runs = np.ones(n, dtype=np.int64)
     runs[many] = count * outer
     end = start + length  # after its last run
     end[many] += (count - 1) * stride + (outer - 1) * o_stride
-    cont = np.empty(trs.size, dtype=bool)  # its first run continues the stream
-    cont[0] = start[0] == s.end
-    cont[1:] = start[1:] == end[:-1]
-    s.end = int(end[-1])
-    if at:
-        base.end = int(end[at - 1])
-    del start, end
-    # whether a transfer's first run restarts; every run after it does
-    head = ~cont | fresh
+    # whether a transfer's first run restarts (every run after it does):
+    # unless it continues the run before it on its channel
+    head = np.empty(n, dtype=bool)
+    head[1:] = start[1:] != end[:-1]
+    for c, a, b in segs:
+        head[a] = start[a] != streams[c].end
+        if walk.per_run_start or walk.fresh_start[c]:
+            head[a:b] = True
     restarts = runs - 1 + head
-    cycles = runs * _beats(length, walk.slot_words[trs], dev.p) + restarts * dev.t_start
-    s.words += int(runs @ length)
-    s.bursts += int(restarts.sum())
-    if at:
-        base.words += int(runs[:at] @ length[:at])
-        base.bursts += int(restarts[:at].sum())
+    cycles = runs * _beats(length, pick(walk.slot_words), dev.p) + restarts * dev.t_start
+    words = runs * length
     # a burst may go on through each transfer's first run, unless a restart
     # both begins and ends it, and each multi-run transfer's last; every
-    # other run is a burst of its own
+    # other run is a burst of its own.  Those runs are one run list, of
+    # which `ran(t)` come before transfer t
     alone = head[many]
     lone_len, lone = length[many], runs[many] - 2 + alone
-    n = np.ones(trs.size, dtype=np.int64)
-    n[many] = 2 - alone
-    length, restart = np.repeat(length, n), np.repeat(head, n)
-    restart[(np.cumsum(n) - 1)[many]] = True
+    if many.size:
+        k = np.ones(n, dtype=np.int64)
+        k[many] = 2 - alone
+        ends = np.cumsum(k)
+        length, restart = np.repeat(length, k), np.repeat(head, k)
+        restart[ends[many] - 1] = True
+        ran = lambda t: int(ends[t - 1]) if t else 0  # noqa: E731
+    else:
+        restart, ran = head.copy(), lambda t: t  # noqa: E731
+    e_heads = [ran(a) for a in heads]  # each segment's first run
+    lead = ~restart[e_heads]  # it continues the channel's open burst
+    restart[e_heads] = True
     first = np.flatnonzero(restart)
-    lead = not restart[0]  # runs before the first restart continue the open burst
-    if lead:
-        first = np.append(0, first)
-    bursts = np.add.reduceat(length, first)
-    if lead:
-        s.hist[s.open] -= 1
-        bursts[0] += s.open
-    s.open = int(bursts[-1])
-    s.count(*np.unique(bursts, return_counts=True))
-    if at:
-        # of the bursts that begin before the mark, all but the last are
-        # closed; that one is open there, at the length of its runs so far
-        e = int(n[:at].sum())
-        j = int(np.searchsorted(first, e)) - 1
-        if lead:
-            base.hist[base.open] -= 1
-        base.open = int(length[first[j]:e].sum()) + (base.open if lead and j == 0 else 0)
-        base.count(*np.unique(np.append(bursts[:j], base.open), return_counts=True))
-    lengths, of = np.unique(lone_len, return_inverse=True)
-    s.count(lengths, np.bincount(of, lone, lengths.size).astype(np.int64))
-    if at:
-        before = np.searchsorted(many, at)  # the multi-run transfers before the mark
-        counts = np.bincount(of[:before], lone[:before], lengths.size)
-        base.count(lengths, counts.astype(np.int64))
-    return cycles, restarts
+    bursts = length.copy() if first.size == length.size else np.add.reduceat(length, first)
+    b_bounds = np.searchsorted(first, [*e_heads, length.size]).tolist()  # each segment's bursts
+    opened = [streams[c].open if go_on else 0 for (c, _, _), go_on in zip(segs, lead.tolist())]
+    bursts[b_bounds[:-1]] += opened
+    # the histograms' keys: length * K + channel, plus C in the bases'
+    K = 2 * C
+    key = bursts * K
+    lone_key = lone_len * K + pick(walk.chan)[many]
+    keys, adds = [key, lone_key], [np.ones(bursts.size, dtype=np.int64), lone]
+    for (c, a, b), b0, b1, o, w, r in zip(segs, b_bounds, b_bounds[1:], opened,
+                                          np.add.reduceat(words, heads).tolist(),
+                                          np.add.reduceat(restarts, heads).tolist()):
+        key[b0:b1] += c
+        if o:  # less the open burst it went on with
+            keys.append([o * K + c])
+            adds.append([-1])
+        s = streams[c]
+        s.end, s.open, s.words, s.bursts = int(end[b - 1]), int(bursts[b1 - 1]), s.words + w, \
+            s.bursts + r
+    if before is not None:
+        b = pick(before)
+        keys.append(lone_key[b[many]] + C)
+        adds.append(lone[b[many]])
+        for (c, a, _), b0, o, at, w, r in zip(segs, b_bounds, opened,
+                                              np.add.reduceat(b, heads, dtype=np.int64).tolist(),
+                                              np.add.reduceat(words * b, heads).tolist(),
+                                              np.add.reduceat(restarts * b, heads).tolist()):
+            if not at:
+                continue
+            # of the bursts that begin before the mark, all but the last
+            # are closed; that one is open there, at the length of its runs so far
+            e = ran(a + at)
+            j = int(np.searchsorted(first, e)) - 1
+            part = int(length[first[j]:e].sum()) + (o if j == b0 else 0)
+            keys += [key[b0:j] + C, [part * K + C + c, o * K + C + c]]
+            adds += [np.ones(j - b0, dtype=np.int64), [1, -bool(o)]]
+            s = bases[c]
+            s.end, s.open, s.words, s.bursts = int(end[a + at - 1]), part, s.words + w, \
+                s.bursts + r
+    # the histograms in one count; runs of one key, as a regular walk makes
+    # them, are summed before it sorts
+    keys, adds = np.concatenate(keys), np.concatenate(adds)
+    same = np.empty(keys.size, dtype=bool)
+    same[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=same[1:])
+    same = np.flatnonzero(same)
+    keys, of = np.unique(keys[same], return_inverse=True)
+    counts = np.bincount(of, np.add.reduceat(adds, same), keys.size).astype(np.int64)
+    hists = [s.hist for s in streams + (bases or [])]
+    for key, m in zip(keys.tolist(), counts.tolist()):
+        if m:
+            length, code = divmod(key, K)
+            hists[code][length] = hists[code].get(length, 0) + m
+    if order is None:
+        return cycles, restarts
+    cost, restart = np.empty_like(cycles), np.empty_like(restarts)
+    cost[order], restart[order] = cycles, restarts
+    return cost, restart
 
 
 def _store_terms(walk: Walk, tail: np.ndarray, store_cost: np.ndarray,
@@ -269,14 +323,9 @@ def simulate_sequences(walk: Walk, dev: DeviceSpec, carry: Carry | None = None,
         chunks = int(np.searchsorted(walk.chunk_prod, mark))  # the chunks before it
         before = walk.owner < np.where(walk.role == LOAD, chunks, mark)
         base = carry.copy()
-    cost = np.zeros(walk.chan.size, dtype=np.int64)
-    restarts = np.zeros(walk.chan.size, dtype=np.int64)
-    for c, (chan, s) in enumerate(zip(CHANNELS, carry.streams)):
-        trs = walk.on(chan)
-        if trs.size:
-            at = 0 if mark is None else int(np.count_nonzero(before[trs]))
-            cost[trs], restarts[trs] = _price_channel(walk, trs, dev, s, walk.restarts(chan),
-                                                      at, base.streams[c] if at else None)
+        cost, restarts = _price(walk, dev, carry.streams, before, base.streams)
+    else:
+        cost, restarts = _price(walk, dev, carry.streams)
 
     loads = (walk.role == LOAD) & ~walk.overlapped
     load = np.zeros(walk.comp.size, dtype=np.int64)

@@ -34,19 +34,19 @@ ones.
 Every pass, FP, BP or WU under any layout, is one loop nest (`_Nest`) made
 from the table of loop levels that `_loops` alone writes, so the three
 layouts are three loop orders over their address maps.  A nest is set up
-once per pass and writes any range of a block's productions into a
-`_WalkWriter` by index arithmetic, so a walker walks one of the slices
-that `slices` cuts the pass into (of at most `SLICE_ROWS` rows) without
-walking the pass.  A pass is full M_on blocks, then at most one partial
-one; where the full blocks translate, as each channel's rule shows, the
-nest's `fold` counts them, so that dma.py walks two and adds the rest in
-closed form.
+once per pass and writes any range of productions of the blocks of one
+width into a `_WalkWriter` by index arithmetic, one call per width, so a
+walker walks one of the slices that `slices` cuts the pass into (of at
+most `SLICE_ROWS` rows) without walking the pass.  A pass is full M_on
+blocks, then at most one partial one; where the full blocks translate, as
+each channel's rule shows, the nest's `fold` counts them, so that dma.py
+walks two and adds the rest in closed form.
 
 The descriptor policy is the pass's: under BCHW every run is its own
 descriptor (`per_run_start`), every feature load and reshaped BP
 weight-block load is its own (`fresh_start`, per channel), and FP and BP
 end every sequence on a restart (`tail_start`).  dma.py prices the
-policy and the pipeline, one channel at a time.
+policy and the pipeline, all of a slice's channels in one pass.
 """
 
 from __future__ import annotations
@@ -400,8 +400,9 @@ class WeightGeom:
 class DramImage:
     """Flat word-addressed memory with a named, non-overlapping region table.
 
-    Regions are appended into a buffer that grows by doubling, so adding
-    one does not copy the whole image; `words` is the used part."""
+    Adding a region only extends the table: the words are allocated when
+    `words` is first read, and grown there for regions added since, so an
+    image whose words are never read touches no memory for them."""
 
     regions: dict[str, tuple[int, int]] = field(default_factory=dict)
     _buf: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32),
@@ -410,16 +411,16 @@ class DramImage:
 
     @property
     def words(self) -> np.ndarray:
+        if self._buf.size < self._used:
+            buf = np.zeros(self._used, dtype=np.float32)
+            buf[:self._buf.size] = self._buf
+            self._buf = buf
         return self._buf[:self._used]
 
     def add_region(self, name: str, length: int) -> tuple[int, int]:
         if name in self.regions:
             raise RegionMismatch(f"region {name!r} already exists")
         offset = self._used
-        if offset + length > self._buf.size:
-            buf = np.zeros(max(offset + length, 2 * self._buf.size), dtype=np.float32)
-            buf[:offset] = self._buf[:offset]
-            self._buf = buf
         self._used = offset + length
         self.regions[name] = (offset, length)
         return self.regions[name]
@@ -459,8 +460,9 @@ IFM, OFM, WEI, OUT = range(len(CHANNELS))
 class Walk:
     """One slice of a layer pass (`slices`) as columns.  Sequences, productions
     and chunks are in bus order, and so are each channel's transfers; those of
-    different channels are grouped by weight block, not interleaved in time,
-    so consumers read them one channel at a time (`on`).
+    different channels are grouped by slice (by block width within it), not
+    interleaved in time, so consumers read them per channel (`on`, or as
+    dma's pricer does, sorted by channel).
 
     A sequence is a run of productions sharing one double-buffer pipeline;
     a production is a run of chunks (each one compute step and the loads it
@@ -513,9 +515,12 @@ class Walk:
         rank[self.multi] = np.arange(self.multi.size)
         return rank
 
-    def repeats(self, transfers: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The transfers of more than one run among `transfers`: their
-        positions in it, and their count, stride, outer and outer_stride."""
+    def repeats(self, transfers: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """The transfers of more than one run among `transfers` (None for all
+        of them, in order): their positions in it, and their count, stride,
+        outer and outer_stride."""
+        if transfers is None:
+            return self.multi, self.count, self.stride, self.outer, self.outer_stride
         pos = np.flatnonzero(self._rank[transfers] >= 0)
         r = self._rank[transfers[pos]]
         return pos, self.count[r], self.stride[r], self.outer[r], self.outer_stride[r]
@@ -773,11 +778,18 @@ def _loops(ws: WalkSpec, process: Process) -> tuple:
         loss = ws.feature_geom(l.m, l.r, l.c, ws.fp_m_on)
         merged = {}  # per block shape: its weights, merged, from its origin
 
-        def block(i):  # the block's weights, merged, as its one iteration's
-            key, origin = (i["g1"] - i["g0"], i["width"]), wei._addr(i["g0"] * tm, 0, 0, 0)
-            if key not in merged:
-                merged[key] = merge_groups(wei.block(i["g0"], i["g1"])) - [origin, 0, 0, 0, 0, 0]
-            return merged[key] + [origin, 0, 0, 0, 0, 0], np.array([len(merged[key])]), 0
+        def shape(g0, g1, width):  # the weights of a block of this shape, merged
+            if (g1 - g0, width) not in merged:
+                merged[g1 - g0, width] = merge_groups(wei.block(g0, g1)) - [
+                    wei._addr(g0 * tm, 0, 0, 0), 0, 0, 0, 0, 0]
+            return merged[g1 - g0, width]
+
+        def block(i):  # each iteration's block of weights, merged; the blocks share a shape
+            g0 = np.ravel(i["g0"])
+            groups = shape(int(g0[0]), int(np.ravel(i["g1"])[0]), int(np.ravel(i["width"])[0]))
+            tiles = np.tile(groups, (g0.size, 1))
+            tiles[:, 0] += np.repeat(wei._addr(g0 * tm, 0, 0, 0), len(groups))
+            return tiles, np.full(g0.size, len(groups)), 0
 
         resident = l.r <= t.tr and kind != LayoutKind.BCHW
         whole = (0, l.r_in, 0, l.c_in), (0, l.r, 0, l.c)  # the activation and loss maps
@@ -808,7 +820,7 @@ def _loops(ws: WalkSpec, process: Process) -> tuple:
         # the last image's first production loads the weights; it stores each n-tile (level 3)
         rules = (*maps,
                  _Rule(WEI, prod, {name: last if name == "b" else 0 for name, _ in levels[:prod]},
-                       block, lambda i: len(block(i)[0]),
+                       block, lambda i: len(shape(i["g0"], i["g1"], i["width"])),
                        lambda i: wei._addr(i["g0"] * tm, 0, 0, 0), over={}),
                  _Rule(OUT, 3, {"b": last}, *_weights(wei, lambda i: (i["g0"] + i["m"], i["n"]))))
         return (levels, seq, prod, lead,
@@ -910,9 +922,9 @@ class _Nest:
     block's g0, g1 and width; the pipeline hides loads whose indices are
     those of `over`.  Each block width's `_Grid` holds, as arrays over the
     levels, what each production's rows sum (itself, its chunks, each
-    rule's transfers): `write` appends any range of a block's productions
-    to a `_WalkWriter`, and `rows` counts from the same arrays what each of
-    them writes.
+    rule's transfers): `write` appends any range of productions of the
+    blocks of one width to a `_WalkWriter`, and `rows` counts from the
+    same arrays what each of them writes.
 
     `translates` says whether the full blocks are translates of each other:
     one shape, each transfer one step of its own further on per block, and
@@ -927,12 +939,14 @@ class _Nest:
         self.ws = ws
         (self.levels, self.seq, self.prod, self.lead, self.comp, self.rules, self.blocks,
          self.shifts, self.policy) = _loops(ws, process)
-        self._grids = {}
+        self._grids, self._blocks = {}, np.array(self.blocks)
         full = len(self.blocks) - (self.blocks[-1][2] < self.blocks[0][2])  # a partial last one
         size = self.grid(0).prods
         self.starts = [*range(0, (full + 1) * size, size)]
+        self.widths = [(0, full)]  # the blocks of each width, [first, end)
         if full < len(self.blocks):
             self.starts.append(self.starts[-1] + self.grid(-1).prods)
+            self.widths.append((full, len(self.blocks)))
         self.fold = full if full >= FOLD_BLOCKS and self.translates else 0
 
     def grid(self, g: int) -> _Grid:
@@ -1000,11 +1014,16 @@ class _Nest:
         return sum(_pick(x, idx, q.size) * _holds(at, i) for x, at in grid.terms)
 
     def write(self, w: _WalkWriter, g: int, q0: int, q1: int) -> None:
-        """Append block g's productions [q0, q1) to `w`."""
-        blk, grid, p = self.blocks[g], self.grid(g), self.prod
+        """Append productions [q0, q1) to `w`, numbered from block g's first
+        on through the blocks of its width after it: each rule's transfers
+        in one call over all of them, so that a channel's stay in bus order."""
+        grid, p = self.grid(g), self.prod
         q = np.arange(q0, q1)
+        seq = q // grid.seq_len  # no sequence spans two blocks
+        b, q = np.divmod(q, grid.prods)
+        # its block's g0, g1 and width, per production where more than one block
+        blk = self.blocks[g] if q1 <= grid.prods else tuple(self._blocks[g + b].T)
         idx = np.unravel_index(q, grid.span[:p])
-        seq = q // grid.seq_len
         s = w.sequences(int(seq[-1] - seq[0]) + 1)
         prods = w.productions(s + seq - seq[0])
         n_chunks = _pick(grid.terms[1][0], idx, q.size)  # the chunks term of its rows
@@ -1012,7 +1031,8 @@ class _Nest:
         each = [*(x[cp] for x in idx), *np.unravel_index(rank, grid.span[p:])]  # a chunk's
         chunks = w.chunks(prods + cp, _pick(grid.comp, each, cp.size))
         first = chunks + np.cumsum(n_chunks) - n_chunks  # each production's first chunk
-        per_prod, per_chunk = self._named(idx, blk), self._named(each, blk)
+        per_prod = self._named(idx, blk)
+        per_chunk = self._named(each, [x[cp] if np.ndim(x) else x for x in blk])
         for rule in self.rules:
             chunky = rule.depth > p
             i = per_chunk if chunky else per_prod
@@ -1031,14 +1051,14 @@ class _Nest:
                         rule.over is not None and _holds(rule.over, i))
 
     def walk(self, lo: int, hi: int) -> Walk:
-        """Productions [lo, hi) of the pass."""
+        """Productions [lo, hi) of the pass, one `write` per block width."""
         w = _WalkWriter(*self.policy)
-        g = bisect_right(self.starts, lo) - 1
-        while g < len(self.blocks) and self.starts[g] < hi:
+        for g, end in self.widths:
             first = self.starts[g]
-            self.write(w, g, max(lo, first) - first, min(hi, self.starts[g + 1]) - first)
-            g += 1
-        return w.finish(continued=(hi - self.starts[g - 1]) % self.grid(g - 1).seq_len != 0)
+            if max(lo, first) < min(hi, self.starts[end]):
+                self.write(w, g, max(lo, first) - first, min(hi, self.starts[end]) - first)
+        g = bisect_right(self.starts, hi - 1) - 1  # the block of its last production
+        return w.finish(continued=(hi - self.starts[g]) % self.grid(g).seq_len != 0)
 
 
 @dataclass(frozen=True)

@@ -544,20 +544,21 @@ def test_path_that_cannot_be_read_or_written_is_config_error(tmp_path, capsys, c
 ])
 def test_output_that_cannot_be_written_is_config_error(tmp_path, capsys, cmd, name):
     # a directory where an output file goes: once an internal error
-    # (IsADirectoryError); the directory stays, and the dump leaves no
-    # table or part of one beside it
+    # (IsADirectoryError); the directory stays, the dump leaves no table or
+    # part of one beside it, and training fails before its first step
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     alexnet = ["--net", "alexnet_conv", "--device", "zcu102", "--batch", "1"]
     flags = {"estimate": [*alexnet, "--plan", "alexnet_conv_zcu102"],
              "schedule": alexnet,
              "simulate": [*alexnet, "--plan", "alexnet_conv_zcu102"],
-             "train": ["--net", "cifar6", "--batch", "2", "--steps", "1"],
+             "train": ["--net", "cifar6", "--batch", "2", "--steps", "1", "--log-every", "1"],
              "layout-dump": ["--net", "alexnet_conv", "--batch", "1",
                              "--plan", "alexnet_conv_zcu102"]}[cmd]
     rc = run([cmd, *flags, "--out", str(out)])
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert rc == 2, err
+    assert "step 0" not in printed
     assert "config error: cannot write" in err and str(out / name) in err
     if cmd == "layout-dump":
         assert [p.name for p in out.iterdir()] == [name]

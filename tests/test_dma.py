@@ -19,7 +19,7 @@ from trainsim.cli import main
 from trainsim.config import load_device, load_network, load_plan
 from trainsim.dma import (SLICE_ROWS, Carry, simulate_layer, simulate_sequences, split_bursts,
                           stream_estimate)
-from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OUT,
+from trainsim.layout import (CHANNELS, CHUNK_STORE, FOLD_BLOCKS, IFM, LOAD, NO_STORE, OFM, OUT,
                              STORE, WALKERS, WEI, FeatureGeom, LayoutKind, Walk, _Nest,
                              _WalkWriter, equivalence_check, expand_groups, merge_groups,
                              resolve_walk, slices)
@@ -242,13 +242,15 @@ SYNTHETIC = SimpleNamespace(
     sequences=st.integers(1, 2),
     productions=st.lists(st.tuples(st.sampled_from([NO_STORE, STORE, CHUNK_STORE]),
                                    st.integers(1, 2)), min_size=1, max_size=3),
-    chunks=st.lists(st.tuples(st.integers(0, 40), st.lists(st.sampled_from([IFM, WEI]),
-                                                           max_size=2)), min_size=1, max_size=3))
+    chunks=st.lists(st.tuples(st.integers(0, 40), st.lists(st.sampled_from([IFM, OFM, WEI]),
+                                                           max_size=3)), min_size=1, max_size=3))
 
 
 def synthetic_walk(draw, sequences=SYNTHETIC.sequences) -> Walk:
     """A walk of random two-level run groups through `_WalkWriter`, one per
-    transfer, whose heads may continue the channel's previous run, under a
+    transfer, the channels' transfers interleaved in bus order as the
+    pipeline issues them (a chunk's loads, then its production's stores),
+    whose heads may continue the channel's previous run, under a
     random descriptor policy, of as many sequences as `sequences` draws.
     Only the groups of a `per_run_start` walk may hold runs that continue
     the one before them, in a row or from the row before."""
@@ -412,7 +414,9 @@ def test_carry_at_a_mark(data, p, t_start):
     rest = cut_walk(walk, lo, walk.prod_seq.size)
     want = carry.copy()
     simulate_sequences(cut_walk(rest, 0, mark - lo), dev, want)
-    assert carry_state(simulate_sequences(rest, dev, carry, mark - lo)) == carry_state(want)
+    base = simulate_sequences(rest, dev, carry, mark - lo)
+    assert carry_state(base) == carry_state(want)
+    assert sim_tuple(base.result()) == oracles.price_walk_loops(cut_walk(walk, 0, mark), t_start, p)
     assert sim_tuple(carry.result()) == sim_tuple(simulate_sequences(walk, dev))
 
 
@@ -780,6 +784,25 @@ def test_dump_and_equivalence_walk_each_slice_once(tmp_path):
                                   idx=i)
         assert [(q.nest.ws, q.lo, q.hi) for q in parts] == \
             cut(cifar, cifar_plan, 2, ["reshaped", "bchw"])
+
+
+def test_golden_slices_write_each_block_width_once():
+    # every golden pass cut at `SLICE_ROWS`: each slice makes one `write`
+    # per block width it covers, not one per block
+    for key in GOLDEN_KEYS:
+        case, idx, proc, kind = key.split("/")
+        _, net, plan, batch = next(c for c in golden_cases() if c[0] == case)
+        process = Process(proc)
+        ws = resolve_walk(net.layers[int(idx)], plan, int(idx), process, kind, batch)
+        for part in slices(ws, process, SLICE_ROWS):
+            nest, writes = part.nest, []
+            write = nest.write
+            with mock.patch.object(nest, "write", lambda w, g, q0, q1: (
+                    writes.append(g), write(w, g, q0, q1))):
+                WALKERS[process](ws, part)
+            widths = {(g1 - g0, width) for g, (g0, g1, width) in enumerate(nest.blocks)
+                      if part.lo < nest.starts[g + 1] and nest.starts[g] < part.hi}
+            assert len(writes) == len(widths), (key, part.lo, part.hi)
 
 
 @pytest.mark.parametrize("name, batch, i, kind", [
